@@ -5,7 +5,10 @@ Runs the catalog CHSH optimal and classical devices across a grid of score
 thresholds and reports how many of the seeded runs succeed.  Useful for
 picking a threshold with a comfortable statistical margin: at N rounds the
 accumulated score is Binomial(N, q*w), so thresholds within a couple of
-standard deviations of the mean flip a visible fraction of runs.
+standard deviations of the mean flip a visible fraction of runs.  Each
+observed count is printed next to its exact predicted probability: the
+Binomial(N, q*w) tail at the least integer score meeting the program's
+float threshold chi*q*N, with w the device's Born-rule winning probability.
 
 Usage: python scripts/protocol_statistics.py --n 100000 --q 0.05 --trials 100
 """
@@ -13,8 +16,27 @@ Usage: python scripts/protocol_statistics.py --n 100000 --q 0.05 --trials 100
 import argparse
 import math
 
-from randx import catalog
+from randx import catalog, scoring
 from randx.protocol import ProtocolParams, simulate
+
+
+def binomial_tail(n, p, k):
+    """P(X >= k) for X ~ Binomial(n, p), summed over log-space terms."""
+    if k <= 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    lp, lq, head = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    return math.fsum(
+        math.exp(head - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lp + (n - j) * lq)
+        for j in range(k, n + 1)
+    )
+
+
+def predicted_success(game, device, n, q, chi):
+    """Success probability of a fresh-state run with 0/1 game scores."""
+    w = scoring.eps_score(game, device, 0.0)
+    return binomial_tail(n, q * w, math.ceil(ProtocolParams(n, q, chi).threshold))
 
 
 def run_grid(game, device, n, q, chis, trials, seed):
@@ -45,14 +67,17 @@ def main():
     mean = args.n * args.q * w
     sd = math.sqrt(args.n * args.q * w * (1 - args.q * w))
     print(f"optimal device: score mean {mean:.1f}, sd {sd:.1f}")
-    for chi, succ in run_grid(entry.game, entry.devices["optimal"],
-                              args.n, args.q, chis, args.trials, args.seed):
+    optimal = entry.devices["optimal"]
+    for chi, succ in run_grid(entry.game, optimal, args.n, args.q, chis, args.trials, args.seed):
         z = (mean - chi * args.q * args.n) / sd
-        print(f"  chi={chi}: {succ}/{args.trials} succeed (threshold {z:+.2f} sd below mean)")
+        p = predicted_success(entry.game, optimal, args.n, args.q, chi)
+        print(f"  chi={chi}: {succ}/{args.trials} succeed, predicted P(success) = {p:.4f} "
+              f"(threshold {z:+.2f} sd below mean)")
     print("classical device:")
-    for chi, succ in run_grid(entry.game, entry.devices["classical"],
-                              args.n, args.q, chis, args.trials, args.seed):
-        print(f"  chi={chi}: {args.trials - succ}/{args.trials} abort")
+    classical = entry.devices["classical"]
+    for chi, succ in run_grid(entry.game, classical, args.n, args.q, chis, args.trials, args.seed):
+        p = 1.0 - predicted_success(entry.game, classical, args.n, args.q, chi)
+        print(f"  chi={chi}: {args.trials - succ}/{args.trials} abort, predicted P(abort) = {p:.4f}")
 
 
 if __name__ == "__main__":

@@ -16,39 +16,6 @@ import sys
 import numpy as np
 
 from randx import catalog, scoring
-from randx.devicemodel import components_device
-from randx.matcore import haar_unitary
-
-
-def rotated_basis(theta):
-    v0 = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-    v1 = np.array([-math.sin(theta), math.cos(theta)], dtype=complex)
-    return {0: np.outer(v0, v0.conj()), 1: np.outer(v1, v1.conj())}
-
-
-def random_chsh_device(rng, perturbed):
-    if perturbed:
-        ang1 = {0: rng.normal(0.0, 0.3), 1: math.pi / 4 + rng.normal(0.0, 0.3)}
-        ang2 = {0: math.pi / 8 + rng.normal(0.0, 0.3), 1: -math.pi / 8 + rng.normal(0.0, 0.3)}
-        site1 = {a: rotated_basis(t) for a, t in ang1.items()}
-        site2 = {a: rotated_basis(t) for a, t in ang2.items()}
-        psi = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-        state = np.outer(psi, psi.conj())
-        lam = rng.uniform(0.0, 0.3)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        noise = g.conj().T @ g
-        noise /= np.trace(noise).real
-        state = (1 - lam) * state + lam * noise
-    else:
-        def rand_basis():
-            u = haar_unitary(2, rng)
-            return {0: np.outer(u[:, 0], u[:, 0].conj()), 1: np.outer(u[:, 1], u[:, 1].conj())}
-        site1 = {0: rand_basis(), 1: rand_basis()}
-        site2 = {0: rand_basis(), 1: rand_basis()}
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        state = g.conj().T @ g
-        state /= np.trace(state).real
-    return components_device((2, 2), state, (site1, site2))
 
 
 def main():
@@ -62,7 +29,7 @@ def main():
     game = catalog.chsh().game
     curve = scoring.quadratic_rate_curve(0.75, 4)
     rng = np.random.default_rng(args.seed)
-    devices = [random_chsh_device(rng, perturbed=(i % 2 == 0)) for i in range(args.devices)]
+    devices = [catalog.random_chsh_device(rng, perturbed=(i % 2 == 0)) for i in range(args.devices)]
 
     print("device,eps,score,randomness,slack_over_eps")
     worst = {eps: -math.inf for eps in eps_grid}

@@ -44,6 +44,7 @@ from .devicemodel import (
     make_device,
 )
 from .gamedefs import Game, nonlocal_game
+from .matcore import haar_unitary
 
 SQRT2 = math.sqrt(2.0)
 CHSH_QUANTUM = 0.5 + SQRT2 / 4.0
@@ -123,6 +124,41 @@ def chsh_classical_device() -> Device:
         unitaries=d.unitaries,
         name=d.name,
     )
+
+
+def _rotated_basis(theta: float) -> dict[int, np.ndarray]:
+    v1 = np.array([-math.sin(theta), math.cos(theta)], dtype=np.complex128)
+    return {0: _proj(theta), 1: np.outer(v1, np.conj(v1))}
+
+
+def random_chsh_device(rng: np.random.Generator, perturbed: bool = False) -> Device:
+    """Random CHSH-compatible two-site device.
+
+    perturbed=True samples near the optimal construction (jittered angles,
+    state mixed toward noise) so the interesting high-score region is
+    covered; otherwise bases and state are fully random.
+    """
+    if perturbed:
+        ang1 = {0: rng.normal(0.0, 0.3), 1: math.pi / 4 + rng.normal(0.0, 0.3)}
+        ang2 = {0: math.pi / 8 + rng.normal(0.0, 0.3), 1: -math.pi / 8 + rng.normal(0.0, 0.3)}
+        site1 = {a: _rotated_basis(t) for a, t in ang1.items()}
+        site2 = {a: _rotated_basis(t) for a, t in ang2.items()}
+        lam = rng.uniform(0.0, 0.3)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        noise = g.conj().T @ g
+        noise /= np.trace(noise).real
+        state = (1 - lam) * _bell_state() + lam * noise
+    else:
+        def rand_basis():
+            u = haar_unitary(2, rng)
+            return {0: np.outer(u[:, 0], u[:, 0].conj()), 1: np.outer(u[:, 1], u[:, 1].conj())}
+
+        site1 = {0: rand_basis(), 1: rand_basis()}
+        site2 = {0: rand_basis(), 1: rand_basis()}
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        state = g.conj().T @ g
+        state /= np.trace(state).real
+    return components_device((2, 2), state, (site1, site2))
 
 
 @lru_cache(maxsize=None)

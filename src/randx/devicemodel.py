@@ -509,15 +509,6 @@ def is_classically_predictable(d: Device, a: Letter, tol: float = HERM_TOL) -> t
     return dev <= tol, dev
 
 
-def is_deterministic_on(d: Device, a: Letter, tol: float = HERM_TOL) -> tuple[bool, float]:
-    """Whether state = P_a^x state P_a^x for some single output x."""
-    best = np.inf
-    for p in d.measurements[a].values():
-        dev = float(np.max(np.abs(p @ d.state @ p - d.state)))
-        best = min(best, dev)
-    return best <= tol, best
-
-
 # ---------------------------------------------------------------------------
 # file format
 

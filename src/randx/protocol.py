@@ -1,5 +1,5 @@
 """The spot-checking generation protocol: simulation, exact success-state
-enumeration, and the min-entropy bound pipeline.
+aggregates, and the min-entropy bound pipeline.
 
 Protocol (per round, N rounds total): draw t in {0,1} with P(t=1) = q; on a
 test round draw the game input from p and add the raw score H(a, x) to the
@@ -17,6 +17,14 @@ Two usage semantics are supported everywhere:
       system collapses round by round (outputs sampled from the current
       evolved state, which is then updated by the selected branch and the
       input's unitary).
+
+Success-state aggregates under fresh-state semantics come from a
+convolution: each sequence weight is a product over rounds and success
+depends only on the summed raw score, so the one-round table of score
+classes is convolved N times, in O(N * classes) work.  Scores are held as
+exact integer lattice units, and their sum is compared exactly with the
+float chi*q*N.  The memory semantics expands the sequence tree leaf by leaf.
+The branch cap guards both.
 
 Randomness is drawn from a counter-based 64-bit generator (Philox) seeded by
 the run seed; each round consumes three uniforms in a fixed order (round
@@ -211,12 +219,13 @@ class SuccessStateSummary:
 
 def _round_tables(
     g: Game, d: Device, q: float, eps: float
-) -> list[tuple[float, float, list[tuple[float, float, Letter, Letter]]]]:
+) -> list[tuple[float, Letter, list[tuple[float, float, Letter, float]]]]:
     """Per-round branch data for the fresh (iid) semantics.
 
-    Returns a list over supported protocol inputs (t, a) of
-    (p_q, score placeholder, branches), each branch being
-    (born probability, sandwiched bracket, input letter, output letter).
+    Returns a list over supported protocol inputs i = (t, a) of
+    (p_i, i, branches), each branch being (born probability, sandwiched
+    bracket, output letter, score); the score is the raw H(a, x) on a test
+    round and 0 on a generation round.
     """
     sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
     gq = spot_check(g, q)
@@ -244,6 +253,35 @@ def _round_tables(
     return rows
 
 
+def _lattice_table(rows) -> tuple[int, dict[int, list]]:
+    """One round's branches grouped by score, in integer lattice units.
+
+    A finite float is a dyadic rational, so ``as_integer_ratio`` gives its
+    exact value and the lcm ``den`` of the denominators makes every score an
+    integer number of units of 1/den.  Entry k holds the born weight
+    sum p_i born, the bracket weight sum p_i w, and the numbers of branches
+    with born > 0, with w > 0, and with both.  Born probabilities and
+    brackets are nonnegative, so a product over rounds is positive iff every
+    factor is, and these counts convolve like the weights.
+    """
+    branches = []
+    for p_i, _i, entries in rows:
+        for born, w, _x, h in entries:
+            if not math.isfinite(h):
+                raise ProtocolError(f"score {h} is not finite")
+            branches.append((p_i, born, w, h.as_integer_ratio()))
+    den = math.lcm(*(ratio[1] for *_, ratio in branches))
+    table: dict[int, list] = {}
+    for p_i, born, w, (num, d) in branches:
+        e = table.setdefault(num * (den // d), [0.0, 0.0, 0, 0, 0])
+        e[0] += p_i * born
+        e[1] += p_i * w
+        e[2] += born > 0.0
+        e[3] += w > 0.0
+        e[4] += born > 0.0 and w > 0.0
+    return den, table
+
+
 def enumerate_success_state(
     g: Game,
     d: Device,
@@ -254,20 +292,28 @@ def enumerate_success_state(
     fresh_state: bool = True,
     branch_cap: int = BRANCH_CAP,
 ) -> SuccessStateSummary:
-    """Exhaustively enumerate all (input, output) sequences of the protocol.
+    """Exact success-state aggregates over all (input, output) sequences.
 
     The success set is {raw score >= chi*q*N} (equivalently the q-weighted
-    score >= chi*N).  chi = 0 makes every branch a success branch.  Zero
-    probability branches are pruned; the branch count guard rejects runs
-    beyond ``branch_cap`` leaves.
+    score >= chi*N).  chi = 0 makes every branch of nonnegative score a
+    success branch.  Under fresh-state semantics every sequence weight
+    factorizes over rounds and success depends only on the summed score, so
+    the one-round table of score classes is convolved N times, in
+    O(N * classes) work; the score sum is an exact integer of lattice units
+    and is compared exactly with the float chi*q*N.  ``branches`` counts the
+    success sequences whose born or bracket product is positive, by
+    inclusion-exclusion over per-class counts.  The memory path expands the
+    sequence tree leaf by leaf, since its branches depend on the evolving
+    state, and prunes zero-probability branches.  On both paths the guard
+    rejects runs of more than ``branch_cap`` sequences.
     """
     require_compatible(g, d)
     if not 0.0 < eps <= 1.0:
         raise ProtocolError(f"eps must lie in (0, 1], got {eps}")
     if not 0.0 < q < 1.0:
         raise ProtocolError(f"q must lie in (0, 1), got {q}")
-    if chi < 0.0:
-        raise ProtocolError(f"chi must be nonnegative, got {chi}")
+    if not 0.0 <= chi < math.inf:
+        raise ProtocolError(f"chi must be nonnegative and finite, got {chi}")
     if n_rounds < 1:
         raise ProtocolError("n_rounds must be positive")
     gq = spot_check(g, q)
@@ -280,28 +326,25 @@ def enumerate_success_state(
     threshold = chi * q * n_rounds
 
     if fresh_state:
-        rows = _round_tables(g, d, q, eps)
-        # level-order expansion over rounds with pruning of zero-mass branches
-        leaves = [(1.0, 1.0, 1.0, 0.0)]  # (p_q product, born product, bracket product, score)
+        den, table = _lattice_table(_round_tables(g, d, q, eps))
+        # classes: summed lattice units -> [born, bracket, #born>0, #w>0, #both]
+        dist = {0: [1.0, 1.0, 1, 1, 1]}
         for _ in range(n_rounds):
-            nxt = []
-            for pq, born, w, score in leaves:
-                for p_i, _i, branches in rows:
-                    for b_born, b_w, _x, b_h in branches:
-                        nb = born * b_born
-                        if nb <= 0.0 and w * b_w <= 0.0:
-                            continue
-                        nxt.append((pq * p_i, nb, w * b_w, score + b_h))
-            leaves = nxt
-        mass = 0.0
-        ksum = 0.0
-        branches = 0
-        for pq, born, w, score in leaves:
-            if score >= threshold:
-                mass += pq * born
-                ksum += pq * w
-                if pq * (born + w) > 0.0:
-                    branches += 1
+            nxt: dict[int, list] = {}
+            for s, (m, kw, nb, nw, nbw) in dist.items():
+                for k, (tm, tk, tb, tw, tbw) in table.items():
+                    e = nxt.setdefault(s + k, [0.0, 0.0, 0, 0, 0])
+                    e[0] += m * tm
+                    e[1] += kw * tk
+                    e[2] += nb * tb
+                    e[3] += nw * tw
+                    e[4] += nbw * tbw
+            dist = nxt
+        tn, td = threshold.as_integer_ratio()
+        won = [acc for s, acc in dist.items() if s * td >= tn * den]
+        mass = math.fsum(acc[0] for acc in won)
+        ksum = math.fsum(acc[1] for acc in won)
+        branches = sum(acc[2] + acc[3] - acc[4] for acc in won)
     else:
         sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
         inputs = [(gq.prob(i), i[1], i[0]) for i in gq.input_alphabet if gq.prob(i) > 0.0]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from randx import catalog, convexity, scoring
+from randx.catalog import random_chsh_device
 from randx.classicaloracle import classical_value, known_values, seesaw
 from randx.protocol import (
     ProtocolParams,
@@ -20,7 +21,6 @@ from randx.protocol import (
     enumerate_success_state,
     simulate,
 )
-from tests.conftest import random_chsh_device
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
 

@@ -1,15 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from randx import catalog
+from randx.devicemodel import make_device
+from randx.gamedefs import nonlocal_game
+from randx.matcore import haar_unitary
 from randx.protocol import (
     BadDeltaError,
     BadTableError,
     ProtocolError,
     ProtocolParams,
     TooLargeError,
+    _round_tables,
     entropy_lower_bound,
     enumerate_success_state,
     extractable_bits,
@@ -24,6 +29,57 @@ CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
 def chsh_setup():
     entry = catalog.chsh()
     return entry.game, entry.devices["optimal"], entry.devices["classical"]
+
+
+def toy_setup():
+    """One-player qutrit game with scores -1, 0.5 and 1, and a rank-2 state.
+
+    The scores give non-unit and negative lattice units; the rank-2 state
+    gives branches with zero born probability and zero bracket.
+    """
+    scores = {}
+    for a, row in {(0,): (-1.0, 0.5, 1.0), (1,): (1.0, -1.0, 0.5)}.items():
+        for x, h in enumerate(row):
+            scores[(a, (x,))] = h
+    game = nonlocal_game(
+        "toy",
+        player_inputs=[(0, 1)],
+        player_outputs=[(0, 1, 2)],
+        distribution={(0,): 0.5, (1,): 0.5},
+        scores=scores,
+        distinguished_input=(0,),
+        unbounded=True,
+    )
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    state = np.zeros((3, 3), dtype=complex)
+    state[:2, :2] = m @ m.conj().T / np.trace(m @ m.conj().T).real
+    u = haar_unitary(3, rng)
+    eye = np.eye(3, dtype=complex)
+    measurements = {
+        (0,): {(x,): np.outer(eye[x], eye[x]) for x in range(3)},
+        (1,): {(x,): np.outer(u[:, x], u[:, x].conj()) for x in range(3)},
+    }
+    return game, make_device("general", (3,), state, measurements, name="toy")
+
+
+def tree_reference(g, d, n, q, chi, eps):
+    """Leaf-by-leaf expansion of every fresh-state sequence: (mass, ksum, branches)."""
+    rows = _round_tables(g, d, q, eps)
+    leaves = [(1.0, 1.0, 1.0, 0.0)]  # (p_q product, born product, bracket product, score)
+    for _ in range(n):
+        nxt = []
+        for pq, born, w, score in leaves:
+            for p_i, _i, branches in rows:
+                for b_born, b_w, _x, b_h in branches:
+                    if born * b_born <= 0.0 and w * b_w <= 0.0:
+                        continue
+                    nxt.append((pq * p_i, born * b_born, w * b_w, score + b_h))
+        leaves = nxt
+    won = [leaf for leaf in leaves if leaf[3] >= chi * q * n]
+    mass = sum(pq * born for pq, born, _w, _s in won)
+    ksum = sum(pq * w for pq, _born, w, _s in won)
+    return mass, ksum, sum(1 for pq, born, w, _s in won if pq * (born + w) > 0.0)
 
 
 class TestParams:
@@ -190,6 +246,54 @@ class TestEnumerate:
         g, opt, _ = chsh_setup()
         with pytest.raises(TooLargeError):
             enumerate_success_state(g, opt, 10, q=0.3, chi=0.5, eps=0.2, branch_cap=1000)
+
+    @pytest.mark.parametrize("chi", [0.0, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("device", ["optimal", "classical", "toy"])
+    def test_lattice_matches_tree(self, device, n, chi):
+        if device == "toy":
+            g, d = toy_setup()
+        else:
+            entry = catalog.chsh()
+            g, d = entry.game, entry.devices[device]
+        self._check_against_tree(g, d, n, q=0.3, chi=chi, eps=0.2)
+
+    def test_lattice_matches_tree_magic_square(self):
+        entry = catalog.magic_square()
+        self._check_against_tree(entry.game, entry.devices["combined"], 1, q=0.3, chi=0.5, eps=0.1)
+
+    @staticmethod
+    def _check_against_tree(g, d, n, q, chi, eps):
+        mass, ksum, branches = tree_reference(g, d, n, q, chi, eps)
+        s = enumerate_success_state(g, d, n, q=q, chi=chi, eps=eps)
+        assert s.branches == branches
+        assert math.isclose(s.mass, mass, rel_tol=1e-11)
+        k_ref = -(1.0 / eps) * math.log2(ksum) if ksum > 0.0 else math.inf
+        # K is 0 for the classical device at chi = 0, where only an absolute bound applies
+        assert math.isclose(s.renyi_randomness, k_ref, rel_tol=1e-11, abs_tol=1e-11)
+
+    def test_lattice_scales_to_sixty_rounds(self):
+        # every CHSH test win scores 1, so the success mass is a binomial tail
+        g, opt, _ = chsh_setup()
+        n, q, chi = 60, 0.3, 0.8
+        s = enumerate_success_state(g, opt, n, q=q, chi=chi, eps=0.2, branch_cap=10**100)
+        p = q * CHSH_W
+        tail = math.fsum(
+            math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+            for k in range(math.ceil(chi * q * n), n + 1)
+        )
+        assert s.mass == pytest.approx(tail, rel=1e-12)
+
+    def test_non_finite_chi_and_scores_rejected(self):
+        g, opt, _ = chsh_setup()
+        for chi in (math.inf, math.nan):
+            with pytest.raises(ProtocolError):
+                enumerate_success_state(g, opt, 1, q=0.3, chi=chi, eps=0.2)
+        toy, d = toy_setup()
+        scores = dict(toy.scores)
+        scores[((1,), (2,))] = math.inf
+        with pytest.raises(ProtocolError):
+            enumerate_success_state(replace(toy, scores=scores), d, 1, q=0.3, chi=0.5, eps=0.2)
 
 
 class TestEntropyBound:
