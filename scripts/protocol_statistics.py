@@ -17,20 +17,7 @@ import argparse
 import math
 
 from randx import catalog, scoring
-from randx.protocol import ProtocolParams, simulate
-
-
-def binomial_tail(n, p, k):
-    """P(X >= k) for X ~ Binomial(n, p), summed over log-space terms."""
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
-    lp, lq, head = math.log(p), math.log1p(-p), math.lgamma(n + 1)
-    return math.fsum(
-        math.exp(head - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lp + (n - j) * lq)
-        for j in range(k, n + 1)
-    )
+from randx.protocol import ProtocolParams, binomial_tail, simulate
 
 
 def predicted_success(game, device, n, q, chi):

@@ -20,7 +20,6 @@ import numpy as np
 from . import matcore, scoring
 from .devicemodel import Device, Letter, components_device
 from .gamedefs import NONLOCAL, Game
-from .parallel import parallel_map
 
 ENUMERATION_GUARD = 10**7
 
@@ -320,7 +319,6 @@ def seesaw(
     restarts: int = 20,
     iters: int = 500,
     seed: int = 0,
-    threads: int | None = 1,
 ) -> SeesawResult:
     """Alternating optimization toward the (restricted) quantum value.
 
@@ -328,10 +326,9 @@ def seesaw(
     player and the shared state, the state moves to the top eigenvector of
     the game operator, and with constrain_abar the state is then projected
     onto its best deterministic branch of the distinguished input.  Restarts
-    run independently (in parallel when threads > 1) and are merged by max
-    with first-index tie break, so results do not depend on the worker
-    count.  The returned value is a certified lower bound: it is re-scored
-    from the witnessed device.
+    run in index order, each from its own seeded stream, and are merged by
+    max with first-index tie break.  The returned value is a certified lower
+    bound: it is re-scored from the witnessed device.
     """
     if g.kind != NONLOCAL or g.player_inputs is None or len(g.player_inputs) != 2:
         raise UnsupportedError("see-saw supports exactly 2-player nonlocal games")
@@ -340,11 +337,9 @@ def seesaw(
         raise BadDimsError(f"per-player dims must lie in [1, 8], got {dims}")
     outs1, outs2 = g.player_outputs
 
-    runs = parallel_map(
-        lambda k: _seesaw_restart(g, (d1, d2), constrain_abar, iters, seed, k),
-        range(restarts),
-        threads=threads,
-    )
+    runs = [
+        _seesaw_restart(g, (d1, d2), constrain_abar, iters, seed, k) for k in range(restarts)
+    ]
     best_value = -math.inf
     best_snapshot = None
     total_iters = 0

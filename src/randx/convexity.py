@@ -28,7 +28,6 @@ import numpy as np
 
 from . import matcore
 from .matcore import NotAResolutionError, VALIDATION_TOL, haar_unitary, snorm
-from .parallel import parallel_map
 
 MARGIN_TOL = -1e-10
 
@@ -242,18 +241,13 @@ def run_suite(
     seed: int = 0,
     dims: Sequence[int] = DEFAULT_DIMS,
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-    threads: int | None = 1,
 ) -> SuiteResult:
     """Run a randomized inequality suite.
 
-    Trials carry independently derived seeds and are merged by index, so the
-    result is the same for any worker count.
+    Trial ``k`` draws from its own stream derived from ``(seed, k)``, so a
+    row does not depend on which other trials run.
     """
     if suite not in SUITES:
         raise ConvexityError(f"unknown suite {suite!r}; choose from {SUITES}")
-    rows = parallel_map(
-        lambda trial: _suite_trial(suite, seed, trial, dims, eps_grid),
-        range(trials),
-        threads=threads,
-    )
+    rows = [_suite_trial(suite, seed, trial, dims, eps_grid) for trial in range(trials)]
     return SuiteResult(suite=suite, seed=seed, rows=rows)

@@ -111,6 +111,24 @@ class Transcript:
         return len(self.test_flags)
 
 
+def binomial_tail(n: int, p: float, k: int) -> float:
+    """P(X >= k) for X ~ Binomial(n, p), summed over log-space terms.
+
+    A fresh-state run of a game with 0/1 scores and winning probability w
+    has c ~ Binomial(N, q*w), so its success probability is this tail at the
+    least integer meeting chi*q*N.
+    """
+    if k <= 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    lp, lq, head = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    return math.fsum(
+        math.exp(head - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lp + (n - j) * lq)
+        for j in range(k, n + 1)
+    )
+
+
 def _born_rows(g: Game, d: Device) -> tuple[np.ndarray, np.ndarray]:
     """Per-input output distributions and scores over the full output alphabet."""
     n_in, n_out = len(g.input_alphabet), len(g.output_alphabet)

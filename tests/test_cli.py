@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from randx.cli import main
+from randx import catalog, protocol
+from randx.cli import POOL_MIN_ROUNDS, main
 
 
 def run_cli(args, **kwargs):
@@ -146,14 +147,24 @@ def test_unknown_game_exit_one():
     assert proc.returncode == 1
 
 
-def test_threads_env_variable_does_not_change_output(capsys, monkeypatch):
-    args = ["verify", "--suite", "binary-disturbance", "--trials", "60",
-            "--seed", "3", "--out", "csv"]
-    assert main(args) == 0
-    base = capsys.readouterr().out
-    monkeypatch.setenv("RANDX_THREADS", "3")
-    assert main(args) == 0
-    assert capsys.readouterr().out == base
+def test_pooled_simulate_matches_sequential_trials(capsys):
+    assert 5000 >= POOL_MIN_ROUNDS  # several fresh-state trials this long run pooled
+    assert main(["simulate", "--n", "5000", "--q", "0.1", "--chi", "0.8", "--seed", "11",
+                 "--trials", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    entry = catalog.chsh()
+    expected = []
+    for k in range(3):
+        tr = protocol.simulate(entry.game, entry.devices["optimal"],
+                               protocol.ProtocolParams(5000, 0.1, 0.8, seed=11 + k))
+        expected.append({"seed": 11 + k, "c": tr.c, "success": tr.success})
+    assert payload["runs"] == expected
+
+
+def test_threads_flag_is_unknown(capsys):
+    assert main(["simulate", "--n", "20", "--q", "0.3", "--chi", "0.5",
+                 "--threads", "2"]) == 1
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_entropy_bound_reports_seed_scale(capsys):

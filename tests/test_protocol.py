@@ -15,6 +15,7 @@ from randx.protocol import (
     ProtocolParams,
     TooLargeError,
     _round_tables,
+    binomial_tail,
     entropy_lower_bound,
     enumerate_success_state,
     extractable_bits,
@@ -283,6 +284,7 @@ class TestEnumerate:
             for k in range(math.ceil(chi * q * n), n + 1)
         )
         assert s.mass == pytest.approx(tail, rel=1e-12)
+        assert binomial_tail(n, p, math.ceil(chi * q * n)) == pytest.approx(tail, rel=1e-12)
 
     def test_non_finite_chi_and_scores_rejected(self):
         g, opt, _ = chsh_setup()
