@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +44,7 @@ from .devicemodel import (
     make_device,
 )
 from .gamedefs import Game, nonlocal_game
-from .matcore import haar_unitary
+from .matcore import ginibre, haar_pvm
 
 SQRT2 = math.sqrt(2.0)
 CHSH_QUANTUM = 0.5 + SQRT2 / 4.0
@@ -114,16 +114,7 @@ def chsh_classical_device() -> Device:
     site = {a: {0: np.eye(1, dtype=np.complex128)} for a in (0, 1)}
     d = components_device((1, 1), np.eye(1, dtype=np.complex128), (site, site), name="chsh-classical")
     g = chsh_game()
-    return Device(
-        kind=d.kind,
-        dims=d.dims,
-        state=d.state,
-        input_alphabet=g.input_alphabet,
-        output_alphabet=g.output_alphabet,
-        measurements=d.measurements,
-        unitaries=d.unitaries,
-        name=d.name,
-    )
+    return replace(d, input_alphabet=g.input_alphabet, output_alphabet=g.output_alphabet)
 
 
 def _rotated_basis(theta: float) -> dict[int, np.ndarray]:
@@ -144,18 +135,14 @@ def random_chsh_device(rng: np.random.Generator, perturbed: bool = False) -> Dev
         site1 = {a: _rotated_basis(t) for a, t in ang1.items()}
         site2 = {a: _rotated_basis(t) for a, t in ang2.items()}
         lam = rng.uniform(0.0, 0.3)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        g = ginibre((4, 4), rng)
         noise = g.conj().T @ g
         noise /= np.trace(noise).real
         state = (1 - lam) * _bell_state() + lam * noise
     else:
-        def rand_basis():
-            u = haar_unitary(2, rng)
-            return {0: np.outer(u[:, 0], u[:, 0].conj()), 1: np.outer(u[:, 1], u[:, 1].conj())}
-
-        site1 = {0: rand_basis(), 1: rand_basis()}
-        site2 = {0: rand_basis(), 1: rand_basis()}
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        site1 = {a: dict(enumerate(haar_pvm(2, 2, rng))) for a in (0, 1)}
+        site2 = {a: dict(enumerate(haar_pvm(2, 2, rng))) for a in (0, 1)}
+        g = ginibre((4, 4), rng)
         state = g.conj().T @ g
         state /= np.trace(state).real
     return components_device((2, 2), state, (site1, site2))
@@ -251,16 +238,7 @@ def ms_pair_device(x1bar: tuple, x2bar: tuple) -> Device:
         (2, 2), _bell_state(), (site1, site2), name=f"ms-pair-{x1bar}-{x2bar}"
     )
     g = magic_square_game()
-    return Device(
-        kind=d.kind,
-        dims=d.dims,
-        state=d.state,
-        input_alphabet=g.input_alphabet,
-        output_alphabet=g.output_alphabet,
-        measurements=d.measurements,
-        unitaries=d.unitaries,
-        name=d.name,
-    )
+    return replace(d, input_alphabet=g.input_alphabet, output_alphabet=g.output_alphabet)
 
 
 def _block_mixture(devices: list[Device], weights: list[float], name: str) -> Device:

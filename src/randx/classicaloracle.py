@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -140,15 +140,8 @@ def strategy_device(g: Game, strategy: Sequence[Mapping[Letter, Letter]]) -> Dev
         name="deterministic",
     )
     # carry the game's full output alphabet so compatibility checks pass
-    return Device(
-        kind=d.kind,
-        dims=d.dims,
-        state=d.state,
-        input_alphabet=tuple(g.input_alphabet),
-        output_alphabet=tuple(g.output_alphabet),
-        measurements=d.measurements,
-        unitaries=d.unitaries,
-        name=d.name,
+    return replace(
+        d, input_alphabet=tuple(g.input_alphabet), output_alphabet=tuple(g.output_alphabet)
     )
 
 
@@ -159,18 +152,6 @@ class SeesawResult:
     iterations: int
     constrained: bool
     restarts: int
-
-
-def _random_pvm(dim: int, n_outcomes: int, rng: np.random.Generator) -> list[np.ndarray]:
-    u = matcore.haar_unitary(dim, rng)
-    sizes = [dim // n_outcomes + (1 if i < dim % n_outcomes else 0) for i in range(n_outcomes)]
-    pvm = []
-    start = 0
-    for size in sizes:
-        cols = u[:, start : start + size]
-        pvm.append(cols @ matcore.dagger(cols))
-        start += size
-    return pvm
 
 
 def _positive_part_projector(delta: np.ndarray) -> np.ndarray:
@@ -207,12 +188,13 @@ def _update_pvm(pvm: list[np.ndarray], effops: list[np.ndarray]) -> list[np.ndar
     return pvm
 
 
-def _assemble_operator(
-    g: Game,
-    pvms: tuple[dict[Letter, list[np.ndarray]], dict[Letter, list[np.ndarray]]],
-    dims: tuple[int, int],
-) -> np.ndarray:
-    k = np.zeros((dims[0] * dims[1],) * 2, dtype=np.complex128)
+def _score_terms(g: Game) -> list[tuple[float, Letter, Letter, int, int]]:
+    """Nonzero game-operator terms (p(a)·H(a, x), a1, a2, i1, i2).
+
+    Listed in (a, x1, x2) order, so every sum over a filtered subset adds its
+    terms in the order of the nested loops over inputs and outputs.
+    """
+    terms = []
     for a in g.input_alphabet:
         p = g.prob(a)
         if p == 0.0:
@@ -221,12 +203,18 @@ def _assemble_operator(
             for i2, x2 in enumerate(g.player_outputs[1]):
                 h = g.score(a, (x1, x2))
                 if h != 0.0:
-                    k += (p * h) * np.kron(pvms[0][a[0]][i1], pvms[1][a[1]][i2])
-    return k
+                    terms.append((p * h, a[0], a[1], i1, i2))
+    return terms
 
 
 def _seesaw_restart(
-    g: Game, dims: tuple[int, int], constrain_abar: bool, iters: int, seed: int, restart: int
+    g: Game,
+    terms: list[tuple[float, Letter, Letter, int, int]],
+    dims: tuple[int, int],
+    constrain_abar: bool,
+    iters: int,
+    seed: int,
+    restart: int,
 ):
     """One seeded restart; returns (best value, snapshot, iterations used)."""
     d1, d2 = dims
@@ -236,9 +224,9 @@ def _seesaw_restart(
     best_snapshot = None
     total_iters = 0
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
-    pvm1 = {a: _random_pvm(d1, len(outs1), rng) for a in g.player_inputs[0]}
-    pvm2 = {b: _random_pvm(d2, len(outs2), rng) for b in g.player_inputs[1]}
-    psi = rng.normal(size=d1 * d2) + 1j * rng.normal(size=d1 * d2)
+    pvm1 = {a: matcore.haar_pvm(d1, len(outs1), rng) for a in g.player_inputs[0]}
+    pvm2 = {b: matcore.haar_pvm(d2, len(outs2), rng) for b in g.player_inputs[1]}
+    psi = matcore.ginibre(d1 * d2, rng)
     psi /= np.linalg.norm(psi)
     prev = -math.inf
     for it in range(iters):
@@ -247,38 +235,26 @@ def _seesaw_restart(
         # player 1: effective operators R_x = Psi M^T Psi† per input
         for a1 in g.player_inputs[0]:
             effops = []
-            for i1, x1 in enumerate(outs1):
+            for i1 in range(len(outs1)):
                 m = np.zeros((d2, d2), dtype=np.complex128)
-                for a in g.input_alphabet:
-                    if a[0] != a1:
-                        continue
-                    p = g.prob(a)
-                    if p == 0.0:
-                        continue
-                    for i2, x2 in enumerate(outs2):
-                        h = g.score(a, (x1, x2))
-                        if h != 0.0:
-                            m += (p * h) * pvm2[a[1]][i2]
+                for w, b1, b2, j1, j2 in terms:
+                    if b1 == a1 and j1 == i1:
+                        m += w * pvm2[b2][j2]
                 effops.append(psi_mat @ m.T @ matcore.dagger(psi_mat))
             pvm1[a1] = _update_pvm(pvm1[a1], effops)
         # player 2: effective operators R_x = Psi† M Psi per input
         for a2 in g.player_inputs[1]:
             effops = []
-            for i2, x2 in enumerate(outs2):
+            for i2 in range(len(outs2)):
                 m = np.zeros((d1, d1), dtype=np.complex128)
-                for a in g.input_alphabet:
-                    if a[1] != a2:
-                        continue
-                    p = g.prob(a)
-                    if p == 0.0:
-                        continue
-                    for i1, x1 in enumerate(outs1):
-                        h = g.score(a, (x1, x2))
-                        if h != 0.0:
-                            m += (p * h) * pvm1[a[0]][i1]
+                for w, b1, b2, j1, j2 in terms:
+                    if b2 == a2 and j2 == i2:
+                        m += w * pvm1[b1][j1]
                 effops.append(matcore.dagger(psi_mat) @ m @ psi_mat)
             pvm2[a2] = _update_pvm(pvm2[a2], effops)
-        k = _assemble_operator(g, (pvm1, pvm2), (d1, d2))
+        k = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
+        for w, b1, b2, j1, j2 in terms:
+            k += w * np.kron(pvm1[b1][j1], pvm2[b2][j2])
         vals, vecs = np.linalg.eigh((k + matcore.dagger(k)) / 2)
         psi = vecs[:, -1]
         if constrain_abar:
@@ -337,8 +313,10 @@ def seesaw(
         raise BadDimsError(f"per-player dims must lie in [1, 8], got {dims}")
     outs1, outs2 = g.player_outputs
 
+    terms = _score_terms(g)
     runs = [
-        _seesaw_restart(g, (d1, d2), constrain_abar, iters, seed, k) for k in range(restarts)
+        _seesaw_restart(g, terms, (d1, d2), constrain_abar, iters, seed, k)
+        for k in range(restarts)
     ]
     best_value = -math.inf
     best_snapshot = None

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore
-from .matcore import NotAResolutionError, VALIDATION_TOL, haar_unitary, snorm
+from .matcore import VALIDATION_TOL, ginibre, haar_pvm, snorm
 
 MARGIN_TOL = -1e-10
 
@@ -141,41 +141,16 @@ def simple_chain_rhs(tau, blocks: Sequence[np.ndarray], eps: float, normalize: b
 
 # ---------------------------------------------------------------------------
 # randomized sampling
+#
+# Suite inputs come from the matcore samplers: ginibre matrices for uniform
+# convexity, Haar-rotated projective measurements (matcore.haar_pvm) for the
+# disturbance suites, and the Wishart-style states below.
 
 
 def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Wishart-style PSD sample G†G with iid standard complex Gaussian G."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = ginibre((dim, dim), rng)
     return matcore.dagger(g) @ g
-
-
-def random_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
-
-def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    u = haar_unitary(dim, rng)
-    base = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(rank):
-        base[i, i] = 1.0
-    return u @ base @ matcore.dagger(u)
-
-
-def random_resolution(dim: int, n_blocks: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Haar-rotated coordinate projectors grouped into n_blocks parts."""
-    if n_blocks > dim:
-        raise ConvexityError(f"cannot split dim {dim} into {n_blocks} nonzero blocks")
-    u = haar_unitary(dim, rng)
-    sizes = [dim // n_blocks + (1 if i < dim % n_blocks else 0) for i in range(n_blocks)]
-    blocks = []
-    start = 0
-    for size in sizes:
-        base = np.zeros((dim, dim), dtype=np.complex128)
-        for i in range(start, start + size):
-            base[i, i] = 1.0
-        blocks.append(u @ base @ matcore.dagger(u))
-        start += size
-    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +195,17 @@ def _suite_trial(suite: str, seed: int, trial: int, dims, eps_grid) -> SuiteRow:
     eps = float(eps_grid[int(rng.integers(len(eps_grid)))])
     if suite == "uniform-convexity":
         check = check_uniform_convexity(
-            random_matrix(dim, rng), random_matrix(dim, rng), eps
+            ginibre((dim, dim), rng), ginibre((dim, dim), rng), eps
         )
     elif suite == "binary-disturbance":
         rank = int(rng.integers(1, dim))
         check = check_binary_disturbance(
-            random_psd(dim, rng), random_projector(dim, rank, rng), eps
+            random_psd(dim, rng), haar_pvm(dim, [rank], rng)[0], eps
         )
     else:
         n_blocks = int(rng.integers(2, min(5, dim) + 1))
         check, _ = check_chain_disturbance(
-            random_psd(dim, rng), random_resolution(dim, n_blocks, rng), eps
+            random_psd(dim, rng), haar_pvm(dim, n_blocks, rng), eps
         )
     return SuiteRow(trial=trial, dim=dim, eps=eps, lhs=check.lhs, rhs=check.rhs)
 

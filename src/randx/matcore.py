@@ -4,6 +4,10 @@ Every module in this package is built on the operations here.  All spectral
 quantities go through full eigendecompositions or SVDs: inputs are desk
 scale (dim <= ~256), so exactness beats iterative speed.
 
+The random-matrix samplers live here too, so every random input in the
+package draws the same way: ``ginibre`` (complex Gaussian arrays),
+``haar_unitary`` and ``haar_pvm`` (Haar-rotated projective measurements).
+
 Conventions:
   * matrices are square numpy arrays of complex128,
   * Hermiticity / projector checks use an absolute tolerance of 1e-9,
@@ -212,12 +216,27 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+def ginibre(shape: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Array of iid standard complex Gaussians: all real parts, then all imaginary."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian with phase fix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(ginibre((dim, dim), rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def haar_pvm(dim: int, parts: int | Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:
+    """Projective measurement from the column blocks of one Haar unitary.
+
+    ``parts`` is read as by ``np.array_split``: a block count gives balanced
+    ranks (empty blocks, i.e. zero projectors, when it exceeds ``dim``), and
+    a list of split indices gives the blocks between them, so ``[rank]``
+    yields a rank-``rank`` projector and its complement.
+    """
+    return [c @ dagger(c) for c in np.array_split(haar_unitary(dim, rng), parts, axis=1)]
 
 
 def matrix_to_pairs(m) -> list:

@@ -118,9 +118,9 @@ def binomial_tail(n: int, p: float, k: int) -> float:
     has c ~ Binomial(N, q*w), so its success probability is this tail at the
     least integer meeting chi*q*N.
     """
-    if k <= 0:
+    if k <= 0 or p == 1.0:
         return 1.0
-    if k > n:
+    if k > n or p == 0.0:
         return 0.0
     lp, lq, head = math.log(p), math.log1p(-p), math.lgamma(n + 1)
     return math.fsum(

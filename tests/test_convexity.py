@@ -11,13 +11,11 @@ from randx.convexity import (
     check_binary_disturbance,
     check_chain_disturbance,
     check_uniform_convexity,
-    random_matrix,
     random_psd,
-    random_resolution,
     run_suite,
     simple_chain_rhs,
 )
-from randx.matcore import NotAResolutionError, snorm
+from randx.matcore import NotAResolutionError, ginibre, haar_pvm, snorm
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.sampled_from([2, 3, 4, 6, 8])
@@ -48,7 +46,7 @@ class TestUniformConvexity:
     @settings(max_examples=60, deadline=None)
     def test_random_pairs_hold(self, seed, dim, eps):
         rng = np.random.default_rng(seed)
-        chk = check_uniform_convexity(random_matrix(dim, rng), random_matrix(dim, rng), eps)
+        chk = check_uniform_convexity(ginibre((dim, dim), rng), ginibre((dim, dim), rng), eps)
         assert chk.holds
 
 
@@ -76,7 +74,7 @@ class TestBinaryDisturbance:
     def test_random_instances_hold(self, seed, dim, eps):
         rng = np.random.default_rng(seed)
         tau = random_psd(dim, rng)
-        blocks = random_resolution(dim, 2, rng)
+        blocks = haar_pvm(dim, 2, rng)
         chk = check_binary_disturbance(tau, blocks[0], eps)
         assert chk.holds
 
@@ -85,7 +83,7 @@ class TestChainDisturbance:
     def test_two_blocks_reduce_to_binary(self):
         rng = np.random.default_rng(12)
         tau = random_psd(4, rng)
-        blocks = random_resolution(4, 2, rng)
+        blocks = haar_pvm(4, 2, rng)
         final, chain = check_chain_disturbance(tau, blocks, 0.4)
         binary = check_binary_disturbance(tau, blocks[0], 0.4)
         assert len(chain) == 1
@@ -109,7 +107,7 @@ class TestChainDisturbance:
     def test_simple_form_reported_not_asserted(self):
         rng = np.random.default_rng(3)
         tau = random_psd(4, rng)
-        blocks = random_resolution(4, 3, rng)
+        blocks = haar_pvm(4, 3, rng)
         val = simple_chain_rhs(tau, blocks, 0.5)
         assert math.isfinite(val)
 
@@ -119,7 +117,7 @@ class TestChainDisturbance:
         rng = np.random.default_rng(seed)
         n_blocks = min(n_blocks, dim)
         tau = random_psd(dim, rng)
-        blocks = random_resolution(dim, n_blocks, rng)
+        blocks = haar_pvm(dim, n_blocks, rng)
         final, chain = check_chain_disturbance(tau, blocks, eps)
         assert final.holds
         assert all(c.holds for c in chain)

@@ -23,29 +23,20 @@ from randx.devicemodel import (
     state_pair,
     validate_device,
 )
-from randx.matcore import haar_unitary
+from randx.matcore import ginibre, haar_pvm, haar_unitary
 
 
 def random_device(seed, dim=3, n_inputs=2, n_outputs=3):
     """General device with Haar-rotated coordinate measurements."""
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = ginibre((dim, dim), rng)
     phi = g.conj().T @ g
     phi /= np.trace(phi).real
     meas = {}
     unis = {}
     for a in range(n_inputs):
-        u = haar_unitary(dim, rng)
-        sizes = [dim // n_outputs + (1 if i < dim % n_outputs else 0) for i in range(n_outputs)]
-        outs = {}
-        start = 0
-        for x, size in enumerate(sizes):
-            if size == 0:
-                continue
-            cols = u[:, start : start + size]
-            outs[x] = cols @ cols.conj().T
-            start += size
-        meas[a] = outs
+        pvm = haar_pvm(dim, n_outputs, rng)
+        meas[a] = {x: p for x, p in enumerate(pvm) if p.any()}
         unis[a] = haar_unitary(dim, rng)
     return make_device(GENERAL, (dim,), phi, meas, unitaries=unis,
                        output_alphabet=tuple(range(n_outputs)))
@@ -110,7 +101,7 @@ class TestStatePair:
 
     def test_rank_one_on_maximally_mixed(self):
         rng = np.random.default_rng(0)
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v = ginibre(2, rng)
         v /= np.linalg.norm(v)
         p = np.outer(v, v.conj())
         meas = {0: {0: np.eye(2)}}
@@ -133,7 +124,7 @@ class TestStatePair:
     def test_spectra_agree(self, seed):
         d = random_device(seed)
         rng = np.random.default_rng(seed + 1)
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        g = ginibre((3, 3), rng)
         x = g.conj().T @ g
         pair = state_pair(d, x)
         ev_dev = np.sort(np.linalg.eigvalsh(pair.device_state))

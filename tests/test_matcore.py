@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randx import matcore
+from randx.convexity import random_psd
 from randx.matcore import (
     HermEig,
     NegativeEigenvalueError,
@@ -12,6 +13,8 @@ from randx.matcore import (
     NonHermitianError,
     NotAResolutionError,
     bracket,
+    ginibre,
+    haar_pvm,
     haar_unitary,
     herm_eig,
     matrix_from_pairs,
@@ -28,15 +31,6 @@ EPS_GRID = (0.01, 0.1, 0.5, 1.0)
 seeds = st.integers(0, 2**32 - 1)
 dims = st.sampled_from([2, 3, 4, 6])
 eps_values = st.sampled_from(EPS_GRID)
-
-
-def random_psd(dim, rng):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return g.conj().T @ g
-
-
-def random_matrix(dim, rng):
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
 class TestHermEig:
@@ -132,14 +126,14 @@ class TestSchatten:
     @settings(max_examples=40, deadline=None)
     def test_norm_bracket_relation(self, seed, dim, eps):
         rng = np.random.default_rng(seed)
-        val = schatten(random_matrix(dim, rng), eps)
+        val = schatten(ginibre((dim, dim), rng), eps)
         assert val.norm ** (1.0 + eps) == pytest.approx(val.bracket, rel=1e-10)
 
     @given(seeds, dims, eps_values)
     @settings(max_examples=40, deadline=None)
     def test_unitary_invariance(self, seed, dim, eps):
         rng = np.random.default_rng(seed)
-        z = random_matrix(dim, rng)
+        z = ginibre((dim, dim), rng)
         u = haar_unitary(dim, rng)
         v = haar_unitary(dim, rng)
         assert snorm(u @ z @ v, eps) == pytest.approx(snorm(z, eps), rel=1e-9)
@@ -148,8 +142,8 @@ class TestSchatten:
     @settings(max_examples=40, deadline=None)
     def test_triangle_inequality(self, seed, dim, eps):
         rng = np.random.default_rng(seed)
-        x = random_matrix(dim, rng)
-        y = random_matrix(dim, rng)
+        x = ginibre((dim, dim), rng)
+        y = ginibre((dim, dim), rng)
         assert snorm(x + y, eps) <= snorm(x, eps) + snorm(y, eps) + 1e-10
 
     @given(seeds, dims, eps_values)
@@ -180,7 +174,7 @@ class TestPinch:
 
     def test_single_block(self):
         rng = np.random.default_rng(5)
-        a = random_matrix(3, rng)
+        a = ginibre((3, 3), rng)
         assert np.allclose(pinch(a, [np.eye(3)]), a)
 
     def test_bad_resolution_rejected(self):
@@ -210,11 +204,26 @@ class TestTensor:
 
     def test_trivial_factor(self):
         rng = np.random.default_rng(11)
-        a = random_matrix(3, rng)
+        a = ginibre((3, 3), rng)
         assert np.allclose(tensor(a, np.eye(1)), a)
+
+
+@pytest.mark.parametrize(
+    "dim, parts, ranks",
+    [(5, 2, [3, 2]), (3, 3, [1, 1, 1]), (4, 8, [1] * 4 + [0] * 4), (4, [1], [1, 3]), (4, [3], [3, 1])],
+)
+def test_haar_pvm(dim, parts, ranks):
+    pvm = haar_pvm(dim, parts, np.random.default_rng(17))
+    assert [round(float(np.trace(p).real)) for p in pvm] == ranks
+    for j, p in enumerate(pvm):
+        assert np.max(np.abs(p @ p - p)) < 1e-12
+        assert np.max(np.abs(p - p.conj().T)) < 1e-12
+        for other in pvm[j + 1 :]:
+            assert np.max(np.abs(p @ other)) < 1e-12
+    assert np.max(np.abs(sum(pvm) - np.eye(dim))) < 1e-12
 
 
 def test_matrix_pairs_roundtrip():
     rng = np.random.default_rng(2)
-    m = random_matrix(3, rng)
+    m = ginibre((3, 3), rng)
     assert np.allclose(matrix_from_pairs(matrix_to_pairs(m)), m)

@@ -7,7 +7,7 @@ import pytest
 from randx import catalog
 from randx.devicemodel import make_device
 from randx.gamedefs import nonlocal_game
-from randx.matcore import haar_unitary
+from randx.matcore import ginibre, haar_unitary
 from randx.protocol import (
     BadDeltaError,
     BadTableError,
@@ -52,7 +52,7 @@ def toy_setup():
         unbounded=True,
     )
     rng = np.random.default_rng(7)
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = ginibre((2, 2), rng)
     state = np.zeros((3, 3), dtype=complex)
     state[:2, :2] = m @ m.conj().T / np.trace(m @ m.conj().T).real
     u = haar_unitary(3, rng)
@@ -285,6 +285,10 @@ class TestEnumerate:
         )
         assert s.mass == pytest.approx(tail, rel=1e-12)
         assert binomial_tail(n, p, math.ceil(chi * q * n)) == pytest.approx(tail, rel=1e-12)
+        # the exact limits of a device that never or always wins
+        for k in (1, 5, 10):
+            assert binomial_tail(10, 0.0, k) == 0.0
+            assert binomial_tail(10, 1.0, k) == 1.0
 
     def test_non_finite_chi_and_scores_rejected(self):
         g, opt, _ = chsh_setup()
