@@ -17,7 +17,7 @@ import argparse
 import math
 
 from randx import catalog, scoring
-from randx.protocol import ProtocolParams, binomial_tail, simulate
+from randx.protocol import ProtocolParams, binomial_tail, simulate_outcome
 
 
 def predicted_success(game, device, n, q, chi):
@@ -30,7 +30,7 @@ def run_grid(game, device, n, q, chis, trials, seed):
     rows = []
     for chi in chis:
         succ = sum(
-            simulate(game, device, ProtocolParams(n_rounds=n, q=q, chi=chi, seed=seed + k)).success
+            simulate_outcome(game, device, ProtocolParams(n, q, chi, seed=seed + k))[1]
             for k in range(trials)
         )
         rows.append((chi, succ))

@@ -6,9 +6,10 @@ entropy-bound, verify, magic-square-demo, validate.
 Exit codes: 0 success, 1 validation or usage error, 2 computational guard
 (enumeration or branch caps, unsupported sizes).  Identical argv and seed
 produce byte-identical output apart from the versioned header.  The seed
-is taken from --seed, else RANDX_SEED, else 0.  Only long fresh-state
-simulate runs fan their trials out over threads; results are merged by
-trial index.
+is taken from --seed, else RANDX_SEED, else 0.  Multi-trial simulate runs
+trial k with seed + k, one after another; a fresh-state trial samples and
+scores only its test rounds, but every round still consumes its three
+uniforms.  simulate and enumerate share one exact success rule.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -35,13 +35,6 @@ from .devicemodel import (
 from .gamedefs import Game, game_to_dict, load_game, save_game, validate_game
 
 HEADER = f"# randx {__version__}"
-
-# Fresh-state simulate trials of at least this many rounds run on a thread
-# pool.  The vectorised per-round sampling releases the GIL; shorter trials
-# are dominated by Python set-up and run slower pooled.  On a 2-CPU host,
-# 2 threads against 1: 1.10x the time at 2000 rounds, 0.90x at 3000, 0.87x
-# at 4096, 0.69x at 1e4 and 0.44x at 1e5.
-POOL_MIN_ROUNDS = 4096
 
 
 class UsageError(ValueError):
@@ -205,33 +198,34 @@ def _cmd_rate_curve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     game = _resolve_game(args.game)
     device = _resolve_device(args.device)
     fresh = not args.memory
 
-    def run(k: int) -> protocol.Transcript:
-        params = protocol.ProtocolParams(
+    def params(k: int) -> protocol.ProtocolParams:
+        return protocol.ProtocolParams(
             n_rounds=args.n, q=args.q, chi=args.chi, seed=args.seed + k
         )
-        return protocol.simulate(game, device, params, fresh_state=fresh)
 
     if args.out == "csv" and args.trials == 1:
         rows = [
             [str(i), str(t), _letterstr(a), _letterstr(x), _fmt(s)]
-            for i, (t, a, x, s) in enumerate(run(0).rounds())
+            for i, (t, a, x, s) in enumerate(
+                protocol.simulate(game, device, params(0), fresh_state=fresh).rounds()
+            )
         ]
         _emit_csv(["round", "t", "a", "x", "score"], rows, args.output)
         return 0
 
     def outcome(k: int) -> tuple[float, bool]:
-        tr = run(k)
+        if fresh:
+            return protocol.simulate_outcome(game, device, params(k))
+        tr = protocol.simulate(game, device, params(k), fresh_state=False)
         return tr.c, tr.success
 
-    if fresh and args.trials > 1 and args.n >= POOL_MIN_ROUNDS:
-        with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, args.trials)) as pool:
-            outcomes = list(pool.map(outcome, range(args.trials)))
-    else:
-        outcomes = [outcome(k) for k in range(args.trials)]
+    outcomes = [outcome(k) for k in range(args.trials)]
     if args.out == "csv":
         rows = [
             [str(k), _fmt(c), "1" if success else "0"]

@@ -4,7 +4,10 @@ aggregates, and the min-entropy bound pipeline.
 Protocol (per round, N rounds total): draw t in {0,1} with P(t=1) = q; on a
 test round draw the game input from p and add the raw score H(a, x) to the
 accumulator c; on a generation round feed the distinguished input.  The run
-succeeds iff c >= chi*q*N at the end.
+succeeds iff c >= chi*q*N at the end.  One exact rule decides this for
+simulation and enumeration alike: scores are held as integer units of a
+common lattice (every finite float is a dyadic rational), and their exact
+sum is compared exactly with the float chi*q*N.
 
 Two usage semantics are supported everywhere:
 
@@ -21,15 +24,15 @@ Two usage semantics are supported everywhere:
 Success-state aggregates under fresh-state semantics come from a
 convolution: each sequence weight is a product over rounds and success
 depends only on the summed raw score, so the one-round table of score
-classes is convolved N times, in O(N * classes) work.  Scores are held as
-exact integer lattice units, and their sum is compared exactly with the
-float chi*q*N.  The memory semantics expands the sequence tree leaf by leaf.
-The branch cap guards both.
+classes is convolved N times, in O(N * classes) work.  The memory semantics
+expands the sequence tree leaf by leaf.  The branch cap guards both.
 
 Randomness is drawn from a counter-based 64-bit generator (Philox) seeded by
 the run seed; each round consumes three uniforms in a fixed order (round
 type, then input, then output; unused draws are still consumed), so
-transcripts are bit-reproducible.
+transcripts are bit-reproducible.  ``simulate_outcome`` returns only c and
+success of a fresh-state run: generation rounds add nothing to c, so it
+samples and scores only the test rounds, from the same draws.
 """
 
 from __future__ import annotations
@@ -129,22 +132,96 @@ def binomial_tail(n: int, p: float, k: int) -> float:
     )
 
 
-def _born_rows(g: Game, d: Device) -> tuple[np.ndarray, np.ndarray]:
-    """Per-input output distributions and scores over the full output alphabet."""
+def _ratio(h: float) -> tuple[int, int]:
+    """A finite score's exact value as (numerator, denominator).
+
+    A finite float is a dyadic rational, so ``as_integer_ratio`` is exact and
+    the lcm of the denominators makes every score an integer number of units.
+    """
+    if not math.isfinite(h):
+        raise ProtocolError(f"score {h} is not finite")
+    return h.as_integer_ratio()
+
+
+def _meets_threshold(units: int, den: int, threshold: float) -> bool:
+    """The success rule: the exact score units/den is at least the float threshold."""
+    tn, td = threshold.as_integer_ratio()
+    return units * td >= tn * den
+
+
+def _born_rows(g: Game, d: Device) -> tuple[np.ndarray, np.ndarray, list[int], int]:
+    """Per-input output CDFs, scores and score units over the full output alphabet.
+
+    Returns (cdfs, scores, units, den); cell (i, j) scores exactly
+    ``units[i * n_out + j] / den``.
+    """
     n_in, n_out = len(g.input_alphabet), len(g.output_alphabet)
     probs = np.zeros((n_in, n_out))
     scores = np.zeros((n_in, n_out))
+    ratios = []
     out_index = {x: j for j, x in enumerate(g.output_alphabet)}
     for i, a in enumerate(g.input_alphabet):
         for x, p in d.measurements[a].items():
             probs[i, out_index[x]] = float(np.einsum("ij,ji->", p, d.state).real)
         for j, x in enumerate(g.output_alphabet):
-            scores[i, j] = g.score(a, x)
-    return probs, scores
+            h = g.score(a, x)
+            scores[i, j] = h
+            ratios.append(_ratio(h))
+    den = math.lcm(*(r for _, r in ratios))
+    cdfs = np.cumsum(probs, axis=1)
+    cdfs[:, -1] = np.maximum(cdfs[:, -1], 1.0)
+    return cdfs, scores, [num * (den // r) for num, r in ratios], den
+
+
+def _uniforms(params: ProtocolParams) -> np.ndarray:
+    """The run's uniforms, one row per round: round type, input, output."""
+    rng = np.random.Generator(np.random.Philox(key=params.seed))
+    return rng.random(3 * params.n_rounds).reshape(params.n_rounds, 3)
+
+
+def _sample_inputs(g: Game, u: np.ndarray) -> np.ndarray:
+    """Game input indices drawn from p by the given uniforms."""
+    p_cdf = np.cumsum([g.prob(a) for a in g.input_alphabet])
+    p_cdf[-1] = max(p_cdf[-1], 1.0)
+    return np.minimum(np.searchsorted(p_cdf, u, side="right"), len(p_cdf) - 1)
+
+
+def _sample_outputs(cdfs: np.ndarray, a_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Fresh-state output indices: the number of CDF entries at most u, per round."""
+    return np.minimum((u[:, None] >= cdfs[a_idx]).sum(axis=1), cdfs.shape[1] - 1)
+
+
+def _exact_score(
+    units: list[int], den: int, cells: np.ndarray, threshold: float
+) -> tuple[float, bool]:
+    """c and success of the test rounds in flat cells ``i * n_out + j``.
+
+    The score is summed exactly, as Python ints of lattice units; c is that
+    sum rounded once to the nearest float.
+    """
+    counts = np.bincount(cells, minlength=len(units))
+    total = sum(int(counts[k]) * units[k] for k in np.flatnonzero(counts))
+    return total / den, _meets_threshold(total, den, threshold)
 
 
 def _sample_index(cdf: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+
+
+def simulate_outcome(g: Game, d: Device, params: ProtocolParams) -> tuple[float, bool]:
+    """(c, success) of one fresh-state run, without per-round arrays.
+
+    The run draws the same uniforms and reports the same c and success as
+    ``simulate(g, d, params)``.  Generation rounds add nothing to c, so only
+    the test rounds' inputs and outputs are sampled.
+    """
+    require_compatible(g, d)
+    cdfs, _, units, den = _born_rows(g, d)
+    u = _uniforms(params)
+    test = np.flatnonzero(u[:, 0] < params.q)
+    a = _sample_inputs(g, u[test, 1])
+    x = _sample_outputs(cdfs, a, u[test, 2])
+    return _exact_score(units, den, a * cdfs.shape[1] + x, params.threshold)
 
 
 def simulate(
@@ -152,35 +229,26 @@ def simulate(
 ) -> Transcript:
     """Run the protocol once; reproducible given the seed.
 
-    The accumulator stores raw scores; the success rule is c >= chi*q*N, so a
-    run with no test rounds succeeds only if that threshold is <= 0.
+    The accumulator stores raw scores; the success rule is c >= chi*q*N, with
+    c summed exactly and compared exactly with the float chi*q*N, so a run
+    with no test rounds succeeds only if that threshold is <= 0.
     """
     require_compatible(g, d)
     n = params.n_rounds
-    rng = np.random.Generator(np.random.Philox(key=params.seed))
-    u = rng.random(3 * n).reshape(n, 3)
-    abar_idx = g.input_alphabet.index(g.distinguished_input)
-    p_cdf = np.cumsum([g.prob(a) for a in g.input_alphabet])
-    p_cdf[-1] = max(p_cdf[-1], 1.0)
-
+    cdfs, score_table, units, den = _born_rows(g, d)
+    u = _uniforms(params)
     t = (u[:, 0] < params.q).astype(np.uint8)
-    a_idx = np.minimum(
-        np.searchsorted(p_cdf, u[:, 1], side="right"), len(p_cdf) - 1
-    ).astype(np.int64)
-    a_idx[t == 0] = abar_idx
+    test = np.flatnonzero(t)
+    a_idx = np.full(n, g.input_alphabet.index(g.distinguished_input), dtype=np.int64)
+    a_idx[test] = _sample_inputs(g, u[test, 1])
 
     if fresh_state:
-        probs, score_table = _born_rows(g, d)
-        cdfs = np.cumsum(probs, axis=1)
-        cdfs[:, -1] = np.maximum(cdfs[:, -1], 1.0)
-        x_idx = (u[:, 2][:, None] >= cdfs[a_idx]).sum(axis=1).astype(np.int64)
-        np.clip(x_idx, 0, probs.shape[1] - 1, out=x_idx)
+        x_idx = _sample_outputs(cdfs, a_idx, u[:, 2]).astype(np.int64)
         scores = score_table[a_idx, x_idx] * t
     else:
         out_index = {x: j for j, x in enumerate(g.output_alphabet)}
         state = d.state.copy()
         x_idx = np.zeros(n, dtype=np.int64)
-        scores = np.zeros(n)
         for j in range(n):
             a = g.input_alphabet[a_idx[j]]
             branch_probs = []
@@ -200,17 +268,18 @@ def simulate(
             tr = float(np.trace(state).real)
             if tr > 0:
                 state = state / tr
-            if t[j]:
-                scores[j] = g.score(a, x)
+        scores = np.where(t == 1, score_table[a_idx, x_idx], 0.0)
 
-    c = float(np.sum(scores))
+    c, success = _exact_score(
+        units, den, a_idx[test] * cdfs.shape[1] + x_idx[test], params.threshold
+    )
     return Transcript(
         test_flags=t,
         input_indices=a_idx,
         output_indices=x_idx,
         scores=scores,
         c=c,
-        success=bool(c >= params.threshold),
+        success=success,
         input_alphabet=g.input_alphabet,
         output_alphabet=g.output_alphabet,
     )
@@ -274,20 +343,18 @@ def _round_tables(
 def _lattice_table(rows) -> tuple[int, dict[int, list]]:
     """One round's branches grouped by score, in integer lattice units.
 
-    A finite float is a dyadic rational, so ``as_integer_ratio`` gives its
-    exact value and the lcm ``den`` of the denominators makes every score an
-    integer number of units of 1/den.  Entry k holds the born weight
+    Every score is an integer number of units of 1/den (see ``_ratio``),
+    with ``den`` the lcm of the denominators.  Entry k holds the born weight
     sum p_i born, the bracket weight sum p_i w, and the numbers of branches
     with born > 0, with w > 0, and with both.  Born probabilities and
     brackets are nonnegative, so a product over rounds is positive iff every
     factor is, and these counts convolve like the weights.
     """
-    branches = []
-    for p_i, _i, entries in rows:
-        for born, w, _x, h in entries:
-            if not math.isfinite(h):
-                raise ProtocolError(f"score {h} is not finite")
-            branches.append((p_i, born, w, h.as_integer_ratio()))
+    branches = [
+        (p_i, born, w, _ratio(h))
+        for p_i, _i, entries in rows
+        for born, w, _x, h in entries
+    ]
     den = math.lcm(*(ratio[1] for *_, ratio in branches))
     table: dict[int, list] = {}
     for p_i, born, w, (num, d) in branches:
@@ -358,18 +425,25 @@ def enumerate_success_state(
                     e[3] += nw * tw
                     e[4] += nbw * tbw
             dist = nxt
-        tn, td = threshold.as_integer_ratio()
-        won = [acc for s, acc in dist.items() if s * td >= tn * den]
+        won = [acc for s, acc in dist.items() if _meets_threshold(s, den, threshold)]
         mass = math.fsum(acc[0] for acc in won)
         ksum = math.fsum(acc[1] for acc in won)
         branches = sum(acc[2] + acc[3] - acc[4] for acc in won)
     else:
         sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
-        inputs = [(gq.prob(i), i[1], i[0]) for i in gq.input_alphabet if gq.prob(i) > 0.0]
+        _, _, units, den = _born_rows(g, d)
+        n_out = len(g.output_alphabet)
+        out_index = {x: j for j, x in enumerate(g.output_alphabet)}
+        # (p_i, a, t, offset of a's row of score units)
+        inputs = [
+            (gq.prob((t, a)), a, t, g.input_alphabet.index(a) * n_out)
+            for t, a in gq.input_alphabet
+            if gq.prob((t, a)) > 0.0
+        ]
         mass = 0.0
         ksum = 0.0
         branches = 0
-        stack = [(0, 1.0, np.eye(d.dim, dtype=np.complex128), 0.0)]
+        stack = [(0, 1.0, np.eye(d.dim, dtype=np.complex128), 0)]
         while stack:
             depth, pq, m, score = stack.pop()
             if depth == n_rounds:
@@ -377,19 +451,19 @@ def enumerate_success_state(
                 born = float(np.trace(dev_branch).real)
                 core = sandwich @ dagger(m) @ m @ sandwich
                 w = matcore.psd_bracket(core, eps)
-                if score >= threshold:
+                if _meets_threshold(score, den, threshold):
                     mass += pq * born
                     ksum += pq * w
                     if pq * (born + w) > 0.0:
                         branches += 1
                 continue
-            for p_i, a, t in inputs:
+            for p_i, a, t, row in inputs:
                 uni = d.unitary(a)
                 for x, proj in d.measurements[a].items():
                     nm = uni @ proj @ m
                     if float(np.einsum("ij,ji->", nm @ d.state, dagger(nm)).real) <= 1e-30 and depth < n_rounds - 1:
                         continue
-                    h = g.score(a, x) if t == 1 else 0.0
+                    h = units[row + out_index[x]] if t == 1 else 0
                     stack.append((depth + 1, pq * p_i, nm, score + h))
 
     if ksum > 0.0:

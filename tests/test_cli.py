@@ -5,7 +5,10 @@ import sys
 import pytest
 
 from randx import catalog, protocol
-from randx.cli import POOL_MIN_ROUNDS, main
+from randx.cli import main
+from randx.devicemodel import load_device, save_device
+from randx.gamedefs import load_game, save_game
+from tests.test_protocol import toy_setup
 
 
 def run_cli(args, **kwargs):
@@ -147,18 +150,47 @@ def test_unknown_game_exit_one():
     assert proc.returncode == 1
 
 
-def test_pooled_simulate_matches_sequential_trials(capsys):
-    assert 5000 >= POOL_MIN_ROUNDS  # several fresh-state trials this long run pooled
-    assert main(["simulate", "--n", "5000", "--q", "0.1", "--chi", "0.8", "--seed", "11",
-                 "--trials", "3"]) == 0
+# game, device, q, chi, fresh-state N, memory N (the in-place path loops over rounds)
+SIMULATE_CASES = {
+    "chsh-optimal": ("chsh", "chsh:optimal", 0.1, 0.85, 5000, 200),
+    "chsh-classical": ("chsh", "chsh:classical", 0.1, 0.75, 5000, 200),
+    "magic-square-combined": ("magic-square", "magic-square:combined", 0.3, 0.9, 200, 2),
+    "toy": (None, None, 0.3, 0.1, 300, 100),
+}
+
+
+@pytest.mark.parametrize("memory", [False, True], ids=["fresh", "memory"])
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+def test_simulate_runs_match_transcripts(case, memory, tmp_path, capsys):
+    game_spec, device_spec, q, chi, n_fresh, n_memory = SIMULATE_CASES[case]
+    if game_spec is None:
+        game_spec, device_spec = str(tmp_path / "game.json"), str(tmp_path / "device.json")
+        toy_game, toy_device = toy_setup()
+        save_game(toy_game, game_spec)
+        save_device(toy_device, device_spec)
+        game, device = load_game(game_spec), load_device(device_spec)
+    else:
+        game, device = catalog.get_game(game_spec), catalog.get_device(device_spec)
+    n, seed, trials = (n_memory if memory else n_fresh), 40, 50
+    argv = ["simulate", "--game", game_spec, "--device", device_spec, "--n", str(n),
+            "--q", str(q), "--chi", str(chi), "--seed", str(seed), "--trials", str(trials)]
+    assert main(argv + (["--memory"] if memory else [])) == 0
     payload = json.loads(capsys.readouterr().out)
-    entry = catalog.chsh()
     expected = []
-    for k in range(3):
-        tr = protocol.simulate(entry.game, entry.devices["optimal"],
-                               protocol.ProtocolParams(5000, 0.1, 0.8, seed=11 + k))
-        expected.append({"seed": 11 + k, "c": tr.c, "success": tr.success})
+    for k in range(trials):
+        tr = protocol.simulate(game, device, protocol.ProtocolParams(n, q, chi, seed=seed + k),
+                               fresh_state=not memory)
+        expected.append({"seed": seed + k, "c": tr.c, "success": tr.success})
     assert payload["runs"] == expected
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_simulate_rejects_nonpositive_trials(trials, capsys):
+    assert main(["simulate", "--n", "20", "--q", "0.3", "--chi", "0.5",
+                 "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be at least 1" in captured.err
 
 
 def test_threads_flag_is_unknown(capsys):

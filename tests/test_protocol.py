@@ -21,6 +21,7 @@ from randx.protocol import (
     extractable_bits,
     hmin_classical_adversary,
     simulate,
+    simulate_outcome,
 )
 from randx.scoring import quadratic_rate_curve
 
@@ -300,6 +301,35 @@ class TestEnumerate:
         scores[((1,), (2,))] = math.inf
         with pytest.raises(ProtocolError):
             enumerate_success_state(replace(toy, scores=scores), d, 1, q=0.3, chi=0.5, eps=0.2)
+
+
+class TestSharedSuccessRule:
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
+    def test_exact_sum_decides_at_the_threshold(self, fresh):
+        # Every test-round output scores 0.1, N = 3, q = 0.5.  At chi = 0.2 the
+        # float sum 0.1 + 0.1 + 0.1 equals the float chi*q*N, but the exact sum
+        # 3*fl(0.1) lies below it, so no run succeeds; at chi = 0.19 exactly the
+        # all-test-round runs succeed.
+        base, opt, _ = chsh_setup()
+        g = replace(base, scores={
+            (a, x): 0.1 for a in base.input_alphabet for x in base.output_alphabet
+        })
+        assert ProtocolParams(n_rounds=3, q=0.5, chi=0.2).threshold == 0.1 + 0.1 + 0.1
+        for chi, mass in ((0.2, 0.0), (0.19, 0.5**3)):
+            s = enumerate_success_state(g, opt, 3, q=0.5, chi=chi, eps=0.2, fresh_state=fresh)
+            assert s.mass == pytest.approx(mass, abs=1e-12)
+            all_test_runs = 0
+            for seed in range(100):
+                params = ProtocolParams(n_rounds=3, q=0.5, chi=chi, seed=seed)
+                tr = simulate(g, opt, params, fresh_state=fresh)
+                all_test = bool(tr.test_flags.all())
+                all_test_runs += all_test
+                assert tr.success == (mass > 0.0 and all_test)
+                if all_test:
+                    assert tr.c == 0.1 + 0.1 + 0.1  # the exact sum, rounded once
+                if fresh:
+                    assert simulate_outcome(g, opt, params) == (tr.c, tr.success)
+            assert all_test_runs > 0
 
 
 class TestEntropyBound:
