@@ -17,7 +17,7 @@ import argparse
 import math
 
 from randx import catalog, scoring
-from randx.protocol import ProtocolParams, binomial_tail, simulate_outcome
+from randx.protocol import ProtocolParams, binomial_tail, simulate_outcomes
 
 
 def predicted_success(game, device, n, q, chi):
@@ -29,10 +29,8 @@ def predicted_success(game, device, n, q, chi):
 def run_grid(game, device, n, q, chis, trials, seed):
     rows = []
     for chi in chis:
-        succ = sum(
-            simulate_outcome(game, device, ProtocolParams(n, q, chi, seed=seed + k))[1]
-            for k in range(trials)
-        )
+        runs = simulate_outcomes(game, device, ProtocolParams(n, q, chi, seed=seed), trials)
+        succ = sum(success for _, success in runs)
         rows.append((chi, succ))
     return rows
 

@@ -7,9 +7,10 @@ Exit codes: 0 success, 1 validation or usage error, 2 computational guard
 (enumeration or branch caps, unsupported sizes).  Identical argv and seed
 produce byte-identical output apart from the versioned header.  The seed
 is taken from --seed, else RANDX_SEED, else 0.  Multi-trial simulate runs
-trial k with seed + k, one after another; a fresh-state trial samples and
-scores only its test rounds, but every round still consumes its three
-uniforms.  simulate and enumerate share one exact success rule.
+go through protocol.simulate_outcomes, which keys trial k by seed + k and
+runs the trials one after another; a fresh-state trial samples and scores
+only its test rounds, but every round still consumes its three uniforms.
+simulate and enumerate share one exact success rule.
 """
 
 from __future__ import annotations
@@ -203,29 +204,18 @@ def _cmd_simulate(args) -> int:
     game = _resolve_game(args.game)
     device = _resolve_device(args.device)
     fresh = not args.memory
-
-    def params(k: int) -> protocol.ProtocolParams:
-        return protocol.ProtocolParams(
-            n_rounds=args.n, q=args.q, chi=args.chi, seed=args.seed + k
-        )
-
+    params = protocol.ProtocolParams(n_rounds=args.n, q=args.q, chi=args.chi, seed=args.seed)
     if args.out == "csv" and args.trials == 1:
         rows = [
             [str(i), str(t), _letterstr(a), _letterstr(x), _fmt(s)]
             for i, (t, a, x, s) in enumerate(
-                protocol.simulate(game, device, params(0), fresh_state=fresh).rounds()
+                protocol.simulate(game, device, params, fresh_state=fresh).rounds()
             )
         ]
         _emit_csv(["round", "t", "a", "x", "score"], rows, args.output)
         return 0
 
-    def outcome(k: int) -> tuple[float, bool]:
-        if fresh:
-            return protocol.simulate_outcome(game, device, params(k))
-        tr = protocol.simulate(game, device, params(k), fresh_state=False)
-        return tr.c, tr.success
-
-    outcomes = [outcome(k) for k in range(args.trials)]
+    outcomes = protocol.simulate_outcomes(game, device, params, args.trials, fresh_state=fresh)
     if args.out == "csv":
         rows = [
             [str(k), _fmt(c), "1" if success else "0"]

@@ -82,9 +82,6 @@ class ValidationReport:
     def add(self, check: str, deviation: float, detail: str = "") -> None:
         self.violations.append(Violation(check, float(deviation), detail))
 
-    def merge(self, other: "ValidationReport") -> None:
-        self.violations.extend(other.violations)
-
     def summary(self) -> str:
         if self.ok:
             return "ok"

@@ -30,25 +30,30 @@ expands the sequence tree leaf by leaf.  The branch cap guards both.
 Randomness is drawn from a counter-based 64-bit generator (Philox) seeded by
 the run seed; each round consumes three uniforms in a fixed order (round
 type, then input, then output; unused draws are still consumed), so
-transcripts are bit-reproducible.  ``simulate_outcome`` returns only c and
-success of a fresh-state run: generation rounds add nothing to c, so it
-samples and scores only the test rounds, from the same draws.
+transcripts are bit-reproducible.  ``simulate_outcomes`` runs several
+trials and is the one place that keys trial k by seed + k; it returns only
+c and success of each, and on a fresh state it samples and scores only the
+test rounds, from the same draws, since generation rounds add nothing to c.
+Every entry point tabulates one round of its (game, device) pair once, in a
+private round plan, and checks their compatibility there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from . import matcore
-from .devicemodel import Device, Letter
-from .gamedefs import Game, require_compatible, spot_check
+from .devicemodel import Device, Letter, born_probabilities
+from .gamedefs import Game, require_compatible
 from .matcore import dagger, psd_power
 
 BRANCH_CAP = 10**7
+# The --memory tree drops a branch of at most this born weight before its last round.
+PRUNE_FLOOR = 1e-30
 
 
 class ProtocolError(ValueError):
@@ -149,28 +154,61 @@ def _meets_threshold(units: int, den: int, threshold: float) -> bool:
     return units * td >= tn * den
 
 
-def _born_rows(g: Game, d: Device) -> tuple[np.ndarray, np.ndarray, list[int], int]:
-    """Per-input output CDFs, scores and score units over the full output alphabet.
+@dataclass(frozen=True, eq=False)
+class _RoundPlan:
+    """One protocol round of a compatible (game, device) pair, built once.
 
-    Returns (cdfs, scores, units, den); cell (i, j) scores exactly
-    ``units[i * n_out + j] / den``.
+    Arrays are indexed by positions in the game's input and output alphabets.
+    Cell (i, j) scores exactly ``units[i * n_out + j] / den``.
     """
+
+    game: Game
+    device: Device
+    input_cdf: np.ndarray  # CDF of p over the inputs
+    born: np.ndarray  # (input, output) Born probabilities of the initial state
+    output_cdfs: np.ndarray  # row i: the output CDF of input i
+    scores: np.ndarray  # (input, output) raw scores H(a, x)
+    units: tuple[int, ...]
+    den: int
+    abar: int  # index of the distinguished input
+    outputs: tuple[tuple[int, ...], ...]  # per input, its measured outputs in device order
+
+
+def _round_plan(g: Game, d: Device) -> _RoundPlan:
+    """Check compatibility once and tabulate one round of (g, d)."""
+    require_compatible(g, d)
     n_in, n_out = len(g.input_alphabet), len(g.output_alphabet)
-    probs = np.zeros((n_in, n_out))
-    scores = np.zeros((n_in, n_out))
-    ratios = []
     out_index = {x: j for j, x in enumerate(g.output_alphabet)}
+    born = np.zeros((n_in, n_out))
+    outputs = []
     for i, a in enumerate(g.input_alphabet):
-        for x, p in d.measurements[a].items():
-            probs[i, out_index[x]] = float(np.einsum("ij,ji->", p, d.state).real)
-        for j, x in enumerate(g.output_alphabet):
-            h = g.score(a, x)
-            scores[i, j] = h
-            ratios.append(_ratio(h))
+        probs = born_probabilities(d, a)
+        outputs.append(tuple(out_index[x] for x in probs))
+        born[i, list(outputs[-1])] = list(probs.values())
+    output_cdfs = np.cumsum(born, axis=1)
+    output_cdfs[:, -1] = np.maximum(output_cdfs[:, -1], 1.0)
+    input_cdf = np.cumsum([g.prob(a) for a in g.input_alphabet])
+    input_cdf[-1] = max(input_cdf[-1], 1.0)
+    flat = [g.score(a, x) for a in g.input_alphabet for x in g.output_alphabet]
+    ratios = [_ratio(h) for h in flat]
     den = math.lcm(*(r for _, r in ratios))
-    cdfs = np.cumsum(probs, axis=1)
-    cdfs[:, -1] = np.maximum(cdfs[:, -1], 1.0)
-    return cdfs, scores, [num * (den // r) for num, r in ratios], den
+    units = tuple(num * (den // r) for num, r in ratios)
+    scores = np.array(flat).reshape(n_in, n_out)
+    abar = g.input_alphabet.index(g.distinguished_input)
+    return _RoundPlan(g, d, input_cdf, born, output_cdfs, scores, units, den, abar, tuple(outputs))
+
+
+def _supported_inputs(plan: _RoundPlan, q: float) -> Iterator[tuple[float, int, bool]]:
+    """The supported inputs of G_q in its order, as (p_i, input index, test round).
+
+    The generation round (1 - q, abar) comes first, then each test round
+    (q p(a), a) of positive weight.
+    """
+    yield 1.0 - q, plan.abar, False
+    for i, a in enumerate(plan.game.input_alphabet):
+        p_i = q * plan.game.prob(a)
+        if p_i > 0.0:
+            yield p_i, i, True
 
 
 def _uniforms(params: ProtocolParams) -> np.ndarray:
@@ -179,11 +217,9 @@ def _uniforms(params: ProtocolParams) -> np.ndarray:
     return rng.random(3 * params.n_rounds).reshape(params.n_rounds, 3)
 
 
-def _sample_inputs(g: Game, u: np.ndarray) -> np.ndarray:
-    """Game input indices drawn from p by the given uniforms."""
-    p_cdf = np.cumsum([g.prob(a) for a in g.input_alphabet])
-    p_cdf[-1] = max(p_cdf[-1], 1.0)
-    return np.minimum(np.searchsorted(p_cdf, u, side="right"), len(p_cdf) - 1)
+def _search(cdf: np.ndarray, u):
+    """Indices drawn from a CDF by uniforms u (array or scalar)."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
 def _sample_outputs(cdfs: np.ndarray, a_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -191,87 +227,57 @@ def _sample_outputs(cdfs: np.ndarray, a_idx: np.ndarray, u: np.ndarray) -> np.nd
     return np.minimum((u[:, None] >= cdfs[a_idx]).sum(axis=1), cdfs.shape[1] - 1)
 
 
-def _exact_score(
-    units: list[int], den: int, cells: np.ndarray, threshold: float
-) -> tuple[float, bool]:
+def _exact_score(plan: _RoundPlan, cells: np.ndarray, threshold: float) -> tuple[float, bool]:
     """c and success of the test rounds in flat cells ``i * n_out + j``.
 
     The score is summed exactly, as Python ints of lattice units; c is that
     sum rounded once to the nearest float.
     """
-    counts = np.bincount(cells, minlength=len(units))
-    total = sum(int(counts[k]) * units[k] for k in np.flatnonzero(counts))
-    return total / den, _meets_threshold(total, den, threshold)
+    counts = np.bincount(cells, minlength=len(plan.units))
+    total = sum(int(counts[k]) * plan.units[k] for k in np.flatnonzero(counts))
+    return total / plan.den, _meets_threshold(total, plan.den, threshold)
 
 
-def _sample_index(cdf: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
-
-
-def simulate_outcome(g: Game, d: Device, params: ProtocolParams) -> tuple[float, bool]:
-    """(c, success) of one fresh-state run, without per-round arrays.
-
-    The run draws the same uniforms and reports the same c and success as
-    ``simulate(g, d, params)``.  Generation rounds add nothing to c, so only
-    the test rounds' inputs and outputs are sampled.
-    """
-    require_compatible(g, d)
-    cdfs, _, units, den = _born_rows(g, d)
+def _outcome(plan: _RoundPlan, params: ProtocolParams) -> tuple[float, bool]:
+    """(c, success) of one fresh-state run, sampling only its test rounds."""
     u = _uniforms(params)
     test = np.flatnonzero(u[:, 0] < params.q)
-    a = _sample_inputs(g, u[test, 1])
-    x = _sample_outputs(cdfs, a, u[test, 2])
-    return _exact_score(units, den, a * cdfs.shape[1] + x, params.threshold)
+    a = _search(plan.input_cdf, u[test, 1])
+    x = _sample_outputs(plan.output_cdfs, a, u[test, 2])
+    return _exact_score(plan, a * plan.scores.shape[1] + x, params.threshold)
 
 
-def simulate(
-    g: Game, d: Device, params: ProtocolParams, fresh_state: bool = True
-) -> Transcript:
-    """Run the protocol once; reproducible given the seed.
-
-    The accumulator stores raw scores; the success rule is c >= chi*q*N, with
-    c summed exactly and compared exactly with the float chi*q*N, so a run
-    with no test rounds succeeds only if that threshold is <= 0.
-    """
-    require_compatible(g, d)
-    n = params.n_rounds
-    cdfs, score_table, units, den = _born_rows(g, d)
+def _transcript(plan: _RoundPlan, params: ProtocolParams, fresh_state: bool) -> Transcript:
+    """One run with its per-round records."""
+    g, d, n = plan.game, plan.device, params.n_rounds
     u = _uniforms(params)
     t = (u[:, 0] < params.q).astype(np.uint8)
     test = np.flatnonzero(t)
-    a_idx = np.full(n, g.input_alphabet.index(g.distinguished_input), dtype=np.int64)
-    a_idx[test] = _sample_inputs(g, u[test, 1])
+    a_idx = np.full(n, plan.abar, dtype=np.int64)
+    a_idx[test] = _search(plan.input_cdf, u[test, 1])
 
     if fresh_state:
-        x_idx = _sample_outputs(cdfs, a_idx, u[:, 2]).astype(np.int64)
-        scores = score_table[a_idx, x_idx] * t
+        x_idx = _sample_outputs(plan.output_cdfs, a_idx, u[:, 2]).astype(np.int64)
+        scores = plan.scores[a_idx, x_idx] * t
     else:
-        out_index = {x: j for j, x in enumerate(g.output_alphabet)}
         state = d.state.copy()
         x_idx = np.zeros(n, dtype=np.int64)
         for j in range(n):
             a = g.input_alphabet[a_idx[j]]
-            branch_probs = []
-            branch_outs = []
             tr = float(np.trace(state).real)
-            for x, p in d.measurements[a].items():
-                branch_outs.append(x)
-                branch_probs.append(float(np.einsum("ij,ji->", p, state).real) / tr)
-            cdf = np.cumsum(branch_probs)
+            cdf = np.cumsum([p / tr for p in born_probabilities(d, a, state).values()])
             cdf[-1] = max(cdf[-1], 1.0)
-            pick = _sample_index(cdf, u[j, 2])
-            x = branch_outs[pick]
-            x_idx[j] = out_index[x]
-            proj = d.measurements[a][x]
+            x_idx[j] = plan.outputs[a_idx[j]][_search(cdf, u[j, 2])]
+            proj = d.measurements[a][g.output_alphabet[x_idx[j]]]
             uni = d.unitary(a)
             state = uni @ proj @ state @ proj @ dagger(uni)
             tr = float(np.trace(state).real)
             if tr > 0:
                 state = state / tr
-        scores = np.where(t == 1, score_table[a_idx, x_idx], 0.0)
+        scores = np.where(t == 1, plan.scores[a_idx, x_idx], 0.0)
 
     c, success = _exact_score(
-        units, den, a_idx[test] * cdfs.shape[1] + x_idx[test], params.threshold
+        plan, a_idx[test] * plan.scores.shape[1] + x_idx[test], params.threshold
     )
     return Transcript(
         test_flags=t,
@@ -283,6 +289,35 @@ def simulate(
         input_alphabet=g.input_alphabet,
         output_alphabet=g.output_alphabet,
     )
+
+
+def simulate(
+    g: Game, d: Device, params: ProtocolParams, fresh_state: bool = True
+) -> Transcript:
+    """Run the protocol once; reproducible given the seed.
+
+    The accumulator stores raw scores; the success rule is c >= chi*q*N, with
+    c summed exactly and compared exactly with the float chi*q*N, so a run
+    with no test rounds succeeds only if that threshold is <= 0.
+    """
+    return _transcript(_round_plan(g, d), params, fresh_state)
+
+
+def simulate_outcomes(
+    g: Game, d: Device, params: ProtocolParams, trials: int, fresh_state: bool = True
+) -> list[tuple[float, bool]]:
+    """(c, success) of ``trials`` runs, run k keyed by ``params.seed + k``.
+
+    Run k reports the c and success of ``simulate`` at seed ``params.seed + k``.
+    A fresh-state run keeps no per-round arrays: generation rounds add
+    nothing to c, so only its test rounds' inputs and outputs are sampled,
+    from the same uniforms.
+    """
+    plan = _round_plan(g, d)
+    runs = [replace(params, seed=params.seed + k) for k in range(trials)]
+    if fresh_state:
+        return [_outcome(plan, run) for run in runs]
+    return [(tr.c, tr.success) for tr in (_transcript(plan, run, False) for run in runs)]
 
 
 @dataclass(frozen=True)
@@ -305,66 +340,52 @@ class SuccessStateSummary:
 
 
 def _round_tables(
-    g: Game, d: Device, q: float, eps: float
-) -> list[tuple[float, Letter, list[tuple[float, float, Letter, float]]]]:
+    plan: _RoundPlan, q: float, eps: float
+) -> list[tuple[float, int, list[tuple[float, float, int, float]]]]:
     """Per-round branch data for the fresh (iid) semantics.
 
-    Returns a list over supported protocol inputs i = (t, a) of
-    (p_i, i, branches), each branch being (born probability, sandwiched
-    bracket, output letter, score); the score is the raw H(a, x) on a test
-    round and 0 on a generation round.
+    Returns the supported inputs of G_q as (p_i, input index, branches), each
+    branch being (born probability, sandwiched bracket, score in lattice
+    units, raw score); the score is H(a, x) on a test round and 0 on a
+    generation round.
     """
+    d = plan.device
     sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
-    gq = spot_check(g, q)
+    n_out = plan.scores.shape[1]
+    brackets: dict[int, list[float]] = {}
     rows = []
-    branch_cache: dict[Letter, list[tuple[float, float, Letter]]] = {}
-    for i in gq.input_alphabet:
-        p_i = gq.prob(i)
-        if p_i <= 0.0:
-            continue
-        _, a = i
-        if a not in branch_cache:
-            entries = []
-            for x, proj in d.measurements[a].items():
-                born = float(np.einsum("ij,ji->", proj, d.state).real)
-                core = sandwich @ proj @ sandwich
-                w = matcore.psd_bracket(core, eps)
-                entries.append((born, w, x))
-            branch_cache[a] = entries
-        t, _ = i
+    for p_i, i, test in _supported_inputs(plan, q):
+        if i not in brackets:
+            projectors = d.measurements[plan.game.input_alphabet[i]].values()
+            brackets[i] = [matcore.psd_bracket(sandwich @ p @ sandwich, eps) for p in projectors]
         branches = [
-            (born, w, x, g.score(a, x) if t == 1 else 0.0)
-            for born, w, x in branch_cache[a]
+            (float(plan.born[i, j]), w, plan.units[i * n_out + j] if test else 0,
+             float(plan.scores[i, j]) if test else 0.0)
+            for j, w in zip(plan.outputs[i], brackets[i])
         ]
         rows.append((p_i, i, branches))
     return rows
 
 
-def _lattice_table(rows) -> tuple[int, dict[int, list]]:
-    """One round's branches grouped by score, in integer lattice units.
+def _lattice_table(rows) -> dict[int, list]:
+    """One round's branches grouped by their score in lattice units.
 
-    Every score is an integer number of units of 1/den (see ``_ratio``),
-    with ``den`` the lcm of the denominators.  Entry k holds the born weight
-    sum p_i born, the bracket weight sum p_i w, and the numbers of branches
-    with born > 0, with w > 0, and with both.  Born probabilities and
-    brackets are nonnegative, so a product over rounds is positive iff every
-    factor is, and these counts convolve like the weights.
+    Entry k holds the born weight sum p_i born, the bracket weight sum p_i w,
+    and the numbers of branches with born > 0, with w > 0, and with both.
+    Born probabilities and brackets are nonnegative, so a product over rounds
+    is positive iff every factor is, and these counts convolve like the
+    weights.
     """
-    branches = [
-        (p_i, born, w, _ratio(h))
-        for p_i, _i, entries in rows
-        for born, w, _x, h in entries
-    ]
-    den = math.lcm(*(ratio[1] for *_, ratio in branches))
     table: dict[int, list] = {}
-    for p_i, born, w, (num, d) in branches:
-        e = table.setdefault(num * (den // d), [0.0, 0.0, 0, 0, 0])
-        e[0] += p_i * born
-        e[1] += p_i * w
-        e[2] += born > 0.0
-        e[3] += w > 0.0
-        e[4] += born > 0.0 and w > 0.0
-    return den, table
+    for p_i, _i, branches in rows:
+        for born, w, units, _h in branches:
+            e = table.setdefault(units, [0.0, 0.0, 0, 0, 0])
+            e[0] += p_i * born
+            e[1] += p_i * w
+            e[2] += born > 0.0
+            e[3] += w > 0.0
+            e[4] += born > 0.0 and w > 0.0
+    return table
 
 
 def enumerate_success_state(
@@ -392,7 +413,7 @@ def enumerate_success_state(
     state, and prunes zero-probability branches.  On both paths the guard
     rejects runs of more than ``branch_cap`` sequences.
     """
-    require_compatible(g, d)
+    plan = _round_plan(g, d)
     if not 0.0 < eps <= 1.0:
         raise ProtocolError(f"eps must lie in (0, 1], got {eps}")
     if not 0.0 < q < 1.0:
@@ -401,17 +422,16 @@ def enumerate_success_state(
         raise ProtocolError(f"chi must be nonnegative and finite, got {chi}")
     if n_rounds < 1:
         raise ProtocolError("n_rounds must be positive")
-    gq = spot_check(g, q)
-    support = sum(1 for i in gq.input_alphabet if gq.prob(i) > 0.0)
-    if (support * len(g.output_alphabet)) ** n_rounds > branch_cap:
+    rows = list(_supported_inputs(plan, q))
+    if (len(rows) * len(g.output_alphabet)) ** n_rounds > branch_cap:
         raise TooLargeError(
-            f"({support} inputs x {len(g.output_alphabet)} outputs)^{n_rounds} "
+            f"({len(rows)} inputs x {len(g.output_alphabet)} outputs)^{n_rounds} "
             f"exceeds the {branch_cap} branch cap"
         )
     threshold = chi * q * n_rounds
 
     if fresh_state:
-        den, table = _lattice_table(_round_tables(g, d, q, eps))
+        table = _lattice_table(_round_tables(plan, q, eps))
         # classes: summed lattice units -> [born, bracket, #born>0, #w>0, #both]
         dist = {0: [1.0, 1.0, 1, 1, 1]}
         for _ in range(n_rounds):
@@ -425,21 +445,13 @@ def enumerate_success_state(
                     e[3] += nw * tw
                     e[4] += nbw * tbw
             dist = nxt
-        won = [acc for s, acc in dist.items() if _meets_threshold(s, den, threshold)]
+        won = [acc for s, acc in dist.items() if _meets_threshold(s, plan.den, threshold)]
         mass = math.fsum(acc[0] for acc in won)
         ksum = math.fsum(acc[1] for acc in won)
         branches = sum(acc[2] + acc[3] - acc[4] for acc in won)
     else:
         sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
-        _, _, units, den = _born_rows(g, d)
         n_out = len(g.output_alphabet)
-        out_index = {x: j for j, x in enumerate(g.output_alphabet)}
-        # (p_i, a, t, offset of a's row of score units)
-        inputs = [
-            (gq.prob((t, a)), a, t, g.input_alphabet.index(a) * n_out)
-            for t, a in gq.input_alphabet
-            if gq.prob((t, a)) > 0.0
-        ]
         mass = 0.0
         ksum = 0.0
         branches = 0
@@ -451,19 +463,21 @@ def enumerate_success_state(
                 born = float(np.trace(dev_branch).real)
                 core = sandwich @ dagger(m) @ m @ sandwich
                 w = matcore.psd_bracket(core, eps)
-                if _meets_threshold(score, den, threshold):
+                if _meets_threshold(score, plan.den, threshold):
                     mass += pq * born
                     ksum += pq * w
                     if pq * (born + w) > 0.0:
                         branches += 1
                 continue
-            for p_i, a, t, row in inputs:
+            for p_i, i, test in rows:
+                a = g.input_alphabet[i]
                 uni = d.unitary(a)
-                for x, proj in d.measurements[a].items():
+                for j, proj in zip(plan.outputs[i], d.measurements[a].values()):
                     nm = uni @ proj @ m
-                    if float(np.einsum("ij,ji->", nm @ d.state, dagger(nm)).real) <= 1e-30 and depth < n_rounds - 1:
+                    weight = float(np.einsum("ij,ji->", nm @ d.state, dagger(nm)).real)
+                    if weight <= PRUNE_FLOOR and depth < n_rounds - 1:
                         continue
-                    h = units[row + out_index[x]] if t == 1 else 0
+                    h = plan.units[i * n_out + j] if test else 0
                     stack.append((depth + 1, pq * p_i, nm, score + h))
 
     if ksum > 0.0:

@@ -58,21 +58,14 @@ class GameOperator:
 
 def _game_terms(g: Game | SpotCheckGame, d: Device) -> Iterable[tuple[float, Letter, Letter, float]]:
     """Yield (probability, device input letter, output letter, score)."""
-    if isinstance(g, SpotCheckGame):
-        for i in g.input_alphabet:
-            p = g.prob(i)
-            if p <= 0.0:
-                continue
-            _, a = i
-            for x in d.measurements[a]:
-                yield p, a, x, g.score(i, x)
-    else:
-        for a in g.input_alphabet:
-            p = g.prob(a)
-            if p <= 0.0:
-                continue
-            for x in d.measurements[a]:
-                yield p, a, x, g.score(a, x)
+    spot = isinstance(g, SpotCheckGame)
+    for i in g.input_alphabet:
+        p = g.prob(i)
+        if p <= 0.0:
+            continue
+        a = i[1] if spot else i
+        for x in d.measurements[a]:
+            yield p, a, x, g.score(i, x)
 
 
 def game_operator(g: Game | SpotCheckGame, d: Device) -> GameOperator:
@@ -137,16 +130,14 @@ def eps_randomness(target: Game | SpotCheckGame | Letter, d: Device, eps: float)
     -(1/eps) log2 of a bracket ratio that cannot exceed 1 except by rounding
     noise (clamped at 1 + 1e-9).
     """
+    if isinstance(target, (Game, SpotCheckGame)):
+        return weighted_randomness(target, d, eps, 0.0)
     if not 0.0 < eps <= 1.0:
         raise BadParamsError(f"eps must lie in (0, 1], got {eps}")
+    if target not in d.measurements:
+        raise ScoringError(f"input letter {target!r} unknown to the device")
+    num = _branch_brackets(d, target, eps)
     den = matcore.psd_bracket(d.state, eps)
-    if isinstance(target, (Game, SpotCheckGame)):
-        require_compatible(target, d)
-        num = _weighted_branch_sum(target, d, eps, 0.0)
-    else:
-        if target not in d.measurements:
-            raise ScoringError(f"input letter {target!r} unknown to the device")
-        num = _branch_brackets(d, target, eps)
     return -(1.0 / eps) * math.log2(_clamped_ratio(num, den))
 
 
@@ -156,16 +147,15 @@ def weighted_randomness(
     """Randomness weighted by 2^(eps * s * H); equals eps_randomness at s = 0.
 
     Computed on the device side; the adversary-side branches share the same
-    spectrum, so the value is identical.
+    spectrum, so the value is identical.  At s = 0 the ratio is the plain
+    bracket ratio and gets the same clamp as ``eps_randomness``.
     """
     if not 0.0 < eps <= 1.0:
         raise BadParamsError(f"eps must lie in (0, 1], got {eps}")
     require_compatible(g, d)
     den = matcore.psd_bracket(d.state, eps)
     num = _weighted_branch_sum(g, d, eps, s)
-    ratio = num / den
-    if s == 0.0:
-        ratio = min(ratio, RATIO_CLAMP)
+    ratio = _clamped_ratio(num, den) if s == 0.0 else num / den
     return -(1.0 / eps) * math.log2(ratio)
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from randx import catalog
+from randx import catalog, protocol
 from randx.devicemodel import make_device
 from randx.gamedefs import nonlocal_game
 from randx.matcore import ginibre, haar_unitary
@@ -14,6 +14,7 @@ from randx.protocol import (
     ProtocolError,
     ProtocolParams,
     TooLargeError,
+    _round_plan,
     _round_tables,
     binomial_tail,
     entropy_lower_bound,
@@ -21,7 +22,7 @@ from randx.protocol import (
     extractable_bits,
     hmin_classical_adversary,
     simulate,
-    simulate_outcome,
+    simulate_outcomes,
 )
 from randx.scoring import quadratic_rate_curve
 
@@ -67,7 +68,7 @@ def toy_setup():
 
 def tree_reference(g, d, n, q, chi, eps):
     """Leaf-by-leaf expansion of every fresh-state sequence: (mass, ksum, branches)."""
-    rows = _round_tables(g, d, q, eps)
+    rows = _round_tables(_round_plan(g, d), q, eps)
     leaves = [(1.0, 1.0, 1.0, 0.0)]  # (p_q product, born product, bracket product, score)
     for _ in range(n):
         nxt = []
@@ -327,9 +328,41 @@ class TestSharedSuccessRule:
                 assert tr.success == (mass > 0.0 and all_test)
                 if all_test:
                     assert tr.c == 0.1 + 0.1 + 0.1  # the exact sum, rounded once
-                if fresh:
-                    assert simulate_outcome(g, opt, params) == (tr.c, tr.success)
+                assert simulate_outcomes(g, opt, params, 1, fresh) == [(tr.c, tr.success)]
             assert all_test_runs > 0
+
+
+class TestSimulateOutcomes:
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
+    @pytest.mark.parametrize("device", ["optimal", "classical", "toy"])
+    def test_trial_k_is_simulate_at_seed_plus_k(self, device, fresh):
+        if device == "toy":
+            g, d = toy_setup()
+        else:
+            entry = catalog.chsh()
+            g, d = entry.game, entry.devices[device]
+        params = ProtocolParams(n_rounds=40, q=0.3, chi=0.5, seed=123)
+        expected = []
+        for k in range(5):
+            tr = simulate(g, d, replace(params, seed=123 + k), fresh_state=fresh)
+            expected.append((tr.c, tr.success))
+        assert simulate_outcomes(g, d, params, 5, fresh_state=fresh) == expected
+
+    def test_compatibility_checked_once_per_call(self, monkeypatch):
+        calls = []
+        real = protocol.require_compatible
+        monkeypatch.setattr(
+            protocol, "require_compatible", lambda g, d: calls.append(1) or real(g, d)
+        )
+        g, opt, _ = chsh_setup()
+        params = ProtocolParams(n_rounds=20, q=0.3, chi=0.5)
+        for fresh in (True, False):
+            calls.clear()
+            simulate_outcomes(g, opt, params, 5, fresh_state=fresh)
+            assert len(calls) == 1
+            calls.clear()
+            enumerate_success_state(g, opt, 2, q=0.3, chi=0.5, eps=0.2, fresh_state=fresh)
+            assert len(calls) == 1
 
 
 class TestEntropyBound:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,15 @@ class TestWeightedRandomness:
         assert weighted_randomness(entry.game, d, 0.3, 0.0) == eps_randomness(
             entry.game, d, 0.3
         )
+        # every projector I: the bracket ratio is 4, beyond the clamp, on both routes
+        eye = np.eye(d.dim, dtype=complex)
+        bad = replace(d, measurements={
+            a: {x: eye for x in outs} for a, outs in d.measurements.items()
+        })
+        with pytest.raises(scoring.ScoringError):
+            eps_randomness(entry.game, bad, 0.3)
+        with pytest.raises(scoring.ScoringError):
+            weighted_randomness(entry.game, bad, 0.3, 0.0)
 
     def test_zero_scores_match_for_any_s(self):
         g = constant_score_game(0.0)
