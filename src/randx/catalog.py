@@ -15,8 +15,9 @@ position and column a2 by row position).  The suite contains:
     a1 = 0 or a2 = 0 and with probability 1/2 + sqrt(2)/4 otherwise,
   * their uniform mixture (whose (0,0)-output is fully predictable given the
     mixture label),
-  * classical devices that lose only on a designated input pair, their
-    mixture over the cross S = {a1 = 0 or a2 = 0}, and
+  * the cross mixture: the uniform mixture of classical strategies that each
+    lose only on one designated input pair of the cross
+    S = {a1 = 0 or a2 = 0}, and
   * the combined device whose losing probability is the same 0.2 b/(0.2+b)
     on every input pair (b = 1/2 - sqrt(2)/4), superclassical yet useless
     for spot-checking randomness generation.
@@ -213,6 +214,11 @@ def ms_answer_pairs() -> list[tuple[tuple, tuple]]:
     return pairs
 
 
+def _pair_key(x1bar: tuple, x2bar: tuple) -> str:
+    """Catalog name of a single-pair device, e.g. 'pair-000-001'."""
+    return "pair-" + "".join(map(str, x1bar)) + "-" + "".join(map(str, x2bar))
+
+
 def ms_pair_device(x1bar: tuple, x2bar: tuple) -> Device:
     """Single-pair device: answers (x1bar, x2bar) on input (0,0) surely.
 
@@ -301,15 +307,10 @@ def _ms_cross_tables(abar: tuple[int, int]) -> list[tuple]:
     return tables
 
 
-def ms_cross_device(abar: tuple[int, int]) -> Device:
-    """Classical device losing exactly on input abar (uniform table mixture)."""
-    tables = _ms_cross_tables(abar)
-    return _classical_table_device(tables, f"ms-cross-{abar[0]}{abar[1]}")
-
-
 @lru_cache(maxsize=None)
 def ms_cross_mixture_device() -> Device:
-    """Uniform mixture of the five cross devices (loses 1/5 on cross inputs)."""
+    """Uniform mixture of the tables losing only on abar, over the five cross
+    inputs abar (loses 1/5 on cross inputs)."""
     cross = [(a1, a2) for a1 in range(3) for a2 in range(3) if a1 == 0 or a2 == 0]
     tables = []
     for abar in cross:
@@ -318,31 +319,18 @@ def ms_cross_mixture_device() -> Device:
 
 
 def _classical_table_device(tables: list[tuple], name: str) -> Device:
-    """Diagonal device over classical labels; outputs row/column reads."""
+    """Uniform mixture of one-dimensional deterministic blocks, one per
+    (R, C) table, each answering (R[a1], C[:, a2]) on input (a1, a2)."""
     game = magic_square_game()
-    n = len(tables)
-    state = np.eye(n, dtype=np.complex128) / n
-    meas: dict = {}
-    for a in game.input_alphabet:
-        a1, a2 = a
-        branch: dict = {}
-        for idx, (rows, cols_table) in enumerate(tables):
-            x1 = rows[a1]
-            x2 = tuple(cols_table[i][a2] for i in range(3))
-            key = (x1, x2)
-            if key not in branch:
-                branch[key] = np.zeros((n, n), dtype=np.complex128)
-            branch[key][idx, idx] = 1.0
-        meas[a] = branch
-    return make_device(
-        GENERAL,
-        (n,),
-        state,
-        meas,
-        input_alphabet=game.input_alphabet,
-        output_alphabet=game.output_alphabet,
-        name=name,
-    )
+    one = np.eye(1, dtype=np.complex128)
+    blocks = [
+        make_device(GENERAL, (1,), one, {
+            (a1, a2): {(rows[a1], tuple(cols[i][a2] for i in range(3))): one}
+            for a1, a2 in game.input_alphabet
+        })
+        for rows, cols in tables
+    ]
+    return _block_mixture(blocks, [1.0 / len(blocks)] * len(blocks), name)
 
 
 @lru_cache(maxsize=None)
@@ -362,8 +350,7 @@ def magic_square() -> CatalogEntry:
     pairs = ms_answer_pairs()
     devices: dict[str, Device] = {}
     for x1b, x2b in pairs:
-        key = "pair-" + "".join(map(str, x1b)) + "-" + "".join(map(str, x2b))
-        devices[key] = ms_pair_device(x1b, x2b)
+        devices[_pair_key(x1b, x2b)] = ms_pair_device(x1b, x2b)
     devices["mixture"] = ms_mixture_device()
     devices["cross-mixture"] = ms_cross_mixture_device()
     devices["combined"] = ms_combined_device()
@@ -434,8 +421,7 @@ def demo_not_randomness_generating() -> DemoReport:
     pairs = ms_answer_pairs()
     worst = 1.0
     for x1b, x2b in pairs:
-        key = "pair-" + "".join(map(str, x1b)) + "-" + "".join(map(str, x2b))
-        dev = entry.devices[key]
+        dev = entry.devices[_pair_key(x1b, x2b)]
         probs = born_probabilities(dev, (0, 0))
         worst = min(worst, probs.get((x1b, x2b), 0.0))
     checks.append(DemoCheck("pair-devices-deterministic-on-(0,0)", worst, 1.0, 1e-9))
@@ -444,8 +430,7 @@ def demo_not_randomness_generating() -> DemoReport:
     table = np.zeros((len(game.output_alphabet), len(pairs)))
     out_index = {x: i for i, x in enumerate(game.output_alphabet)}
     for k, (x1b, x2b) in enumerate(pairs):
-        key = "pair-" + "".join(map(str, x1b)) + "-" + "".join(map(str, x2b))
-        for x, p in born_probabilities(entry.devices[key], (0, 0)).items():
+        for x, p in born_probabilities(entry.devices[_pair_key(x1b, x2b)], (0, 0)).items():
             table[out_index[x], k] += p / len(pairs)
     hmin = protocol.hmin_classical_adversary(table)
     checks.append(DemoCheck("mixture-(0,0)-hmin-given-label", hmin, 0.0, 1e-9))

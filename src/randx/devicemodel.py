@@ -18,6 +18,7 @@ rounds is represented by the evolved operators returned from
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
@@ -121,6 +122,11 @@ class Device:
         return u
 
 
+def _listed_outputs(measurements: Mapping[Letter, Mapping[Letter, Any]]) -> tuple[Letter, ...]:
+    """The output letters a measurement map lists, in first-seen order."""
+    return tuple(dict.fromkeys(x for outs in measurements.values() for x in outs))
+
+
 def make_device(
     kind: str,
     dims: Sequence[int],
@@ -141,14 +147,7 @@ def make_device(
     }
     unis = {a: frozen(as_matrix(u)) for a, u in (unitaries or {}).items()}
     inputs = tuple(input_alphabet) if input_alphabet is not None else tuple(meas)
-    if output_alphabet is not None:
-        outputs = tuple(output_alphabet)
-    else:
-        seen: dict[Letter, None] = {}
-        for outs in meas.values():
-            for x in outs:
-                seen.setdefault(x)
-        outputs = tuple(seen)
+    outputs = tuple(output_alphabet) if output_alphabet is not None else _listed_outputs(meas)
     return Device(
         kind=kind,
         dims=tuple(int(d) for d in dims),
@@ -174,40 +173,16 @@ def components_device(
     per-site outputs; joint projectors are Kronecker products.  Only products
     of listed (nonzero) site projectors are stored.
     """
-    r = len(site_dims)
-    if len(site_measurements) != r:
+    if len(site_measurements) != len(site_dims):
         raise DeviceError("one measurement map per site required")
-    site_inputs = [tuple(m.keys()) for m in site_measurements]
-    site_outputs: list[tuple[Letter, ...]] = []
-    for m in site_measurements:
-        seen: dict[Letter, None] = {}
-        for outs in m.values():
-            for x in outs:
-                seen.setdefault(x)
-        site_outputs.append(tuple(seen))
-
-    def joint_letters(per_site):
-        letters = [()]
-        for options in per_site:
-            letters = [prev + (o,) for prev in letters for o in options]
-        return letters
-
-    inputs = joint_letters(site_inputs)
-    outputs = joint_letters(site_outputs)
+    inputs = list(itertools.product(*site_measurements))
+    outputs = list(itertools.product(*map(_listed_outputs, site_measurements)))
     meas: dict[Letter, dict[Letter, np.ndarray]] = {}
     for a in inputs:
-        branch: dict[Letter, np.ndarray] = {}
-        site_branches = [list(site_measurements[i][a[i]].items()) for i in range(r)]
         combos = [((), np.eye(1, dtype=np.complex128))]
-        for i in range(r):
-            combos = [
-                (x + (xi,), np.kron(p, pi))
-                for x, p in combos
-                for xi, pi in site_branches[i]
-            ]
-        for x, p in combos:
-            branch[x] = p
-        meas[a] = branch
+        for m, ai in zip(site_measurements, a):
+            combos = [(x + (xi,), np.kron(p, pi)) for x, p in combos for xi, pi in m[ai].items()]
+        meas[a] = dict(combos)
     return make_device(
         COMPONENTS,
         site_dims,

@@ -19,6 +19,7 @@ score against G.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -134,18 +135,11 @@ def nonlocal_game(
     unbounded: bool = False,
 ) -> Game:
     """Assemble a nonlocal game; joint letters are tuples of per-player letters."""
-
-    def joint(per_player):
-        letters = [()]
-        for options in per_player:
-            letters = [prev + (o,) for prev in letters for o in options]
-        return tuple(letters)
-
     return Game(
         name=name,
         kind=NONLOCAL,
-        input_alphabet=joint(player_inputs),
-        output_alphabet=joint(player_outputs),
+        input_alphabet=tuple(itertools.product(*player_inputs)),
+        output_alphabet=tuple(itertools.product(*player_outputs)),
         distribution=dict(distribution),
         scores=dict(scores),
         distinguished_input=distinguished_input,

@@ -258,7 +258,6 @@ def _transcript(plan: _RoundPlan, params: ProtocolParams, fresh_state: bool) -> 
 
     if fresh_state:
         x_idx = _sample_outputs(plan.output_cdfs, a_idx, u[:, 2]).astype(np.int64)
-        scores = plan.scores[a_idx, x_idx] * t
     else:
         state = d.state.copy()
         x_idx = np.zeros(n, dtype=np.int64)
@@ -274,8 +273,8 @@ def _transcript(plan: _RoundPlan, params: ProtocolParams, fresh_state: bool) -> 
             tr = float(np.trace(state).real)
             if tr > 0:
                 state = state / tr
-        scores = np.where(t == 1, plan.scores[a_idx, x_idx], 0.0)
 
+    scores = np.where(t == 1, plan.scores[a_idx, x_idx], 0.0)
     c, success = _exact_score(
         plan, a_idx[test] * plan.scores.shape[1] + x_idx[test], params.threshold
     )
@@ -410,7 +409,8 @@ def enumerate_success_state(
     success sequences whose born or bracket product is positive, by
     inclusion-exclusion over per-class counts.  The memory path expands the
     sequence tree leaf by leaf, since its branches depend on the evolving
-    state, and prunes zero-probability branches.  On both paths the guard
+    state, prunes zero-probability branches, and brackets only the success
+    leaves.  On both paths the guard
     rejects runs of more than ``branch_cap`` sequences.
     """
     plan = _round_plan(g, d)
@@ -459,24 +459,25 @@ def enumerate_success_state(
         while stack:
             depth, pq, m, score = stack.pop()
             if depth == n_rounds:
-                dev_branch = m @ d.state @ dagger(m)
-                born = float(np.trace(dev_branch).real)
-                core = sandwich @ dagger(m) @ m @ sandwich
-                w = matcore.psd_bracket(core, eps)
-                if _meets_threshold(score, plan.den, threshold):
-                    mass += pq * born
-                    ksum += pq * w
-                    if pq * (born + w) > 0.0:
-                        branches += 1
+                if not _meets_threshold(score, plan.den, threshold):
+                    continue
+                born = float(np.trace(m @ d.state @ dagger(m)).real)
+                w = matcore.psd_bracket(sandwich @ dagger(m) @ m @ sandwich, eps)
+                mass += pq * born
+                ksum += pq * w
+                if pq * (born + w) > 0.0:
+                    branches += 1
                 continue
+            prune = depth < n_rounds - 1
             for p_i, i, test in rows:
                 a = g.input_alphabet[i]
                 uni = d.unitary(a)
                 for j, proj in zip(plan.outputs[i], d.measurements[a].values()):
                     nm = uni @ proj @ m
-                    weight = float(np.einsum("ij,ji->", nm @ d.state, dagger(nm)).real)
-                    if weight <= PRUNE_FLOOR and depth < n_rounds - 1:
-                        continue
+                    if prune:
+                        weight = float(np.einsum("ij,ji->", nm @ d.state, dagger(nm)).real)
+                        if weight <= PRUNE_FLOOR:
+                            continue
                     h = plan.units[i * n_out + j] if test else 0
                     stack.append((depth + 1, pq * p_i, nm, score + h))
 

@@ -6,9 +6,14 @@ score of a device at a game is
     W^eps = bracket(sqrt(K) phi sqrt(K), eps) / bracket(phi, eps)
 
 with K the game operator sum p(a) H(a,x) P_a^x; at eps = 0 this is the
-ordinary Born-rule expected score.  The (1+eps)-randomness compares the
-bracket of the post-measurement branches with that of the initial state and
-converges to a Renyi entropy rate as eps -> 0.
+ordinary Born-rule expected score.  The sandwich states are
+``devicemodel.state_pair(d, K)``.  The (1+eps)-randomness compares the
+bracket of the post-measurement branches P_a^x phi P_a^x with that of the
+initial state and converges to a Renyi entropy rate as eps -> 0.
+
+Each public call builds one branch table: bracket(phi, eps) and the bracket
+of every measured branch it needs, each computed once.  ``randomness_report``
+reads all of its fields from a single table.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import matcore
-from .devicemodel import Device, Letter, is_classically_predictable
+from .devicemodel import Device, Letter, is_classically_predictable, state_pair
 from .gamedefs import Game, SpotCheckGame, require_compatible
 
 LOG2E = math.log2(math.e)
@@ -45,7 +50,11 @@ class NotPredictableError(ScoringError):
 
 @dataclass(frozen=True)
 class GameOperator:
-    """K = sum p(a) H(a,x) P_a^x with its device/adversary sandwich states."""
+    """K = sum p(a) H(a,x) P_a^x with its device/adversary sandwich states.
+
+    The sandwich states are ``state_pair(d, K)``: sqrt(K) phi sqrt(K) and
+    (sqrt(phi) K sqrt(phi))^T.
+    """
 
     matrix: np.ndarray
     device_state: np.ndarray  # sqrt(K) phi sqrt(K)
@@ -56,7 +65,10 @@ class GameOperator:
         return float(np.linalg.eigvalsh((self.matrix + matcore.dagger(self.matrix)) / 2)[-1])
 
 
-def _game_terms(g: Game | SpotCheckGame, d: Device) -> Iterable[tuple[float, Letter, Letter, float]]:
+_Term = tuple[float, Letter, Letter, float]  # (probability, input, output, score)
+
+
+def _game_terms(g: Game | SpotCheckGame, d: Device) -> Iterable[_Term]:
     """Yield (probability, device input letter, output letter, score)."""
     spot = isinstance(g, SpotCheckGame)
     for i in g.input_alphabet:
@@ -68,6 +80,43 @@ def _game_terms(g: Game | SpotCheckGame, d: Device) -> Iterable[tuple[float, Let
             yield p, a, x, g.score(i, x)
 
 
+def _letter_terms(d: Device, a: Letter) -> list[_Term]:
+    """One input letter's branches, each of weight 1 and score 0."""
+    if a not in d.measurements:
+        raise ScoringError(f"input letter {a!r} unknown to the device")
+    return [(1.0, a, x, 0.0) for x in d.measurements[a]]
+
+
+@dataclass(frozen=True)
+class _BranchTable:
+    """The brackets one scoring call needs, each computed once."""
+
+    eps: float
+    state: float  # bracket(phi, eps)
+    branches: dict[tuple[Letter, Letter], float]  # (a, x) -> bracket(P_a^x phi P_a^x, eps)
+
+
+def _branch_table(d: Device, inputs: Iterable[Letter], eps: float) -> _BranchTable:
+    """Bracket phi and every measured branch of ``inputs``; unitaries cannot change them."""
+    branches = {
+        (a, x): matcore.psd_bracket(p @ d.state @ p, eps)
+        for a in dict.fromkeys(inputs)
+        for x, p in d.measurements[a].items()
+    }
+    return _BranchTable(eps, matcore.psd_bracket(d.state, eps), branches)
+
+
+def _game_operator(d: Device, terms: Iterable[_Term]) -> GameOperator:
+    k = np.zeros((d.dim, d.dim), dtype=np.complex128)
+    for p, a, x, h in terms:
+        if h != 0.0:
+            k += (p * h) * d.measurements[a][x]
+    pair = state_pair(d, k)
+    return GameOperator(
+        matrix=k, device_state=pair.device_state, adversary_state=pair.adversary_state
+    )
+
+
 def game_operator(g: Game | SpotCheckGame, d: Device) -> GameOperator:
     """Assemble the game operator for a compatible device.
 
@@ -75,51 +124,37 @@ def game_operator(g: Game | SpotCheckGame, d: Device) -> GameOperator:
     device's initial operator.
     """
     require_compatible(g, d)
-    k = np.zeros((d.dim, d.dim), dtype=np.complex128)
-    for p, a, x, h in _game_terms(g, d):
-        if h != 0.0:
-            k += (p * h) * d.measurements[a][x]
-    rk = matcore.sqrtm_psd(k)
-    rphi = matcore.sqrtm_psd(d.state)
-    dev = rk @ d.state @ rk
-    adv = (rphi @ k @ rphi).T
-    return GameOperator(matrix=k, device_state=dev, adversary_state=adv)
+    return _game_operator(d, _game_terms(g, d))
 
 
 def eps_score(g: Game | SpotCheckGame, d: Device, eps: float) -> float:
     """(1+eps)-score of a device; the Born-rule expected score at eps = 0."""
     if not 0.0 <= eps <= 1.0:
         raise BadParamsError(f"eps must lie in [0, 1], got {eps}")
-    op = game_operator(g, d)
-    num = matcore.psd_bracket(op.device_state, eps)
-    den = matcore.psd_bracket(d.state, eps)
-    return num / den
+    require_compatible(g, d)
+    num = matcore.psd_bracket(_game_operator(d, _game_terms(g, d)).device_state, eps)
+    return num / matcore.psd_bracket(d.state, eps)
 
 
-def _branch_brackets(d: Device, a: Letter, eps: float) -> float:
-    """sum_x bracket(P_a^x phi P_a^x, eps); unitaries cannot change it."""
-    total = 0.0
-    for p in d.measurements[a].values():
-        total += matcore.psd_bracket(p @ d.state @ p, eps)
-    return total
+def _randomness(table: _BranchTable, terms: list[_Term], s: float) -> float:
+    """-(1/eps) log2 of sum p 2^(eps s h) bracket(branch) / bracket(phi).
 
-
-def _clamped_ratio(num: float, den: float) -> float:
-    ratio = num / den
-    if ratio > RATIO_CLAMP:
-        raise ScoringError(
-            f"branch bracket ratio {ratio} exceeds 1 beyond numerical tolerance"
-        )
-    return min(ratio, RATIO_CLAMP)
-
-
-def _weighted_branch_sum(g: Game | SpotCheckGame, d: Device, eps: float, s: float) -> float:
+    The sum is a left fold in ``terms`` order.  At s = 0 the ratio is the
+    plain bracket ratio, and a ratio above RATIO_CLAMP raises ScoringError.
+    """
     num = 0.0
-    for p, a, x, h in _game_terms(g, d):
-        weight = 2.0 ** (eps * s * h) if (s != 0.0 and h != 0.0) else 1.0
-        proj = d.measurements[a][x]
-        num += p * weight * matcore.psd_bracket(proj @ d.state @ proj, eps)
-    return num
+    for p, a, x, h in terms:
+        weight = 2.0 ** (table.eps * s * h) if (s != 0.0 and h != 0.0) else 1.0
+        num += p * weight * table.branches[a, x]
+    ratio = num / table.state
+    if s == 0.0 and ratio > RATIO_CLAMP:
+        raise ScoringError(f"branch bracket ratio {ratio} exceeds 1 beyond numerical tolerance")
+    return -(1.0 / table.eps) * math.log2(ratio)
+
+
+def _check_randomness_eps(eps: float) -> None:
+    if not 0.0 < eps <= 1.0:
+        raise BadParamsError(f"eps must lie in (0, 1], got {eps}")
 
 
 def eps_randomness(target: Game | SpotCheckGame | Letter, d: Device, eps: float) -> float:
@@ -128,17 +163,13 @@ def eps_randomness(target: Game | SpotCheckGame | Letter, d: Device, eps: float)
     With a game as target, branches are weighted by the input distribution;
     with an input letter, only that letter's branches enter.  The result is
     -(1/eps) log2 of a bracket ratio that cannot exceed 1 except by rounding
-    noise (clamped at 1 + 1e-9).
+    noise; a ratio above RATIO_CLAMP = 1 + 1e-9 raises ScoringError.
     """
     if isinstance(target, (Game, SpotCheckGame)):
         return weighted_randomness(target, d, eps, 0.0)
-    if not 0.0 < eps <= 1.0:
-        raise BadParamsError(f"eps must lie in (0, 1], got {eps}")
-    if target not in d.measurements:
-        raise ScoringError(f"input letter {target!r} unknown to the device")
-    num = _branch_brackets(d, target, eps)
-    den = matcore.psd_bracket(d.state, eps)
-    return -(1.0 / eps) * math.log2(_clamped_ratio(num, den))
+    _check_randomness_eps(eps)
+    terms = _letter_terms(d, target)
+    return _randomness(_branch_table(d, (target,), eps), terms, 0.0)
 
 
 def weighted_randomness(
@@ -148,15 +179,12 @@ def weighted_randomness(
 
     Computed on the device side; the adversary-side branches share the same
     spectrum, so the value is identical.  At s = 0 the ratio is the plain
-    bracket ratio and gets the same clamp as ``eps_randomness``.
+    bracket ratio and gets the same RATIO_CLAMP check as ``eps_randomness``.
     """
-    if not 0.0 < eps <= 1.0:
-        raise BadParamsError(f"eps must lie in (0, 1], got {eps}")
+    _check_randomness_eps(eps)
     require_compatible(g, d)
-    den = matcore.psd_bracket(d.state, eps)
-    num = _weighted_branch_sum(g, d, eps, s)
-    ratio = _clamped_ratio(num, den) if s == 0.0 else num / den
-    return -(1.0 / eps) * math.log2(ratio)
+    terms = list(_game_terms(g, d))
+    return _randomness(_branch_table(d, (a for _, a, _, _ in terms), eps), terms, s)
 
 
 @dataclass(frozen=True)
@@ -270,11 +298,18 @@ class RandomnessReport:
 def randomness_report(
     g: Game | SpotCheckGame, d: Device, eps: float, s_values: Sequence[float] = ()
 ) -> RandomnessReport:
+    """eps_score, eps_randomness on the distinguished input and on g, and
+    weighted_randomness at each s, all from one branch table."""
+    _check_randomness_eps(eps)
+    require_compatible(g, d)
     base = g.base if isinstance(g, SpotCheckGame) else g
+    letter = _letter_terms(d, base.distinguished_input)
+    terms = list(_game_terms(g, d))
+    table = _branch_table(d, [base.distinguished_input, *(a for _, a, _, _ in terms)], eps)
     return RandomnessReport(
         eps=eps,
-        w_eps=eps_score(g, d, eps),
-        r_input=eps_randomness(base.distinguished_input, d, eps),
-        r_game=eps_randomness(g, d, eps),
-        r_weighted={float(s): weighted_randomness(g, d, eps, s) for s in s_values},
+        w_eps=matcore.psd_bracket(_game_operator(d, terms).device_state, eps) / table.state,
+        r_input=_randomness(table, letter, 0.0),
+        r_game=_randomness(table, terms, 0.0),
+        r_weighted={float(s): _randomness(table, terms, s) for s in s_values},
     )

@@ -138,6 +138,14 @@ class TestSimulate:
         assert np.all(tr.scores[tr.test_flags == 0] == 0.0)
         assert tr.c == pytest.approx(float(np.sum(tr.scores)))
 
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_generation_round_scores_are_positive_zero(self, fresh):
+        # the toy distinguished input scores -1 on one output; 0 * -1 would be -0.0
+        g, d = toy_setup()
+        tr = simulate(g, d, ProtocolParams(30, 0.3, 0.1, seed=1), fresh_state=fresh)
+        gen = tr.scores[tr.test_flags == 0]
+        assert gen.size and not np.any(np.signbit(gen))
+
     def test_mean_score_near_quantum_value(self):
         g, opt, _ = chsh_setup()
         tr = simulate(g, opt, ProtocolParams(n_rounds=50_000, q=0.5, chi=0.5, seed=7))

@@ -319,7 +319,34 @@ class TestPredictableCap:
 
 def test_randomness_report_fields():
     entry = catalog.chsh()
-    rep = randomness_report(entry.game, entry.devices["optimal"], 0.2, s_values=(0.0, 1.0))
+    g, d = entry.game, entry.devices["optimal"]
+    rep = randomness_report(g, d, 0.2, s_values=(0.0, 1.0))
     assert rep.w_eps > 0.8
     assert rep.r_weighted[0.0] == pytest.approx(rep.r_game, abs=1e-12)
     assert set(rep.r_weighted) == {0.0, 1.0}
+    # one shared branch table gives the same bits as the separate calls
+    assert rep.w_eps == eps_score(g, d, 0.2)
+    assert rep.r_input == eps_randomness(g.distinguished_input, d, 0.2)
+    assert rep.r_game == eps_randomness(g, d, 0.2)
+    for s, value in rep.r_weighted.items():
+        assert value == weighted_randomness(g, d, 0.2, s)
+
+
+def test_randomness_report_brackets_each_branch_once(monkeypatch):
+    brackets = []
+    checks = []
+    real_bracket = matcore.psd_bracket
+    real_check = scoring.require_compatible
+    monkeypatch.setattr(
+        matcore, "psd_bracket", lambda m, eps: brackets.append(1) or real_bracket(m, eps)
+    )
+    monkeypatch.setattr(
+        scoring, "require_compatible", lambda g, d: checks.append(1) or real_check(g, d)
+    )
+    entry = catalog.magic_square()
+    d = entry.devices["combined"]
+    randomness_report(entry.game, d, 0.1, s_values=(0.0, 1.0, 2.0))
+    branches = sum(len(outs) for outs in d.measurements.values())
+    # every branch once, plus phi and the K sandwich
+    assert len(brackets) == branches + 2
+    assert len(checks) == 1
