@@ -85,6 +85,7 @@ def _basis_measurement(theta: float) -> dict[int, np.ndarray]:
 # CHSH
 
 
+@lru_cache(maxsize=None)
 def chsh_game() -> Game:
     bits = (0, 1)
     scores = {}
@@ -180,6 +181,7 @@ def _ms_win(a1: int, a2: int, x1: tuple, x2: tuple) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
 def magic_square_game() -> Game:
     triples = tuple(itertools.product((0, 1), repeat=3))
     inputs = (0, 1, 2)
@@ -219,6 +221,7 @@ def _pair_key(x1bar: tuple, x2bar: tuple) -> str:
     return "pair-" + "".join(map(str, x1bar)) + "-" + "".join(map(str, x2bar))
 
 
+@lru_cache(maxsize=None)
 def ms_pair_device(x1bar: tuple, x2bar: tuple) -> Device:
     """Single-pair device: answers (x1bar, x2bar) on input (0,0) surely.
 
@@ -247,24 +250,21 @@ def ms_pair_device(x1bar: tuple, x2bar: tuple) -> Device:
     return replace(d, input_alphabet=g.input_alphabet, output_alphabet=g.output_alphabet)
 
 
-def _block_mixture(devices: list[Device], weights: list[float], name: str) -> Device:
-    """Direct-sum mixture: block-diagonal state and measurements."""
+def _block_mixture(blocks: list[tuple], name: str) -> Device:
+    """Direct-sum mixture of (weight, state, measurements) blocks."""
     game = magic_square_game()
-    dims = [d.dim for d in devices]
-    total = sum(dims)
+    ends = list(itertools.accumulate(s.shape[0] for _, s, _ in blocks))
+    total = ends[-1]
     state = np.zeros((total, total), dtype=np.complex128)
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    for w, dev, off in zip(weights, devices, offsets):
-        state[off : off + dev.dim, off : off + dev.dim] = w * dev.state
-    meas: dict = {}
-    for a in game.input_alphabet:
-        branch: dict = {}
-        for dev, off in zip(devices, offsets):
-            for x, p in dev.measurements[a].items():
+    meas: dict = {a: {} for a in game.input_alphabet}
+    for (w, block_state, block_meas), end in zip(blocks, ends):
+        block = slice(end - block_state.shape[0], end)
+        state[block, block] = w * block_state
+        for a, branch in meas.items():
+            for x, p in block_meas[a].items():
                 if x not in branch:
                     branch[x] = np.zeros((total, total), dtype=np.complex128)
-                branch[x][off : off + dev.dim, off : off + dev.dim] = p
-        meas[a] = branch
+                branch[x][block, block] = p
     # completeness holds: each block's listed projectors sum to its identity
     return make_device(
         GENERAL,
@@ -279,9 +279,9 @@ def _block_mixture(devices: list[Device], weights: list[float], name: str) -> De
 
 @lru_cache(maxsize=None)
 def ms_mixture_device() -> Device:
-    pairs = ms_answer_pairs()
-    devices = [ms_pair_device(*pair) for pair in pairs]
-    return _block_mixture(devices, [1.0 / len(devices)] * len(devices), "ms-mixture")
+    devices = [ms_pair_device(*pair) for pair in ms_answer_pairs()]
+    blocks = [(1.0 / len(devices), d.state, d.measurements) for d in devices]
+    return _block_mixture(blocks, "ms-mixture")
 
 
 def _even_triples() -> list[tuple]:
@@ -324,13 +324,13 @@ def _classical_table_device(tables: list[tuple], name: str) -> Device:
     game = magic_square_game()
     one = np.eye(1, dtype=np.complex128)
     blocks = [
-        make_device(GENERAL, (1,), one, {
+        (1.0 / len(tables), one, {
             (a1, a2): {(rows[a1], tuple(cols[i][a2] for i in range(3))): one}
             for a1, a2 in game.input_alphabet
         })
         for rows, cols in tables
     ]
-    return _block_mixture(blocks, [1.0 / len(blocks)] * len(blocks), name)
+    return _block_mixture(blocks, name)
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +341,8 @@ def ms_combined_device() -> Device:
     ds_dev = ms_cross_mixture_device()
     w_e = 0.2 / (0.2 + MS_LOSS_BETA)
     w_s = MS_LOSS_BETA / (0.2 + MS_LOSS_BETA)
-    return _block_mixture([e_dev, ds_dev], [w_e, w_s], "ms-combined")
+    blocks = [(w_e, e_dev.state, e_dev.measurements), (w_s, ds_dev.state, ds_dev.measurements)]
+    return _block_mixture(blocks, "ms-combined")
 
 
 @lru_cache(maxsize=None)
@@ -467,17 +468,22 @@ def demo_not_randomness_generating() -> DemoReport:
 # name resolution for the CLI
 
 
-def get_entry(name: str) -> CatalogEntry:
+def _entry_key(name: str) -> str:
     key = name.lower().replace("_", "-")
     if key == "chsh":
-        return chsh()
+        return key
     if key in ("magic-square", "magicsquare", "ms"):
-        return magic_square()
+        return "magic-square"
     raise KeyError(f"unknown catalog entry {name!r}")
 
 
+def get_entry(name: str) -> CatalogEntry:
+    return chsh() if _entry_key(name) == "chsh" else magic_square()
+
+
 def get_game(name: str) -> Game:
-    return get_entry(name).game
+    """The entry's game, built without its devices."""
+    return chsh_game() if _entry_key(name) == "chsh" else magic_square_game()
 
 
 def get_device(name: str) -> Device:

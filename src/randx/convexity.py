@@ -157,8 +157,8 @@ def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
 # suites
 
 SUITES = ("uniform-convexity", "binary-disturbance", "chain-disturbance")
-DEFAULT_EPS_GRID = (0.01, 0.1, 0.5, 1.0)
-DEFAULT_DIMS = (2, 3, 4, 5, 6, 7, 8)
+SUITE_EPS_GRID = (0.01, 0.1, 0.5, 1.0)
+SUITE_DIMS = (2, 3, 4, 5, 6, 7, 8)
 
 
 @dataclass(frozen=True)
@@ -189,10 +189,10 @@ class SuiteResult:
         return sum(1 for r in self.rows if r.margin < MARGIN_TOL)
 
 
-def _suite_trial(suite: str, seed: int, trial: int, dims, eps_grid) -> SuiteRow:
+def _suite_trial(suite: str, seed: int, trial: int) -> SuiteRow:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-    dim = int(dims[int(rng.integers(len(dims)))])
-    eps = float(eps_grid[int(rng.integers(len(eps_grid)))])
+    dim = int(SUITE_DIMS[int(rng.integers(len(SUITE_DIMS)))])
+    eps = float(SUITE_EPS_GRID[int(rng.integers(len(SUITE_EPS_GRID)))])
     if suite == "uniform-convexity":
         check = check_uniform_convexity(
             ginibre((dim, dim), rng), ginibre((dim, dim), rng), eps
@@ -210,13 +210,7 @@ def _suite_trial(suite: str, seed: int, trial: int, dims, eps_grid) -> SuiteRow:
     return SuiteRow(trial=trial, dim=dim, eps=eps, lhs=check.lhs, rhs=check.rhs)
 
 
-def run_suite(
-    suite: str,
-    trials: int,
-    seed: int = 0,
-    dims: Sequence[int] = DEFAULT_DIMS,
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID,
-) -> SuiteResult:
+def run_suite(suite: str, trials: int, seed: int = 0) -> SuiteResult:
     """Run a randomized inequality suite.
 
     Trial ``k`` draws from its own stream derived from ``(seed, k)``, so a
@@ -224,5 +218,5 @@ def run_suite(
     """
     if suite not in SUITES:
         raise ConvexityError(f"unknown suite {suite!r}; choose from {SUITES}")
-    rows = [_suite_trial(suite, seed, trial, dims, eps_grid) for trial in range(trials)]
+    rows = [_suite_trial(suite, seed, trial) for trial in range(trials)]
     return SuiteResult(suite=suite, seed=seed, rows=rows)

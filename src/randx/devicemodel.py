@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -195,65 +196,62 @@ def components_device(
     )
 
 
-def _psd_defect(m: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh((m + dagger(m)) / 2)
-    top = max(float(vals[-1]), 0.0)
-    return max(0.0, -float(vals[0]) - 1e-8 * top)
+def _is_tuple_of(x: Letter, m: int) -> bool:
+    return isinstance(x, tuple) and len(x) == m
 
 
-def _embedded_factor(m: np.ndarray, dims: Sequence[int], site: int) -> tuple[np.ndarray, float]:
-    """Extract Q such that m ~ I_pre (x) Q (x) I_post; return (Q, defect)."""
-    r = len(dims)
-    t = m.reshape(tuple(dims) * 2)
-    other = [i for i in range(r) if i != site]
-    q = t
-    # contract each non-site index pair (row with matching column index)
-    for count, i in enumerate(other):
-        row_axis = i - sum(1 for j in other[:count] if j < i)
-        col_axis = row_axis + (r - count)
-        q = np.trace(q, axis1=row_axis, axis2=col_axis)
-    d_other = 1
-    for i in other:
-        d_other *= dims[i]
-    q = q / d_other
-    rebuilt = np.eye(1, dtype=np.complex128)
-    for i in range(r):
-        rebuilt = np.kron(rebuilt, q if i == site else np.eye(dims[i]))
-    defect = float(np.max(np.abs(rebuilt - m))) if m.size else 0.0
-    return q, defect
+def _coordinate_marginals(outs: Mapping, m: int) -> list[dict] | None:
+    """Coordinate k's letter y -> sum of P_x with x[k] = y; None unless all x are m-tuples."""
+    if not all(_is_tuple_of(x, m) for x in outs):
+        return None
+    marginals: list[dict[Letter, np.ndarray]] = [{} for _ in range(m)]
+    for x, p in outs.items():
+        for k, y in enumerate(x):
+            marginals[k][y] = marginals[k].get(y, 0) + p
+    return marginals
+
+
+def _product_defect(outs: Mapping, marginals: Sequence[Mapping]) -> float:
+    """Worst |M_1^{x_1} ... M_m^{x_m} - P_x| over the outputs x."""
+    worst = 0.0
+    for x, p in outs.items():
+        prod = np.eye(p.shape[0], dtype=np.complex128)
+        for k, y in enumerate(x):
+            prod = prod @ marginals[k][y]
+        worst = max(worst, float(np.max(np.abs(prod - p))))
+    return worst
+
+
+def _embedding_defect(m: np.ndarray, dims: Sequence[int], site: int) -> float:
+    """Distance of m from I_pre (x) Q (x) I_post, Q its normalized partial trace."""
+    r, d = len(dims), dims[site]
+    rest = math.prod(dims) // d
+    t = np.moveaxis(m.reshape(tuple(dims) * 2), (site, r + site), (r - 1, 2 * r - 1))
+    t = t.reshape(rest, d, rest, d)
+    q = np.einsum("aiaj->ij", t) / rest
+    return float(np.max(np.abs(t - np.einsum("ab,ij->aibj", np.eye(rest), q))))
 
 
 def _validate_components_structure(d: Device, report: ValidationReport) -> None:
     dims = d.dims
     r = len(dims)
     for a in d.input_alphabet:
-        if not isinstance(a, tuple) or len(a) != r:
+        if not _is_tuple_of(a, r):
             report.add("component-input-structure", 1.0, f"input {a!r} is not an {r}-tuple")
             return
     for a, outs in d.measurements.items():
-        marginals: list[dict[Letter, np.ndarray]] = [{} for _ in range(r)]
-        for x, p in outs.items():
-            if not isinstance(x, tuple) or len(x) != r:
-                report.add("component-output-structure", 1.0, f"output {x!r} is not an {r}-tuple")
-                return
-            for i in range(r):
-                m = marginals[i].get(x[i])
-                marginals[i][x[i]] = p if m is None else m + p
-        worst_embed = 0.0
-        factors: list[dict[Letter, np.ndarray]] = [{} for _ in range(r)]
-        for i in range(r):
-            for y, m in marginals[i].items():
-                q, defect = _embedded_factor(m, dims, i)
-                worst_embed = max(worst_embed, defect)
-                factors[i][y] = q
+        marginals = _coordinate_marginals(outs, r)
+        if marginals is None:
+            x = next(x for x in outs if not _is_tuple_of(x, r))
+            report.add("component-output-structure", 1.0, f"output {x!r} is not an {r}-tuple")
+            return
+        worst_embed = max(
+            (_embedding_defect(m, dims, i) for i in range(r) for m in marginals[i].values()),
+            default=0.0,
+        )
         if worst_embed > HERM_TOL:
             report.add("component-marginal-factorization", worst_embed, f"input {a!r}")
-        worst_prod = 0.0
-        for x, p in outs.items():
-            rebuilt = np.eye(1, dtype=np.complex128)
-            for i in range(r):
-                rebuilt = np.kron(rebuilt, factors[i][x[i]])
-            worst_prod = max(worst_prod, float(np.max(np.abs(rebuilt - p))))
+        worst_prod = _product_defect(outs, marginals)
         if worst_prod > HERM_TOL:
             report.add("component-product-form", worst_prod, f"input {a!r}")
 
@@ -269,26 +267,22 @@ def _validate_contextual_structure(d: Device, report: ValidationReport) -> None:
             report.add("context-repeats", 1.0, f"context {a!r} repeats a base letter")
     for a, outs in d.measurements.items():
         m = len(a)
-        per_letter: list[dict[Letter, np.ndarray]] = [{} for _ in range(m)]
-        for x, p in outs.items():
-            if not isinstance(x, tuple) or len(x) != m:
-                report.add(
-                    "context-output-length", 1.0,
-                    f"output {x!r} does not match context length {m}",
-                )
-                return
-            for k in range(m):
-                prev = per_letter[k].get(x[k])
-                per_letter[k][x[k]] = p if prev is None else prev + p
+        per_letter = _coordinate_marginals(outs, m)
+        if per_letter is None:
+            x = next(x for x in outs if not _is_tuple_of(x, m))
+            report.add(
+                "context-output-length", 1.0,
+                f"output {x!r} does not match context length {m}",
+            )
+            return
         # per-letter marginals must be projectors, commute within the context,
         # agree across contexts, and their products rebuild the joint operators
         worst_proj = 0.0
         worst_comm = 0.0
         for k, b in enumerate(a):
-            for y, q in per_letter[k].items():
-                worst_proj = max(worst_proj, projector_defect(q))
             stored = base_marginals.setdefault(b, {})
             for y, q in per_letter[k].items():
+                worst_proj = max(worst_proj, projector_defect(q))
                 if y in stored:
                     dev = float(np.max(np.abs(stored[y] - q)))
                     if dev > HERM_TOL:
@@ -298,23 +292,15 @@ def _validate_contextual_structure(d: Device, report: ValidationReport) -> None:
                         )
                 else:
                     stored[y] = q
-        for j in range(len(a)):
-            for k in range(j + 1, len(a)):
-                for qj in per_letter[j].values():
-                    for qk in per_letter[k].values():
-                        worst_comm = max(
-                            worst_comm, float(np.max(np.abs(qj @ qk - qk @ qj)))
-                        )
+        for marg_j, marg_k in itertools.combinations(per_letter, 2):
+            for qj in marg_j.values():
+                for qk in marg_k.values():
+                    worst_comm = max(worst_comm, float(np.max(np.abs(qj @ qk - qk @ qj))))
         if worst_proj > HERM_TOL:
             report.add("context-marginal-projector", worst_proj, f"context {a!r}")
         if worst_comm > HERM_TOL:
             report.add("context-commutation", worst_comm, f"context {a!r}")
-        worst_prod = 0.0
-        for x, p in outs.items():
-            prod = np.eye(d.dim, dtype=np.complex128)
-            for k in range(m):
-                prod = prod @ per_letter[k][x[k]]
-            worst_prod = max(worst_prod, float(np.max(np.abs(prod - p))))
+        worst_prod = _product_defect(outs, per_letter)
         if worst_prod > HERM_TOL:
             report.add("context-product-form", worst_prod, f"context {a!r}")
 
@@ -323,16 +309,14 @@ def validate_device(d: Device) -> ValidationReport:
     """Check every device invariant; the report is empty iff the device is well formed."""
     report = ValidationReport()
     dim = d.dim
-    prod = 1
-    for x in d.dims:
-        prod *= x
+    prod = math.prod(d.dims)
     if prod != dim:
         report.add("dims-product", abs(prod - dim), f"dims {d.dims} vs state dim {dim}")
 
     h = hermiticity_defect(d.state)
     if h > HERM_TOL:
         report.add("state-hermitian", h)
-    psd = _psd_defect(d.state)
+    psd = matcore.psd_defect(np.linalg.eigvalsh((d.state + dagger(d.state)) / 2))
     if psd > 0:
         report.add("state-psd", psd)
     tr = float(np.trace(d.state).real)
@@ -343,33 +327,25 @@ def validate_device(d: Device) -> ValidationReport:
         if abs(tr - 1.0) > HERM_TOL:
             report.add("state-trace", abs(tr - 1.0))
 
+    misfit = False
     for a in d.input_alphabet:
         outs = d.measurements.get(a)
         if outs is None:
             report.add("measurement-missing", 1.0, f"input {a!r}")
             continue
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        worst_proj = 0.0
+        sized = []
         for x, p in outs.items():
             if p.shape[0] != dim:
                 report.add("measurement-dim", abs(p.shape[0] - dim), f"({a!r}, {x!r})")
+                misfit = True
                 continue
-            worst_proj = max(worst_proj, projector_defect(p))
-            total += p
+            sized.append(p)
             if x not in d.output_alphabet:
                 report.add("output-letter", 1.0, f"{x!r} not in output alphabet")
-        if worst_proj > HERM_TOL:
-            report.add("measurement-projector", worst_proj, f"input {a!r}")
-        comp = float(np.max(np.abs(total - np.eye(dim))))
-        if comp > HERM_TOL:
-            report.add("measurement-completeness", comp, f"input {a!r}")
-        listed = list(outs.values())
-        worst_orth = 0.0
-        for j in range(len(listed)):
-            for k in range(j + 1, len(listed)):
-                worst_orth = max(worst_orth, float(np.max(np.abs(listed[j] @ listed[k]))))
-        if worst_orth > HERM_TOL:
-            report.add("measurement-orthogonality", worst_orth, f"input {a!r}")
+        defects = matcore.resolution_defects(sized, dim)
+        for check, defect in zip(("projector", "completeness", "orthogonality"), defects):
+            if defect > HERM_TOL:
+                report.add(f"measurement-{check}", defect, f"input {a!r}")
 
     for a, u in d.unitaries.items():
         if u.shape[0] != dim:
@@ -379,7 +355,9 @@ def validate_device(d: Device) -> ValidationReport:
         if dev > HERM_TOL:
             report.add("unitary", dev, f"input {a!r}")
 
-    if d.kind == COMPONENTS:
+    if misfit:
+        return report
+    if d.kind == COMPONENTS and prod == dim:
         _validate_components_structure(d, report)
     elif d.kind == CONTEXTUAL:
         _validate_contextual_structure(d, report)
@@ -472,13 +450,13 @@ def born_probabilities(d: Device, a: Letter, state: np.ndarray | None = None) ->
     return out
 
 
-def is_classically_predictable(d: Device, a: Letter, tol: float = HERM_TOL) -> tuple[bool, float]:
+def is_classically_predictable(d: Device, a: Letter) -> tuple[bool, float]:
     """Whether the state is invariant under pinching by the a-measurement."""
     pinched = np.zeros_like(d.state)
     for p in d.measurements[a].values():
         pinched += p @ d.state @ p
     dev = float(np.max(np.abs(pinched - d.state)))
-    return dev <= tol, dev
+    return dev <= HERM_TOL, dev
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ The random-matrix samplers live here too, so every random input in the
 package draws the same way: ``ginibre`` (complex Gaussian arrays),
 ``haar_unitary`` and ``haar_pvm`` (Haar-rotated projective measurements).
 
+``resolution_defects`` (orthogonal resolutions of I) and ``psd_defect`` (the
+PSD floor) are the single rules for those invariants: kernels raise on a
+defect above 1e-6, ``devicemodel.validate_device`` reports one above 1e-9.
+
 Conventions:
   * matrices are square numpy arrays of complex128,
   * Hermiticity / projector checks use an absolute tolerance of 1e-9,
@@ -18,6 +22,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,22 +112,31 @@ def herm_eig(m) -> HermEig:
     return HermEig(eigenvalues=vals, eigenvectors=vecs)
 
 
+def psd_defect(eigenvalues: np.ndarray) -> float:
+    """How far the least of ascending eigenvalues lies below -(1e-8 max(top, 0) + 1e-14).
+
+    The absolute term keeps near-zero matrices from failing on rounding noise."""
+    if not eigenvalues.size:
+        return 0.0
+    scale = max(float(eigenvalues[-1]), 0.0)
+    return max(0.0, -float(eigenvalues[0]) - (1e-8 * scale + 1e-14))
+
+
 def psd_power(m, p: float) -> np.ndarray:
     """Eigenvalue power of a positive semidefinite matrix.
 
     Eigenvalues below 1e-12 times the largest one are mapped to 0 even for
-    negative p (pseudo-inverse / support convention).  A small absolute floor
-    keeps near-zero matrices from being rejected for rounding noise.
+    negative p (pseudo-inverse / support convention).  A spectrum with a
+    positive ``psd_defect`` raises NegativeEigenvalueError.
     """
     eig = herm_eig(m)
     vals = eig.eigenvalues
     top = float(vals[-1]) if vals.size else 0.0
-    scale = max(top, 0.0)
-    if vals.size and float(vals[0]) < -(1e-8 * scale + 1e-14):
+    if psd_defect(vals) > 0:
         raise NegativeEigenvalueError(
             f"matrix is not PSD (min eigenvalue {vals[0]:.3e}, max {top:.3e})"
         )
-    cutoff = RANK_TOL * scale
+    cutoff = RANK_TOL * max(top, 0.0)
     powered = np.zeros_like(vals)
     support = vals > cutoff
     powered[support] = vals[support] ** p
@@ -171,29 +185,34 @@ def psd_bracket(m, eps: float) -> float:
     return float(np.sum(vals ** (1.0 + eps)))
 
 
-def check_resolution(blocks: Sequence[np.ndarray], dim: int, tol: float = VALIDATION_TOL) -> None:
+def resolution_defects(blocks: Sequence[np.ndarray], dim: int) -> tuple[float, float, float]:
+    """Worst defects of dim x dim blocks as an orthogonal resolution of I:
+    (max projector_defect, |sum_k P_k - I|, max over j < k of |P_j P_k|)."""
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    proj = 0.0
+    for p in blocks:
+        proj = max(proj, projector_defect(p))
+        total += p
+    comp = float(np.max(np.abs(total - np.eye(dim))))
+    pairs = itertools.combinations(blocks, 2)
+    orth = max((float(np.max(np.abs(p @ q))) for p, q in pairs), default=0.0)
+    return proj, comp, orth
+
+
+def check_resolution(blocks: Sequence[np.ndarray], dim: int) -> None:
     """Raise NotAResolutionError unless blocks form an orthogonal resolution of I."""
     if not blocks:
         raise NotAResolutionError("no blocks given")
-    total = np.zeros((dim, dim), dtype=np.complex128)
+    blocks = [as_matrix(p) for p in blocks]
     for k, p in enumerate(blocks):
-        p = as_matrix(p)
         if p.shape[0] != dim:
             raise NotAResolutionError(f"block {k} has dim {p.shape[0]}, expected {dim}")
-        d = projector_defect(p)
-        if d > tol:
-            raise NotAResolutionError(f"block {k} is not a projector (defect {d:.3e})")
-        total += p
-    comp = float(np.max(np.abs(total - np.eye(dim))))
-    if comp > tol:
-        raise NotAResolutionError(f"blocks do not sum to identity (defect {comp:.3e})")
-    for j in range(len(blocks)):
-        for k in range(j + 1, len(blocks)):
-            off = float(np.max(np.abs(np.asarray(blocks[j]) @ np.asarray(blocks[k]))))
-            if off > tol:
-                raise NotAResolutionError(
-                    f"blocks {j},{k} are not orthogonal (defect {off:.3e})"
-                )
+    proj, comp, orth = resolution_defects(blocks, dim)
+    if max(proj, comp, orth) > VALIDATION_TOL:
+        raise NotAResolutionError(
+            f"blocks are not an orthogonal resolution of the identity (projector defect "
+            f"{proj:.3e}, completeness {comp:.3e}, orthogonality {orth:.3e})"
+        )
 
 
 def pinch(a, blocks: Sequence[np.ndarray]) -> np.ndarray:

@@ -8,6 +8,7 @@ from randx import catalog, protocol
 from randx.cli import main
 from randx.devicemodel import load_device, save_device
 from randx.gamedefs import load_game, save_game
+from tests.test_devicemodel import misfit_projector_device
 from tests.test_protocol import toy_setup
 
 
@@ -132,6 +133,14 @@ def test_validate_broken_file_exits_one(tmp_path, capsys):
     assert main(["validate", "--game", str(game_path)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert not payload["game"]["ok"]
+
+
+def test_validate_malformed_device_file_prints_report(tmp_path, capsys):
+    path = tmp_path / "device.json"
+    save_device(misfit_projector_device(), path)
+    assert main(["validate", "--device", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert "measurement-dim" in {v["check"] for v in payload["device"]["violations"]}
 
 
 def test_usage_error_exit_one():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from randx import catalog
 from randx.devicemodel import (
+    COMPONENTS,
     CONTEXTUAL,
     GENERAL,
     DimMismatchError,
@@ -23,7 +24,7 @@ from randx.devicemodel import (
     state_pair,
     validate_device,
 )
-from randx.matcore import ginibre, haar_pvm, haar_unitary
+from randx.matcore import check_resolution, ginibre, haar_pvm, haar_unitary
 
 
 def random_device(seed, dim=3, n_inputs=2, n_outputs=3):
@@ -53,6 +54,33 @@ def commuting_contextual_device():
     return make_device(CONTEXTUAL, (4,), np.eye(4) / 4, meas)
 
 
+def misfit_projector_device():
+    """A dim-2 device whose one input lists diag(1, 0) and a 3x3 identity."""
+    meas = {0: {0: np.diag([1.0, 0.0]), 1: np.eye(3)}}
+    return make_device(GENERAL, (2,), np.eye(2) / 2, meas)
+
+
+MALFORMED = {
+    "general-misfit-projector": (misfit_projector_device, "measurement-dim"),
+    "components-dims-product": (
+        lambda: make_device(COMPONENTS, (2, 3), np.eye(4) / 4, {(0, 0): {(0, 0): np.eye(4)}}),
+        "dims-product",
+    ),
+    "components-misfit-projector": (
+        lambda: make_device(
+            COMPONENTS, (2, 2), np.eye(4) / 4, {(0, 0): {(0, 0): np.eye(4), (1, 1): np.eye(3)}}
+        ),
+        "measurement-dim",
+    ),
+    "contextual-misfit-projector": (
+        lambda: make_device(
+            CONTEXTUAL, (2,), np.eye(2) / 2, {("A",): {(0,): np.eye(2), (1,): np.eye(3)}}
+        ),
+        "measurement-dim",
+    ),
+}
+
+
 class TestValidate:
     def test_catalog_chsh_valid(self):
         assert validate_device(catalog.chsh().devices["optimal"]).ok
@@ -80,6 +108,23 @@ class TestValidate:
         assert not rep.ok
         checks = {v.check for v in rep.violations}
         assert "context-commutation" in checks or "context-product-form" in checks
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_device_is_reported_not_raised(self, case):
+        build, check = MALFORMED[case]
+        rep = validate_device(build())
+        assert check in {v.check for v in rep.violations}
+
+    def test_near_resolution_reported_but_accepted_by_kernels(self):
+        # a 1e-7 perturbation lies between the reporting (1e-9) and raising (1e-6) tolerances
+        rng = np.random.default_rng(11)
+        pvm = haar_pvm(3, 3, rng)
+        g = ginibre((3, 3), rng)
+        pvm[0] = pvm[0] + 1e-7 * (g + g.conj().T) / np.max(np.abs(g + g.conj().T))
+        check_resolution(pvm, 3)
+        d = make_device(GENERAL, (3,), np.eye(3) / 3, {0: dict(enumerate(pvm))})
+        checks = {v.check for v in validate_device(d).violations}
+        assert {"measurement-projector", "measurement-completeness"} <= checks
 
     def test_component_structure_violation_flagged(self):
         # entangled joint projectors cannot factor over the sites

@@ -19,8 +19,11 @@ from randx.matcore import (
     herm_eig,
     matrix_from_pairs,
     matrix_to_pairs,
+    check_resolution,
     pinch,
+    psd_defect,
     psd_power,
+    resolution_defects,
     schatten,
     snorm,
     tensor,
@@ -97,6 +100,55 @@ class TestPsdPower:
         right = psd_power(m, a * b)
         rel = np.linalg.norm(left - right) / max(np.linalg.norm(right), 1e-30)
         assert rel < 1e-8
+
+
+class TestPsdDefect:
+    @pytest.mark.parametrize("spectrum", [
+        [1.0, -0.5], [1.0, -2e-8], [1.0, -1e-9], [1.0, 0.0], [0.0, -1e-15], [0.0, -2e-14],
+        [1e-6, -1e-14], [-1.0, -2.0], [2.0],
+    ])
+    def test_positive_exactly_where_psd_power_raises(self, spectrum):
+        m = np.diag(spectrum)
+        defect = psd_defect(herm_eig(m).eigenvalues)
+        try:
+            psd_power(m, 0.5)
+            raised = False
+        except NegativeEigenvalueError:
+            raised = True
+        assert (defect > 0) == raised
+
+    def test_floor(self):
+        assert psd_defect(np.array([-3e-8, 1.0])) == pytest.approx(2e-8 - 1e-14, rel=1e-9)
+        assert psd_defect(np.array([-1e-14, 0.0])) == 0.0
+        assert psd_defect(np.array([])) == 0.0
+
+
+class TestResolutionDefects:
+    def test_non_projector(self):
+        proj, comp, orth = resolution_defects([np.diag([0.5, 0.0]), np.diag([0.5, 1.0])], 2)
+        assert (proj, comp, orth) == pytest.approx((0.25, 0.0, 0.25))
+
+    def test_incomplete(self):
+        blocks = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]
+        assert resolution_defects(blocks, 3) == (0.0, 1.0, 0.0)
+
+    def test_overlapping(self):
+        plus = np.array([[0.5, 0.5], [0.5, 0.5]])
+        proj, comp, orth = resolution_defects([np.diag([1.0, 0.0]), plus], 2)
+        assert proj < 1e-15
+        assert orth == pytest.approx(0.5)
+
+    @given(seeds, dims, st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_haar_pvm_is_a_resolution(self, seed, dim, parts):
+        blocks = haar_pvm(dim, parts, np.random.default_rng(seed))
+        assert max(resolution_defects(blocks, dim)) <= 1e-12
+        check_resolution(blocks, dim)
+
+    def test_check_resolution_raises_above_validation_tol(self):
+        blocks = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + 1e-5])]
+        with pytest.raises(NotAResolutionError, match="completeness 1.000e-05"):
+            check_resolution(blocks, 2)
 
 
 class TestSchatten:
