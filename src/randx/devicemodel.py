@@ -18,6 +18,7 @@ rounds is represented by the evolved operators returned from
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -121,6 +122,18 @@ class Device:
         if u is None:
             return np.eye(self.dim, dtype=np.complex128)
         return u
+
+    @functools.cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """``matcore.support_blocks`` of the state, every projector and every
+        unitary, found on first use: each of them, and every branch and
+        sandwich built from them, is block diagonal on these index stacks."""
+        mats = itertools.chain(
+            [self.state],
+            (p for outs in self.measurements.values() for p in outs.values()),
+            self.unitaries.values(),
+        )
+        return matcore.support_blocks(mats, self.dim)
 
 
 def _listed_outputs(measurements: Mapping[Letter, Mapping[Letter, Any]]) -> tuple[Letter, ...]:
@@ -328,7 +341,8 @@ def validate_device(d: Device) -> ValidationReport:
             report.add("state-trace", abs(tr - 1.0))
 
     misfit = False
-    for a in d.input_alphabet:
+    # every measured letter is checked, since kernels read all of d.measurements
+    for a in dict.fromkeys([*d.input_alphabet, *d.measurements]):
         outs = d.measurements.get(a)
         if outs is None:
             report.add("measurement-missing", 1.0, f"input {a!r}")

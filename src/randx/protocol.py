@@ -346,17 +346,24 @@ def _round_tables(
     Returns the supported inputs of G_q as (p_i, input index, branches), each
     branch being (born probability, sandwiched bracket, score in lattice
     units, raw score); the score is H(a, x) on a test round and 0 on a
-    generation round.
+    generation round.  The sandwich phi^(1/(2+2eps)) and every bracket are
+    taken per orthogonal block of the device (``Device.blocks``).
     """
     d = plan.device
-    sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
+    sandwich = matcore.block_psd_power(
+        matcore.split_blocks(d.state, d.blocks), 1.0 / (2.0 + 2.0 * eps)
+    )
     n_out = plan.scores.shape[1]
     brackets: dict[int, list[float]] = {}
     rows = []
     for p_i, i, test in _supported_inputs(plan, q):
         if i not in brackets:
-            projectors = d.measurements[plan.game.input_alphabet[i]].values()
-            brackets[i] = [matcore.psd_bracket(sandwich @ p @ sandwich, eps) for p in projectors]
+            brackets[i] = [
+                matcore.block_psd_bracket(
+                    [r @ pb @ r for r, pb in zip(sandwich, matcore.split_blocks(p, d.blocks))], eps
+                )
+                for p in d.measurements[plan.game.input_alphabet[i]].values()
+            ]
         branches = [
             (float(plan.born[i, j]), w, plan.units[i * n_out + j] if test else 0,
              float(plan.scores[i, j]) if test else 0.0)

@@ -6,14 +6,18 @@ score of a device at a game is
     W^eps = bracket(sqrt(K) phi sqrt(K), eps) / bracket(phi, eps)
 
 with K the game operator sum p(a) H(a,x) P_a^x; at eps = 0 this is the
-ordinary Born-rule expected score.  The sandwich states are
-``devicemodel.state_pair(d, K)``.  The (1+eps)-randomness compares the
+ordinary Born-rule expected score.  ``game_operator`` returns the sandwich
+states ``devicemodel.state_pair(d, K)``.  The (1+eps)-randomness compares the
 bracket of the post-measurement branches P_a^x phi P_a^x with that of the
 initial state and converges to a Renyi entropy rate as eps -> 0.
 
 Each public call builds one branch table: bracket(phi, eps) and the bracket
 of every measured branch it needs, each computed once.  ``randomness_report``
-reads all of its fields from a single table.
+reads all of its fields from a single table.  The table is built per
+orthogonal block of the device (``Device.blocks``): each branch is formed as
+P_b phi_b P_b on the diagonal blocks and bracketed by one batched
+eigendecomposition per block size, never as a dense product.  The score's
+bracket takes sqrt(K) and sqrt(K) phi sqrt(K) per block in the same way.
 """
 
 from __future__ import annotations
@@ -97,24 +101,31 @@ class _BranchTable:
 
 
 def _branch_table(d: Device, inputs: Iterable[Letter], eps: float) -> _BranchTable:
-    """Bracket phi and every measured branch of ``inputs``; unitaries cannot change them."""
-    branches = {
-        (a, x): matcore.psd_bracket(p @ d.state @ p, eps)
-        for a in dict.fromkeys(inputs)
-        for x, p in d.measurements[a].items()
-    }
-    return _BranchTable(eps, matcore.psd_bracket(d.state, eps), branches)
+    """Bracket phi and every measured branch of ``inputs`` per block of the
+    device; unitaries cannot change them."""
+    phi = matcore.split_blocks(d.state, d.blocks)
+    branches = {}
+    for a in dict.fromkeys(inputs):
+        for x, p in d.measurements[a].items():
+            pb = matcore.split_blocks(p, d.blocks)
+            branches[a, x] = matcore.block_psd_bracket([q @ f @ q for q, f in zip(pb, phi)], eps)
+    return _BranchTable(eps, matcore.block_psd_bracket(phi, eps), branches)
 
 
-def _game_operator(d: Device, terms: Iterable[_Term]) -> GameOperator:
+def _k_matrix(d: Device, terms: Iterable[_Term]) -> np.ndarray:
+    """K = sum p(a) H(a,x) P_a^x; block diagonal on ``d.blocks`` like every projector."""
     k = np.zeros((d.dim, d.dim), dtype=np.complex128)
     for p, a, x, h in terms:
         if h != 0.0:
             k += (p * h) * d.measurements[a][x]
-    pair = state_pair(d, k)
-    return GameOperator(
-        matrix=k, device_state=pair.device_state, adversary_state=pair.adversary_state
-    )
+    return k
+
+
+def _score_bracket(d: Device, k: np.ndarray, eps: float) -> float:
+    """bracket(sqrt(K) phi sqrt(K), eps), with sqrt(K) and the bracket taken per block."""
+    root = matcore.block_psd_power(matcore.split_blocks(k, d.blocks), 0.5)
+    phi = matcore.split_blocks(d.state, d.blocks)
+    return matcore.block_psd_bracket([r @ f @ r for r, f in zip(root, phi)], eps)
 
 
 def game_operator(g: Game | SpotCheckGame, d: Device) -> GameOperator:
@@ -124,7 +135,11 @@ def game_operator(g: Game | SpotCheckGame, d: Device) -> GameOperator:
     device's initial operator.
     """
     require_compatible(g, d)
-    return _game_operator(d, _game_terms(g, d))
+    k = _k_matrix(d, _game_terms(g, d))
+    pair = state_pair(d, k)
+    return GameOperator(
+        matrix=k, device_state=pair.device_state, adversary_state=pair.adversary_state
+    )
 
 
 def eps_score(g: Game | SpotCheckGame, d: Device, eps: float) -> float:
@@ -132,8 +147,7 @@ def eps_score(g: Game | SpotCheckGame, d: Device, eps: float) -> float:
     if not 0.0 <= eps <= 1.0:
         raise BadParamsError(f"eps must lie in [0, 1], got {eps}")
     require_compatible(g, d)
-    num = matcore.psd_bracket(_game_operator(d, _game_terms(g, d)).device_state, eps)
-    return num / matcore.psd_bracket(d.state, eps)
+    return _score_bracket(d, _k_matrix(d, _game_terms(g, d)), eps) / _branch_table(d, (), eps).state
 
 
 def _randomness(table: _BranchTable, terms: list[_Term], s: float) -> float:
@@ -308,7 +322,7 @@ def randomness_report(
     table = _branch_table(d, [base.distinguished_input, *(a for _, a, _, _ in terms)], eps)
     return RandomnessReport(
         eps=eps,
-        w_eps=matcore.psd_bracket(_game_operator(d, terms).device_state, eps) / table.state,
+        w_eps=_score_bracket(d, _k_matrix(d, terms), eps) / table.state,
         r_input=_randomness(table, letter, 0.0),
         r_game=_randomness(table, terms, 0.0),
         r_weighted={float(s): _randomness(table, terms, s) for s in s_values},

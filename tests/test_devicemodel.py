@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from randx.devicemodel import (
     state_pair,
     validate_device,
 )
-from randx.matcore import check_resolution, ginibre, haar_pvm, haar_unitary
+from randx.matcore import MatcoreError, check_resolution, ginibre, haar_pvm, haar_unitary
 
 
 def random_device(seed, dim=3, n_inputs=2, n_outputs=3):
@@ -60,6 +61,12 @@ def misfit_projector_device():
     return make_device(GENERAL, (2,), np.eye(2) / 2, meas)
 
 
+def unlisted_misfit_letter_device():
+    """A contextual device whose measured but unlisted letter ("B",) has a 3x3 projector."""
+    meas = {("A",): {(0,): np.eye(2)}, ("B",): {(0,): np.eye(3)}}
+    return make_device(CONTEXTUAL, (2,), np.eye(2) / 2, meas, input_alphabet=[("A",)])
+
+
 MALFORMED = {
     "general-misfit-projector": (misfit_projector_device, "measurement-dim"),
     "components-dims-product": (
@@ -78,6 +85,7 @@ MALFORMED = {
         ),
         "measurement-dim",
     ),
+    "contextual-unlisted-misfit-letter": (unlisted_misfit_letter_device, "measurement-dim"),
 }
 
 
@@ -114,6 +122,12 @@ class TestValidate:
         build, check = MALFORMED[case]
         rep = validate_device(build())
         assert check in {v.check for v in rep.violations}
+
+    def test_missing_measurement_reported_only_for_input_letters(self):
+        meas = {("A",): {(0,): np.eye(2)}, ("B",): {(0,): np.eye(2)}}
+        d = make_device(CONTEXTUAL, (2,), np.eye(2) / 2, meas, input_alphabet=[("A",), ("C",)])
+        violations = validate_device(d).violations
+        assert [v.detail for v in violations if v.check == "measurement-missing"] == ["input ('C',)"]
 
     def test_near_resolution_reported_but_accepted_by_kernels(self):
         # a 1e-7 perturbation lies between the reporting (1e-9) and raising (1e-6) tolerances
@@ -305,3 +319,43 @@ def test_device_dict_omitted_unitary_defaults_identity():
         entry.pop("unitary", None)
     loaded = device_from_dict(data)
     assert np.allclose(loaded.unitary(0), np.eye(3))
+
+
+class TestBlocks:
+    def split_device(self, extra_projector=None, unitary=None):
+        """Two 2-dim blocks {0, 1} and {2, 3}, unless an extra projector or unitary links them."""
+        rng = np.random.default_rng(4)
+        a, b = haar_pvm(2, 2, rng), haar_pvm(2, 2, rng)
+        z = np.zeros((2, 2))
+        meas = {0: {0: np.block([[a[0], z], [z, b[0]]]), 1: np.block([[a[1], z], [z, b[1]]])}}
+        if extra_projector is not None:
+            meas[1] = {0: extra_projector, 1: np.eye(4) - extra_projector}
+        unis = {0: unitary} if unitary is not None else None
+        return make_device(GENERAL, (4,), np.eye(4) / 4, meas, unitaries=unis)
+
+    def test_blocks_split_and_cached(self):
+        d = self.split_device()
+        assert [idx.tolist() for idx in d.blocks] == [[[0, 1], [2, 3]]]
+        assert d.blocks is d.blocks
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.blocks = ()
+
+    def test_one_off_block_projector_merges(self):
+        v = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2)
+        d = self.split_device(extra_projector=np.outer(v, v))
+        assert validate_device(d).ok
+        assert [idx.tolist() for idx in d.blocks] == [[[0, 1, 2, 3]]]
+
+    def test_one_off_block_unitary_merges(self):
+        swap = np.eye(4)[[0, 3, 2, 1]]
+        d = self.split_device(unitary=swap)
+        assert validate_device(d).ok
+        assert [idx.tolist() for idx in d.blocks] == [[[0, 1, 2, 3]]]
+
+    def test_catalog_combined_blocks(self):
+        d = catalog.magic_square().devices["combined"]
+        assert [idx.shape for idx in d.blocks] == [(80, 1), (8, 4)]
+
+    def test_misfit_unlisted_letter_raises_matcore_error(self):
+        with pytest.raises(MatcoreError):
+            unlisted_misfit_letter_device().blocks

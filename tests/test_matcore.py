@@ -8,10 +8,13 @@ from randx import matcore
 from randx.convexity import random_psd
 from randx.matcore import (
     HermEig,
+    MatcoreError,
     NegativeEigenvalueError,
     NonFiniteError,
     NonHermitianError,
     NotAResolutionError,
+    block_psd_bracket,
+    block_psd_power,
     bracket,
     ginibre,
     haar_pvm,
@@ -21,11 +24,14 @@ from randx.matcore import (
     matrix_to_pairs,
     check_resolution,
     pinch,
+    psd_bracket,
     psd_defect,
     psd_power,
     resolution_defects,
     schatten,
     snorm,
+    split_blocks,
+    support_blocks,
     tensor,
 )
 
@@ -279,3 +285,107 @@ def test_matrix_pairs_roundtrip():
     rng = np.random.default_rng(2)
     m = ginibre((3, 3), rng)
     assert np.allclose(matrix_from_pairs(matrix_to_pairs(m)), m)
+
+
+def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    dim = sum(b.shape[0] for b in blocks)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    start = 0
+    for b in blocks:
+        out[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return out
+
+
+class TestSupportBlocks:
+    @given(seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_recovers_permuted_block_diagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [1, 1, 2, 3, 3, 4]
+        m = block_diagonal([ginibre((s, s), rng) for s in sizes])
+        perm = rng.permutation(m.shape[0])
+        blocks = support_blocks([m[np.ix_(perm, perm)]], m.shape[0])
+        # position i of the permuted matrix holds index perm[i] of the original
+        found = {frozenset(perm[row].tolist()) for idx in blocks for row in idx}
+        starts = np.cumsum([0] + sizes)
+        assert found == {frozenset(range(a, b)) for a, b in zip(starts, starts[1:])}
+        assert [idx.shape for idx in blocks] == [(2, 1), (1, 2), (2, 3), (1, 4)]
+        for idx in blocks:
+            assert np.all(np.diff(idx, axis=1) > 0)
+            assert np.all(np.diff(idx[:, 0]) > 0)
+            assert not idx.flags.writeable
+
+    def test_one_off_block_entry_merges_two_blocks(self):
+        m = block_diagonal([np.ones((2, 2)), np.ones((2, 2))])
+        assert [idx.shape for idx in support_blocks([m], 4)] == [(2, 2)]
+        off = np.zeros((4, 4))
+        off[3, 0] = 1e-300
+        assert [idx.shape for idx in support_blocks([m, off], 4)] == [(1, 4)]
+
+    def test_no_tolerance(self):
+        assert [idx.shape for idx in support_blocks([np.diag([1.0, 0.0]) + 5e-324], 2)] == [(1, 2)]
+        assert [idx.shape for idx in support_blocks([np.zeros((3, 3))], 3)] == [(3, 1)]
+
+    def test_wrong_shape_raises_matcore_error(self):
+        with pytest.raises(MatcoreError, match="3 x 3"):
+            support_blocks([np.eye(3), np.eye(2)], 3)
+        with pytest.raises(MatcoreError):
+            support_blocks([np.ones(3)], 3)
+
+
+class TestBlockKernels:
+    def test_psd_kernels_are_the_one_block_case(self):
+        rng = np.random.default_rng(5)
+        m = random_psd(5, rng)
+        assert psd_bracket(m, 0.3) == block_psd_bracket([m[None]], 0.3)
+        assert np.array_equal(psd_power(m, -0.5), block_psd_power([m[None]], -0.5)[0][0])
+
+    @given(seed=seeds, eps=eps_values)
+    @settings(max_examples=20, deadline=None)
+    def test_block_bracket_and_power_match_dense(self, seed, eps):
+        rng = np.random.default_rng(seed)
+        m = block_diagonal([random_psd(s, rng) for s in (1, 2, 1, 2, 3)])
+        perm = rng.permutation(m.shape[0])
+        m = m[np.ix_(perm, perm)]
+        blocks = support_blocks([m], m.shape[0])
+        stacks = split_blocks(m, blocks)
+        assert block_psd_bracket(stacks, eps) == pytest.approx(psd_bracket(m, eps), rel=1e-12)
+        dense = psd_power(m, -0.5)
+        for idx, powered in zip(blocks, block_psd_power(stacks, -0.5)):
+            assert np.allclose(powered, split_blocks(dense, [idx])[0], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("p", [0.5, -0.5])
+    def test_rank_cutoff_reads_the_global_top(self, p):
+        # block B lies below 1e-12 x the global top but far above 1e-12 x its own top
+        rng = np.random.default_rng(3)
+        a, b = haar_unitary(2, rng), haar_unitary(2, rng)
+        big = a @ np.diag([1.0, 0.5]) @ a.conj().T
+        tiny = b @ np.diag([3e-13, 2e-13]) @ b.conj().T
+        m = block_diagonal([big, tiny])
+        blocks = support_blocks([m], 4)
+        assert [idx.tolist() for idx in blocks] == [[[0, 1], [2, 3]]]
+        stacked = block_psd_power(split_blocks(m, blocks), p)[0]
+        dense = psd_power(m, p)
+        assert np.all(stacked[1] == 0)
+        assert np.max(np.abs(dense[2:, 2:])) < 1e-15
+        assert np.allclose(stacked[0], dense[:2, :2], rtol=0, atol=1e-12)
+        # the tiny block alone keeps its support
+        assert np.max(np.abs(block_psd_power([tiny[None]], p)[0])) > 1e-7
+
+    def test_psd_floor_reads_the_global_spectrum(self):
+        # -1e-9 fails the floor of its own block (top 1e-9) but not the global one (top 1)
+        m = np.diag([1.0, 1e-9, -1e-9]).astype(np.complex128)
+        stacks = [m[None, :1, :1], m[None, 1:, 1:]]
+        block_psd_power(stacks, 0.5)
+        psd_power(m, 0.5)
+        with pytest.raises(NegativeEigenvalueError):
+            block_psd_power(stacks[1:], 0.5)
+
+    def test_inputs_are_checked(self):
+        with pytest.raises(NonFiniteError):
+            block_psd_bracket([np.full((2, 1, 1), np.nan)], 0.1)
+        with pytest.raises(NonHermitianError):
+            block_psd_bracket([np.array([[[0.0, 1.0], [0.0, 0.0]]])], 0.1)
+        with pytest.raises(MatcoreError):
+            block_psd_power([np.eye(2)], 0.5)

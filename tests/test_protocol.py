@@ -7,7 +7,7 @@ import pytest
 from randx import catalog, protocol
 from randx.devicemodel import make_device
 from randx.gamedefs import nonlocal_game
-from randx.matcore import ginibre, haar_unitary
+from randx.matcore import ginibre, haar_unitary, psd_bracket, psd_power
 from randx.protocol import (
     BadDeltaError,
     BadTableError,
@@ -453,3 +453,31 @@ class TestHminClassical:
             hmin_classical_adversary([[0.9, 0.3]])
         with pytest.raises(BadTableError):
             hmin_classical_adversary([[-0.1, 0.5]])
+
+
+class TestRoundTablesPerBlock:
+    @pytest.mark.parametrize("eps", (0.01, 0.05, 0.1, 0.2, 0.5, 1.0))
+    def test_block_brackets_match_dense(self, eps):
+        entry = catalog.magic_square()
+        g, d = entry.game, entry.devices["combined"]
+        sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
+        rows = _round_tables(_round_plan(g, d), 0.3, eps)
+        assert len(rows) == 1 + len(g.input_alphabet)  # the generation round, then every test input
+        for _p, i, branches in rows:
+            projectors = d.measurements[g.input_alphabet[i]].values()
+            for (_born, w, _units, _h), p in zip(branches, projectors, strict=True):
+                dense = psd_bracket(sandwich @ p @ sandwich, eps)
+                assert w == pytest.approx(dense, rel=1e-12, abs=0)
+
+    def test_haar_rotated_device_gives_the_same_tables(self, combined_and_rotated):
+        d, rotated = combined_and_rotated
+        g = catalog.magic_square().game
+        rows = _round_tables(_round_plan(g, d), 0.3, 0.1)
+        rotated_rows = _round_tables(_round_plan(g, rotated), 0.3, 0.1)
+        for (p, i, branches), (rp, ri, rotated_branches) in zip(rows, rotated_rows, strict=True):
+            assert (p, i) == (rp, ri)
+            for branch, rotated_branch in zip(branches, rotated_branches, strict=True):
+                born, w, units, h = branch
+                assert rotated_branch[2:] == (units, h)
+                assert rotated_branch[0] == pytest.approx(born, rel=1e-12)
+                assert rotated_branch[1] == pytest.approx(w, rel=1e-12)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from randx import catalog, matcore, scoring
+from randx import catalog, matcore, protocol, scoring
 from randx.devicemodel import GENERAL, make_device
 from randx.gamedefs import IncompatibleError, nonlocal_game, spot_check
 from randx.scoring import (
@@ -335,10 +335,10 @@ def test_randomness_report_fields():
 def test_randomness_report_brackets_each_branch_once(monkeypatch):
     brackets = []
     checks = []
-    real_bracket = matcore.psd_bracket
+    real_bracket = matcore.block_psd_bracket
     real_check = scoring.require_compatible
     monkeypatch.setattr(
-        matcore, "psd_bracket", lambda m, eps: brackets.append(1) or real_bracket(m, eps)
+        matcore, "block_psd_bracket", lambda m, eps: brackets.append(1) or real_bracket(m, eps)
     )
     monkeypatch.setattr(
         scoring, "require_compatible", lambda g, d: checks.append(1) or real_check(g, d)
@@ -350,3 +350,51 @@ def test_randomness_report_brackets_each_branch_once(monkeypatch):
     # every branch once, plus phi and the K sandwich
     assert len(brackets) == branches + 2
     assert len(checks) == 1
+
+
+REPORT_EPS = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
+
+
+def test_block_kernels_never_see_a_matrix_wider_than_a_block(monkeypatch):
+    entry = catalog.magic_square()
+    d = entry.devices["combined"]
+    plan = protocol._round_plan(entry.game, d)
+    widths = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, real=real, **kwargs):
+            widths.append(a.shape[-1])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    scoring._branch_table(d, list(d.measurements), 0.1)
+    protocol._round_tables(plan, 0.3, 0.1)
+    randomness_report(entry.game, d, 0.1)
+    assert widths and max(widths) <= 4
+
+
+@pytest.mark.parametrize("eps", REPORT_EPS)
+def test_block_brackets_match_dense_brackets(eps):
+    entry = catalog.magic_square()
+    d = entry.devices["combined"]
+    table = scoring._branch_table(d, list(d.measurements), eps)
+    phi = matcore.psd_bracket(d.state, eps)
+    assert table.state == pytest.approx(phi, rel=1e-12, abs=0)
+    assert len(table.branches) == sum(len(outs) for outs in d.measurements.values())
+    for (a, x), w in table.branches.items():
+        p = d.measurements[a][x]
+        assert w == pytest.approx(matcore.psd_bracket(p @ d.state @ p, eps), rel=1e-12, abs=0)
+    dense_score = matcore.psd_bracket(game_operator(entry.game, d).device_state, eps) / phi
+    assert eps_score(entry.game, d, eps) == pytest.approx(dense_score, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("eps", (0.01, 0.5))
+def test_haar_rotated_device_is_one_block_with_the_same_report(combined_and_rotated, eps):
+    d, rotated = combined_and_rotated
+    assert [idx.shape for idx in rotated.blocks] == [(1, d.dim)]
+    g = catalog.magic_square().game
+    rep, rot = randomness_report(g, d, eps), randomness_report(g, rotated, eps)
+    assert rot.w_eps == pytest.approx(rep.w_eps, rel=1e-12)
+    assert rot.r_game == pytest.approx(rep.r_game, rel=1e-12)
+    assert rot.r_input == pytest.approx(rep.r_input, abs=1e-12)
