@@ -16,7 +16,6 @@ simulate and enumerate share one exact success rule.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -28,7 +27,7 @@ from . import __version__, catalog, classicaloracle, convexity, protocol, scorin
 from .classicaloracle import BadDimsError, TooLargeError, UnsupportedError
 from .devicemodel import (
     Device,
-    device_to_dict,
+    json_text,
     load_device,
     save_device,
     validate_device,
@@ -67,7 +66,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def _emit_json(obj: Any, path: str | None) -> None:
     payload = {"version": __version__, **obj}
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+    _emit(json_text(payload, 2) + "\n", path)
 
 
 def _emit_csv(header_row: list[str], rows: list[list[str]], path: str | None) -> None:
@@ -147,7 +146,7 @@ def _cmd_seesaw(args) -> int:
             "restarts": result.restarts,
             "constrained": result.constrained,
             "provenance": "see-saw lower bound, best found (not a proven supremum)",
-            "device": None if args.dump_device else device_to_dict(result.device),
+            "device": None if args.dump_device else result.device,
         },
         args.output,
     )

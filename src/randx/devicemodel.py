@@ -491,27 +491,76 @@ def _letter_from_json(obj) -> Letter:
     return obj
 
 
-def device_to_dict(d: Device) -> dict:
+def _device_tree(d: Device) -> dict:
+    """``device_to_dict(d)`` with its matrices left as arrays."""
     inputs = []
     for a in d.input_alphabet:
         entry: dict[str, Any] = {
             "letter": _letter_to_json(a),
             "projectors": [
-                {"output": _letter_to_json(x), "matrix": matcore.matrix_to_pairs(p)}
+                {"output": _letter_to_json(x), "matrix": p}
                 for x, p in d.measurements[a].items()
             ],
         }
         if a in d.unitaries:
-            entry["unitary"] = matcore.matrix_to_pairs(d.unitaries[a])
+            entry["unitary"] = d.unitaries[a]
         inputs.append(entry)
     return {
         "kind": d.kind,
         "name": d.name,
         "dims": list(d.dims),
-        "phi": matcore.matrix_to_pairs(d.state),
+        "phi": d.state,
         "output_alphabet": [_letter_to_json(x) for x in d.output_alphabet],
         "inputs": inputs,
     }
+
+
+def _pairs(tree):
+    if isinstance(tree, np.ndarray):
+        return matcore.matrix_to_pairs(tree)
+    if isinstance(tree, dict):
+        return {k: _pairs(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_pairs(v) for v in tree]
+    return tree
+
+
+def device_to_dict(d: Device) -> dict:
+    return _pairs(_device_tree(d))
+
+
+def json_text(obj: Any, indent: int) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=indent)``, where each Device in
+    ``obj`` is written as ``device_to_dict`` gives it.
+
+    ``json.dumps`` formats a skeleton in which each matrix is a placeholder
+    string; each matrix is then written in bulk (``matcore.matrix_json``) at
+    its placeholder's indentation.  The placeholder is lengthened until no
+    other string of ``obj`` renders to it, so only placeholders are replaced.
+    """
+    mark = "randx:matrix"
+    while True:
+        mats: list[np.ndarray] = []
+
+        def leaf(o):
+            if isinstance(o, Device):
+                return _device_tree(o)
+            if isinstance(o, np.ndarray):
+                mats.append(o)
+                return mark
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+        text = json.dumps(obj, sort_keys=True, indent=indent, default=leaf)
+        pieces = text.split(json.dumps(mark))
+        if len(pieces) == len(mats) + 1:
+            break
+        mark += "+"
+    step = " " * indent
+    out = [pieces[0]]
+    for m, piece in zip(mats, pieces[1:]):
+        line = out[-1].rpartition("\n")[2]
+        out += (matcore.matrix_json(m, " " * (len(line) - len(line.lstrip(" "))), step), piece)
+    return "".join(out)
 
 
 def device_from_dict(data: Mapping) -> Device:
@@ -542,8 +591,7 @@ def device_from_dict(data: Mapping) -> Device:
 
 def save_device(d: Device, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(device_to_dict(d), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json_text(d, 1) + "\n")
 
 
 def load_device(path) -> Device:

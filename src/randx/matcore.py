@@ -350,6 +350,27 @@ def matrix_to_pairs(m) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 
+def matrix_json(m, pad: str, step: str) -> str:
+    """``matrix_to_pairs(m)`` as ``json.dumps`` indents it by ``step`` on a
+    line indented by ``pad``, built in bulk from the array."""
+    a = as_matrix(m)
+    d = a.shape[0]
+    if not d:
+        return "[]"
+    row, pair, num = ("\n" + pad + step * k for k in (1, 2, 3))
+    opening = row + "[" + pair + "[" + num
+    # the text after each float: within a pair, between the pairs of a row,
+    # between rows, and after the last float
+    seps = ["," + num, pair + "]," + pair + "[" + num] * d
+    seps[-1] = pair + "]" + row + "]," + opening
+    seps *= d
+    seps[-1] = pair + "]" + row + "]\n" + pad + "]"
+    parts = [""] * (4 * d * d)
+    parts[0::2] = map(float.__repr__, np.stack([a.real, a.imag], -1).ravel().tolist())
+    parts[1::2] = seps
+    return "[" + opening + "".join(parts)
+
+
 def matrix_from_pairs(data) -> np.ndarray:
     """Parse the nested [re, im] literal format back into a matrix."""
     rows = []

@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from randx import catalog, protocol
+from randx import catalog, classicaloracle, protocol
 from randx.cli import main
-from randx.devicemodel import load_device, save_device
+from randx.devicemodel import device_to_dict, load_device, save_device
 from randx.gamedefs import load_game, save_game
 from tests.test_devicemodel import misfit_projector_device
 from tests.test_protocol import toy_setup
@@ -227,6 +227,9 @@ def test_seed_env_variable(capsys, monkeypatch):
     assert payload["seed"] == 7
 
 
+SEESAW_ARGV = ["seesaw", "--game", "chsh", "--dims", "2,2", "--restarts", "2", "--seed", "3"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -236,6 +239,7 @@ def test_seed_env_variable(capsys, monkeypatch):
          "--out", "csv"],
         ["rate-curve", "--game", "chsh", "--grid", "0.75:0.8536:20"],
         ["enumerate", "--n", "2", "--q", "0.3", "--chi", "0.5", "--eps", "0.2"],
+        SEESAW_ARGV,
     ],
 )
 def test_determinism_byte_identical(argv):
@@ -243,3 +247,12 @@ def test_determinism_byte_identical(argv):
     b = run_cli(argv)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_seesaw_stdout_is_the_json_dumps_of_its_payload(capsys):
+    assert main(SEESAW_ARGV) == 0
+    out = capsys.readouterr().out
+    result = classicaloracle.seesaw(catalog.get_game("chsh"), (2, 2), restarts=2, seed=3)
+    payload = json.loads(out)
+    payload["device"] = device_to_dict(result.device)
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"

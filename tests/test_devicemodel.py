@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randx import catalog
+from randx import catalog, classicaloracle
 from randx.devicemodel import (
     COMPONENTS,
     CONTEXTUAL,
@@ -19,13 +20,22 @@ from randx.devicemodel import (
     device_from_dict,
     device_to_dict,
     evolve_sequence,
+    json_text,
     load_device,
     make_device,
     save_device,
     state_pair,
     validate_device,
 )
-from randx.matcore import MatcoreError, check_resolution, ginibre, haar_pvm, haar_unitary
+from randx.matcore import (
+    MatcoreError,
+    NonFiniteError,
+    check_resolution,
+    ginibre,
+    haar_pvm,
+    haar_unitary,
+    matrix_to_pairs,
+)
 
 
 def random_device(seed, dim=3, n_inputs=2, n_outputs=3):
@@ -310,6 +320,80 @@ def test_device_file_roundtrip(tmp_path):
         for x, p in d.measurements[a].items():
             assert np.allclose(loaded.measurements[a][x], p)
     assert validate_device(loaded).ok
+
+
+def test_device_file_bytes_are_the_json_dump_of_device_to_dict(tmp_path):
+    d = random_device(8)
+    path = tmp_path / "device.json"
+    save_device(d, path)
+    assert path.read_text(encoding="utf-8") == (
+        json.dumps(device_to_dict(d), sort_keys=True, indent=1) + "\n"
+    )
+
+
+class TestJsonText:
+    """json_text must give the bytes of json.dumps(..., sort_keys=True, indent=k)
+    on the same payload with each device replaced by device_to_dict."""
+
+    @staticmethod
+    def assert_same_text(obj, expected, indents=(1, 2)):
+        for indent in indents:
+            assert json_text(obj, indent) == json.dumps(expected, sort_keys=True, indent=indent)
+
+    @pytest.mark.parametrize("with_unitaries", [False, True])
+    def test_small_devices(self, with_unitaries):
+        d = random_device(3) if with_unitaries else catalog.get_device("chsh:optimal")
+        assert bool(d.unitaries) == with_unitaries
+        self.assert_same_text(d, device_to_dict(d))
+        self.assert_same_text({"device": d, "value": 0.5}, {"device": device_to_dict(d), "value": 0.5})
+
+    def test_combined_device_file_text(self):
+        # 80 MB of text: json.dumps takes about 10 s per indent, so only the
+        # indent this device is written with (a device file, validate --dump)
+        d = catalog.get_device("magic-square:combined")
+        self.assert_same_text(d, device_to_dict(d), indents=(1,))
+
+    def test_fresh_seesaw_result(self):
+        result = classicaloracle.seesaw(catalog.get_game("chsh"), (2, 2), restarts=2, seed=3)
+        payload = {"value": result.value, "iterations": result.iterations}
+        self.assert_same_text(
+            {**payload, "device": result.device},
+            {**payload, "device": device_to_dict(result.device)},
+        )
+
+    def test_edge_floats_and_shapes_at_every_depth(self):
+        edge = np.array([[-0.0 + 5e-324j, 1e16 - 0.0j], [1e-5 + 1e-5j, -5e-324 + 1.5e300j]])
+        one = np.array([[-0.0 - 0.0j]])
+        self.assert_same_text(
+            {"a": edge, "b": [one, {"c": edge, "d": [[one]]}], "e": np.zeros((0, 0))},
+            {"a": matrix_to_pairs(edge), "b": [matrix_to_pairs(one),
+             {"c": matrix_to_pairs(edge), "d": [[matrix_to_pairs(one)]]}], "e": []},
+        )
+        self.assert_same_text(one, matrix_to_pairs(one))
+
+    @pytest.mark.parametrize(
+        "text", ["randx:matrix", "randx:matrix+", 'x"randx:matrix', "[randx:matrix]"]
+    )
+    def test_placeholder_text_in_strings_is_not_spliced(self, text):
+        # "randx:matrix" is the writer's first placeholder
+        d = dataclasses.replace(catalog.get_device("chsh:optimal"), name=text)
+        self.assert_same_text(
+            {"device": d, text: text, "list": [text, np.eye(1)]},
+            {"device": device_to_dict(d), text: text, "list": [text, matrix_to_pairs(np.eye(1))]},
+        )
+
+    def test_non_finite_entries_raise(self):
+        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(NonFiniteError):
+            json_text({"m": bad}, 2)
+        d = dataclasses.replace(catalog.get_device("chsh:optimal"), state=np.full((4, 4), np.inf))
+        for write in (device_to_dict, lambda d: json_text(d, 1)):
+            with pytest.raises(NonFiniteError):
+                write(d)
+
+    def test_other_objects_are_not_serializable(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_text({"x": object()}, 2)
 
 
 def test_device_dict_omitted_unitary_defaults_identity():
