@@ -534,9 +534,13 @@ def json_text(obj: Any, indent: int) -> str:
     ``obj`` is written as ``device_to_dict`` gives it.
 
     ``json.dumps`` formats a skeleton in which each matrix is a placeholder
-    string; each matrix is then written in bulk (``matcore.matrix_json``) at
-    its placeholder's indentation.  The placeholder is lengthened until no
+    string; each matrix is then written in bulk (``matcore.matrix_json_parts``)
+    at its placeholder's indentation.  The placeholder is lengthened until no
     other string of ``obj`` renders to it, so only placeholders are replaced.
+    The text is joined once from short strings, with no string per matrix:
+    such strings are too large for Python's small-object allocator, and
+    freeing megabytes of them left the process's resident memory depending
+    on where the C heap happened to place them.
     """
     mark = "randx:matrix"
     while True:
@@ -557,9 +561,10 @@ def json_text(obj: Any, indent: int) -> str:
         mark += "+"
     step = " " * indent
     out = [pieces[0]]
-    for m, piece in zip(mats, pieces[1:]):
-        line = out[-1].rpartition("\n")[2]
-        out += (matcore.matrix_json(m, " " * (len(line) - len(line.lstrip(" "))), step), piece)
+    for m, before, after in zip(mats, pieces, pieces[1:]):
+        line = before.rpartition("\n")[2]
+        out += matcore.matrix_json_parts(m, " " * (len(line) - len(line.lstrip(" "))), step)
+        out.append(after)
     return "".join(out)
 
 

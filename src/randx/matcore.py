@@ -350,13 +350,14 @@ def matrix_to_pairs(m) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in a]
 
 
-def matrix_json(m, pad: str, step: str) -> str:
+def matrix_json_parts(m, pad: str, step: str) -> list[str]:
     """``matrix_to_pairs(m)`` as ``json.dumps`` indents it by ``step`` on a
-    line indented by ``pad``, built in bulk from the array."""
+    line indented by ``pad``, built in bulk from the array: a list of short
+    strings (one float repr or separator each) whose join is that text."""
     a = as_matrix(m)
     d = a.shape[0]
     if not d:
-        return "[]"
+        return ["[]"]
     row, pair, num = ("\n" + pad + step * k for k in (1, 2, 3))
     opening = row + "[" + pair + "[" + num
     # the text after each float: within a pair, between the pairs of a row,
@@ -365,10 +366,11 @@ def matrix_json(m, pad: str, step: str) -> str:
     seps[-1] = pair + "]" + row + "]," + opening
     seps *= d
     seps[-1] = pair + "]" + row + "]\n" + pad + "]"
-    parts = [""] * (4 * d * d)
-    parts[0::2] = map(float.__repr__, np.stack([a.real, a.imag], -1).ravel().tolist())
-    parts[1::2] = seps
-    return "[" + opening + "".join(parts)
+    parts = [""] * (4 * d * d + 1)
+    parts[0] = "[" + opening
+    parts[1::2] = map(float.__repr__, np.stack([a.real, a.imag], -1).ravel().tolist())
+    parts[2::2] = seps
+    return parts
 
 
 def matrix_from_pairs(data) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from randx.matcore import (
     haar_unitary,
     herm_eig,
     matrix_from_pairs,
+    matrix_json_parts,
     matrix_to_pairs,
     check_resolution,
     pinch,
@@ -285,6 +287,19 @@ def test_matrix_pairs_roundtrip():
     rng = np.random.default_rng(2)
     m = ginibre((3, 3), rng)
     assert np.allclose(matrix_from_pairs(matrix_to_pairs(m)), m)
+
+
+def test_matrix_json_parts_are_json_dumps_in_short_strings():
+    # A witness is joined once from these parts.  A string per matrix (about
+    # 27 kB at d = 16) lives on the C heap, and releasing megabytes of them
+    # made the process's peak memory depend on the heap's layout.
+    m = ginibre((16, 16), np.random.default_rng(4))
+    parts = matrix_json_parts(m, "  ", "  ")  # on the line '  "m": ' at indent 2
+    text = json.dumps({"m": matrix_to_pairs(m)}, indent=2)
+    assert text == '{\n  "m": ' + "".join(parts) + "\n}"
+    assert len(parts) == 4 * 16 * 16 + 1
+    assert max(map(len, parts)) <= 64
+    assert matrix_json_parts(np.zeros((0, 0)), "  ", "  ") == ["[]"]
 
 
 def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
