@@ -311,6 +311,8 @@ def seesaw(
     d1, d2 = (int(x) for x in dims)
     if not (1 <= d1 <= 8 and 1 <= d2 <= 8):
         raise BadDimsError(f"per-player dims must lie in [1, 8], got {dims}")
+    if restarts < 1 or iters < 1:
+        raise OracleError(f"restarts and iters must be at least 1, got {restarts} and {iters}")
     outs1, outs2 = g.player_outputs
 
     terms = _score_terms(g)

@@ -8,10 +8,16 @@ matrices into the connected components of their joint exact nonzero
 pattern, and ``block_psd_bracket`` / ``block_psd_power`` take the blocks as
 one ``(k, s, s)`` stack per block size, with one batched decomposition per
 stack.  ``psd_bracket`` and ``psd_power`` are their one-block case.
+Schatten norms of arbitrary matrices take the same shape: ``schatten_stack``
+runs one batched SVD per (k, d, d) stack, and ``schatten``, ``bracket`` and
+``snorm`` are its one-matrix case.
 
 The random-matrix samplers live here too, so every random input in the
 package draws the same way: ``ginibre`` (complex Gaussian arrays),
 ``haar_unitary`` and ``haar_pvm`` (Haar-rotated projective measurements).
+``ginibre_from_normals``, ``haar_from_ginibre`` and ``column_pvm`` are their
+deterministic halves and take (k, d, d) stacks, so a caller that draws each
+trial from its own stream can still combine and decompose in batched calls.
 
 ``resolution_defects`` (orthogonal resolutions of I) and ``psd_defect`` (the
 PSD floor) are the single rules for those invariants: kernels raise on a
@@ -27,7 +33,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -242,19 +247,41 @@ class SchattenValue:
     norm: float  # bracket^{1/(1+eps)}
 
 
+def schatten_stack(z, eps) -> tuple[list[float], list[float]]:
+    """Schatten (1+eps) brackets and norms of each matrix of a (k, d, d) stack.
+
+    ``eps`` is one value for the whole stack or a sequence of one per matrix.
+    One batched SVD runs for the stack, and the singular values are raised to
+    the power 1 + eps once per distinct eps value, so every exponent is a
+    Python float.  Returns the brackets and the norms as lists of floats.
+    """
+    a = _as_stack(z)
+    eps = [float(eps)] * a.shape[0] if np.ndim(eps) == 0 else [float(e) for e in eps]
+    distinct = set(eps)
+    for e in distinct:
+        if not 0.0 <= e <= 1.0:
+            raise MatcoreError(f"eps must lie in [0, 1], got {e}")
+    if len(eps) != a.shape[0]:
+        raise MatcoreError(f"{len(eps)} eps values for a stack of {a.shape[0]} matrices")
+    s = np.linalg.svd(a, compute_uv=False)
+    powered = np.empty_like(s)
+    by_eps = np.array(eps)
+    for e in distinct:
+        rows = by_eps == e
+        powered[rows] = s[rows] ** (1.0 + e)
+    brackets = powered.sum(axis=-1).tolist()
+    return brackets, [b ** (1.0 / (1.0 + e)) for b, e in zip(brackets, eps)]
+
+
 def schatten(z, eps: float) -> SchattenValue:
     """Schatten (1+eps) bracket and norm of an arbitrary matrix.
 
     bracket(Z) = Tr[(Z†Z)^{(1+eps)/2}] = sum of singular values^(1+eps),
-    norm(Z) = bracket^{1/(1+eps)}.  eps = 0 gives the trace norm.
+    norm(Z) = bracket^{1/(1+eps)}.  eps = 0 gives the trace norm.  This is
+    ``schatten_stack`` with the matrix as its one slice.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise MatcoreError(f"eps must lie in [0, 1], got {eps}")
-    a = as_matrix(z)
-    s = np.linalg.svd(a, compute_uv=False)
-    bracket = float(np.sum(s ** (1.0 + eps)))
-    norm = bracket ** (1.0 / (1.0 + eps))
-    return SchattenValue(bracket=bracket, norm=norm)
+    brackets, norms = schatten_stack(np.asarray(z)[None], eps)
+    return SchattenValue(bracket=brackets[0], norm=norms[0])
 
 
 def bracket(z, eps: float) -> float:
@@ -273,26 +300,30 @@ def psd_bracket(m, eps: float) -> float:
 
 def resolution_defects(blocks: Sequence[np.ndarray], dim: int) -> tuple[float, float, float]:
     """Worst defects of dim x dim blocks as an orthogonal resolution of I:
-    (max projector_defect, |sum_k P_k - I|, max over j < k of |P_j P_k|)."""
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    proj = 0.0
-    for p in blocks:
-        proj = max(proj, projector_defect(p))
-        total += p
+    (max projector_defect, |sum_k P_k - I|, max over j < k of |P_j P_k|).
+
+    A block may also be a (k, dim, dim) stack holding that projector of k
+    resolutions; the defects are then the worst over the stack."""
+    b = np.asarray(blocks, dtype=np.complex128)
+    proj = projector_defect(b) if len(b) else 0.0
+    total = sum(b, np.zeros((dim, dim), dtype=np.complex128))
     comp = float(np.max(np.abs(total - np.eye(dim))))
-    pairs = itertools.combinations(blocks, 2)
-    orth = max((float(np.max(np.abs(p @ q))) for p, q in pairs), default=0.0)
+    # each block against all later ones in one product
+    orth = max((float(np.max(np.abs(p @ b[j + 1:]))) for j, p in enumerate(b[:-1])), default=0.0)
     return proj, comp, orth
 
 
 def check_resolution(blocks: Sequence[np.ndarray], dim: int) -> None:
-    """Raise NotAResolutionError unless blocks form an orthogonal resolution of I."""
+    """Raise NotAResolutionError unless blocks form an orthogonal resolution of I.
+
+    Each block is a dim x dim matrix, or a (k, dim, dim) stack that checks k
+    resolutions at once, as in ``resolution_defects``."""
     if not blocks:
         raise NotAResolutionError("no blocks given")
-    blocks = [as_matrix(p) for p in blocks]
+    blocks = [as_matrix(p) if np.ndim(p) == 2 else _as_stack(p) for p in blocks]
     for k, p in enumerate(blocks):
-        if p.shape[0] != dim:
-            raise NotAResolutionError(f"block {k} has dim {p.shape[0]}, expected {dim}")
+        if p.shape[-1] != dim:
+            raise NotAResolutionError(f"block {k} has dim {p.shape[-1]}, expected {dim}")
     proj, comp, orth = resolution_defects(blocks, dim)
     if max(proj, comp, orth) > VALIDATION_TOL:
         raise NotAResolutionError(
@@ -316,21 +347,28 @@ def pinch(a, blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def ginibre(shape: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Array of iid standard complex Gaussians: all real parts, then all imaginary."""
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return ginibre_from_normals(rng.normal(size=(2, *np.atleast_1d(shape))))
+
+
+def ginibre_from_normals(x: np.ndarray) -> np.ndarray:
+    """x[0] + i x[1]: the array ``ginibre`` makes from its draw x of real normals."""
+    return x[0] + 1j * x[1]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian with phase fix."""
-    q, r = np.linalg.qr(ginibre((dim, dim), rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_from_ginibre(ginibre((dim, dim), rng))
+
+
+def haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """The Haar unitary ``haar_unitary`` makes from the complex Gaussian g, or
+    from each matrix of a (k, d, d) stack with one batched QR: Q with the
+    phases of R's diagonal moved into its columns."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_pvm(dim: int, parts: int | Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:
@@ -341,7 +379,13 @@ def haar_pvm(dim: int, parts: int | Sequence[int], rng: np.random.Generator) -> 
     a list of split indices gives the blocks between them, so ``[rank]``
     yields a rank-``rank`` projector and its complement.
     """
-    return [c @ dagger(c) for c in np.array_split(haar_unitary(dim, rng), parts, axis=1)]
+    return column_pvm(haar_unitary(dim, rng), parts)
+
+
+def column_pvm(u: np.ndarray, parts: int | Sequence[int]) -> list[np.ndarray]:
+    """``c @ dagger(c)`` for each column block c of the unitary u, split as by
+    ``haar_pvm``; for a (k, d, d) stack of unitaries, one stack per block."""
+    return [c @ dagger(c) for c in np.array_split(u, parts, axis=-1)]
 
 
 def matrix_to_pairs(m) -> list:

@@ -7,6 +7,7 @@ import pytest
 from randx import catalog, scoring
 from randx.classicaloracle import (
     BadDimsError,
+    OracleError,
     TooLargeError,
     UnknownGameError,
     UnsupportedError,
@@ -162,6 +163,9 @@ class TestSeesaw:
         g = catalog.chsh().game
         with pytest.raises(BadDimsError):
             seesaw(g, (9, 2))
+        for bad in ({"restarts": 0}, {"iters": 0}, {"restarts": -1}):
+            with pytest.raises(OracleError, match="must be at least 1"):
+                seesaw(g, (2, 2), **bad)
         three = nonlocal_game(
             "three",
             player_inputs=[(0,), (0,), (0,)],

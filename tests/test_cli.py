@@ -103,6 +103,20 @@ def test_verify_csv(capsys):
     assert len(lines) == 22
 
 
+def test_verify_and_seesaw_reject_counts_below_one(capsys):
+    for argv in (
+        ["verify", "--suite", "chain-disturbance", "--trials", "0"],
+        ["verify", "--suite", "uniform-convexity", "--trials", "-2"],
+        ["seesaw", "--game", "chsh", "--dims", "2,2", "--restarts", "0"],
+        ["seesaw", "--game", "chsh", "--dims", "2,2", "--iters", "0"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "must be at least 1" in captured.err
+
+
 def test_magic_square_demo(capsys):
     assert main(["magic-square-demo"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from randx.convexity import (
     MARGIN_TOL,
+    SUITE_CHUNK,
+    SUITE_DIMS,
+    SUITE_EPS_GRID,
+    SUITES,
+    ConvexityError,
     NotNormalizedError,
     NotProjectorError,
     check_binary_disturbance,
@@ -13,7 +18,6 @@ from randx.convexity import (
     check_uniform_convexity,
     random_psd,
     run_suite,
-    simple_chain_rhs,
 )
 from randx.matcore import NotAResolutionError, ginibre, haar_pvm, snorm
 
@@ -104,13 +108,6 @@ class TestChainDisturbance:
         with pytest.raises(NotAResolutionError):
             check_chain_disturbance(np.eye(2) / 2, [np.diag([1.0, 0.0])], 0.5)
 
-    def test_simple_form_reported_not_asserted(self):
-        rng = np.random.default_rng(3)
-        tau = random_psd(4, rng)
-        blocks = haar_pvm(4, 3, rng)
-        val = simple_chain_rhs(tau, blocks, 0.5)
-        assert math.isfinite(val)
-
     @given(seeds, st.sampled_from([3, 4, 6, 8]), eps_values, st.integers(2, 5))
     @settings(max_examples=60, deadline=None)
     def test_random_chains_hold(self, seed, dim, eps, n_blocks):
@@ -134,3 +131,83 @@ def test_run_suite_deterministic():
     a = run_suite("chain-disturbance", trials=50, seed=9)
     b = run_suite("chain-disturbance", trials=50, seed=9)
     assert [(r.lhs, r.rhs) for r in a.rows] == [(r.lhs, r.rhs) for r in b.rows]
+
+
+def test_run_suite_rejects_fewer_than_one_trial():
+    for trials in (0, -3):
+        with pytest.raises(ConvexityError, match="trials must be at least 1"):
+            run_suite("uniform-convexity", trials=trials, seed=1)
+
+
+# Trial-by-trial reference for run_suite: one np.linalg.svd per matrix, with
+# the draws and the arithmetic of a per-trial evaluation written out here.
+
+
+def _ref_norm(m, eps):
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(np.sum(s ** (1.0 + eps))) ** (1.0 / (1.0 + eps))
+
+
+def _ref_normalized(m, eps):
+    n = _ref_norm(m, eps)
+    return m if abs(n - 1.0) <= 1e-9 else m / n
+
+
+def _ref_ginibre(dim, rng):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _ref_pvm(dim, parts, rng):
+    q, r = np.linalg.qr(_ref_ginibre(dim, rng))
+    d = np.diagonal(r)
+    u = q * (d / np.abs(d))
+    return [c @ np.conj(c.T) for c in np.array_split(u, parts, axis=1)]
+
+
+def _ref_row(suite, seed, trial):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    dim = int(SUITE_DIMS[int(rng.integers(len(SUITE_DIMS)))])
+    eps = float(SUITE_EPS_GRID[int(rng.integers(len(SUITE_EPS_GRID)))])
+    if suite == "uniform-convexity":
+        w = _ref_normalized(_ref_ginibre(dim, rng), eps)
+        z = _ref_normalized(_ref_ginibre(dim, rng), eps)
+        lhs = _ref_norm((w + z) / 2.0, eps)
+        rhs = 1.0 - (eps / 8.0) * _ref_norm(w - z, eps) ** 2
+        return dim, eps, lhs, rhs
+    if suite == "binary-disturbance":
+        rank = int(rng.integers(1, dim))
+        g = _ref_ginibre(dim, rng)
+        t = _ref_normalized(np.conj(g.T) @ g, eps)
+        p0 = _ref_pvm(dim, [rank], rng)[0]
+        p1 = np.eye(dim, dtype=np.complex128) - p0
+        pinched = p0 @ t @ p0 + p1 @ t @ p1
+        rhs = 1.0 - (eps / 2.0) * _ref_norm(t - pinched, eps) ** 2
+        return dim, eps, _ref_norm(pinched, eps), rhs
+    n_blocks = int(rng.integers(2, min(5, dim) + 1))
+    g = _ref_ginibre(dim, rng)
+    t = _ref_normalized(np.conj(g.T) @ g, eps)
+    blocks = _ref_pvm(dim, n_blocks, rng)
+    n = n_blocks - 1
+    states = [t]
+    for i in range(1, n + 1):
+        head = np.zeros_like(t)
+        for k in range(i):
+            head += blocks[k] @ t @ blocks[k]
+        tail = np.zeros_like(t)
+        for k in range(i, n + 1):
+            tail += blocks[k]
+        states.append(head + tail @ t @ tail)
+    rhs = 1.0
+    for i in range(1, n + 1):
+        rhs *= 1.0 - (eps / 2.0) * _ref_norm(states[i] - states[i - 1], eps) ** 2
+    return dim, eps, _ref_norm(states[n], eps), rhs
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_run_suite_rows_equal_the_trial_by_trial_reference(suite):
+    seed = 20250810
+    expected = [_ref_row(suite, seed, k) for k in range(SUITE_CHUNK + 1)]
+    for trials in (1, SUITE_CHUNK, SUITE_CHUNK + 1):
+        rows = run_suite(suite, trials=trials, seed=seed).rows
+        assert [r.trial for r in rows] == list(range(trials))
+        assert [(r.dim, r.eps, r.lhs, r.rhs) for r in rows] == expected[:trials]

@@ -31,10 +31,10 @@ from randx.matcore import (
     psd_power,
     resolution_defects,
     schatten,
+    schatten_stack,
     snorm,
     split_blocks,
     support_blocks,
-    tensor,
 )
 
 EPS_GRID = (0.01, 0.1, 0.5, 1.0)
@@ -182,6 +182,37 @@ class TestSchatten:
     def test_trace_norm_at_zero(self):
         assert bracket(np.diag([3.0, -4.0]), 0.0) == pytest.approx(7.0, rel=1e-12)
 
+    @given(seeds, dims, st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_one_matrix_at_a_time(self, seed, dim, k):
+        rng = np.random.default_rng(seed)
+        stack = ginibre((k, dim, dim), rng)
+        eps = [EPS_GRID[int(i)] for i in rng.integers(len(EPS_GRID), size=k)]
+        singles = [schatten(m, e) for m, e in zip(stack, eps)]
+        assert schatten_stack(stack, eps) == (
+            [v.bracket for v in singles],
+            [v.norm for v in singles],
+        )
+        brackets, norms = schatten_stack(stack, 0.5)
+        assert norms == [snorm(m, 0.5) for m in stack]
+        assert brackets == [bracket(m, 0.5) for m in stack]
+
+    def test_stack_rejects_what_schatten_rejects(self):
+        stack = np.stack([np.eye(2), np.eye(2)])
+        for eps in (-0.1, 1.5, math.nan):
+            with pytest.raises(MatcoreError, match="eps must lie in"):
+                schatten(stack[0], eps)
+            with pytest.raises(MatcoreError, match="eps must lie in"):
+                schatten_stack(stack, eps)
+            with pytest.raises(MatcoreError, match="eps must lie in"):
+                schatten_stack(stack, [0.5, eps])
+        bad = stack.copy()
+        bad[1, 0, 0] = np.inf
+        with pytest.raises(NonFiniteError):
+            schatten(bad[1], 0.5)
+        with pytest.raises(NonFiniteError):
+            schatten_stack(bad, 0.5)
+
     @given(seeds, dims, eps_values)
     @settings(max_examples=40, deadline=None)
     def test_norm_bracket_relation(self, seed, dim, eps):
@@ -251,21 +282,6 @@ class TestPinch:
         u = haar_unitary(dim, rng)
         blocks = [u @ p @ u.conj().T for p in self.blocks_computational(dim)]
         assert bracket(pinch(a, blocks), eps) <= bracket(a, eps) + 1e-9
-
-
-class TestTensor:
-    def test_identities(self):
-        assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        assert np.allclose(
-            tensor(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])), np.diag([3.0, 4.0, 6.0, 8.0])
-        )
-
-    def test_trivial_factor(self):
-        rng = np.random.default_rng(11)
-        a = ginibre((3, 3), rng)
-        assert np.allclose(tensor(a, np.eye(1)), a)
 
 
 @pytest.mark.parametrize(
