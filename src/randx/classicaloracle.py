@@ -82,41 +82,56 @@ def classical_value(g: Game) -> StrategyEnumeration:
 
     last_inputs = g.player_inputs[-1]
     last_outputs = g.player_outputs[-1]
+    outer_players = range(s - 1)
     outer_spaces = [
         itertools.product(g.player_outputs[i], repeat=len(g.player_inputs[i]))
-        for i in range(s - 1)
+        for i in outer_players
     ]
+    # per last-player input, its supported inputs a in alphabet order, each as
+    # (positions of a's outer letters, head -> [p(a) H(a, head + (x,)) per x])
+    pairs: dict[Letter, list] = {a_last: [] for a_last in last_inputs}
+    for a in g.input_alphabet:
+        p = g.prob(a)
+        if p == 0.0 or a[-1] not in pairs:
+            continue
+        positions = tuple(g.player_inputs[i].index(a[i]) for i in outer_players)
+        terms = {
+            head: [p * float(g.scores.get((a, head + (x,)), 0.0)) for x in last_outputs]
+            for head in itertools.product(*g.player_outputs[:-1])
+        }
+        pairs[a[-1]].append((positions, terms))
     best_value = -math.inf
-    best_strategy: tuple[dict[Letter, Letter], ...] | None = None
+    best = None
     for outer in itertools.product(*outer_spaces):
-        outer_maps = [
-            dict(zip(g.player_inputs[i], outer[i])) for i in range(s - 1)
-        ]
         # best response of the last player, one input at a time
-        last_map: dict[Letter, Letter] = {}
+        choice = []
+        chosen_terms = []
         for a_last in last_inputs:
+            rows = [
+                terms[tuple(outer[i][k] for i, k in enumerate(positions))]
+                for positions, terms in pairs[a_last]
+            ]
             best_g = -math.inf
-            best_x = last_outputs[0]
-            for x_last in last_outputs:
+            best_x = 0
+            for x in range(len(last_outputs)):
                 val = 0.0
-                for a in g.input_alphabet:
-                    if a[-1] != a_last:
-                        continue
-                    p = g.prob(a)
-                    if p == 0.0:
-                        continue
-                    x = tuple(outer_maps[i][a[i]] for i in range(s - 1)) + (x_last,)
-                    val += p * g.score(a, x)
+                for row in rows:
+                    val += row[x]
                 if val > best_g + 1e-15:
                     best_g = val
-                    best_x = x_last
-            last_map[a_last] = best_x
-        strategy = tuple(outer_maps) + (last_map,)
-        value = _strategy_score(g, strategy)
+                    best_x = x
+            choice.append(best_x)
+            chosen_terms.extend(row[best_x] for row in rows)
+        # the terms of _strategy_score, whose fsum does not depend on their order
+        value = math.fsum(chosen_terms)
         if value > best_value + 1e-15:
             best_value = value
-            best_strategy = strategy
-    assert best_strategy is not None
+            best = (outer, choice)
+    assert best is not None
+    outer, choice = best
+    best_strategy = tuple(dict(zip(g.player_inputs[i], outer[i])) for i in outer_players) + (
+        {a_last: last_outputs[x] for a_last, x in zip(last_inputs, choice)},
+    )
     return StrategyEnumeration(
         best_value=_strategy_score(g, best_strategy),
         best_strategy=best_strategy,

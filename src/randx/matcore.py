@@ -7,7 +7,9 @@ powers run per orthogonal block: ``support_blocks`` splits a set of
 matrices into the connected components of their joint exact nonzero
 pattern, and ``block_psd_bracket`` / ``block_psd_power`` take the blocks as
 one ``(k, s, s)`` stack per block size, with one batched decomposition per
-stack.  ``psd_bracket`` and ``psd_power`` are their one-block case.
+stack; ``block_psd_brackets`` brackets L such matrices from ``(L, k, s, s)``
+stacks in the same calls.  ``psd_bracket`` and ``psd_power`` are their
+one-block case.
 Schatten norms of arbitrary matrices take the same shape: ``schatten_stack``
 runs one batched SVD per (k, d, d) stack, and ``schatten``, ``bracket`` and
 ``snorm`` are its one-matrix case.
@@ -216,19 +218,32 @@ def block_psd_power(stacks: Sequence[np.ndarray], p: float) -> list[np.ndarray]:
     return out
 
 
-def block_psd_bracket(stacks: Sequence[np.ndarray], eps: float) -> float:
-    """bracket of a PSD block-diagonal matrix given as (k, s, s) stacks.
+def block_psd_brackets(stacks: Sequence[np.ndarray], eps: float) -> np.ndarray:
+    """bracket of each of L PSD block-diagonal matrices given as (L, k, s, s) stacks.
 
     One batched eigh runs per stack and only its eigenvalues are read: they
     are those of ``psd_power`` and ``herm_eig``, where eigvalsh takes another
-    LAPACK route with other rounding.  Eigenvalues are clipped at 0 and
-    Tr[M^(1+eps)] is summed stack by stack.
+    LAPACK route with other rounding.  Eigenvalues are clipped at 0; each
+    matrix's Tr[M^(1+eps)] sums its k*s powered eigenvalues of a stack in one
+    reduction, and the stacks are added in order.  The Hermiticity and
+    finiteness checks cover every block of every matrix.
     """
     total = 0.0
     for b in stacks:
-        vals = np.linalg.eigh(_symmetrized(_as_stack(b)))[0]
-        total += float(np.sum(np.clip(vals, 0.0, None) ** (1.0 + eps)))
+        b = np.asarray(b)
+        if b.ndim != 4:
+            raise MatcoreError(f"expected (L, k, s, s) stacks, got shape {b.shape}")
+        n, k, s, t = b.shape
+        vals = np.linalg.eigh(_symmetrized(_as_stack(b.reshape(n * k, s, t))))[0]
+        powered = np.clip(vals, 0.0, None) ** (1.0 + eps)
+        total = total + np.sum(powered.reshape(n, k * s), axis=-1)
     return total
+
+
+def block_psd_bracket(stacks: Sequence[np.ndarray], eps: float) -> float:
+    """bracket of a PSD block-diagonal matrix given as (k, s, s) stacks:
+    ``block_psd_brackets`` with the matrix as its one slice."""
+    return float(block_psd_brackets([np.asarray(b)[None] for b in stacks], eps)[0])
 
 
 def psd_power(m, p: float) -> np.ndarray:

@@ -25,7 +25,9 @@ Success-state aggregates under fresh-state semantics come from a
 convolution: each sequence weight is a product over rounds and success
 depends only on the summed raw score, so the one-round table of score
 classes is convolved N times, in O(N * classes) work.  The memory semantics
-expands the sequence tree leaf by leaf.  The branch cap guards both.
+expands the sequence tree in batches: each batch is a subtree of bounded
+size whose nodes are held per orthogonal block of the device, and one
+stacked product expands each of its depths.  The branch cap guards both.
 
 Randomness is drawn from a counter-based 64-bit generator (Philox) seeded by
 the run seed; each round consumes three uniforms in a fixed order (round
@@ -49,11 +51,14 @@ import numpy as np
 from . import matcore
 from .devicemodel import Device, Letter, born_probabilities
 from .gamedefs import Game, require_compatible
-from .matcore import dagger, psd_power
+from .matcore import dagger
 
 BRANCH_CAP = 10**7
 # The --memory tree drops a branch of at most this born weight before its last round.
 PRUNE_FLOOR = 1e-30
+# One batch of the --memory tree holds at most this many complex matrix
+# entries over all its nodes (4 MiB), whatever N is.
+MEMORY_BATCH_ENTRIES = 2**18
 
 
 class ProtocolError(ValueError):
@@ -148,8 +153,11 @@ def _ratio(h: float) -> tuple[int, int]:
     return h.as_integer_ratio()
 
 
-def _meets_threshold(units: int, den: int, threshold: float) -> bool:
-    """The success rule: the exact score units/den is at least the float threshold."""
+def _meets_threshold(units, den: int, threshold: float):
+    """The success rule: the exact score units/den is at least the float threshold.
+
+    ``units`` is a Python int, or an object array of them compared elementwise.
+    """
     tn, td = threshold.as_integer_ratio()
     return units * td >= tn * den
 
@@ -394,6 +402,98 @@ def _lattice_table(rows) -> dict[int, list]:
     return table
 
 
+def _born_weights(mats: list[np.ndarray], state: list[np.ndarray]) -> np.ndarray:
+    """tr(m rho m†) of each node m of a stack, from its per-block (L, k, s, s)
+    stacks and the state's (k, s, s) blocks."""
+    return sum(
+        np.trace(m @ r @ dagger(m), axis1=-2, axis2=-1).real.sum(axis=-1)
+        for m, r in zip(mats, state)
+    )
+
+
+def _memory_sums(
+    plan: _RoundPlan, rows, n_rounds: int, eps: float, threshold: float
+) -> tuple[float, float, int]:
+    """(mass, bracket sum, branches) of the --memory sequence tree, in batches.
+
+    A node is a branch operator m, a product of block-diagonal projectors and
+    unitaries, with its q-weight product and its score in lattice units.  A
+    stack of L nodes holds m as one (L, k, s, s) stack per block size of
+    ``Device.blocks``.  The children of a node are ``(uni @ proj) @ m`` in
+    (rows, outputs) order, so one stacked matmul expands a whole depth; a
+    child before the last round whose born weight is at most ``PRUNE_FLOOR``
+    is dropped.  The tree is walked depth-first down to the least depth whose
+    subtrees hold at most ``MEMORY_BATCH_ENTRIES`` matrix entries in all, and
+    each subtree below that depth is one batch.  The sums are plain float
+    ``+=`` over the success leaves in the last-in first-out order of a
+    leaf-by-leaf walk, which is reverse-lexicographic over paths.
+    """
+    d, g = plan.device, plan.game
+    state = matcore.split_blocks(d.state, d.blocks)
+    sandwich = matcore.block_psd_power(state, 1.0 / (2.0 + 2.0 * eps))
+    n_out = len(g.output_alphabet)
+    unis, projs, child_pq, child_units = [], [], [], []
+    for p_i, i, test in rows:
+        a = g.input_alphabet[i]
+        uni = matcore.split_blocks(d.unitary(a), d.blocks)
+        for j, proj in zip(plan.outputs[i], d.measurements[a].values()):
+            unis.append(uni)
+            projs.append(matcore.split_blocks(proj, d.blocks))
+            child_pq.append(p_i)
+            child_units.append(plan.units[i * n_out + j] if test else 0)
+    # child c's operator uni @ proj, as one (C, k, s, s) stack per block size
+    ops = [np.stack(u) @ np.stack(p) for u, p in zip(zip(*unis), zip(*projs))]
+    child_pq = np.array(child_pq)
+    child_units = np.array(child_units, dtype=object)  # Python ints: exact sums
+
+    def expand(depth, pq, units, mats):
+        """The children of a stack of nodes at ``depth``, node-major in child order."""
+        mats = [(op[None] @ m[:, None]).reshape(-1, *m.shape[1:]) for op, m in zip(ops, mats)]
+        pq = (pq[:, None] * child_pq).ravel()
+        units = (units[:, None] + child_units).ravel()
+        if depth + 1 < n_rounds:
+            keep = _born_weights(mats, state) > PRUNE_FLOOR
+            pq, units, mats = pq[keep], units[keep], [m[keep] for m in mats]
+        return pq, units, mats
+
+    entries = sum(idx.size * idx.shape[1] for idx in d.blocks)
+    root_depth = 0
+    while (
+        root_depth < n_rounds
+        and entries * sum(len(child_pq) ** j for j in range(n_rounds - root_depth + 1))
+        > MEMORY_BATCH_ENTRIES
+    ):
+        root_depth += 1
+    mass = ksum = 0.0
+    branches = 0
+    root = [np.broadcast_to(np.eye(b.shape[-1], dtype=np.complex128), (1, *b.shape)) for b in state]
+    stack = [(0, np.ones(1), np.zeros(1, dtype=object), root)]
+    while stack:
+        depth, pq, units, mats = stack.pop()
+        if depth < root_depth:
+            pq, units, mats = expand(depth, pq, units, mats)
+            stack.extend(
+                (depth + 1, pq[c:c + 1], units[c:c + 1], [m[c:c + 1] for m in mats])
+                for c in range(len(pq))
+            )
+            continue
+        for level in range(depth, n_rounds):
+            pq, units, mats = expand(level, pq, units, mats)
+        won = _meets_threshold(units, plan.den, threshold)
+        if not won.any():
+            continue
+        pq, mats = pq[won], [m[won] for m in mats]
+        born = _born_weights(mats, state)
+        w = matcore.block_psd_brackets(
+            [r @ dagger(m) @ m @ r for r, m in zip(sandwich, mats)], eps
+        )
+        branches += int(np.count_nonzero(pq * (born + w) > 0.0))
+        for x, y in zip((pq * born)[::-1].tolist(), (pq * w)[::-1].tolist()):
+            mass += x
+            ksum += y
+    return mass, ksum, branches
+
+
 def enumerate_success_state(
     g: Game,
     d: Device,
@@ -415,10 +515,15 @@ def enumerate_success_state(
     and is compared exactly with the float chi*q*N.  ``branches`` counts the
     success sequences whose born or bracket product is positive, by
     inclusion-exclusion over per-class counts.  The memory path expands the
-    sequence tree leaf by leaf, since its branches depend on the evolving
-    state, prunes zero-probability branches, and brackets only the success
-    leaves.  On both paths the guard
-    rejects runs of more than ``branch_cap`` sequences.
+    sequence tree, since its branches depend on the evolving state.  It works
+    on batches of nodes held per orthogonal block of the device
+    (``Device.blocks``), with one stacked product per depth and one batched
+    eigh per block size for the brackets of the success leaves; a batch is a
+    subtree of at most ``MEMORY_BATCH_ENTRIES`` matrix entries, so memory does
+    not grow with N.  It drops branches of born weight at most
+    ``PRUNE_FLOOR`` before the last round, and adds the leaves in the order
+    of a depth-first walk that pushes children in (rows, outputs) order.  On
+    both paths the guard rejects runs of more than ``branch_cap`` sequences.
     """
     plan = _round_plan(g, d)
     if not 0.0 < eps <= 1.0:
@@ -457,36 +562,7 @@ def enumerate_success_state(
         ksum = math.fsum(acc[1] for acc in won)
         branches = sum(acc[2] + acc[3] - acc[4] for acc in won)
     else:
-        sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
-        n_out = len(g.output_alphabet)
-        mass = 0.0
-        ksum = 0.0
-        branches = 0
-        stack = [(0, 1.0, np.eye(d.dim, dtype=np.complex128), 0)]
-        while stack:
-            depth, pq, m, score = stack.pop()
-            if depth == n_rounds:
-                if not _meets_threshold(score, plan.den, threshold):
-                    continue
-                born = float(np.trace(m @ d.state @ dagger(m)).real)
-                w = matcore.psd_bracket(sandwich @ dagger(m) @ m @ sandwich, eps)
-                mass += pq * born
-                ksum += pq * w
-                if pq * (born + w) > 0.0:
-                    branches += 1
-                continue
-            prune = depth < n_rounds - 1
-            for p_i, i, test in rows:
-                a = g.input_alphabet[i]
-                uni = d.unitary(a)
-                for j, proj in zip(plan.outputs[i], d.measurements[a].values()):
-                    nm = uni @ proj @ m
-                    if prune:
-                        weight = float(np.einsum("ij,ji->", nm @ d.state, dagger(nm)).real)
-                        if weight <= PRUNE_FLOOR:
-                            continue
-                    h = plan.units[i * n_out + j] if test else 0
-                    stack.append((depth + 1, pq * p_i, nm, score + h))
+        mass, ksum, branches = _memory_sums(plan, rows, n_rounds, eps, threshold)
 
     if ksum > 0.0:
         k_value = -(1.0 / eps) * math.log2(ksum)

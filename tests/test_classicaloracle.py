@@ -44,7 +44,72 @@ def random_two_player_game(seed, n_in=2, n_out=2):
     )
 
 
+def classical_value_reference(g):
+    """The per-term loop of the exact enumeration: (best value, strategy, count)."""
+    s = len(g.player_inputs)
+    count = math.prod(len(o) ** len(i) for i, o in zip(g.player_inputs, g.player_outputs))
+    best_value, best_strategy = -math.inf, None
+    outer_spaces = [
+        itertools.product(g.player_outputs[i], repeat=len(g.player_inputs[i]))
+        for i in range(s - 1)
+    ]
+    for outer in itertools.product(*outer_spaces):
+        outer_maps = [dict(zip(g.player_inputs[i], outer[i])) for i in range(s - 1)]
+        last_map = {}
+        for a_last in g.player_inputs[-1]:
+            best_g, best_x = -math.inf, g.player_outputs[-1][0]
+            for x_last in g.player_outputs[-1]:
+                val = 0.0
+                for a in g.input_alphabet:
+                    if a[-1] != a_last or g.prob(a) == 0.0:
+                        continue
+                    x = tuple(outer_maps[i][a[i]] for i in range(s - 1)) + (x_last,)
+                    val += g.prob(a) * g.score(a, x)
+                if val > best_g + 1e-15:
+                    best_g, best_x = val, x_last
+            last_map[a_last] = best_x
+        strategy = tuple(outer_maps) + (last_map,)
+        value = math.fsum(
+            g.prob(a) * g.score(a, tuple(strategy[i][a[i]] for i in range(s)))
+            for a in g.input_alphabet if g.prob(a) != 0.0
+        )
+        if value > best_value + 1e-15:
+            best_value, best_strategy = value, strategy
+    return best_value, best_strategy, count
+
+
+def three_player_game(seed):
+    rng = np.random.default_rng(seed)
+    inputs, outputs = (0, 1), ("a", "b", "c")
+    joint = list(itertools.product(inputs, inputs, inputs))
+    weights = rng.random(len(joint)) * (rng.random(len(joint)) > 0.3)
+    scores = {
+        (a, x): float(rng.integers(0, 3)) / 2.0
+        for a in joint for x in itertools.product(outputs, outputs, outputs)
+    }
+    return nonlocal_game(
+        f"three-{seed}",
+        player_inputs=[inputs, inputs, inputs],
+        player_outputs=[outputs, outputs, outputs],
+        distribution=dict(zip(joint, weights / weights.sum())),
+        scores=scores,
+        distinguished_input=joint[0],
+    )
+
+
 class TestClassicalValue:
+    @pytest.mark.parametrize("game", ["chsh", "magic-square", "random", "three"])
+    def test_equals_the_per_term_loop(self, game):
+        if game == "random":
+            games = [random_two_player_game(seed, n_in=3, n_out=3) for seed in range(6)]
+        elif game == "three":
+            games = [three_player_game(seed) for seed in range(3)]
+        else:
+            games = [catalog.get_game(game)]
+        for g in games:
+            res = classical_value(g)
+            assert (res.best_value, res.best_strategy, res.count) == classical_value_reference(g)
+
     def test_chsh(self):
         res = classical_value(catalog.chsh().game)
         assert res.best_value == 0.75

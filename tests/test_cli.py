@@ -22,9 +22,16 @@ def run_cli(args, **kwargs):
 
 def test_classical_value_json(capsys):
     assert main(["classical-value", "--game", "magic-square"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["value"] == pytest.approx(8.0 / 9.0, abs=1e-12)
     assert payload["provenance"].startswith("exact")
+    # the tie-break picks the lexicographically first best strategy, printed as is
+    assert '"value": 0.8888888888888888,' in out
+    assert payload["strategy"] == [
+        {"0": "000", "1": "000", "2": "011"},
+        {"0": "001", "1": "001", "2": "001"},
+    ]
 
 
 def test_rate_curve_csv_contract(capsys):

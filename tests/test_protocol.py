@@ -7,7 +7,7 @@ import pytest
 from randx import catalog, protocol
 from randx.devicemodel import make_device
 from randx.gamedefs import nonlocal_game
-from randx.matcore import ginibre, haar_unitary, psd_bracket, psd_power
+from randx.matcore import dagger, ginibre, haar_unitary, psd_bracket, psd_power
 from randx.protocol import (
     BadDeltaError,
     BadTableError,
@@ -83,6 +83,86 @@ def tree_reference(g, d, n, q, chi, eps):
     mass = sum(pq * born for pq, born, _w, _s in won)
     ksum = sum(pq * w for pq, _born, w, _s in won)
     return mass, ksum, sum(1 for pq, born, w, _s in won if pq * (born + w) > 0.0)
+
+
+def two_block_setup():
+    """The toy game on a qutrit + qubit direct sum with a unitary per input.
+
+    Every matrix is block diagonal on {0, 1, 2} and {3, 4}, and the
+    projector of output 2 is zero on the qubit block.
+    """
+    game, _ = toy_setup()
+    rng = np.random.default_rng(11)
+    a, b = ginibre((3, 3), rng), ginibre((2, 2), rng)
+    state = np.zeros((5, 5), dtype=complex)
+    state[:3, :3] = 0.6 * a @ a.conj().T / np.trace(a @ a.conj().T).real
+    state[3:, 3:] = 0.4 * b @ b.conj().T / np.trace(b @ b.conj().T).real
+    measurements, unitaries = {}, {}
+    for letter in game.input_alphabet:
+        u3, u2 = haar_unitary(3, rng), haar_unitary(2, rng)
+        outs = {}
+        for x in range(3):
+            p = np.zeros((5, 5), dtype=complex)
+            p[:3, :3] = np.outer(u3[:, x], u3[:, x].conj())
+            if x < 2:
+                p[3:, 3:] = np.outer(u2[:, x], u2[:, x].conj())
+            outs[(x,)] = p
+        measurements[letter] = outs
+        w = np.zeros((5, 5), dtype=complex)
+        w[:3, :3], w[3:, 3:] = haar_unitary(3, rng), haar_unitary(2, rng)
+        unitaries[letter] = w
+    return game, make_device("general", (5,), state, measurements, unitaries, name="two-block")
+
+
+def memory_tree_reference(g, d, n, q, chi, eps):
+    """Leaf-by-leaf dense expansion of the --memory tree: (mass, ksum, branches).
+
+    Each node is one dense branch operator on a last-in first-out stack; the
+    sums add the success leaves in the order they are popped.
+    """
+    plan = _round_plan(g, d)
+    rows = list(protocol._supported_inputs(plan, q))
+    threshold = chi * q * n
+    sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
+    n_out = len(g.output_alphabet)
+    mass = ksum = 0.0
+    branches = 0
+    stack = [(0, 1.0, np.eye(d.dim, dtype=np.complex128), 0)]
+    while stack:
+        depth, pq, m, score = stack.pop()
+        if depth == n:
+            if not protocol._meets_threshold(score, plan.den, threshold):
+                continue
+            born = float(np.trace(m @ d.state @ dagger(m)).real)
+            w = psd_bracket(sandwich @ dagger(m) @ m @ sandwich, eps)
+            mass += pq * born
+            ksum += pq * w
+            if pq * (born + w) > 0.0:
+                branches += 1
+            continue
+        for p_i, i, test in rows:
+            a = g.input_alphabet[i]
+            uni = d.unitary(a)
+            for j, proj in zip(plan.outputs[i], d.measurements[a].values()):
+                nm = uni @ proj @ m
+                if depth < n - 1:
+                    weight = float(np.einsum("ij,ji->", nm @ d.state, dagger(nm)).real)
+                    if weight <= protocol.PRUNE_FLOOR:
+                        continue
+                h = plan.units[i * n_out + j] if test else 0
+                stack.append((depth + 1, pq * p_i, nm, score + h))
+    return mass, ksum, branches
+
+
+def memory_reference_summary(g, d, n, q, chi, eps):
+    """(mass, renyi_randomness, branches) of ``memory_tree_reference``."""
+    mass, ksum, branches = memory_tree_reference(g, d, n, q, chi, eps)
+    return mass, -(1.0 / eps) * math.log2(ksum) if ksum > 0.0 else math.inf, branches
+
+
+def memory_summary(g, d, n, q, chi, eps):
+    s = enumerate_success_state(g, d, n, q=q, chi=chi, eps=eps, fresh_state=False)
+    return s.mass, s.renyi_randomness, s.branches
 
 
 class TestParams:
@@ -338,6 +418,77 @@ class TestSharedSuccessRule:
                     assert tr.c == 0.1 + 0.1 + 0.1  # the exact sum, rounded once
                 assert simulate_outcomes(g, opt, params, 1, fresh) == [(tr.c, tr.success)]
             assert all_test_runs > 0
+
+
+class TestMemoryTree:
+    """The batched, per-block --memory tree against the leaf-by-leaf dense tree."""
+
+    @pytest.mark.parametrize("q,chi,eps", [(0.3, 0.8, 0.1), (0.5, 0.5, 0.2), (0.2, 0.0, 1.0),
+                                           (0.7, 1.0, 0.05)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("device", ["optimal", "classical"])
+    def test_chsh_equals_the_leaf_by_leaf_tree(self, device, n, q, chi, eps):
+        entry = catalog.chsh()
+        g, d = entry.game, entry.devices[device]
+        assert memory_summary(g, d, n, q, chi, eps) == memory_reference_summary(
+            g, d, n, q, chi, eps)
+
+    @pytest.mark.parametrize("chi", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_toy_equals_the_leaf_by_leaf_tree(self, n, chi):
+        g, d = toy_setup()
+        assert memory_summary(g, d, n, 0.3, chi, 0.2) == memory_reference_summary(
+            g, d, n, 0.3, chi, 0.2)
+
+    @pytest.mark.parametrize("chi", [0.2, 0.19])
+    def test_exact_threshold_game_equals_the_leaf_by_leaf_tree(self, chi):
+        base, opt, _ = chsh_setup()
+        g = replace(base, scores={
+            (a, x): 0.1 for a in base.input_alphabet for x in base.output_alphabet
+        })
+        assert memory_summary(g, opt, 3, 0.5, chi, 0.2) == memory_reference_summary(
+            g, opt, 3, 0.5, chi, 0.2)
+
+    @pytest.mark.parametrize("device", ["optimal", "toy"])
+    def test_small_batches_give_the_same_sums(self, monkeypatch, device):
+        if device == "toy":
+            g, d = toy_setup()
+        else:
+            g, d = chsh_setup()[:2]
+        expected = memory_reference_summary(g, d, 3, 0.3, 0.5, 0.2)
+        batches = []
+        real = protocol.matcore.block_psd_brackets
+        # room for a node and its at most 20 children: one batch per node at depth 2
+        monkeypatch.setattr(protocol, "MEMORY_BATCH_ENTRIES", 21 * d.dim**2)
+        monkeypatch.setattr(
+            protocol.matcore, "block_psd_brackets",
+            lambda stacks, eps: batches.append(1) or real(stacks, eps),
+        )
+        assert memory_summary(g, d, 3, 0.3, 0.5, 0.2) == expected
+        assert len(batches) >= 3
+
+    def test_block_device_with_unitaries(self):
+        g, d = two_block_setup()
+        assert [idx.shape for idx in d.blocks] == [(1, 2), (1, 3)]
+        for n, chi in ((1, 0.0), (2, 0.5), (3, 0.5)):
+            mass, k, branches = memory_summary(g, d, n, 0.3, chi, 0.2)
+            ref_mass, ref_k, ref_branches = memory_reference_summary(g, d, n, 0.3, chi, 0.2)
+            assert branches == ref_branches
+            assert mass == pytest.approx(ref_mass, rel=1e-12)
+            assert k == pytest.approx(ref_k, rel=1e-12)
+
+    def test_magic_square_per_block_roundoff(self):
+        # The combined device splits into 80 blocks of size 1 and 8 of size 4,
+        # so products, traces and eigenvalues round differently from the dense
+        # 112 x 112 reference; each leaf's bracket moves by a few ulp times the
+        # block condition number, far inside 1e-12 relative.
+        entry = catalog.magic_square()
+        g, d = entry.game, entry.devices["combined"]
+        mass, k, branches = memory_summary(g, d, 1, 0.3, 0.5, 0.1)
+        ref_mass, ref_k, ref_branches = memory_reference_summary(g, d, 1, 0.3, 0.5, 0.1)
+        assert branches == ref_branches == 72
+        assert mass == pytest.approx(ref_mass, rel=1e-12, abs=0)
+        assert k == pytest.approx(ref_k, rel=1e-12, abs=0)
 
 
 class TestSimulateOutcomes:
