@@ -20,7 +20,7 @@ from . import (  # noqa: F401
 )
 from .devicemodel import Device, evolve_sequence, state_pair, validate_device  # noqa: F401
 from .gamedefs import Game, SpotCheckGame, spot_check, validate_game  # noqa: F401
-from .matcore import herm_eig, pinch, psd_power, schatten  # noqa: F401
+from .matcore import pinch, psd_power, schatten  # noqa: F401
 from .protocol import (  # noqa: F401
     ProtocolParams,
     entropy_lower_bound,

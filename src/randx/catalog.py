@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import protocol, scoring
+from . import protocol
 from .devicemodel import (
     GENERAL,
     Device,

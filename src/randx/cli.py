@@ -32,7 +32,7 @@ from .devicemodel import (
     save_device,
     validate_device,
 )
-from .gamedefs import Game, game_to_dict, load_game, save_game, validate_game
+from .gamedefs import Game, load_game, save_game, validate_game
 
 HEADER = f"# randx {__version__}"
 

@@ -23,20 +23,18 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from . import matcore
 from .matcore import (
     HERM_TOL,
-    VALIDATION_TOL,
     as_matrix,
     dagger,
     frozen,
     hermiticity_defect,
     projector_defect,
-    psd_power,
     sqrtm_psd,
 )
 
@@ -433,34 +431,13 @@ def evolve_sequence(d: Device, a_seq: Sequence[Letter], x_seq: Sequence[Letter])
     return DeviceStatePair(device_state=dev, adversary_state=adv)
 
 
-def abstractify(d: Device, eps: float) -> Device:
-    """Replace the initial operator with state^(1/(1+eps)); tag the result abstract.
-
-    Measurements and unitaries are shared with the source device.
-    """
-    if not 0.0 < eps <= 1.0:
-        raise DeviceError(f"eps must lie in (0, 1], got {eps}")
-    new_state = psd_power(d.state, 1.0 / (1.0 + eps))
-    return Device(
-        kind=ABSTRACT,
-        dims=d.dims,
-        state=frozen(new_state),
-        input_alphabet=d.input_alphabet,
-        output_alphabet=d.output_alphabet,
-        measurements=d.measurements,
-        unitaries=d.unitaries,
-        name=f"{d.name}^(1/(1+{eps}))" if d.name else "",
-    )
-
-
-def born_probabilities(d: Device, a: Letter, state: np.ndarray | None = None) -> dict[Letter, float]:
+def born_probabilities(d: Device, a: Letter) -> dict[Letter, float]:
     """Outcome distribution for one use on input a (unlisted outputs omitted)."""
     if a not in d.measurements:
         raise UnknownLetterError(f"unknown input letter {a!r}")
-    rho = d.state if state is None else state
     out: dict[Letter, float] = {}
     for x, p in d.measurements[a].items():
-        out[x] = float(np.einsum("ij,ji->", p, rho).real)
+        out[x] = float(np.einsum("ij,ji->", p, d.state).real)
     return out
 
 

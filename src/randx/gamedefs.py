@@ -1,4 +1,4 @@
-"""Game definitions, sequence extensions, and the spot-checking transform.
+"""Game definitions and the spot-checking transform.
 
 A game is an input alphabet with a distribution and a distinguished input, an
 output alphabet, and a scoring table with values in [0, 1] (or [0, inf) when
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .devicemodel import (
@@ -44,10 +44,6 @@ class GameError(ValueError):
 
 
 class BadQError(GameError):
-    pass
-
-
-class LengthMismatchError(GameError):
     pass
 
 
@@ -214,22 +210,6 @@ def spot_check(g: Game, q: float) -> SpotCheckGame:
     if not 0.0 < q < 1.0:
         raise BadQError(f"q must lie strictly between 0 and 1, got {q}")
     return SpotCheckGame(base=g, q=float(q))
-
-
-def extend_sequences(
-    g: Game, a_seq: Sequence[Letter], x_seq: Sequence[Letter]
-) -> tuple[float, float]:
-    """Product probability and summed score over a round sequence."""
-    if len(a_seq) != len(x_seq):
-        raise LengthMismatchError(
-            f"input sequence length {len(a_seq)} != output sequence length {len(x_seq)}"
-        )
-    p = 1.0
-    h = 0.0
-    for a, x in zip(a_seq, x_seq):
-        p *= g.prob(a)
-        h += g.score(a, x)
-    return p, h
 
 
 # ---------------------------------------------------------------------------

@@ -101,18 +101,6 @@ def projector_defect(p: np.ndarray) -> float:
     return max(hermiticity_defect(p), float(np.max(np.abs(p @ p - p))))
 
 
-@dataclass(frozen=True)
-class HermEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # unitary, columns are eigenvectors
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
-
-
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     """(A + A†)/2 of a matrix or stack; an asymmetry beyond 1e-6 raises."""
     defect = hermiticity_defect(a)
@@ -127,16 +115,6 @@ def _as_stack(a) -> np.ndarray:
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise MatcoreError(f"expected square blocks, got stack shape {a.shape}")
     return _finite(a)
-
-
-def herm_eig(m) -> HermEig:
-    """Eigendecompose a Hermitian matrix.
-
-    The input is symmetrized as (M + M†)/2 before decomposition; an asymmetry
-    beyond 1e-6 raises NonHermitianError instead.
-    """
-    vals, vecs = np.linalg.eigh(_symmetrized(as_matrix(m)))
-    return HermEig(eigenvalues=vals, eigenvectors=vecs)
 
 
 def psd_defect(eigenvalues: np.ndarray) -> float:
@@ -222,8 +200,8 @@ def block_psd_brackets(stacks: Sequence[np.ndarray], eps: float) -> np.ndarray:
     """bracket of each of L PSD block-diagonal matrices given as (L, k, s, s) stacks.
 
     One batched eigh runs per stack and only its eigenvalues are read: they
-    are those of ``psd_power`` and ``herm_eig``, where eigvalsh takes another
-    LAPACK route with other rounding.  Eigenvalues are clipped at 0; each
+    are those of ``psd_power``, where eigvalsh takes another LAPACK route
+    with other rounding.  Eigenvalues are clipped at 0; each
     matrix's Tr[M^(1+eps)] sums its k*s powered eigenvalues of a stack in one
     reduction, and the stacks are added in order.  The Hermiticity and
     finiteness checks cover every block of every matrix.

@@ -19,7 +19,9 @@ Two usage semantics are supported everywhere:
   fresh_state=False           the strict in-place memory model: the single
       system collapses round by round (outputs sampled from the current
       evolved state, which is then updated by the selected branch and the
-      input's unitary).
+      input's unitary).  The state is held per orthogonal block of the
+      device and stepped by the round operators ``uni @ proj`` of the plan,
+      the same stacks the --memory tree expands.
 
 Success-state aggregates under fresh-state semantics come from a
 convolution: each sequence weight is a product over rounds and success
@@ -42,6 +44,7 @@ private round plan, and checks their compatibility there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
@@ -131,9 +134,11 @@ def binomial_tail(n: int, p: float, k: int) -> float:
     has c ~ Binomial(N, q*w), so its success probability is this tail at the
     least integer meeting chi*q*N.
     """
+    if k > n:
+        return 0.0
     if k <= 0 or p == 1.0:
         return 1.0
-    if k > n or p == 0.0:
+    if p == 0.0:
         return 0.0
     lp, lq, head = math.log(p), math.log1p(-p), math.lgamma(n + 1)
     return math.fsum(
@@ -180,6 +185,24 @@ class _RoundPlan:
     den: int
     abar: int  # index of the distinguished input
     outputs: tuple[tuple[int, ...], ...]  # per input, its measured outputs in device order
+
+    @functools.cached_property
+    def state_blocks(self) -> list[np.ndarray]:
+        """The initial state's ``split_blocks`` on ``Device.blocks``, built on first use."""
+        return matcore.split_blocks(self.device.state, self.device.blocks)
+
+    @functools.cached_property
+    def ops(self) -> tuple[list[np.ndarray], ...]:
+        """Per input, the round operators ``uni @ proj`` of its measured outputs
+        in device order, as one (outputs, k, s, s) stack per block size of
+        ``Device.blocks``; built on first use, for the in-place semantics."""
+        d = self.device
+        ops = []
+        for a in self.game.input_alphabet:
+            uni = matcore.split_blocks(d.unitary(a), d.blocks)
+            projs = zip(*(matcore.split_blocks(p, d.blocks) for p in d.measurements[a].values()))
+            ops.append([u[None] @ np.stack(p) for u, p in zip(uni, projs)])
+        return tuple(ops)
 
 
 def _round_plan(g: Game, d: Device) -> _RoundPlan:
@@ -255,9 +278,20 @@ def _outcome(plan: _RoundPlan, params: ProtocolParams) -> tuple[float, bool]:
     return _exact_score(plan, a * plan.scores.shape[1] + x, params.threshold)
 
 
+def _branches(mats: list[np.ndarray], state: list[np.ndarray]) -> list[np.ndarray]:
+    """m rho m† of each node m of a stack, as one (L, k, s, s) stack per block
+    size, from the nodes' per-block stacks and the state's (k, s, s) blocks."""
+    return [m @ r @ dagger(m) for m, r in zip(mats, state)]
+
+
+def _traces(stacks: list[np.ndarray]) -> np.ndarray:
+    """The trace of each of L block-diagonal matrices held as (L, k, s, s) stacks."""
+    return sum(np.trace(b, axis1=-2, axis2=-1).real.sum(axis=-1) for b in stacks)
+
+
 def _transcript(plan: _RoundPlan, params: ProtocolParams, fresh_state: bool) -> Transcript:
     """One run with its per-round records."""
-    g, d, n = plan.game, plan.device, params.n_rounds
+    g, n = plan.game, params.n_rounds
     u = _uniforms(params)
     t = (u[:, 0] < params.q).astype(np.uint8)
     test = np.flatnonzero(t)
@@ -267,20 +301,17 @@ def _transcript(plan: _RoundPlan, params: ProtocolParams, fresh_state: bool) -> 
     if fresh_state:
         x_idx = _sample_outputs(plan.output_cdfs, a_idx, u[:, 2]).astype(np.int64)
     else:
-        state = d.state.copy()
+        state = plan.state_blocks
         x_idx = np.zeros(n, dtype=np.int64)
         for j in range(n):
-            a = g.input_alphabet[a_idx[j]]
-            tr = float(np.trace(state).real)
-            cdf = np.cumsum([p / tr for p in born_probabilities(d, a, state).values()])
+            # every output's next state; its trace is the output's Born weight
+            nxt = _branches(plan.ops[a_idx[j]], state)
+            born = _traces(nxt)
+            cdf = np.cumsum(born / born.sum())
             cdf[-1] = max(cdf[-1], 1.0)
-            x_idx[j] = plan.outputs[a_idx[j]][_search(cdf, u[j, 2])]
-            proj = d.measurements[a][g.output_alphabet[x_idx[j]]]
-            uni = d.unitary(a)
-            state = uni @ proj @ state @ proj @ dagger(uni)
-            tr = float(np.trace(state).real)
-            if tr > 0:
-                state = state / tr
+            k = _search(cdf, u[j, 2])
+            x_idx[j] = plan.outputs[a_idx[j]][k]
+            state = [b[k] / born[k] if born[k] > 0 else b[k] for b in nxt]
 
     scores = np.where(t == 1, plan.scores[a_idx, x_idx], 0.0)
     c, success = _exact_score(
@@ -358,9 +389,7 @@ def _round_tables(
     taken per orthogonal block of the device (``Device.blocks``).
     """
     d = plan.device
-    sandwich = matcore.block_psd_power(
-        matcore.split_blocks(d.state, d.blocks), 1.0 / (2.0 + 2.0 * eps)
-    )
+    sandwich = matcore.block_psd_power(plan.state_blocks, 1.0 / (2.0 + 2.0 * eps))
     n_out = plan.scores.shape[1]
     brackets: dict[int, list[float]] = {}
     rows = []
@@ -402,15 +431,6 @@ def _lattice_table(rows) -> dict[int, list]:
     return table
 
 
-def _born_weights(mats: list[np.ndarray], state: list[np.ndarray]) -> np.ndarray:
-    """tr(m rho m†) of each node m of a stack, from its per-block (L, k, s, s)
-    stacks and the state's (k, s, s) blocks."""
-    return sum(
-        np.trace(m @ r @ dagger(m), axis1=-2, axis2=-1).real.sum(axis=-1)
-        for m, r in zip(mats, state)
-    )
-
-
 def _memory_sums(
     plan: _RoundPlan, rows, n_rounds: int, eps: float, threshold: float
 ) -> tuple[float, float, int]:
@@ -428,23 +448,16 @@ def _memory_sums(
     ``+=`` over the success leaves in the last-in first-out order of a
     leaf-by-leaf walk, which is reverse-lexicographic over paths.
     """
-    d, g = plan.device, plan.game
-    state = matcore.split_blocks(d.state, d.blocks)
+    state = plan.state_blocks
     sandwich = matcore.block_psd_power(state, 1.0 / (2.0 + 2.0 * eps))
-    n_out = len(g.output_alphabet)
-    unis, projs, child_pq, child_units = [], [], [], []
-    for p_i, i, test in rows:
-        a = g.input_alphabet[i]
-        uni = matcore.split_blocks(d.unitary(a), d.blocks)
-        for j, proj in zip(plan.outputs[i], d.measurements[a].values()):
-            unis.append(uni)
-            projs.append(matcore.split_blocks(proj, d.blocks))
-            child_pq.append(p_i)
-            child_units.append(plan.units[i * n_out + j] if test else 0)
+    n_out = len(plan.game.output_alphabet)
     # child c's operator uni @ proj, as one (C, k, s, s) stack per block size
-    ops = [np.stack(u) @ np.stack(p) for u, p in zip(zip(*unis), zip(*projs))]
-    child_pq = np.array(child_pq)
-    child_units = np.array(child_units, dtype=object)  # Python ints: exact sums
+    ops = [np.concatenate(stacks) for stacks in zip(*(plan.ops[i] for _, i, _ in rows))]
+    child_pq = np.array([p_i for p_i, i, _ in rows for _ in plan.outputs[i]])
+    child_units = np.array(  # Python ints: exact sums
+        [plan.units[i * n_out + j] if test else 0 for _, i, test in rows for j in plan.outputs[i]],
+        dtype=object,
+    )
 
     def expand(depth, pq, units, mats):
         """The children of a stack of nodes at ``depth``, node-major in child order."""
@@ -452,11 +465,11 @@ def _memory_sums(
         pq = (pq[:, None] * child_pq).ravel()
         units = (units[:, None] + child_units).ravel()
         if depth + 1 < n_rounds:
-            keep = _born_weights(mats, state) > PRUNE_FLOOR
+            keep = _traces(_branches(mats, state)) > PRUNE_FLOOR
             pq, units, mats = pq[keep], units[keep], [m[keep] for m in mats]
         return pq, units, mats
 
-    entries = sum(idx.size * idx.shape[1] for idx in d.blocks)
+    entries = sum(idx.size * idx.shape[1] for idx in plan.device.blocks)
     root_depth = 0
     while (
         root_depth < n_rounds
@@ -483,7 +496,7 @@ def _memory_sums(
         if not won.any():
             continue
         pq, mats = pq[won], [m[won] for m in mats]
-        born = _born_weights(mats, state)
+        born = _traces(_branches(mats, state))
         w = matcore.block_psd_brackets(
             [r @ dagger(m) @ m @ r for r, m in zip(sandwich, mats)], eps
         )

@@ -64,10 +64,6 @@ class GameOperator:
     device_state: np.ndarray  # sqrt(K) phi sqrt(K)
     adversary_state: np.ndarray  # (sqrt(phi) K sqrt(phi))^T
 
-    @property
-    def top_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.matrix + matcore.dagger(self.matrix)) / 2)[-1])
-
 
 _Term = tuple[float, Letter, Letter, float]  # (probability, input, output, score)
 

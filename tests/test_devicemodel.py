@@ -14,7 +14,6 @@ from randx.devicemodel import (
     DimMismatchError,
     LengthMismatchError,
     UnknownLetterError,
-    abstractify,
     born_probabilities,
     components_device,
     device_from_dict,
@@ -279,25 +278,6 @@ class TestEvolve:
         ev_adv = np.sort(np.linalg.eigvalsh(pair.adversary_state))
         scale = max(abs(ev_dev[-1]), 1e-12)
         assert np.max(np.abs(ev_dev - ev_adv)) / scale < 1e-9
-
-
-class TestAbstractify:
-    def test_pure_state_unchanged(self):
-        d = catalog.chsh().devices["optimal"]
-        ab = abstractify(d, 0.5)
-        assert ab.kind == "abstract"
-        assert np.max(np.abs(ab.state - d.state)) < 1e-10
-
-    def test_maximally_mixed(self):
-        meas = {0: {0: np.eye(2)}}
-        d = make_device(GENERAL, (2,), np.eye(2) / 2, meas)
-        ab = abstractify(d, 1.0)
-        assert np.allclose(ab.state, np.eye(2) * (0.5 ** 0.5), atol=1e-12)
-
-    def test_small_eps_continuity(self):
-        d = random_device(3)
-        ab = abstractify(d, 1e-3)
-        assert np.linalg.norm(ab.state - d.state) < 0.01
 
 
 def test_born_probabilities_normalized():

@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 from randx import catalog, scoring
 from randx.gamedefs import (
     BadQError,
-    LengthMismatchError,
     check_compatibility,
-    extend_sequences,
     game_from_dict,
     game_to_dict,
     load_game,
@@ -91,26 +89,6 @@ class TestSpotCheck:
         base = scoring.eps_score(g, d, 0.0)
         lifted = scoring.eps_score(gq, d, 0.0)
         assert lifted == pytest.approx(base, abs=1e-9)
-
-
-class TestExtendSequences:
-    def test_empty(self):
-        g = catalog.chsh().game
-        assert extend_sequences(g, [], []) == (1.0, 0.0)
-
-    def test_probability_product(self):
-        g = catalog.chsh().game
-        p, _ = extend_sequences(g, [(0, 0), (0, 0)], [(0, 0), (0, 0)])
-        assert p == pytest.approx(1.0 / 16.0, abs=1e-15)
-
-    def test_score_sum(self):
-        g = catalog.chsh().game
-        _, h = extend_sequences(g, [(0, 0), (0, 1)], [(0, 0), (1, 1)])
-        assert h == 2.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            extend_sequences(catalog.chsh().game, [(0, 0)], [])
 
 
 def test_game_file_roundtrip(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from randx import matcore
 from randx.convexity import random_psd
 from randx.matcore import (
-    HermEig,
     MatcoreError,
     NegativeEigenvalueError,
     NonFiniteError,
@@ -20,7 +19,6 @@ from randx.matcore import (
     ginibre,
     haar_pvm,
     haar_unitary,
-    herm_eig,
     matrix_from_pairs,
     matrix_json_parts,
     matrix_to_pairs,
@@ -42,40 +40,6 @@ EPS_GRID = (0.01, 0.1, 0.5, 1.0)
 seeds = st.integers(0, 2**32 - 1)
 dims = st.sampled_from([2, 3, 4, 6])
 eps_values = st.sampled_from(EPS_GRID)
-
-
-class TestHermEig:
-    def test_diagonal(self):
-        eig = herm_eig(np.diag([2.0, 1.0]))
-        assert np.allclose(eig.eigenvalues, [1.0, 2.0])
-
-    def test_identity(self):
-        eig = herm_eig(np.eye(3))
-        assert np.allclose(eig.eigenvalues, [1.0, 1.0, 1.0])
-
-    def test_off_diagonal(self):
-        # characteristic polynomial x^2 - 1 by hand
-        eig = herm_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NonHermitianError):
-            herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    @given(seeds, dims)
-    @settings(max_examples=30, deadline=None)
-    def test_reconstruction(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        m = random_psd(dim, rng)
-        eig = herm_eig(m)
-        rel = np.linalg.norm(eig.reconstruct() - m) / max(np.linalg.norm(m), 1e-30)
-        assert rel < 1e-9
-        v = eig.eigenvectors
-        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-9
 
 
 class TestPsdPower:
@@ -117,7 +81,7 @@ class TestPsdDefect:
     ])
     def test_positive_exactly_where_psd_power_raises(self, spectrum):
         m = np.diag(spectrum)
-        defect = psd_defect(herm_eig(m).eigenvalues)
+        defect = psd_defect(np.linalg.eigvalsh(m))
         try:
             psd_power(m, 0.5)
             raised = False

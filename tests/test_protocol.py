@@ -34,6 +34,11 @@ def chsh_setup():
     return entry.game, entry.devices["optimal"], entry.devices["classical"]
 
 
+def magic_square_combined():
+    entry = catalog.magic_square()
+    return entry.game, entry.devices["combined"]
+
+
 def toy_setup():
     """One-player qutrit game with scores -1, 0.5 and 1, and a rank-2 state.
 
@@ -160,6 +165,34 @@ def memory_reference_summary(g, d, n, q, chi, eps):
     return mass, -(1.0 / eps) * math.log2(ksum) if ksum > 0.0 else math.inf, branches
 
 
+def memory_transcript_reference(g, d, params):
+    """(output indices, c, success) of a --memory run, stepped by the dense
+    loop: one dim x dim state update per round."""
+    plan = _round_plan(g, d)
+    n = params.n_rounds
+    u = protocol._uniforms(params)
+    test = np.flatnonzero(u[:, 0] < params.q)
+    a_idx = np.full(n, plan.abar, dtype=np.int64)
+    a_idx[test] = protocol._search(plan.input_cdf, u[test, 1])
+    state = d.state.copy()
+    x_idx = np.zeros(n, dtype=np.int64)
+    for j in range(n):
+        a = g.input_alphabet[a_idx[j]]
+        tr = float(np.trace(state).real)
+        born = [float(np.einsum("ij,ji->", p, state).real) for p in d.measurements[a].values()]
+        cdf = np.cumsum([p / tr for p in born])
+        cdf[-1] = max(cdf[-1], 1.0)
+        x_idx[j] = plan.outputs[a_idx[j]][protocol._search(cdf, u[j, 2])]
+        proj = d.measurements[a][g.output_alphabet[x_idx[j]]]
+        uni = d.unitary(a)
+        state = uni @ proj @ state @ proj @ dagger(uni)
+        tr = float(np.trace(state).real)
+        if tr > 0:
+            state = state / tr
+    cells = a_idx[test] * len(g.output_alphabet) + x_idx[test]
+    return (x_idx, *protocol._exact_score(plan, cells, params.threshold))
+
+
 def memory_summary(g, d, n, q, chi, eps):
     s = enumerate_success_state(g, d, n, q=q, chi=chi, eps=eps, fresh_state=False)
     return s.mass, s.renyi_randomness, s.branches
@@ -252,6 +285,22 @@ class TestSimulate:
             )
             scores.append(tr.c / np.sum(tr.test_flags))
         assert np.mean(scores) < 0.8
+
+    @pytest.mark.parametrize("device", ["chsh", "toy", "two-block", "magic-square"])
+    def test_memory_rounds_equal_the_dense_loop(self, device):
+        g, d = {
+            "chsh": lambda: chsh_setup()[:2],
+            "toy": toy_setup,
+            "two-block": two_block_setup,
+            "magic-square": magic_square_combined,
+        }[device]()
+        for n in (1, 5, 200):
+            for seed in range(4):
+                params = ProtocolParams(n_rounds=n, q=0.3, chi=0.5, seed=seed)
+                tr = simulate(g, d, params, fresh_state=False)
+                x_idx, c, success = memory_transcript_reference(g, d, params)
+                assert np.array_equal(tr.output_indices, x_idx)
+                assert (tr.c, tr.success) == (c, success)
 
     def test_rounds_iterator(self):
         g, opt, _ = chsh_setup()
@@ -376,9 +425,9 @@ class TestEnumerate:
         assert s.mass == pytest.approx(tail, rel=1e-12)
         assert binomial_tail(n, p, math.ceil(chi * q * n)) == pytest.approx(tail, rel=1e-12)
         # the exact limits of a device that never or always wins
-        for k in (1, 5, 10):
+        for k, always in ((1, 1.0), (5, 1.0), (10, 1.0), (11, 0.0)):
             assert binomial_tail(10, 0.0, k) == 0.0
-            assert binomial_tail(10, 1.0, k) == 1.0
+            assert binomial_tail(10, 1.0, k) == always
 
     def test_non_finite_chi_and_scores_rejected(self):
         g, opt, _ = chsh_setup()
@@ -493,10 +542,12 @@ class TestMemoryTree:
 
 class TestSimulateOutcomes:
     @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
-    @pytest.mark.parametrize("device", ["optimal", "classical", "toy"])
+    @pytest.mark.parametrize("device", ["optimal", "classical", "toy", "magic-square"])
     def test_trial_k_is_simulate_at_seed_plus_k(self, device, fresh):
         if device == "toy":
             g, d = toy_setup()
+        elif device == "magic-square":
+            g, d = magic_square_combined()
         else:
             entry = catalog.chsh()
             g, d = entry.game, entry.devices[device]
