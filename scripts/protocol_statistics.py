@@ -46,7 +46,7 @@ def main():
 
     entry = catalog.chsh()
     chis = [float(c) for c in args.chis.split(",")]
-    w = 0.5 + math.sqrt(2.0) / 4.0
+    w = catalog.CHSH_QUANTUM
 
     print(f"N={args.n} q={args.q} trials={args.trials}")
     mean = args.n * args.q * w

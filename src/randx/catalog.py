@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -53,18 +53,11 @@ MS_LOSS_BETA = 0.5 - SQRT2 / 4.0
 
 
 @dataclass(frozen=True)
-class Expected:
-    value: float
-    provenance: str
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     game: Game
     device: Device
     devices: dict[str, Device]
-    expected_values: dict[str, Expected] = field(default_factory=dict)
 
 
 def _proj(theta: float) -> np.ndarray:
@@ -156,16 +149,7 @@ def chsh() -> CatalogEntry:
     optimal = chsh_optimal_device()
     classical = chsh_classical_device()
     return CatalogEntry(
-        name="chsh",
-        game=game,
-        device=optimal,
-        devices={"optimal": optimal, "classical": classical},
-        expected_values={
-            "quantum_score": Expected(CHSH_QUANTUM, "closed form 1/2 + sqrt(2)/4"),
-            "classical_value": Expected(0.75, "exact enumeration"),
-            "predictable_cap": Expected(0.75, "closed form for (0,0)-predictable devices"),
-            "noise_tolerance": Expected(CHSH_QUANTUM - 0.75, "quantum minus predictable cap"),
-        },
+        name="chsh", game=game, device=optimal, devices={"optimal": optimal, "classical": classical}
     )
 
 
@@ -355,22 +339,7 @@ def magic_square() -> CatalogEntry:
     devices["mixture"] = ms_mixture_device()
     devices["cross-mixture"] = ms_cross_mixture_device()
     devices["combined"] = ms_combined_device()
-    e_avg = 5.0 / 9.0 + (4.0 / 9.0) * CHSH_QUANTUM
-    loss = 0.2 * MS_LOSS_BETA / (0.2 + MS_LOSS_BETA)
-    return CatalogEntry(
-        name="magic-square",
-        game=game,
-        device=devices["combined"],
-        devices=devices,
-        expected_values={
-            "classical_value": Expected(8.0 / 9.0, "exact enumeration"),
-            "mixture_average_win": Expected(e_avg, "closed form 5/9 + (4/9)(1/2 + sqrt(2)/4)"),
-            "combined_losing_probability": Expected(loss, "closed form 0.2 b/(0.2+b), b = 1/2 - sqrt(2)/4"),
-            "cross_mixture_loss_on_cross": Expected(0.2, "one designated pair among five"),
-            "cross_mixture_loss_off_cross": Expected(0.0, "designated pairs all lie on the cross"),
-            "off_cross_conditional_win": Expected(CHSH_QUANTUM, "closed form, rotated-basis correlations"),
-        },
-    )
+    return CatalogEntry(name="magic-square", game=game, device=devices["combined"], devices=devices)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +437,8 @@ def demo_not_randomness_generating() -> DemoReport:
 # name resolution for the CLI
 
 
-def _entry_key(name: str) -> str:
+def entry_key(name: str) -> str:
+    """The catalog entry a name resolves to: "chsh" or "magic-square"."""
     key = name.lower().replace("_", "-")
     if key == "chsh":
         return key
@@ -478,12 +448,12 @@ def _entry_key(name: str) -> str:
 
 
 def get_entry(name: str) -> CatalogEntry:
-    return chsh() if _entry_key(name) == "chsh" else magic_square()
+    return chsh() if entry_key(name) == "chsh" else magic_square()
 
 
 def get_game(name: str) -> Game:
     """The entry's game, built without its devices."""
-    return chsh_game() if _entry_key(name) == "chsh" else magic_square_game()
+    return chsh_game() if entry_key(name) == "chsh" else magic_square_game()
 
 
 def get_device(name: str) -> Device:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import matcore, scoring
+from . import catalog, matcore, scoring
 from .devicemodel import Device, Letter, components_device
 from .gamedefs import NONLOCAL, Game
 
@@ -375,16 +375,18 @@ class KnownValues:
 
 
 def known_values(name: str) -> KnownValues:
-    """Closed-form and witnessed values for the built-in games."""
-    key = name.lower().replace("_", "-")
+    """Closed-form and witnessed values for the built-in games, by catalog name."""
+    try:
+        key = catalog.entry_key(name)
+    except KeyError:
+        raise UnknownGameError(f"no known-values row for {name!r}") from None
     if key == "chsh":
-        w_q = 0.5 + math.sqrt(2.0) / 4.0
         return KnownValues(
             name="chsh",
             w_classical=0.75,
-            w_quantum=w_q,
+            w_quantum=catalog.CHSH_QUANTUM,
             w_quantum_abar=0.75,
-            noise_tolerance=w_q - 0.75,
+            noise_tolerance=catalog.CHSH_QUANTUM - 0.75,
             notes={
                 "w_classical": "exact enumeration",
                 "w_quantum": "closed form 1/2 + sqrt(2)/4, achieved by the catalog device",
@@ -392,19 +394,16 @@ def known_values(name: str) -> KnownValues:
                 "noise_tolerance": "w_quantum - w_quantum_abar",
             },
         )
-    if key in ("magic-square", "magicsquare", "ms"):
-        w_wit = 5.0 / 9.0 + (4.0 / 9.0) * (0.5 + math.sqrt(2.0) / 4.0)
-        return KnownValues(
-            name="magic-square",
-            w_classical=8.0 / 9.0,
-            w_quantum=w_wit,
-            w_quantum_abar=None,
-            noise_tolerance=None,
-            notes={
-                "w_classical": "exact enumeration",
-                "w_quantum": "witnessed lower bound (catalog single-pair device family); not proven optimal",
-                "w_quantum_abar": "no closed form known; the seesaw subcommand gives an unproven lower bound",
-                "noise_tolerance": "unavailable without w_quantum_abar",
-            },
-        )
-    raise UnknownGameError(f"no known-values row for {name!r}")
+    return KnownValues(
+        name="magic-square",
+        w_classical=8.0 / 9.0,
+        w_quantum=5.0 / 9.0 + (4.0 / 9.0) * catalog.CHSH_QUANTUM,
+        w_quantum_abar=None,
+        noise_tolerance=None,
+        notes={
+            "w_classical": "exact enumeration",
+            "w_quantum": "witnessed lower bound (catalog single-pair device family); not proven optimal",
+            "w_quantum_abar": "no closed form known; the seesaw subcommand gives an unproven lower bound",
+            "noise_tolerance": "unavailable without w_quantum_abar",
+        },
+    )

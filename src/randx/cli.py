@@ -6,10 +6,11 @@ entropy-bound, verify, magic-square-demo, validate.
 Exit codes: 0 success, 1 validation or usage error, 2 computational guard
 (enumeration or branch caps, unsupported sizes).  Identical argv and seed
 produce byte-identical output apart from the versioned header.  The seed
-is taken from --seed, else RANDX_SEED, else 0.  Multi-trial simulate runs
-go through protocol.simulate_outcomes, which keys trial k by seed + k and
-runs the trials one after another; a fresh-state trial samples and scores
-only its test rounds, but every round still consumes its three uniforms.
+is taken from --seed, else RANDX_SEED, else 0; a non-integer RANDX_SEED is
+a usage error wherever --seed applies.  Multi-trial simulate runs go through
+protocol.simulate_outcomes, which keys trial k by seed + k and runs the
+trials one after another; a fresh-state trial samples and scores only its
+test rounds, but every round still consumes its three uniforms.
 simulate and enumerate share one exact success rule.
 """
 
@@ -49,11 +50,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw not in (None, "") else default
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -391,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to a file instead of stdout")
         if seed:
             p.add_argument(
-                "--seed", type=int, default=_env_int("RANDX_SEED", 0),
+                "--seed", type=int, default=os.environ.get("RANDX_SEED") or "0",
                 help="base seed (env RANDX_SEED)",
             )
 

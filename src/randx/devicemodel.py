@@ -13,7 +13,9 @@ the measurement.  Four structure tags are supported:
 
 Devices are immutable after construction; the memory a device keeps between
 rounds is represented by the evolved operators returned from
-``evolve_sequence``, never by mutable device state.
+``evolve_sequence``, never by mutable device state.  A device is split into
+its orthogonal blocks once: ``blocks`` and the read-only per-block stacks of
+its state, projectors and round operators U_a P_a^x are cached on first use.
 """
 
 from __future__ import annotations
@@ -132,6 +134,30 @@ class Device:
             self.unitaries.values(),
         )
         return matcore.support_blocks(mats, self.dim)
+
+    @functools.cached_property
+    def state_blocks(self) -> tuple[np.ndarray, ...]:
+        """The state's read-only ``matcore.split_blocks`` on ``blocks``, built on first use."""
+        return tuple(map(frozen, matcore.split_blocks(self.state, self.blocks)))
+
+    @functools.cached_property
+    def projector_blocks(self) -> Mapping[Letter, tuple[np.ndarray, ...]]:
+        """Per measured letter, its projectors in listed order as one read-only
+        (outputs, k, s, s) stack per block size, built on first use."""
+        return {
+            a: tuple(map(frozen, matcore.split_blocks(np.stack(list(outs.values())), self.blocks)))
+            for a, outs in self.measurements.items()
+        }
+
+    @functools.cached_property
+    def round_ops(self) -> Mapping[Letter, tuple[np.ndarray, ...]]:
+        """Per measured letter, the round operators U_a P_a^x of its outputs,
+        stacked as in ``projector_blocks``, built on first use."""
+        return {
+            a: tuple(frozen(u[None] @ p) for u, p in zip(
+                matcore.split_blocks(self.unitary(a), self.blocks), self.projector_blocks[a]))
+            for a in self.measurements
+        }
 
 
 def _listed_outputs(measurements: Mapping[Letter, Mapping[Letter, Any]]) -> tuple[Letter, ...]:

@@ -164,8 +164,9 @@ def support_blocks(mats: Iterable, dim: int) -> tuple[np.ndarray, ...]:
 
 
 def split_blocks(m: np.ndarray, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The diagonal blocks of m: one (k, s, s) stack per (k, s) index stack."""
-    return [m[idx[:, :, None], idx[:, None, :]] for idx in blocks]
+    """The diagonal blocks of m: one (k, s, s) stack per (k, s) index stack.
+    For an (L, dim, dim) stack m the stacks are (L, k, s, s)."""
+    return [m[..., idx[:, :, None], idx[:, None, :]] for idx in blocks]
 
 
 def block_psd_power(stacks: Sequence[np.ndarray], p: float) -> list[np.ndarray]:

@@ -20,8 +20,8 @@ Two usage semantics are supported everywhere:
       system collapses round by round (outputs sampled from the current
       evolved state, which is then updated by the selected branch and the
       input's unitary).  The state is held per orthogonal block of the
-      device and stepped by the round operators ``uni @ proj`` of the plan,
-      the same stacks the --memory tree expands.
+      device and stepped by the device's round operators U_a P_a^x
+      (``Device.round_ops``), the same stacks the --memory tree expands.
 
 Success-state aggregates under fresh-state semantics come from a
 convolution: each sequence weight is a product over rounds and success
@@ -44,7 +44,6 @@ private round plan, and checks their compatibility there.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
@@ -53,7 +52,7 @@ import numpy as np
 
 from . import matcore
 from .devicemodel import Device, Letter, born_probabilities
-from .gamedefs import Game, require_compatible
+from .gamedefs import Game, require_compatible, spot_check
 from .matcore import dagger
 
 BRANCH_CAP = 10**7
@@ -186,24 +185,6 @@ class _RoundPlan:
     abar: int  # index of the distinguished input
     outputs: tuple[tuple[int, ...], ...]  # per input, its measured outputs in device order
 
-    @functools.cached_property
-    def state_blocks(self) -> list[np.ndarray]:
-        """The initial state's ``split_blocks`` on ``Device.blocks``, built on first use."""
-        return matcore.split_blocks(self.device.state, self.device.blocks)
-
-    @functools.cached_property
-    def ops(self) -> tuple[list[np.ndarray], ...]:
-        """Per input, the round operators ``uni @ proj`` of its measured outputs
-        in device order, as one (outputs, k, s, s) stack per block size of
-        ``Device.blocks``; built on first use, for the in-place semantics."""
-        d = self.device
-        ops = []
-        for a in self.game.input_alphabet:
-            uni = matcore.split_blocks(d.unitary(a), d.blocks)
-            projs = zip(*(matcore.split_blocks(p, d.blocks) for p in d.measurements[a].values()))
-            ops.append([u[None] @ np.stack(p) for u, p in zip(uni, projs)])
-        return tuple(ops)
-
 
 def _round_plan(g: Game, d: Device) -> _RoundPlan:
     """Check compatibility once and tabulate one round of (g, d)."""
@@ -230,16 +211,15 @@ def _round_plan(g: Game, d: Device) -> _RoundPlan:
 
 
 def _supported_inputs(plan: _RoundPlan, q: float) -> Iterator[tuple[float, int, bool]]:
-    """The supported inputs of G_q in its order, as (p_i, input index, test round).
-
-    The generation round (1 - q, abar) comes first, then each test round
-    (q p(a), a) of positive weight.
+    """The supported inputs of ``spot_check(plan.game, q)`` in its order, as
+    (p_i, input index, test round): the generation round (1 - q, abar) first,
+    then each test round (q p(a), a) of positive weight.
     """
-    yield 1.0 - q, plan.abar, False
-    for i, a in enumerate(plan.game.input_alphabet):
-        p_i = q * plan.game.prob(a)
+    g_q = spot_check(plan.game, q)
+    for t, a in g_q.input_alphabet:
+        p_i = g_q.prob((t, a))
         if p_i > 0.0:
-            yield p_i, i, True
+            yield p_i, plan.game.input_alphabet.index(a), t == 1
 
 
 def _uniforms(params: ProtocolParams) -> np.ndarray:
@@ -301,11 +281,12 @@ def _transcript(plan: _RoundPlan, params: ProtocolParams, fresh_state: bool) -> 
     if fresh_state:
         x_idx = _sample_outputs(plan.output_cdfs, a_idx, u[:, 2]).astype(np.int64)
     else:
-        state = plan.state_blocks
+        state = plan.device.state_blocks
+        ops = [plan.device.round_ops[a] for a in g.input_alphabet]
         x_idx = np.zeros(n, dtype=np.int64)
         for j in range(n):
             # every output's next state; its trace is the output's Born weight
-            nxt = _branches(plan.ops[a_idx[j]], state)
+            nxt = _branches(ops[a_idx[j]], state)
             born = _traces(nxt)
             cdf = np.cumsum(born / born.sum())
             cdf[-1] = max(cdf[-1], 1.0)
@@ -385,22 +366,20 @@ def _round_tables(
     Returns the supported inputs of G_q as (p_i, input index, branches), each
     branch being (born probability, sandwiched bracket, score in lattice
     units, raw score); the score is H(a, x) on a test round and 0 on a
-    generation round.  The sandwich phi^(1/(2+2eps)) and every bracket are
-    taken per orthogonal block of the device (``Device.blocks``).
+    generation round.  The sandwich phi^(1/(2+2eps)) and the brackets are
+    taken per orthogonal block of the device, with one batched call for all
+    of an input's branches (``Device.projector_blocks``).
     """
     d = plan.device
-    sandwich = matcore.block_psd_power(plan.state_blocks, 1.0 / (2.0 + 2.0 * eps))
+    sandwich = matcore.block_psd_power(d.state_blocks, 1.0 / (2.0 + 2.0 * eps))
     n_out = plan.scores.shape[1]
     brackets: dict[int, list[float]] = {}
     rows = []
     for p_i, i, test in _supported_inputs(plan, q):
         if i not in brackets:
-            brackets[i] = [
-                matcore.block_psd_bracket(
-                    [r @ pb @ r for r, pb in zip(sandwich, matcore.split_blocks(p, d.blocks))], eps
-                )
-                for p in d.measurements[plan.game.input_alphabet[i]].values()
-            ]
+            projs = d.projector_blocks[plan.game.input_alphabet[i]]
+            sandwiched = [r @ p @ r for r, p in zip(sandwich, projs)]
+            brackets[i] = matcore.block_psd_brackets(sandwiched, eps).tolist()
         branches = [
             (float(plan.born[i, j]), w, plan.units[i * n_out + j] if test else 0,
              float(plan.scores[i, j]) if test else 0.0)
@@ -448,11 +427,13 @@ def _memory_sums(
     ``+=`` over the success leaves in the last-in first-out order of a
     leaf-by-leaf walk, which is reverse-lexicographic over paths.
     """
-    state = plan.state_blocks
+    d, g = plan.device, plan.game
+    state = d.state_blocks
     sandwich = matcore.block_psd_power(state, 1.0 / (2.0 + 2.0 * eps))
-    n_out = len(plan.game.output_alphabet)
-    # child c's operator uni @ proj, as one (C, k, s, s) stack per block size
-    ops = [np.concatenate(stacks) for stacks in zip(*(plan.ops[i] for _, i, _ in rows))]
+    n_out = len(g.output_alphabet)
+    # child c's operator U_a P_a^x, as one (C, k, s, s) stack per block size
+    letters = [g.input_alphabet[i] for _, i, _ in rows]
+    ops = [np.concatenate(stacks) for stacks in zip(*(d.round_ops[a] for a in letters))]
     child_pq = np.array([p_i for p_i, i, _ in rows for _ in plan.outputs[i]])
     child_units = np.array(  # Python ints: exact sums
         [plan.units[i * n_out + j] if test else 0 for _, i, test in rows for j in plan.outputs[i]],
@@ -469,7 +450,7 @@ def _memory_sums(
             pq, units, mats = pq[keep], units[keep], [m[keep] for m in mats]
         return pq, units, mats
 
-    entries = sum(idx.size * idx.shape[1] for idx in plan.device.blocks)
+    entries = sum(idx.size * idx.shape[1] for idx in d.blocks)
     root_depth = 0
     while (
         root_depth < n_rounds

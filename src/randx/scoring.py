@@ -13,11 +13,13 @@ initial state and converges to a Renyi entropy rate as eps -> 0.
 
 Each public call builds one branch table: bracket(phi, eps) and the bracket
 of every measured branch it needs, each computed once.  ``randomness_report``
-reads all of its fields from a single table.  The table is built per
-orthogonal block of the device (``Device.blocks``): each branch is formed as
-P_b phi_b P_b on the diagonal blocks and bracketed by one batched
-eigendecomposition per block size, never as a dense product.  The score's
-bracket takes sqrt(K) and sqrt(K) phi sqrt(K) per block in the same way.
+reads all of its fields from a single table.  The table is built per input
+and per orthogonal block of the device, from the stacks the device keeps
+(``Device.state_blocks``, ``Device.projector_blocks``): all of an input's
+branches P_b phi_b P_b are formed in one stacked product and bracketed by one
+batched eigendecomposition per block size, never as dense products.  The
+score's bracket splits K, the one derived operator, and takes sqrt(K) and
+sqrt(K) phi sqrt(K) per block in the same way.
 """
 
 from __future__ import annotations
@@ -98,13 +100,12 @@ class _BranchTable:
 
 def _branch_table(d: Device, inputs: Iterable[Letter], eps: float) -> _BranchTable:
     """Bracket phi and every measured branch of ``inputs`` per block of the
-    device; unitaries cannot change them."""
-    phi = matcore.split_blocks(d.state, d.blocks)
+    device, one batched call per input; unitaries cannot change them."""
+    phi = d.state_blocks
     branches = {}
     for a in dict.fromkeys(inputs):
-        for x, p in d.measurements[a].items():
-            pb = matcore.split_blocks(p, d.blocks)
-            branches[a, x] = matcore.block_psd_bracket([q @ f @ q for q, f in zip(pb, phi)], eps)
+        w = matcore.block_psd_brackets([p @ f @ p for p, f in zip(d.projector_blocks[a], phi)], eps)
+        branches.update(zip(((a, x) for x in d.measurements[a]), w.tolist()))
     return _BranchTable(eps, matcore.block_psd_bracket(phi, eps), branches)
 
 
@@ -120,8 +121,7 @@ def _k_matrix(d: Device, terms: Iterable[_Term]) -> np.ndarray:
 def _score_bracket(d: Device, k: np.ndarray, eps: float) -> float:
     """bracket(sqrt(K) phi sqrt(K), eps), with sqrt(K) and the bracket taken per block."""
     root = matcore.block_psd_power(matcore.split_blocks(k, d.blocks), 0.5)
-    phi = matcore.split_blocks(d.state, d.blocks)
-    return matcore.block_psd_bracket([r @ f @ r for r, f in zip(root, phi)], eps)
+    return matcore.block_psd_bracket([r @ f @ r for r, f in zip(root, d.state_blocks)], eps)
 
 
 def game_operator(g: Game | SpotCheckGame, d: Device) -> GameOperator:

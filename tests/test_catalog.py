@@ -14,7 +14,7 @@ from randx.catalog import (
     magic_square,
     ms_answer_pairs,
 )
-from randx.classicaloracle import classical_value
+from randx.classicaloracle import classical_value, known_values
 from randx.devicemodel import (
     born_probabilities,
     is_classically_predictable,
@@ -41,22 +41,16 @@ class TestChshEntry:
 
     def test_expected_values_recomputed(self):
         entry = chsh()
+        row = known_values("chsh")
         assert scoring.eps_score(entry.game, entry.devices["optimal"], 0.0) == pytest.approx(
-            entry.expected_values["quantum_score"].value, abs=1e-9
+            row.w_quantum, abs=1e-9
         )
-        assert classical_value(entry.game).best_value == pytest.approx(
-            entry.expected_values["classical_value"].value, abs=1e-9
-        )
-        nt = entry.expected_values["noise_tolerance"].value
-        assert nt == pytest.approx(0.1035533, abs=1e-6)
+        assert classical_value(entry.game).best_value == pytest.approx(row.w_classical, abs=1e-9)
+        assert row.noise_tolerance == pytest.approx(0.1035533, abs=1e-6)
         # the predictable cap is witnessed by the deterministic device and by
         # the constrained optimization elsewhere; here check internal agreement
-        from randx.classicaloracle import known_values
-
-        cap = entry.expected_values["predictable_cap"].value
-        assert cap == known_values("chsh").w_quantum_abar
         assert scoring.eps_score(entry.game, entry.devices["classical"], 0.0) == pytest.approx(
-            cap, abs=1e-12
+            row.w_quantum_abar, abs=1e-12
         )
 
     def test_classical_device_predictable_on_every_input(self):
@@ -96,7 +90,7 @@ class TestMagicSquareEntry:
         entry = magic_square()
         avg = scoring.eps_score(entry.game, entry.devices["mixture"], 0.0)
         assert avg == pytest.approx(5 / 9 + (4 / 9) * CHSH_W, abs=1e-9)
-        assert avg == pytest.approx(entry.expected_values["mixture_average_win"].value, abs=1e-9)
+        assert avg == pytest.approx(known_values("magic-square").w_quantum, abs=1e-9)
 
     def test_mixture_beats_classical(self):
         entry = magic_square()

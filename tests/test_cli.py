@@ -248,6 +248,21 @@ def test_seed_env_variable(capsys, monkeypatch):
     assert payload["seed"] == 7
 
 
+def test_malformed_seed_env_variable(capsys, monkeypatch):
+    monkeypatch.setenv("RANDX_SEED", "abc")
+    # a subcommand without --seed ignores it
+    assert main(["magic-square-demo"]) == 0
+    capsys.readouterr()
+    # one with --seed reports a usage error
+    assert main(["simulate", "--n", "20", "--q", "0.3", "--chi", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --seed: invalid int value: 'abc'" in captured.err
+    # a flag still beats the environment
+    assert main(["simulate", "--n", "20", "--q", "0.3", "--chi", "0.5", "--seed", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+
+
 SEESAW_ARGV = ["seesaw", "--game", "chsh", "--dims", "2,2", "--restarts", "2", "--seed", "3"]
 
 

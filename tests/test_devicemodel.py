@@ -404,6 +404,27 @@ class TestBlocks:
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.blocks = ()
 
+    def test_block_stacks_cached_read_only_and_unsettable(self):
+        u = np.kron(np.eye(2), haar_unitary(2, np.random.default_rng(5)))
+        d = self.split_device(unitary=u)
+        assert [idx.tolist() for idx in d.blocks] == [[[0, 1], [2, 3]]]
+        idx = d.blocks[0]
+
+        def split(m):
+            return m[idx[:, :, None], idx[:, None, :]]
+
+        assert np.array_equal(d.state_blocks[0], split(d.state))
+        for j, p in enumerate(d.measurements[0].values()):
+            assert np.array_equal(d.projector_blocks[0][0][j], split(p))
+            assert np.allclose(d.round_ops[0][0][j], split(u @ p), atol=1e-15)
+        for name in ("state_blocks", "projector_blocks", "round_ops"):
+            value = getattr(d, name)
+            assert getattr(d, name) is value
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(d, name, value)
+        for stack in (*d.state_blocks, *d.projector_blocks[0], *d.round_ops[0]):
+            assert not stack.flags.writeable
+
     def test_one_off_block_projector_merges(self):
         v = np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2)
         d = self.split_device(extra_projector=np.outer(v, v))

@@ -333,12 +333,13 @@ def test_randomness_report_fields():
 
 
 def test_randomness_report_brackets_each_branch_once(monkeypatch):
-    brackets = []
+    bracketed = []  # each call's number of matrices L
     checks = []
-    real_bracket = matcore.block_psd_bracket
+    real_brackets = matcore.block_psd_brackets
     real_check = scoring.require_compatible
     monkeypatch.setattr(
-        matcore, "block_psd_bracket", lambda m, eps: brackets.append(1) or real_bracket(m, eps)
+        matcore, "block_psd_brackets",
+        lambda stacks, eps: bracketed.append(len(stacks[0])) or real_brackets(stacks, eps),
     )
     monkeypatch.setattr(
         scoring, "require_compatible", lambda g, d: checks.append(1) or real_check(g, d)
@@ -348,8 +349,24 @@ def test_randomness_report_brackets_each_branch_once(monkeypatch):
     randomness_report(entry.game, d, 0.1, s_values=(0.0, 1.0, 2.0))
     branches = sum(len(outs) for outs in d.measurements.values())
     # every branch once, plus phi and the K sandwich
-    assert len(brackets) == branches + 2
+    assert sum(bracketed) == branches + 2
+    # one call per input, plus phi and the K sandwich
+    assert len(bracketed) <= len(d.measurements) + 2 == 11
     assert len(checks) == 1
+
+
+def test_repeated_report_splits_only_k(monkeypatch):
+    entry = catalog.magic_square()
+    d = entry.devices["combined"]
+    randomness_report(entry.game, d, 0.1)
+    split = []
+    real_split = matcore.split_blocks
+    monkeypatch.setattr(
+        matcore, "split_blocks", lambda m, blocks: split.append(m.shape) or real_split(m, blocks)
+    )
+    randomness_report(entry.game, d, 0.2)
+    # the device keeps its state and projector stacks; only K is new
+    assert split == [(d.dim, d.dim)]
 
 
 REPORT_EPS = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
