@@ -8,14 +8,10 @@ demo checks.
 
 from randx import catalog
 from randx.classicaloracle import classical_value, known_values
-from randx.devicemodel import born_probabilities
 
 
 def win_profile(game, device):
-    return {
-        a: sum(p * game.score(a, x) for x, p in born_probabilities(device, a).items())
-        for a in game.input_alphabet
-    }
+    return {a: catalog.expected_win(game, device, a) for a in game.input_alphabet}
 
 
 def main():

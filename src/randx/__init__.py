@@ -18,7 +18,7 @@ from . import (  # noqa: F401
     protocol,
     scoring,
 )
-from .devicemodel import Device, evolve_sequence, state_pair, validate_device  # noqa: F401
+from .devicemodel import Device, validate_device  # noqa: F401
 from .gamedefs import Game, SpotCheckGame, spot_check, validate_game  # noqa: F401
 from .matcore import pinch, psd_power, schatten  # noqa: F401
 from .protocol import (  # noqa: F401
@@ -32,7 +32,6 @@ from .protocol import (  # noqa: F401
 from .scoring import (  # noqa: F401
     eps_randomness,
     eps_score,
-    game_operator,
     quadratic_rate_curve,
     weighted_randomness,
 )

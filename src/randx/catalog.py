@@ -367,7 +367,8 @@ class DemoReport:
         return all(c.passed for c in self.checks)
 
 
-def _expected_win(game: Game, device: Device, a) -> float:
+def expected_win(game: Game, device: Device, a) -> float:
+    """Win probability of a device on game input a: sum_x p(x|a) H(a, x)."""
     probs = born_probabilities(device, a)
     return sum(p * game.score(a, x) for x, p in probs.items())
 
@@ -409,7 +410,7 @@ def demo_not_randomness_generating() -> DemoReport:
     cross_wins = []
     off_wins = []
     for a in game.input_alphabet:
-        w = _expected_win(game, mixture, a)
+        w = expected_win(game, mixture, a)
         (cross_wins if (a[0] == 0 or a[1] == 0) else off_wins).append(w)
     checks.append(DemoCheck("mixture-win-on-cross", min(cross_wins), 1.0, 1e-9))
     checks.append(DemoCheck("mixture-win-off-cross-max", max(off_wins), CHSH_QUANTUM, 1e-9))
@@ -419,14 +420,14 @@ def demo_not_randomness_generating() -> DemoReport:
     loss_on = []
     loss_off = []
     for a in game.input_alphabet:
-        loss = 1.0 - _expected_win(game, cross_dev, a)
+        loss = 1.0 - expected_win(game, cross_dev, a)
         (loss_on if (a[0] == 0 or a[1] == 0) else loss_off).append(loss)
     checks.append(DemoCheck("cross-mixture-loss-on-cross", max(loss_on), 0.2, 1e-12))
     checks.append(DemoCheck("cross-mixture-loss-on-cross-min", min(loss_on), 0.2, 1e-12))
     checks.append(DemoCheck("cross-mixture-loss-off-cross", max(loss_off), 0.0, 1e-12))
 
     combined = entry.devices["combined"]
-    losses = [1.0 - _expected_win(game, combined, a) for a in game.input_alphabet]
+    losses = [1.0 - expected_win(game, combined, a) for a in game.input_alphabet]
     expected_loss = 0.2 * MS_LOSS_BETA / (0.2 + MS_LOSS_BETA)
     checks.append(DemoCheck("combined-loss-level", max(losses), expected_loss, 1e-9))
     checks.append(DemoCheck("combined-loss-spread", max(losses) - min(losses), 0.0, 1e-12))

@@ -1,4 +1,4 @@
-"""Untrusted-device models: construction, validation, and state evolution.
+"""Untrusted-device models: construction, validation, block stacks and files.
 
 A device holds a quantum system with an initial operator, one projective
 measurement per input letter, and one unitary per input letter applied after
@@ -12,10 +12,12 @@ the measurement.  Four structure tags are supported:
               positive semidefinite matrix (not trace one).
 
 Devices are immutable after construction; the memory a device keeps between
-rounds is represented by the evolved operators returned from
-``evolve_sequence``, never by mutable device state.  A device is split into
-its orthogonal blocks once: ``blocks`` and the read-only per-block stacks of
-its state, projectors and round operators U_a P_a^x are cached on first use.
+rounds is carried by the caller as evolved per-block states (see
+``protocol``), never by mutable device state.  A device is split into its
+orthogonal blocks once: ``blocks`` and the read-only per-block stacks of its
+state, projectors and round operators U_a P_a^x are cached on first use, and
+every device quantity the package computes, the Born table included, is read
+from those stacks.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .matcore import (
     frozen,
     hermiticity_defect,
     projector_defect,
-    sqrtm_psd,
 )
 
 GENERAL = "general"
@@ -53,15 +54,7 @@ class DeviceError(ValueError):
     pass
 
 
-class DimMismatchError(DeviceError):
-    pass
-
-
 class UnknownLetterError(DeviceError):
-    pass
-
-
-class LengthMismatchError(DeviceError):
     pass
 
 
@@ -105,17 +98,6 @@ class Device:
     @property
     def dim(self) -> int:
         return self.state.shape[0]
-
-    def projector(self, a: Letter, x: Letter) -> np.ndarray:
-        """Measurement projector for (input, output); zero if unlisted."""
-        if a not in self.measurements:
-            raise UnknownLetterError(f"unknown input letter {a!r}")
-        p = self.measurements[a].get(x)
-        if p is None:
-            if x not in self.output_alphabet:
-                raise UnknownLetterError(f"unknown output letter {x!r}")
-            return np.zeros((self.dim, self.dim), dtype=np.complex128)
-        return p
 
     def unitary(self, a: Letter) -> np.ndarray:
         u = self.unitaries.get(a)
@@ -402,69 +384,15 @@ def validate_device(d: Device) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
-class DeviceStatePair:
-    """Post-selection operators on the device and on its purifying system.
-
-    device_state = sqrt(X) phi sqrt(X); adversary_state = (sqrt(phi) X sqrt(phi))^T.
-    The two share their nonzero spectrum.
-    """
-
-    device_state: np.ndarray
-    adversary_state: np.ndarray
-
-
-def state_pair(d: Device, x) -> DeviceStatePair:
-    """Device/adversary state pair for a PSD operator X on the device space."""
-    xm = as_matrix(x)
-    if xm.shape[0] != d.dim:
-        raise DimMismatchError(f"X has dim {xm.shape[0]}, device has dim {d.dim}")
-    rx = sqrtm_psd(xm)
-    rphi = sqrtm_psd(d.state)
-    dev = rx @ d.state @ rx
-    adv = (rphi @ xm @ rphi).T
-    return DeviceStatePair(device_state=dev, adversary_state=adv)
-
-
-def _branch_operator(d: Device, a_seq: Sequence[Letter], x_seq: Sequence[Letter]) -> np.ndarray:
-    """M_n ... M_1 with M_j = U_{a_j} P_{a_j}^{x_j}."""
-    m = np.eye(d.dim, dtype=np.complex128)
-    for a, x in zip(a_seq, x_seq):
-        m = d.unitary(a) @ d.projector(a, x) @ m
-    return m
-
-
-def evolve_sequence(d: Device, a_seq: Sequence[Letter], x_seq: Sequence[Letter]) -> DeviceStatePair:
-    """Joint device/adversary operators after an input/output sequence.
-
-    For the empty sequence this is (phi, phi^T).  The trace of the device
-    state is the Born probability of the output sequence for a normalized
-    device.
-    """
-    a_seq = list(a_seq)
-    x_seq = list(x_seq)
-    if len(a_seq) != len(x_seq):
-        raise LengthMismatchError(
-            f"input sequence length {len(a_seq)} != output sequence length {len(x_seq)}"
-        )
-    for a in a_seq:
-        if a not in d.measurements:
-            raise UnknownLetterError(f"unknown input letter {a!r}")
-    m = _branch_operator(d, a_seq, x_seq)
-    dev = m @ d.state @ dagger(m)
-    rphi = sqrtm_psd(d.state)
-    adv = (rphi @ dagger(m) @ m @ rphi).T
-    return DeviceStatePair(device_state=dev, adversary_state=adv)
-
-
 def born_probabilities(d: Device, a: Letter) -> dict[Letter, float]:
-    """Outcome distribution for one use on input a (unlisted outputs omitted)."""
+    """Outcome distribution for one use on input a (unlisted outputs omitted):
+    Tr[P_a^x phi] summed over the blocks of the device, one einsum per block size."""
     if a not in d.measurements:
         raise UnknownLetterError(f"unknown input letter {a!r}")
-    out: dict[Letter, float] = {}
-    for x, p in d.measurements[a].items():
-        out[x] = float(np.einsum("ij,ji->", p, d.state).real)
-    return out
+    probs = sum(
+        np.einsum("xkij,kji->x", p, f).real for p, f in zip(d.projector_blocks[a], d.state_blocks)
+    )
+    return dict(zip(d.measurements[a], probs.tolist()))
 
 
 def is_classically_predictable(d: Device, a: Letter) -> tuple[bool, float]:

@@ -231,10 +231,6 @@ def psd_power(m, p: float) -> np.ndarray:
     return block_psd_power([np.asarray(m)[None]], p)[0][0]
 
 
-def sqrtm_psd(m) -> np.ndarray:
-    return psd_power(m, 0.5)
-
-
 @dataclass(frozen=True)
 class SchattenValue:
     bracket: float  # Tr[(Z†Z)^{(1+eps)/2}]

@@ -202,9 +202,9 @@ def _round_plan(g: Game, d: Device) -> _RoundPlan:
     input_cdf = np.cumsum([g.prob(a) for a in g.input_alphabet])
     input_cdf[-1] = max(input_cdf[-1], 1.0)
     flat = [g.score(a, x) for a in g.input_alphabet for x in g.output_alphabet]
-    ratios = [_ratio(h) for h in flat]
-    den = math.lcm(*(r for _, r in ratios))
-    units = tuple(num * (den // r) for num, r in ratios)
+    ratios = {h: _ratio(h) for h in set(flat)}
+    den = math.lcm(*(r for _, r in ratios.values()))
+    units = tuple(ratios[h][0] * (den // ratios[h][1]) for h in flat)
     scores = np.array(flat).reshape(n_in, n_out)
     abar = g.input_alphabet.index(g.distinguished_input)
     return _RoundPlan(g, d, input_cdf, born, output_cdfs, scores, units, den, abar, tuple(outputs))

@@ -6,8 +6,7 @@ score of a device at a game is
     W^eps = bracket(sqrt(K) phi sqrt(K), eps) / bracket(phi, eps)
 
 with K the game operator sum p(a) H(a,x) P_a^x; at eps = 0 this is the
-ordinary Born-rule expected score.  ``game_operator`` returns the sandwich
-states ``devicemodel.state_pair(d, K)``.  The (1+eps)-randomness compares the
+ordinary Born-rule expected score.  The (1+eps)-randomness compares the
 bracket of the post-measurement branches P_a^x phi P_a^x with that of the
 initial state and converges to a Renyi entropy rate as eps -> 0.
 
@@ -17,9 +16,10 @@ reads all of its fields from a single table.  The table is built per input
 and per orthogonal block of the device, from the stacks the device keeps
 (``Device.state_blocks``, ``Device.projector_blocks``): all of an input's
 branches P_b phi_b P_b are formed in one stacked product and bracketed by one
-batched eigendecomposition per block size, never as dense products.  The
-score's bracket splits K, the one derived operator, and takes sqrt(K) and
-sqrt(K) phi sqrt(K) per block in the same way.
+batched eigendecomposition per block size, never as dense products.  K is
+summed per block from the same projector stacks, and sqrt(K) and
+sqrt(K) phi sqrt(K) are taken per block in the same way; no dense matrix is
+formed or split.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import matcore
-from .devicemodel import Device, Letter, is_classically_predictable, state_pair
+from .devicemodel import Device, Letter, is_classically_predictable
 from .gamedefs import Game, SpotCheckGame, require_compatible
 
 LOG2E = math.log2(math.e)
@@ -52,19 +52,6 @@ class DomainError(ScoringError):
 
 class NotPredictableError(ScoringError):
     pass
-
-
-@dataclass(frozen=True)
-class GameOperator:
-    """K = sum p(a) H(a,x) P_a^x with its device/adversary sandwich states.
-
-    The sandwich states are ``state_pair(d, K)``: sqrt(K) phi sqrt(K) and
-    (sqrt(phi) K sqrt(phi))^T.
-    """
-
-    matrix: np.ndarray
-    device_state: np.ndarray  # sqrt(K) phi sqrt(K)
-    adversary_state: np.ndarray  # (sqrt(phi) K sqrt(phi))^T
 
 
 _Term = tuple[float, Letter, Letter, float]  # (probability, input, output, score)
@@ -109,33 +96,26 @@ def _branch_table(d: Device, inputs: Iterable[Letter], eps: float) -> _BranchTab
     return _BranchTable(eps, matcore.block_psd_bracket(phi, eps), branches)
 
 
-def _k_matrix(d: Device, terms: Iterable[_Term]) -> np.ndarray:
-    """K = sum p(a) H(a,x) P_a^x; block diagonal on ``d.blocks`` like every projector."""
-    k = np.zeros((d.dim, d.dim), dtype=np.complex128)
+def _k_blocks(d: Device, terms: Iterable[_Term]) -> list[np.ndarray]:
+    """K = sum p(a) H(a,x) P_a^x as one (k, s, s) stack per block size of the
+    device, summed from ``Device.projector_blocks``.  Each entry adds the same
+    terms in the same order as the dense sum would, so it is that sum's entry
+    bit for bit."""
+    k = [np.zeros_like(f) for f in d.state_blocks]
+    rows = {a: {x: j for j, x in enumerate(outs)} for a, outs in d.measurements.items()}
     for p, a, x, h in terms:
         if h != 0.0:
-            k += (p * h) * d.measurements[a][x]
+            j = rows[a][x]
+            for kb, pb in zip(k, d.projector_blocks[a]):
+                kb += (p * h) * pb[j]
     return k
 
 
-def _score_bracket(d: Device, k: np.ndarray, eps: float) -> float:
-    """bracket(sqrt(K) phi sqrt(K), eps), with sqrt(K) and the bracket taken per block."""
-    root = matcore.block_psd_power(matcore.split_blocks(k, d.blocks), 0.5)
+def _score_bracket(d: Device, k: list[np.ndarray], eps: float) -> float:
+    """bracket(sqrt(K) phi sqrt(K), eps) from K's block stacks, with sqrt(K)
+    and the bracket taken per block."""
+    root = matcore.block_psd_power(k, 0.5)
     return matcore.block_psd_bracket([r @ f @ r for r, f in zip(root, d.state_blocks)], eps)
-
-
-def game_operator(g: Game | SpotCheckGame, d: Device) -> GameOperator:
-    """Assemble the game operator for a compatible device.
-
-    For bounded games K <= I holds automatically.  The sandwich states use the
-    device's initial operator.
-    """
-    require_compatible(g, d)
-    k = _k_matrix(d, _game_terms(g, d))
-    pair = state_pair(d, k)
-    return GameOperator(
-        matrix=k, device_state=pair.device_state, adversary_state=pair.adversary_state
-    )
 
 
 def eps_score(g: Game | SpotCheckGame, d: Device, eps: float) -> float:
@@ -143,7 +123,7 @@ def eps_score(g: Game | SpotCheckGame, d: Device, eps: float) -> float:
     if not 0.0 <= eps <= 1.0:
         raise BadParamsError(f"eps must lie in [0, 1], got {eps}")
     require_compatible(g, d)
-    return _score_bracket(d, _k_matrix(d, _game_terms(g, d)), eps) / _branch_table(d, (), eps).state
+    return _score_bracket(d, _k_blocks(d, _game_terms(g, d)), eps) / _branch_table(d, (), eps).state
 
 
 def _randomness(table: _BranchTable, terms: list[_Term], s: float) -> float:
@@ -318,7 +298,7 @@ def randomness_report(
     table = _branch_table(d, [base.distinguished_input, *(a for _, a, _, _ in terms)], eps)
     return RandomnessReport(
         eps=eps,
-        w_eps=_score_bracket(d, _k_matrix(d, terms), eps) / table.state,
+        w_eps=_score_bracket(d, _k_blocks(d, terms), eps) / table.state,
         r_input=_randomness(table, letter, 0.0),
         r_game=_randomness(table, terms, 0.0),
         r_weighted={float(s): _randomness(table, terms, s) for s in s_values},

@@ -94,12 +94,7 @@ def test_criterion_04_magic_square_suite():
     beta = 0.5 - math.sqrt(2.0) / 4.0
     loss_target = 0.2 * beta / (0.2 + beta)
     combined = entry.devices["combined"]
-    losses = []
-    for a in game.input_alphabet:
-        from randx.devicemodel import born_probabilities
-
-        probs = born_probabilities(combined, a)
-        losses.append(1.0 - sum(p * game.score(a, x) for x, p in probs.items()))
+    losses = [1.0 - catalog.expected_win(game, combined, a) for a in game.input_alphabet]
     loss_ok = abs(max(losses) - loss_target) <= 1e-9
     constant_ok = max(losses) - min(losses) <= 1e-12
 

@@ -8,6 +8,7 @@ from randx import catalog, scoring
 from randx.catalog import (
     chsh,
     demo_not_randomness_generating,
+    expected_win,
     get_device,
     get_entry,
     get_game,
@@ -23,12 +24,6 @@ from randx.devicemodel import (
 from randx.gamedefs import validate_game
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
-
-
-def expected_win(game, device, a):
-    return sum(
-        p * game.score(a, x) for x, p in born_probabilities(device, a).items()
-    )
 
 
 class TestChshEntry:

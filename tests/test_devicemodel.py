@@ -11,19 +11,15 @@ from randx.devicemodel import (
     COMPONENTS,
     CONTEXTUAL,
     GENERAL,
-    DimMismatchError,
-    LengthMismatchError,
     UnknownLetterError,
     born_probabilities,
     components_device,
     device_from_dict,
     device_to_dict,
-    evolve_sequence,
     json_text,
     load_device,
     make_device,
     save_device,
-    state_pair,
     validate_device,
 )
 from randx.matcore import (
@@ -35,6 +31,8 @@ from randx.matcore import (
     haar_unitary,
     matrix_to_pairs,
 )
+from tests import dense
+from tests.dense import DimMismatchError, LengthMismatchError, evolve_sequence, state_pair
 
 
 def random_device(seed, dim=3, n_inputs=2, n_outputs=3):
@@ -286,6 +284,26 @@ def test_born_probabilities_normalized():
         probs = born_probabilities(d, a)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
         assert all(p >= -1e-12 for p in probs.values())
+
+
+def assert_born_table_matches_dense(d):
+    for a in d.measurements:
+        probs = born_probabilities(d, a)
+        ref = dense.born_probabilities(d, a)
+        assert list(probs) == list(ref)
+        assert max(abs(probs[x] - ref[x]) for x in ref) <= 1e-15, (d.name, a)
+
+
+@pytest.mark.parametrize("entry", ["chsh", "magic-square"])
+def test_born_probabilities_match_dense_on_catalog(entry):
+    for d in catalog.get_entry(entry).devices.values():
+        assert_born_table_matches_dense(d)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_born_probabilities_match_dense_on_random_devices(seed):
+    assert_born_table_matches_dense(random_device(seed))
 
 
 def test_device_file_roundtrip(tmp_path):

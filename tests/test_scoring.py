@@ -14,13 +14,14 @@ from randx.scoring import (
     devind_bound,
     eps_randomness,
     eps_score,
-    game_operator,
     ghz_comparison_curve,
     predictable_cap_check,
     quadratic_rate_curve,
     randomness_report,
     weighted_randomness,
 )
+from tests import dense
+from tests.dense import game_operator
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
 
@@ -355,7 +356,7 @@ def test_randomness_report_brackets_each_branch_once(monkeypatch):
     assert len(checks) == 1
 
 
-def test_repeated_report_splits_only_k(monkeypatch):
+def test_repeated_report_and_round_plan_split_nothing(monkeypatch):
     entry = catalog.magic_square()
     d = entry.devices["combined"]
     randomness_report(entry.game, d, 0.1)
@@ -365,8 +366,20 @@ def test_repeated_report_splits_only_k(monkeypatch):
         matcore, "split_blocks", lambda m, blocks: split.append(m.shape) or real_split(m, blocks)
     )
     randomness_report(entry.game, d, 0.2)
-    # the device keeps its state and projector stacks; only K is new
-    assert split == [(d.dim, d.dim)]
+    protocol._round_plan(entry.game, d)
+    # the device keeps its state and projector stacks, and K and the Born
+    # table are formed from them
+    assert split == []
+
+
+@pytest.mark.parametrize("entry", ["chsh", "magic-square"])
+def test_block_k_equals_dense_k(entry):
+    e = catalog.get_entry(entry)
+    for d in e.devices.values():
+        k = scoring._k_blocks(d, scoring._game_terms(e.game, d))
+        ref = matcore.split_blocks(dense.game_operator(e.game, d).matrix, d.blocks)
+        assert len(k) == len(ref)
+        assert all(np.array_equal(kb, rb) for kb, rb in zip(k, ref)), d.name
 
 
 REPORT_EPS = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
