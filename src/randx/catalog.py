@@ -45,7 +45,7 @@ from .devicemodel import (
     make_device,
 )
 from .gamedefs import Game, nonlocal_game
-from .matcore import ginibre, haar_pvm
+from .matcore import haar_pvm, random_psd
 
 SQRT2 = math.sqrt(2.0)
 CHSH_QUANTUM = 0.5 + SQRT2 / 4.0
@@ -130,15 +130,13 @@ def random_chsh_device(rng: np.random.Generator, perturbed: bool = False) -> Dev
         site1 = {a: _rotated_basis(t) for a, t in ang1.items()}
         site2 = {a: _rotated_basis(t) for a, t in ang2.items()}
         lam = rng.uniform(0.0, 0.3)
-        g = ginibre((4, 4), rng)
-        noise = g.conj().T @ g
+        noise = random_psd(4, rng)
         noise /= np.trace(noise).real
         state = (1 - lam) * _bell_state() + lam * noise
     else:
         site1 = {a: dict(enumerate(haar_pvm(2, 2, rng))) for a in (0, 1)}
         site2 = {a: dict(enumerate(haar_pvm(2, 2, rng))) for a in (0, 1)}
-        g = ginibre((4, 4), rng)
-        state = g.conj().T @ g
+        state = random_psd(4, rng)
         state /= np.trace(state).real
     return components_device((2, 2), state, (site1, site2))
 

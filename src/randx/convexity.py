@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import matcore
-from .matcore import VALIDATION_TOL, ginibre, schatten_stack
+from .matcore import VALIDATION_TOL, schatten_stack
 
 MARGIN_TOL = -1e-10
 
@@ -181,18 +181,9 @@ def check_chain_disturbance(
 # randomized sampling
 #
 # Suite inputs come from the matcore samplers: ginibre matrices for uniform
-# convexity, Haar-rotated projective measurements (matcore.haar_pvm, stacked
-# as haar_from_ginibre and column_pvm) for the disturbance suites, and the
-# Wishart-style states below.
-
-
-def _gram(g: np.ndarray) -> np.ndarray:
-    return matcore.dagger(g) @ g
-
-
-def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Wishart-style PSD sample G†G with iid standard complex Gaussian G."""
-    return _gram(ginibre((dim, dim), rng))
+# convexity, and Haar-rotated projective measurements (matcore.haar_pvm,
+# stacked as haar_from_ginibre and column_pvm) with Wishart states
+# (matcore.random_psd, stacked as G†G) for the disturbance suites.
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +265,7 @@ def _suite_checks(suite: str, draws: list[_Draw]) -> list[InequalityCheck]:
     b = matcore.ginibre_from_normals(normals[1])
     if suite == "uniform-convexity":
         return _uniform_convexity(a, b, eps, True)
-    tau = _gram(a)
+    tau = matcore.dagger(a) @ a
     u = matcore.haar_from_ginibre(b)
 
     def evaluate(parts: int, sel: list[int]) -> list[InequalityCheck]:

@@ -11,12 +11,13 @@ stack; ``block_psd_brackets`` brackets L such matrices from ``(L, k, s, s)``
 stacks in the same calls.  ``psd_bracket`` and ``psd_power`` are their
 one-block case.
 Schatten norms of arbitrary matrices take the same shape: ``schatten_stack``
-runs one batched SVD per (k, d, d) stack, and ``schatten``, ``bracket`` and
-``snorm`` are its one-matrix case.
+runs one batched SVD per (k, d, d) stack, and ``schatten`` and ``snorm`` are
+its one-matrix case.
 
 The random-matrix samplers live here too, so every random input in the
 package draws the same way: ``ginibre`` (complex Gaussian arrays),
-``haar_unitary`` and ``haar_pvm`` (Haar-rotated projective measurements).
+``random_psd`` (Wishart states G†G), ``haar_unitary`` and ``haar_pvm``
+(Haar-rotated projective measurements).
 ``ginibre_from_normals``, ``haar_from_ginibre`` and ``column_pvm`` are their
 deterministic halves and take (k, d, d) stacks, so a caller that draws each
 trial from its own stream can still combine and decompose in batched calls.
@@ -274,10 +275,6 @@ def schatten(z, eps: float) -> SchattenValue:
     return SchattenValue(bracket=brackets[0], norm=norms[0])
 
 
-def bracket(z, eps: float) -> float:
-    return schatten(z, eps).bracket
-
-
 def snorm(z, eps: float) -> float:
     return schatten(z, eps).norm
 
@@ -345,6 +342,12 @@ def ginibre(shape: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarra
 def ginibre_from_normals(x: np.ndarray) -> np.ndarray:
     """x[0] + i x[1]: the array ``ginibre`` makes from its draw x of real normals."""
     return x[0] + 1j * x[1]
+
+
+def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Wishart-style PSD sample G†G with iid standard complex Gaussian G."""
+    g = ginibre((dim, dim), rng)
+    return dagger(g) @ g
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

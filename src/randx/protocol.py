@@ -56,7 +56,8 @@ from .gamedefs import Game, require_compatible, spot_check
 from .matcore import dagger
 
 BRANCH_CAP = 10**7
-# The --memory tree drops a branch of at most this born weight before its last round.
+# The zero rule for a branch, in both enumerators and at every round: a child
+# whose Born weight is at most this multiple of its parent's is zero (``_nonzero``).
 PRUNE_FLOOR = 1e-30
 # One batch of the --memory tree holds at most this many complex matrix
 # entries over all its nodes (4 MiB), whatever N is.
@@ -164,6 +165,21 @@ def _meets_threshold(units, den: int, threshold: float):
     """
     tn, td = threshold.as_integer_ratio()
     return units * td >= tn * den
+
+
+def _check_chi(chi: float) -> None:
+    """The chi domain of enumeration and of the rate-curve pipeline alike."""
+    if not 0.0 <= chi < math.inf:
+        raise ProtocolError(f"chi must be nonnegative and finite, got {chi}")
+
+
+def _nonzero(born, parent):
+    """The zero rule for a branch: a child counts iff its Born weight exceeds
+    ``PRUNE_FLOOR`` times its parent's (tr phi for a fresh round, the parent
+    node's trace in the --memory tree), so it does not depend on the state's
+    scale.  Roundoff leaves a product of orthogonal projectors at about 1e-17,
+    not 0; the rule drops such a branch.  Elementwise on arrays."""
+    return born > PRUNE_FLOOR * parent
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +368,7 @@ class SuccessStateSummary:
     eps: float
     mass: float
     renyi_randomness: float
-    branches: int  # success branches with nonzero contribution
+    branches: int  # success sequences none of whose rounds the zero rule drops
     n_rounds: int
     q: float
     chi: float
@@ -389,24 +405,22 @@ def _round_tables(
     return rows
 
 
-def _lattice_table(rows) -> dict[int, list]:
-    """One round's branches grouped by their score in lattice units.
+def _lattice_table(rows, parent: float) -> dict[int, list]:
+    """One round's nonzero branches grouped by their score in lattice units.
 
-    Entry k holds the born weight sum p_i born, the bracket weight sum p_i w,
-    and the numbers of branches with born > 0, with w > 0, and with both.
-    Born probabilities and brackets are nonnegative, so a product over rounds
-    is positive iff every factor is, and these counts convolve like the
-    weights.
+    ``parent`` is tr phi, the Born weight every fresh round starts from, and a
+    branch is left out when ``_nonzero`` calls it zero.  Entry k holds the
+    born weight sum p_i born, the bracket weight sum p_i w and the number of
+    branches, each of which convolves over rounds like a weight.
     """
     table: dict[int, list] = {}
     for p_i, _i, branches in rows:
         for born, w, units, _h in branches:
-            e = table.setdefault(units, [0.0, 0.0, 0, 0, 0])
-            e[0] += p_i * born
-            e[1] += p_i * w
-            e[2] += born > 0.0
-            e[3] += w > 0.0
-            e[4] += born > 0.0 and w > 0.0
+            if _nonzero(born, parent):
+                e = table.setdefault(units, [0.0, 0.0, 0])
+                e[0] += p_i * born
+                e[1] += p_i * w
+                e[2] += 1
     return table
 
 
@@ -416,16 +430,17 @@ def _memory_sums(
     """(mass, bracket sum, branches) of the --memory sequence tree, in batches.
 
     A node is a branch operator m, a product of block-diagonal projectors and
-    unitaries, with its q-weight product and its score in lattice units.  A
-    stack of L nodes holds m as one (L, k, s, s) stack per block size of
-    ``Device.blocks``.  The children of a node are ``(uni @ proj) @ m`` in
-    (rows, outputs) order, so one stacked matmul expands a whole depth; a
-    child before the last round whose born weight is at most ``PRUNE_FLOOR``
-    is dropped.  The tree is walked depth-first down to the least depth whose
-    subtrees hold at most ``MEMORY_BATCH_ENTRIES`` matrix entries in all, and
-    each subtree below that depth is one batch.  The sums are plain float
-    ``+=`` over the success leaves in the last-in first-out order of a
-    leaf-by-leaf walk, which is reverse-lexicographic over paths.
+    unitaries, with its q-weight product, its score in lattice units and its
+    Born weight tr(m phi m†).  A stack of L nodes holds m as one (L, k, s, s)
+    stack per block size of ``Device.blocks``.  The children of a node are
+    ``(uni @ proj) @ m`` in (rows, outputs) order, so one stacked matmul
+    expands a whole depth, and every depth drops the children that
+    ``_nonzero`` calls zero against their parent's weight.  ``branches`` is the
+    number of success leaves kept.  The tree is walked depth-first down to the
+    least depth whose subtrees hold at most ``MEMORY_BATCH_ENTRIES`` matrix
+    entries in all, and each subtree below that depth is one batch.  The sums
+    are plain float ``+=`` over the success leaves in the last-in first-out
+    order of a leaf-by-leaf walk, which is reverse-lexicographic over paths.
     """
     d, g = plan.device, plan.game
     state = d.state_blocks
@@ -440,15 +455,16 @@ def _memory_sums(
         dtype=object,
     )
 
-    def expand(depth, pq, units, mats):
-        """The children of a stack of nodes at ``depth``, node-major in child order."""
-        mats = [(op[None] @ m[:, None]).reshape(-1, *m.shape[1:]) for op, m in zip(ops, mats)]
-        pq = (pq[:, None] * child_pq).ravel()
-        units = (units[:, None] + child_units).ravel()
-        if depth + 1 < n_rounds:
-            keep = _traces(_branches(mats, state)) > PRUNE_FLOOR
-            pq, units, mats = pq[keep], units[keep], [m[keep] for m in mats]
-        return pq, units, mats
+    def expand(pq, units, born, mats):
+        """The nonzero children of a stack of nodes, node-major in child order,
+        in C order: numpy's sum over the blocks in ``_traces`` rounds by layout."""
+        mats = [np.matmul(op[None], m[:, None], order="C").reshape(-1, *m.shape[1:])
+                for op, m in zip(ops, mats)]
+        child_born = _traces(_branches(mats, state))
+        keep = _nonzero(child_born, np.repeat(born, len(child_pq)))
+        pq = (pq[:, None] * child_pq).ravel()[keep]
+        units = (units[:, None] + child_units).ravel()[keep]
+        return pq, units, child_born[keep], [m[keep] for m in mats]
 
     entries = sum(idx.size * idx.shape[1] for idx in d.blocks)
     root_depth = 0
@@ -461,27 +477,26 @@ def _memory_sums(
     mass = ksum = 0.0
     branches = 0
     root = [np.broadcast_to(np.eye(b.shape[-1], dtype=np.complex128), (1, *b.shape)) for b in state]
-    stack = [(0, np.ones(1), np.zeros(1, dtype=object), root)]
+    stack = [(0, np.ones(1), np.zeros(1, dtype=object), _traces([b[None] for b in state]), root)]
     while stack:
-        depth, pq, units, mats = stack.pop()
+        depth, pq, units, born, mats = stack.pop()
         if depth < root_depth:
-            pq, units, mats = expand(depth, pq, units, mats)
+            pq, units, born, mats = expand(pq, units, born, mats)
             stack.extend(
-                (depth + 1, pq[c:c + 1], units[c:c + 1], [m[c:c + 1] for m in mats])
+                (depth + 1, pq[c:c + 1], units[c:c + 1], born[c:c + 1], [m[c:c + 1] for m in mats])
                 for c in range(len(pq))
             )
             continue
-        for level in range(depth, n_rounds):
-            pq, units, mats = expand(level, pq, units, mats)
+        for _ in range(depth, n_rounds):
+            pq, units, born, mats = expand(pq, units, born, mats)
         won = _meets_threshold(units, plan.den, threshold)
         if not won.any():
             continue
-        pq, mats = pq[won], [m[won] for m in mats]
-        born = _traces(_branches(mats, state))
+        pq, born, mats = pq[won], born[won], [m[won] for m in mats]
         w = matcore.block_psd_brackets(
             [r @ dagger(m) @ m @ r for r, m in zip(sandwich, mats)], eps
         )
-        branches += int(np.count_nonzero(pq * (born + w) > 0.0))
+        branches += len(pq)
         for x, y in zip((pq * born)[::-1].tolist(), (pq * w)[::-1].tolist()):
             mass += x
             ksum += y
@@ -506,26 +521,27 @@ def enumerate_success_state(
     factorizes over rounds and success depends only on the summed score, so
     the one-round table of score classes is convolved N times, in
     O(N * classes) work; the score sum is an exact integer of lattice units
-    and is compared exactly with the float chi*q*N.  ``branches`` counts the
-    success sequences whose born or bracket product is positive, by
-    inclusion-exclusion over per-class counts.  The memory path expands the
-    sequence tree, since its branches depend on the evolving state.  It works
-    on batches of nodes held per orthogonal block of the device
+    and is compared exactly with the float chi*q*N.  The memory path expands
+    the sequence tree, since its branches depend on the evolving state.  It
+    works on batches of nodes held per orthogonal block of the device
     (``Device.blocks``), with one stacked product per depth and one batched
     eigh per block size for the brackets of the success leaves; a batch is a
     subtree of at most ``MEMORY_BATCH_ENTRIES`` matrix entries, so memory does
-    not grow with N.  It drops branches of born weight at most
-    ``PRUNE_FLOOR`` before the last round, and adds the leaves in the order
-    of a depth-first walk that pushes children in (rows, outputs) order.  On
-    both paths the guard rejects runs of more than ``branch_cap`` sequences.
+    not grow with N.  It adds the leaves in the order of a depth-first walk
+    that pushes children in (rows, outputs) order.
+
+    Both paths apply one zero rule at every round (``_nonzero``): a branch
+    whose Born weight is at most ``PRUNE_FLOOR`` times its parent's is
+    dropped, from the sums and from ``branches``, the number of success
+    sequences left.  On both paths the guard rejects runs of more than
+    ``branch_cap`` sequences.
     """
     plan = _round_plan(g, d)
     if not 0.0 < eps <= 1.0:
         raise ProtocolError(f"eps must lie in (0, 1], got {eps}")
     if not 0.0 < q < 1.0:
         raise ProtocolError(f"q must lie in (0, 1), got {q}")
-    if not 0.0 <= chi < math.inf:
-        raise ProtocolError(f"chi must be nonnegative and finite, got {chi}")
+    _check_chi(chi)
     if n_rounds < 1:
         raise ProtocolError("n_rounds must be positive")
     rows = list(_supported_inputs(plan, q))
@@ -537,24 +553,23 @@ def enumerate_success_state(
     threshold = chi * q * n_rounds
 
     if fresh_state:
-        table = _lattice_table(_round_tables(plan, q, eps))
-        # classes: summed lattice units -> [born, bracket, #born>0, #w>0, #both]
-        dist = {0: [1.0, 1.0, 1, 1, 1]}
+        tr_phi = float(_traces([b[None] for b in d.state_blocks])[0])
+        table = _lattice_table(_round_tables(plan, q, eps), tr_phi)
+        # classes: summed lattice units -> [born, bracket, branches]
+        dist = {0: [1.0, 1.0, 1]}
         for _ in range(n_rounds):
             nxt: dict[int, list] = {}
-            for s, (m, kw, nb, nw, nbw) in dist.items():
-                for k, (tm, tk, tb, tw, tbw) in table.items():
-                    e = nxt.setdefault(s + k, [0.0, 0.0, 0, 0, 0])
+            for s, (m, kw, nb) in dist.items():
+                for k, (tm, tk, tb) in table.items():
+                    e = nxt.setdefault(s + k, [0.0, 0.0, 0])
                     e[0] += m * tm
                     e[1] += kw * tk
                     e[2] += nb * tb
-                    e[3] += nw * tw
-                    e[4] += nbw * tbw
             dist = nxt
         won = [acc for s, acc in dist.items() if _meets_threshold(s, plan.den, threshold)]
         mass = math.fsum(acc[0] for acc in won)
         ksum = math.fsum(acc[1] for acc in won)
-        branches = sum(acc[2] + acc[3] - acc[4] for acc in won)
+        branches = sum(acc[2] for acc in won)
     else:
         mass, ksum, branches = _memory_sums(plan, rows, n_rounds, eps, threshold)
 
@@ -632,8 +647,7 @@ def extractable_bits(
     """
     if not (0.0 < q < 1.0 and b > 0.0 and n_rounds >= 1):
         raise ProtocolError("require 0 < q < 1, b > 0, n_rounds >= 1")
-    if chi < 0.0:
-        raise ProtocolError(f"chi must be nonnegative, got {chi}")
+    _check_chi(chi)
     delta = math.sqrt(2.0) * 2.0 ** (-b * q * n_rounds)
     log_term = 2.0 * b * q * n_rounds  # log2(2/delta^2), immune to delta underflow
     eps_star = min(1.0, math.sqrt(q * log_term / n_rounds))

@@ -236,6 +236,19 @@ def test_entropy_bound_reports_seed_scale(capsys):
     assert payload["seed_bits_scale_log2n_cubed"] == pytest.approx(12.0 ** 3)
 
 
+@pytest.mark.parametrize("chi", ["nan", "inf"])
+def test_non_finite_chi_exits_one(chi, capsys):
+    # the rate-curve pipeline and enumeration share one chi domain and message
+    rate_curve = ["entropy-bound", "--b", "0.5", "--chi", chi, "--q", "0.1", "--n", "1000",
+                  "--w", "0.75", "--r", "4"]
+    enumeration = ["enumerate", "--n", "1", "--q", "0.3", "--chi", chi, "--eps", "0.2"]
+    for argv in (rate_curve, enumeration):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"chi must be nonnegative and finite, got {chi}" in captured.err
+
+
 def test_seed_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("RANDX_SEED", "99")
     assert main(["simulate", "--n", "20", "--q", "0.3", "--chi", "0.5"]) == 0

@@ -16,10 +16,9 @@ from randx.convexity import (
     check_binary_disturbance,
     check_chain_disturbance,
     check_uniform_convexity,
-    random_psd,
     run_suite,
 )
-from randx.matcore import NotAResolutionError, ginibre, haar_pvm, snorm
+from randx.matcore import NotAResolutionError, ginibre, haar_pvm, random_psd, snorm
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.sampled_from([2, 3, 4, 6, 8])

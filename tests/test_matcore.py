@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randx import matcore
-from randx.convexity import random_psd
 from randx.matcore import (
     MatcoreError,
     NegativeEigenvalueError,
@@ -15,7 +14,6 @@ from randx.matcore import (
     NotAResolutionError,
     block_psd_bracket,
     block_psd_power,
-    bracket,
     ginibre,
     haar_pvm,
     haar_unitary,
@@ -27,6 +25,7 @@ from randx.matcore import (
     psd_bracket,
     psd_defect,
     psd_power,
+    random_psd,
     resolution_defects,
     schatten,
     schatten_stack,
@@ -144,7 +143,7 @@ class TestSchatten:
         assert val.norm == pytest.approx(5.0, rel=1e-12)
 
     def test_trace_norm_at_zero(self):
-        assert bracket(np.diag([3.0, -4.0]), 0.0) == pytest.approx(7.0, rel=1e-12)
+        assert schatten(np.diag([3.0, -4.0]), 0.0).bracket == pytest.approx(7.0, rel=1e-12)
 
     @given(seeds, dims, st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -159,7 +158,7 @@ class TestSchatten:
         )
         brackets, norms = schatten_stack(stack, 0.5)
         assert norms == [snorm(m, 0.5) for m in stack]
-        assert brackets == [bracket(m, 0.5) for m in stack]
+        assert brackets == [schatten(m, 0.5).bracket for m in stack]
 
     def test_stack_rejects_what_schatten_rejects(self):
         stack = np.stack([np.eye(2), np.eye(2)])
@@ -207,7 +206,9 @@ class TestSchatten:
         rng = np.random.default_rng(seed)
         x = random_psd(dim, rng)
         y = random_psd(dim, rng)
-        assert bracket(x, eps) + bracket(y, eps) <= bracket(x + y, eps) * (1 + 1e-10) + 1e-10
+        assert schatten(x, eps).bracket + schatten(y, eps).bracket <= (
+            schatten(x + y, eps).bracket * (1 + 1e-10) + 1e-10
+        )
 
 
 class TestPinch:
@@ -245,7 +246,7 @@ class TestPinch:
         a = random_psd(dim, rng)
         u = haar_unitary(dim, rng)
         blocks = [u @ p @ u.conj().T for p in self.blocks_computational(dim)]
-        assert bracket(pinch(a, blocks), eps) <= bracket(a, eps) + 1e-9
+        assert schatten(pinch(a, blocks), eps).bracket <= schatten(a, eps).bracket + 1e-9
 
 
 @pytest.mark.parametrize(

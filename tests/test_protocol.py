@@ -72,22 +72,26 @@ def toy_setup():
 
 
 def tree_reference(g, d, n, q, chi, eps):
-    """Leaf-by-leaf expansion of every fresh-state sequence: (mass, ksum, branches)."""
+    """Leaf-by-leaf expansion of every fresh-state sequence: (mass, ksum, branches).
+
+    A round's branch is zero, and dropped, when its born probability is at
+    most ``PRUNE_FLOOR`` times tr phi; ``branches`` counts the success leaves.
+    """
     rows = _round_tables(_round_plan(g, d), q, eps)
+    floor = protocol.PRUNE_FLOOR * float(np.trace(d.state).real)
     leaves = [(1.0, 1.0, 1.0, 0.0)]  # (p_q product, born product, bracket product, score)
     for _ in range(n):
         nxt = []
         for pq, born, w, score in leaves:
             for p_i, _i, branches in rows:
                 for b_born, b_w, _x, b_h in branches:
-                    if born * b_born <= 0.0 and w * b_w <= 0.0:
-                        continue
-                    nxt.append((pq * p_i, born * b_born, w * b_w, score + b_h))
+                    if b_born > floor:
+                        nxt.append((pq * p_i, born * b_born, w * b_w, score + b_h))
         leaves = nxt
     won = [leaf for leaf in leaves if leaf[3] >= chi * q * n]
     mass = sum(pq * born for pq, born, _w, _s in won)
     ksum = sum(pq * w for pq, _born, w, _s in won)
-    return mass, ksum, sum(1 for pq, born, w, _s in won if pq * (born + w) > 0.0)
+    return mass, ksum, len(won)
 
 
 def two_block_setup():
@@ -122,8 +126,11 @@ def two_block_setup():
 def memory_tree_reference(g, d, n, q, chi, eps):
     """Leaf-by-leaf dense expansion of the --memory tree: (mass, ksum, branches).
 
-    Each node is one dense branch operator on a last-in first-out stack; the
-    sums add the success leaves in the order they are popped.
+    Each node is one dense branch operator m with its Born weight
+    tr(m phi m†), on a last-in first-out stack.  A child whose weight is at
+    most ``PRUNE_FLOOR`` times its parent's is dropped at every depth; the sums
+    add the success leaves in the order they are popped, and ``branches``
+    counts them.
     """
     plan = _round_plan(g, d)
     rows = list(protocol._supported_inputs(plan, q))
@@ -132,31 +139,58 @@ def memory_tree_reference(g, d, n, q, chi, eps):
     n_out = len(g.output_alphabet)
     mass = ksum = 0.0
     branches = 0
-    stack = [(0, 1.0, np.eye(d.dim, dtype=np.complex128), 0)]
+    stack = [(0, 1.0, np.eye(d.dim, dtype=np.complex128), float(np.trace(d.state).real), 0)]
     while stack:
-        depth, pq, m, score = stack.pop()
+        depth, pq, m, born, score = stack.pop()
         if depth == n:
             if not protocol._meets_threshold(score, plan.den, threshold):
                 continue
-            born = float(np.trace(m @ d.state @ dagger(m)).real)
             w = psd_bracket(sandwich @ dagger(m) @ m @ sandwich, eps)
             mass += pq * born
             ksum += pq * w
-            if pq * (born + w) > 0.0:
-                branches += 1
+            branches += 1
             continue
         for p_i, i, test in rows:
             a = g.input_alphabet[i]
             uni = d.unitary(a)
             for j, proj in zip(plan.outputs[i], d.measurements[a].values()):
                 nm = uni @ proj @ m
-                if depth < n - 1:
-                    weight = float(np.einsum("ij,ji->", nm @ d.state, dagger(nm)).real)
-                    if weight <= protocol.PRUNE_FLOOR:
-                        continue
+                weight = float(np.trace(nm @ d.state @ dagger(nm)).real)
+                if weight <= protocol.PRUNE_FLOOR * born:
+                    continue
                 h = plan.units[i * n_out + j] if test else 0
-                stack.append((depth + 1, pq * p_i, nm, score + h))
+                stack.append((depth + 1, pq * p_i, nm, weight, score + h))
     return mass, ksum, branches
+
+
+def memory_state_mass(g, d, n, q, chi):
+    """--memory mass by a route independent of the tree: a DP over score classes.
+
+    Class s carries the summed unnormalised state sum pq m phi m† over the
+    sequences of score s, densely; one round maps it through each child's
+    U_a P_a^x into class s + units.  The mass is the summed trace of the
+    winning classes.  No branch is dropped.
+    """
+    plan = _round_plan(g, d)
+    n_out = len(g.output_alphabet)
+    children = []  # (pq, units, U_a P_a^x)
+    for p_i, i, test in protocol._supported_inputs(plan, q):
+        a = g.input_alphabet[i]
+        for j, proj in zip(plan.outputs[i], d.measurements[a].values()):
+            children.append((p_i, plan.units[i * n_out + j] if test else 0, d.unitary(a) @ proj))
+    classes = {0: d.state}
+    for _ in range(n):
+        nxt = {}
+        for s, rho in classes.items():
+            for p_i, units, op in children:
+                term = p_i * (op @ rho @ dagger(op))
+                nxt[s + units] = nxt[s + units] + term if s + units in nxt else term
+        classes = nxt
+    threshold = chi * q * n
+    return math.fsum(
+        float(np.trace(rho).real)
+        for s, rho in classes.items() if protocol._meets_threshold(s, plan.den, threshold)
+    )
 
 
 def memory_reference_summary(g, d, n, q, chi, eps):
@@ -538,6 +572,70 @@ class TestMemoryTree:
         assert branches == ref_branches == 72
         assert mass == pytest.approx(ref_mass, rel=1e-12, abs=0)
         assert k == pytest.approx(ref_k, rel=1e-12, abs=0)
+
+
+class TestZeroRule:
+    """One zero rule for a branch: both enumerators drop a child whose Born
+    weight is at most PRUNE_FLOOR times its parent's, at every round."""
+
+    @pytest.mark.parametrize(("n", "branches"), [(1, 20), (2, 220), (3, 2444)])
+    def test_memory_branches_count_the_nonzero_leaves(self, n, branches):
+        # At chi 0 every sequence succeeds.  A round that repeats a site's
+        # input of the round before with another output of that site has a
+        # projector product of about 1e-17, not 0, so its leaves weigh 2.5e-33
+        # down to 1.9e-70 and are dropped: of the 400 leaves at n = 2, 220 count.
+        g, opt, _ = chsh_setup()
+        s = enumerate_success_state(g, opt, n, q=0.3, chi=0.0, eps=0.1, fresh_state=False)
+        assert s.branches == branches
+
+    @pytest.mark.parametrize("chi", [0.0, 0.5])
+    @pytest.mark.parametrize("name", [
+        f"{entry.name}:{dev}" for entry in (catalog.chsh(), catalog.magic_square())
+        for dev in entry.devices
+    ])
+    def test_one_round_semantics_agree(self, name, chi):
+        # one round starts from phi under both semantics
+        g, d = catalog.get_game(name.split(":")[0]), catalog.get_device(name)
+        fresh = enumerate_success_state(g, d, 1, q=0.3, chi=chi, eps=0.1)
+        memory = enumerate_success_state(g, d, 1, q=0.3, chi=chi, eps=0.1, fresh_state=False)
+        assert memory.branches == fresh.branches
+        assert math.isclose(memory.mass, fresh.mass, rel_tol=1e-12)
+        # K is 0 up to roundoff for a deterministic device at chi 0
+        assert math.isclose(
+            memory.renyi_randomness, fresh.renyi_randomness, rel_tol=1e-12, abs_tol=1e-12
+        )
+
+    @pytest.mark.parametrize(("device", "rounds"), [("optimal", 4), ("classical", 4),
+                                                    ("combined", 2)])
+    def test_memory_mass_equals_the_state_dp(self, device, rounds):
+        if device == "combined":
+            g, d = magic_square_combined()
+        else:
+            entry = catalog.chsh()
+            g, d = entry.game, entry.devices[device]
+        for n in range(1, rounds + 1):
+            for chi in (0.0, 0.5):
+                mass = memory_summary(g, d, n, 0.3, chi, 0.1)[0]
+                assert mass == pytest.approx(memory_state_mass(g, d, n, 0.3, chi), rel=1e-12, abs=0)
+
+    def test_memory_rule_is_relative_to_the_parent(self):
+        # A qubit in |0>, measured in the computational basis (input 0) or in
+        # {v, v⊥} with |<0|v>|^2 = 1e-20 (input 1).  After output v, whose
+        # weight is 1e-20, output 0 of input 0 weighs 1e-40: 1e-20 of its
+        # parent's, so it is kept, where an absolute 1e-30 floor would drop
+        # both such leaves at n = 2.
+        scores = {((a,), (x,)): float(x == 0) for a in (0, 1) for x in (0, 1)}
+        g = nonlocal_game("two-bases", [(0, 1)], [(0, 1)], {(0,): 0.5, (1,): 0.5}, scores, (0,))
+        v, v_perp = np.array([1e-10, 1.0]), np.array([1.0, -1e-10])
+        measurements = {
+            (0,): {(0,): np.diag([1.0, 0.0]), (1,): np.diag([0.0, 1.0])},
+            (1,): {(0,): np.outer(v, v), (1,): np.outer(v_perp, v_perp)},
+        }
+        d = make_device("general", (2,), np.diag([1.0, 0.0]), measurements, name="two-bases")
+        # 6 children a node; per level-1 state, |0>: 4 kept, v: 5 kept, v⊥: 5 kept
+        for n, branches in ((1, 4), (2, 18)):
+            assert memory_summary(g, d, n, 0.3, 0.0, 0.1)[2] == branches
+            assert memory_tree_reference(g, d, n, 0.3, 0.0, 0.1)[2] == branches
 
 
 class TestSimulateOutcomes:
