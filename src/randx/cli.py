@@ -7,10 +7,12 @@ Exit codes: 0 success, 1 validation or usage error, 2 computational guard
 (enumeration or branch caps, unsupported sizes).  Identical argv and seed
 produce byte-identical output apart from the versioned header.  The seed
 is taken from --seed, else RANDX_SEED, else 0; a non-integer RANDX_SEED is
-a usage error wherever --seed applies.  Multi-trial simulate runs go through
-protocol.simulate_outcomes, which keys trial k by seed + k and runs the
-trials one after another; a fresh-state trial samples and scores only its
-test rounds, but every round still consumes its three uniforms.
+a usage error wherever --seed applies; run seeds must lie in [0, 2^128).
+Multi-trial simulate runs go through protocol.simulate_outcomes, which keys
+trial k by seed + k.  Fresh-state trials are drawn in chunks from one
+re-keyed generator and scored a chunk at once, only their test rounds
+sampled; every round still consumes its three uniforms, so each trial is
+bit-identical to protocol.simulate at seed + k.
 simulate and enumerate share one exact success rule.
 """
 

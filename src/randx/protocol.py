@@ -31,13 +31,16 @@ expands the sequence tree in batches: each batch is a subtree of bounded
 size whose nodes are held per orthogonal block of the device, and one
 stacked product expands each of its depths.  The branch cap guards both.
 
-Randomness is drawn from a counter-based 64-bit generator (Philox) seeded by
-the run seed; each round consumes three uniforms in a fixed order (round
-type, then input, then output; unused draws are still consumed), so
-transcripts are bit-reproducible.  ``simulate_outcomes`` runs several
-trials and is the one place that keys trial k by seed + k; it returns only
-c and success of each, and on a fresh state it samples and scores only the
-test rounds, from the same draws, since generation rounds add nothing to c.
+Randomness is drawn from a counter-based 64-bit generator (Philox) keyed by
+the run seed, a key in [0, 2^128); each round consumes three uniforms in a
+fixed order (round type, then input, then output; unused draws are still
+consumed), so transcripts are bit-reproducible.  ``simulate_outcomes`` runs
+several trials and is the one place that keys trial k by seed + k; it
+returns only c and success of each.  On a fresh state it draws its trials in
+chunks from one generator, re-keyed for each trial, into one buffer, and
+samples and scores only the test rounds of a whole chunk at once, since
+generation rounds add nothing to c; each trial still gets exactly the
+uniforms, and so the c and success, of ``simulate`` at seed + k.
 Every entry point tabulates one round of its (game, device) pair once, in a
 private round plan, and checks their compatibility there.
 """
@@ -62,6 +65,12 @@ PRUNE_FLOOR = 1e-30
 # One batch of the --memory tree holds at most this many complex matrix
 # entries over all its nodes (4 MiB), whatever N is.
 MEMORY_BATCH_ENTRIES = 2**18
+# One chunk of fresh-state trials in ``simulate_outcomes`` holds at most this
+# many uniforms (512 KiB), or one trial if a trial needs more.
+_CHUNK_UNIFORMS = 2**16
+_WORD = 2**64 - 1
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)  # a fresh Philox counter and buffer
+_ZERO_WORDS.flags.writeable = False
 
 
 class ProtocolError(ValueError):
@@ -238,10 +247,36 @@ def _supported_inputs(plan: _RoundPlan, q: float) -> Iterator[tuple[float, int, 
             yield p_i, plan.game.input_alphabet.index(a), t == 1
 
 
-def _uniforms(params: ProtocolParams) -> np.ndarray:
-    """The run's uniforms, one row per round: round type, input, output."""
-    rng = np.random.Generator(np.random.Philox(key=params.seed))
-    return rng.random(3 * params.n_rounds).reshape(params.n_rounds, 3)
+def _generator() -> np.random.Generator:
+    """A Philox generator for ``_keyed_uniforms`` to re-key."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
+def _check_seeds(seed: int, trials: int) -> None:
+    """Runs seed .. seed + trials - 1 must all be Philox keys, in [0, 2^128)."""
+    if seed < 0 or seed + trials - 1 >= 2**128:
+        raise ProtocolError(
+            f"run seeds must lie in [0, 2**128); got seed {seed} for {trials} trial(s)"
+        )
+
+
+def _keyed_uniforms(gen: np.random.Generator, seed: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the first ``out.size`` uniforms of run ``seed``.
+
+    They are the uniforms of ``Generator(Philox(key=seed))``: the generator's
+    Philox is re-keyed through its public state (key words low then high,
+    counter 0, empty buffer) instead of being built anew.  For
+    ``out.shape == (n, 3)`` row j holds round j's round type, input and output.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": (seed & _WORD, seed >> 64)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.random(out=out)
 
 
 def _search(cdf: np.ndarray, u):
@@ -260,18 +295,22 @@ def _exact_score(plan: _RoundPlan, cells: np.ndarray, threshold: float) -> tuple
     The score is summed exactly, as Python ints of lattice units; c is that
     sum rounded once to the nearest float.
     """
-    counts = np.bincount(cells, minlength=len(plan.units))
-    total = sum(int(counts[k]) * plan.units[k] for k in np.flatnonzero(counts))
-    return total / plan.den, _meets_threshold(total, plan.den, threshold)
+    return _run_outcomes(plan, np.zeros(len(cells), dtype=np.int64), cells, 1, threshold)[0]
 
 
-def _outcome(plan: _RoundPlan, params: ProtocolParams) -> tuple[float, bool]:
-    """(c, success) of one fresh-state run, sampling only its test rounds."""
-    u = _uniforms(params)
-    test = np.flatnonzero(u[:, 0] < params.q)
-    a = _search(plan.input_cdf, u[test, 1])
-    x = _sample_outputs(plan.output_cdfs, a, u[test, 2])
-    return _exact_score(plan, a * plan.scores.shape[1] + x, params.threshold)
+def _run_outcomes(
+    plan: _RoundPlan, trial: np.ndarray, cells: np.ndarray, trials: int, threshold: float
+) -> list[tuple[float, bool]]:
+    """(c, success) of each of ``trials`` runs from its test rounds, given as
+    the run index and flat cell ``i * n_out + j`` of every test round.
+
+    One bincount tallies every run's cells; each run's exact score is then a
+    Python int of lattice units, and c is that sum rounded once to a float.
+    """
+    n_cells = len(plan.units)
+    counts = np.bincount(trial * n_cells + cells, minlength=trials * n_cells)
+    totals = counts.reshape(trials, n_cells).astype(object) @ np.array(plan.units, dtype=object)
+    return [(t / plan.den, _meets_threshold(t, plan.den, threshold)) for t in totals.tolist()]
 
 
 def _branches(mats: list[np.ndarray], state: list[np.ndarray]) -> list[np.ndarray]:
@@ -285,10 +324,12 @@ def _traces(stacks: list[np.ndarray]) -> np.ndarray:
     return sum(np.trace(b, axis1=-2, axis2=-1).real.sum(axis=-1) for b in stacks)
 
 
-def _transcript(plan: _RoundPlan, params: ProtocolParams, fresh_state: bool) -> Transcript:
-    """One run with its per-round records."""
+def _transcript(
+    plan: _RoundPlan, params: ProtocolParams, fresh_state: bool, gen: np.random.Generator
+) -> Transcript:
+    """One run with its per-round records, its uniforms drawn by ``gen``."""
     g, n = plan.game, params.n_rounds
-    u = _uniforms(params)
+    u = _keyed_uniforms(gen, params.seed, np.empty((n, 3)))
     t = (u[:, 0] < params.q).astype(np.uint8)
     test = np.flatnonzero(t)
     a_idx = np.full(n, plan.abar, dtype=np.int64)
@@ -335,7 +376,8 @@ def simulate(
     c summed exactly and compared exactly with the float chi*q*N, so a run
     with no test rounds succeeds only if that threshold is <= 0.
     """
-    return _transcript(_round_plan(g, d), params, fresh_state)
+    _check_seeds(params.seed, 1)
+    return _transcript(_round_plan(g, d), params, fresh_state, _generator())
 
 
 def simulate_outcomes(
@@ -344,15 +386,33 @@ def simulate_outcomes(
     """(c, success) of ``trials`` runs, run k keyed by ``params.seed + k``.
 
     Run k reports the c and success of ``simulate`` at seed ``params.seed + k``.
-    A fresh-state run keeps no per-round arrays: generation rounds add
-    nothing to c, so only its test rounds' inputs and outputs are sampled,
-    from the same uniforms.
+    Every seed is checked before the first run.  Fresh-state runs go in
+    chunks of at most ``_CHUNK_UNIFORMS`` uniforms (or of one run): one
+    re-keyed generator fills one row of a single buffer per run, and one
+    vectorised pass samples and scores the chunk.  Generation rounds add
+    nothing to c, so only test rounds' inputs and outputs are sampled, from
+    the same uniforms.
     """
+    _check_seeds(params.seed, trials)
     plan = _round_plan(g, d)
-    runs = [replace(params, seed=params.seed + k) for k in range(trials)]
-    if fresh_state:
-        return [_outcome(plan, run) for run in runs]
-    return [(tr.c, tr.success) for tr in (_transcript(plan, run, False) for run in runs)]
+    gen = _generator()
+    if not fresh_state:
+        runs = (replace(params, seed=params.seed + k) for k in range(trials))
+        return [(tr.c, tr.success) for tr in (_transcript(plan, run, False, gen) for run in runs)]
+    n, n_out = params.n_rounds, plan.scores.shape[1]
+    rows = max(1, min(trials, _CHUNK_UNIFORMS // (3 * n)))
+    buf = np.empty((rows, n, 3))
+    outcomes: list[tuple[float, bool]] = []
+    for first in range(0, trials, rows):
+        m = min(rows, trials - first)
+        for r in range(m):
+            _keyed_uniforms(gen, params.seed + first + r, buf[r])
+        u = buf[:m].reshape(m * n, 3)
+        test = np.flatnonzero(u[:, 0] < params.q)
+        a = _search(plan.input_cdf, u[test, 1])
+        x = _sample_outputs(plan.output_cdfs, a, u[test, 2])
+        outcomes += _run_outcomes(plan, test // n, a * n_out + x, m, params.threshold)
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -643,10 +703,13 @@ def extractable_bits(
     3 * 2^(-b q N)); the optimizing eps is min(1, sqrt(q log2(2/delta^2)/N)).
     The idealized rate is N pi(chi).  The error term q + sqrt(log2(2/delta^2)
     / (q N)) carries an unspecified leading constant, so a concrete bound is
-    emitted only when slack_constant is supplied.
+    emitted only when slack_constant is supplied; b and slack_constant must
+    be finite.
     """
-    if not (0.0 < q < 1.0 and b > 0.0 and n_rounds >= 1):
-        raise ProtocolError("require 0 < q < 1, b > 0, n_rounds >= 1")
+    if not (0.0 < q < 1.0 and 0.0 < b < math.inf and n_rounds >= 1):
+        raise ProtocolError(f"require 0 < q < 1, finite b > 0, n_rounds >= 1; got b = {b}")
+    if slack_constant is not None and not math.isfinite(slack_constant):
+        raise ProtocolError(f"slack_constant must be finite, got {slack_constant}")
     _check_chi(chi)
     delta = math.sqrt(2.0) * 2.0 ** (-b * q * n_rounds)
     log_term = 2.0 * b * q * n_rounds  # log2(2/delta^2), immune to delta underflow

@@ -249,6 +249,29 @@ def test_non_finite_chi_exits_one(chi, capsys):
         assert f"chi must be nonnegative and finite, got {chi}" in captured.err
 
 
+@pytest.mark.parametrize("flag, value", [("--b", "inf"), ("--b", "nan"), ("--b", "-inf"),
+                                          ("--slack-constant", "nan"),
+                                          ("--slack-constant", "inf"),
+                                          ("--slack-constant", "-inf")])
+def test_non_finite_b_and_slack_constant_exit_one(flag, value, capsys):
+    argv = {"--b": "0.5", "--chi": "0.8", "--q": "0.1", "--n": "1000", "--w": "0.75", "--r": "4",
+            "--slack-constant": "1.0", flag: value}
+    # "--b=-inf", since argparse reads a bare "-inf" as an option
+    assert main(["entropy-bound", *(f"{k}={v}" for k, v in argv.items())]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("seed, trials", [(-1, 1), (2**128 - 1, 2)])
+def test_seed_outside_the_key_domain_exits_one(seed, trials, capsys):
+    assert main(["simulate", "--n", "3", "--q", "0.3", "--chi", "0.5", "--seed", str(seed),
+                 "--trials", str(trials)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "run seeds must lie in [0, 2**128)" in captured.err
+
+
 def test_seed_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("RANDX_SEED", "99")
     assert main(["simulate", "--n", "20", "--q", "0.3", "--chi", "0.5"]) == 0

@@ -204,7 +204,7 @@ def memory_transcript_reference(g, d, params):
     loop: one dim x dim state update per round."""
     plan = _round_plan(g, d)
     n = params.n_rounds
-    u = protocol._uniforms(params)
+    u = np.random.Generator(np.random.Philox(key=params.seed)).random(3 * n).reshape(n, 3)
     test = np.flatnonzero(u[:, 0] < params.q)
     a_idx = np.full(n, plan.abar, dtype=np.int64)
     a_idx[test] = protocol._search(plan.input_cdf, u[test, 1])
@@ -656,6 +656,82 @@ class TestSimulateOutcomes:
             expected.append((tr.c, tr.success))
         assert simulate_outcomes(g, d, params, 5, fresh_state=fresh) == expected
 
+    @pytest.mark.parametrize(
+        "setup, n, q, trials, seed, shape",
+        [
+            pytest.param("optimal", 5000, 0.02, 30, 11, "chunks", id="several-chunks"),
+            pytest.param("optimal", 40, 0.3, 6, 2**64 - 3, None, id="keys-cross-2^64"),
+            pytest.param("toy", 40, 0.3, 50, 7, None, id="fractional-negative-scores"),
+            pytest.param("magic-square", 30, 0.3, 20, 5, None, id="magic-square-combined"),
+            pytest.param("optimal", 3, 0.05, 80, 0, "idle", id="runs-without-test-rounds"),
+        ],
+    )
+    def test_batched_runs_are_simulate_at_seed_plus_k(self, setup, n, q, trials, seed, shape):
+        if setup == "toy":
+            g, d = toy_setup()
+        elif setup == "magic-square":
+            g, d = magic_square_combined()
+        else:
+            g, d, _ = chsh_setup()
+        params = ProtocolParams(n_rounds=n, q=q, chi=0.5, seed=seed)
+        runs = [simulate(g, d, replace(params, seed=seed + k)) for k in range(trials)]
+        assert simulate_outcomes(g, d, params, trials) == [(tr.c, tr.success) for tr in runs]
+        if shape == "chunks":  # several chunks of several runs, the last one short
+            rows = protocol._CHUNK_UNIFORMS // (3 * n)
+            assert 1 < rows < trials and trials % rows != 0
+        if shape == "idle":  # some runs have no test round, others do
+            assert len({bool(tr.test_flags.any()) for tr in runs}) == 2
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1, 2**64, 2**128 - 1])
+    def test_rekeyed_generator_equals_a_new_philox(self, seed):
+        # one generator re-keyed between draws whose counts are not multiples
+        # of 4, so a stale counter or buffer would show
+        gen = protocol._generator()
+        for count in (1, 3, 9, 14, 4099):
+            got = protocol._keyed_uniforms(gen, seed, np.empty(count))
+            want = np.random.Generator(np.random.Philox(key=seed)).random(count)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
+    def test_one_philox_per_call(self, monkeypatch, fresh):
+        built = []
+        real = np.random.Philox
+        monkeypatch.setattr(
+            protocol.np.random, "Philox", lambda *a, **k: built.append(1) or real(*a, **k)
+        )
+        g, opt, _ = chsh_setup()
+        params = ProtocolParams(5, 0.3, 0.5, seed=4)
+        for trials in (1, 7, 300):
+            built.clear()
+            simulate_outcomes(g, opt, params, trials, fresh_state=fresh)
+            assert len(built) == 1
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
+    def test_seed_domain_checked_before_any_run(self, monkeypatch, fresh):
+        drawn = []
+        real = protocol._keyed_uniforms
+
+        def counting(gen, seed, out):
+            drawn.append(seed)
+            return real(gen, seed, out)
+
+        monkeypatch.setattr(protocol, "_keyed_uniforms", counting)
+        g, opt, _ = chsh_setup()
+        top = 2**128 - 1
+        for seed, trials in ((-1, 1), (-3, 5), (top, 2), (top - 2, 4)):
+            params = ProtocolParams(3, 0.3, 0.5, seed=seed)
+            with pytest.raises(ProtocolError, match=r"run seeds must lie in \[0, 2\*\*128\)"):
+                simulate_outcomes(g, opt, params, trials, fresh_state=fresh)
+            if trials == 1:
+                with pytest.raises(ProtocolError):
+                    simulate(g, opt, params, fresh_state=fresh)
+        assert drawn == []
+        # both ends of the domain are keys
+        for seed, trials in ((0, 1), (top - 1, 2), (top, 1)):
+            params = ProtocolParams(3, 0.3, 0.5, seed=seed)
+            assert len(simulate_outcomes(g, opt, params, trials, fresh_state=fresh)) == trials
+            simulate(g, opt, replace(params, seed=seed + trials - 1), fresh_state=fresh)
+
     def test_compatibility_checked_once_per_call(self, monkeypatch):
         calls = []
         real = protocol.require_compatible
@@ -731,6 +807,15 @@ class TestExtractableBits:
         curve = quadratic_rate_curve(0.75, 4)
         with pytest.raises(ProtocolError):
             extractable_bits(curve, chi=0.8, q=0.0, b=0.1, n_rounds=100)
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_b_and_slack_constant_rejected(self, value):
+        curve = quadratic_rate_curve(0.75, 4)
+        with pytest.raises(ProtocolError, match="finite b > 0"):
+            extractable_bits(curve, chi=0.8, q=0.1, b=value, n_rounds=1000)
+        with pytest.raises(ProtocolError, match="slack_constant must be finite"):
+            extractable_bits(curve, chi=0.8, q=0.1, b=0.5, n_rounds=1000, slack_constant=value)
 
 
 class TestHminClassical:
