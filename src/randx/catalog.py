@@ -42,6 +42,7 @@ from .devicemodel import (
     Device,
     born_probabilities,
     components_device,
+    direct_sum,
     make_device,
 )
 from .gamedefs import Game, nonlocal_game
@@ -232,38 +233,10 @@ def ms_pair_device(x1bar: tuple, x2bar: tuple) -> Device:
     return replace(d, input_alphabet=g.input_alphabet, output_alphabet=g.output_alphabet)
 
 
-def _block_mixture(blocks: list[tuple], name: str) -> Device:
-    """Direct-sum mixture of (weight, state, measurements) blocks."""
-    game = magic_square_game()
-    ends = list(itertools.accumulate(s.shape[0] for _, s, _ in blocks))
-    total = ends[-1]
-    state = np.zeros((total, total), dtype=np.complex128)
-    meas: dict = {a: {} for a in game.input_alphabet}
-    for (w, block_state, block_meas), end in zip(blocks, ends):
-        block = slice(end - block_state.shape[0], end)
-        state[block, block] = w * block_state
-        for a, branch in meas.items():
-            for x, p in block_meas[a].items():
-                if x not in branch:
-                    branch[x] = np.zeros((total, total), dtype=np.complex128)
-                branch[x][block, block] = p
-    # completeness holds: each block's listed projectors sum to its identity
-    return make_device(
-        GENERAL,
-        (total,),
-        state,
-        meas,
-        input_alphabet=game.input_alphabet,
-        output_alphabet=game.output_alphabet,
-        name=name,
-    )
-
-
 @lru_cache(maxsize=None)
 def ms_mixture_device() -> Device:
     devices = [ms_pair_device(*pair) for pair in ms_answer_pairs()]
-    blocks = [(1.0 / len(devices), d.state, d.measurements) for d in devices]
-    return _block_mixture(blocks, "ms-mixture")
+    return direct_sum([(1.0 / len(devices), d) for d in devices], "ms-mixture")
 
 
 def _even_triples() -> list[tuple]:
@@ -292,27 +265,19 @@ def _ms_cross_tables(abar: tuple[int, int]) -> list[tuple]:
 @lru_cache(maxsize=None)
 def ms_cross_mixture_device() -> Device:
     """Uniform mixture of the tables losing only on abar, over the five cross
-    inputs abar (loses 1/5 on cross inputs)."""
-    cross = [(a1, a2) for a1 in range(3) for a2 in range(3) if a1 == 0 or a2 == 0]
-    tables = []
-    for abar in cross:
-        tables.extend(_ms_cross_tables(abar))
-    return _classical_table_device(tables, "ms-cross-mixture")
-
-
-def _classical_table_device(tables: list[tuple], name: str) -> Device:
-    """Uniform mixture of one-dimensional deterministic blocks, one per
-    (R, C) table, each answering (R[a1], C[:, a2]) on input (a1, a2)."""
+    inputs abar (loses 1/5 on cross inputs): one one-dimensional deterministic
+    block per (R, C) table, answering (R[a1], C[:, a2]) on input (a1, a2)."""
     game = magic_square_game()
     one = np.eye(1, dtype=np.complex128)
-    blocks = [
-        (1.0 / len(tables), one, {
+    cross = [(a1, a2) for a1 in range(3) for a2 in range(3) if a1 == 0 or a2 == 0]
+    tables = [
+        make_device(GENERAL, (1,), one, {
             (a1, a2): {(rows[a1], tuple(cols[i][a2] for i in range(3))): one}
             for a1, a2 in game.input_alphabet
-        })
-        for rows, cols in tables
+        }, output_alphabet=game.output_alphabet)
+        for abar in cross for rows, cols in _ms_cross_tables(abar)
     ]
-    return _block_mixture(blocks, name)
+    return direct_sum([(1.0 / len(tables), d) for d in tables], "ms-cross-mixture")
 
 
 @lru_cache(maxsize=None)
@@ -323,8 +288,7 @@ def ms_combined_device() -> Device:
     ds_dev = ms_cross_mixture_device()
     w_e = 0.2 / (0.2 + MS_LOSS_BETA)
     w_s = MS_LOSS_BETA / (0.2 + MS_LOSS_BETA)
-    blocks = [(w_e, e_dev.state, e_dev.measurements), (w_s, ds_dev.state, ds_dev.measurements)]
-    return _block_mixture(blocks, "ms-combined")
+    return direct_sum([(w_e, e_dev), (w_s, ds_dev)], "ms-combined")
 
 
 @lru_cache(maxsize=None)

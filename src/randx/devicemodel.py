@@ -17,7 +17,8 @@ rounds is carried by the caller as evolved per-block states (see
 orthogonal blocks once: ``blocks`` and the read-only per-block stacks of its
 state, projectors and round operators U_a P_a^x are cached on first use, and
 every device quantity the package computes, the Born table included, is read
-from those stacks.
+from those stacks.  A ``direct_sum`` holds its stacks from construction, and
+its dense projectors are built when a ``measurements`` value is first read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -190,8 +192,8 @@ def components_device(
     """Build an r-site device from per-site measurements.
 
     Joint input letters are tuples of per-site inputs, joint outputs tuples of
-    per-site outputs; joint projectors are Kronecker products.  Only products
-    of listed (nonzero) site projectors are stored.
+    per-site outputs; joint projectors are Kronecker products, one broadcast
+    product per site.  Only products of listed (nonzero) site projectors are stored.
     """
     if len(site_measurements) != len(site_dims):
         raise DeviceError("one measurement map per site required")
@@ -199,10 +201,13 @@ def components_device(
     outputs = list(itertools.product(*map(_listed_outputs, site_measurements)))
     meas: dict[Letter, dict[Letter, np.ndarray]] = {}
     for a in inputs:
-        combos = [((), np.eye(1, dtype=np.complex128))]
+        xs, mats = [()], np.ones((1, 1, 1), dtype=np.complex128)
         for m, ai in zip(site_measurements, a):
-            combos = [(x + (xi,), np.kron(p, pi)) for x, p in combos for xi, pi in m[ai].items()]
-        meas[a] = dict(combos)
+            site = np.array(list(m[ai].values()))
+            xs = [x + (xi,) for x in xs for xi in m[ai]]
+            mats = (mats[:, None, :, None, :, None] * site[None, :, None, :, None, :]).reshape(
+                len(xs), mats.shape[1] * site.shape[1], -1)
+        meas[a] = dict(zip(xs, mats))
     return make_device(
         COMPONENTS,
         site_dims,
@@ -213,6 +218,76 @@ def components_device(
         output_alphabet=outputs,
         name=name,
     )
+
+
+class _ScatteredLetter(Mapping):
+    """One input letter's dense projectors, in listed order, scattered from its
+    block stacks into zero matrices when a value is first read, and kept."""
+
+    def __init__(self, rows: dict, stacks, blocks, dim: int) -> None:
+        self._rows, self._stacks, self._blocks, self._dim = rows, stacks, blocks, dim
+
+    @functools.cached_property
+    def _dense(self) -> np.ndarray:
+        dense = np.zeros((len(self._rows), self._dim, self._dim), dtype=np.complex128)
+        for idx, stack in zip(self._blocks, self._stacks):
+            dense[:, idx[:, :, None], idx[:, None, :]] = stack
+        dense.setflags(write=False)
+        return dense
+
+    def __getitem__(self, x: Letter) -> np.ndarray:
+        return self._dense[self._rows[x]]
+
+    def __contains__(self, x: object) -> bool:
+        return x in self._rows
+
+    def __iter__(self) -> Iterator[Letter]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def direct_sum(parts: Sequence[tuple[float, Device]], name: str = "") -> Device:
+    """The direct sum of devices without unitaries: part i's state times its
+    positive weight, each output's projector summed over the parts listing it,
+    and the parts' alphabets joined in first-seen order.  Its block stacks are
+    ``support_blocks`` / ``split_blocks`` of the dense sum, built from the
+    parts' stacks: per block size, the parts' blocks in part order, zero blocks
+    for outputs a part does not list, the outputs axis fastest in memory."""
+    if any(d.unitaries for _, d in parts):
+        raise DeviceError("direct_sum takes parts without unitaries")
+    inputs, outputs = (tuple(dict.fromkeys(c for _, d in parts for c in getattr(d, f)))
+                       for f in ("input_alphabet", "output_alphabet"))
+    starts = list(itertools.accumulate((d.dim for _, d in parts), initial=0))
+    dim = starts[-1]
+    state = np.zeros((dim, dim), dtype=np.complex128)
+    rows: dict[int, list] = {}  # block size -> (weight, part, stack position, indices)
+    for (w, d), start in zip(parts, starts):
+        state[start:start + d.dim, start:start + d.dim] = w * d.state
+        for j, idx in enumerate(d.blocks):
+            rows.setdefault(idx.shape[1], []).append((w, d, j, idx + start))
+    groups = [rows[s] for s in sorted(rows)]
+    blocks = tuple(np.concatenate([idx for *_, idx in g]) for g in groups)
+    state_blocks = tuple(np.concatenate([w * d.state_blocks[j] for w, d, j, _ in g])
+                         for g in groups)
+    measurements, projector_blocks = {}, {}
+    for a in inputs:
+        listed = dict.fromkeys(x for _, d in parts for x in d.measurements[a])
+        at = dict(zip(listed, itertools.count()))
+        stacks = tuple(np.moveaxis(np.zeros((*i.shape, i.shape[1], len(at)), np.complex128), -1, 0)
+                       for i in blocks)
+        for stack, g in zip(stacks, groups):
+            ks = itertools.accumulate((len(idx) for *_, idx in g), initial=0)
+            for (_, d, j, idx), k in zip(g, ks):
+                stack[[at[x] for x in d.measurements[a]], k:k + len(idx)] = d.projector_blocks[a][j]
+        projector_blocks[a], measurements[a] = stacks, _ScatteredLetter(at, stacks, blocks, dim)
+    for m in itertools.chain([state], blocks, state_blocks, *projector_blocks.values()):
+        m.setflags(write=False)
+    d = Device(GENERAL, (dim,), state, inputs, outputs, MappingProxyType(measurements), {}, name)
+    # a cached property reads the instance dict first, so the sum holds its stacks from the start
+    d.__dict__.update(blocks=blocks, state_blocks=state_blocks, projector_blocks=projector_blocks)
+    return d
 
 
 def _is_tuple_of(x: Letter, m: int) -> bool:

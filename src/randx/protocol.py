@@ -320,8 +320,10 @@ def _branches(mats: list[np.ndarray], state: list[np.ndarray]) -> list[np.ndarra
 
 
 def _traces(stacks: list[np.ndarray]) -> np.ndarray:
-    """The trace of each of L block-diagonal matrices held as (L, k, s, s) stacks."""
-    return sum(np.trace(b, axis1=-2, axis2=-1).real.sum(axis=-1) for b in stacks)
+    """The trace of each of L block-diagonal matrices held as (L, k, s, s) stacks,
+    summed over the blocks in a C-ordered (L, k) array: numpy rounds by layout."""
+    return sum(np.ascontiguousarray(np.trace(b, axis1=-2, axis2=-1).real).sum(axis=-1)
+               for b in stacks)
 
 
 def _transcript(
@@ -516,9 +518,8 @@ def _memory_sums(
     )
 
     def expand(pq, units, born, mats):
-        """The nonzero children of a stack of nodes, node-major in child order,
-        in C order: numpy's sum over the blocks in ``_traces`` rounds by layout."""
-        mats = [np.matmul(op[None], m[:, None], order="C").reshape(-1, *m.shape[1:])
+        """The nonzero children of a stack of nodes, node-major in child order."""
+        mats = [np.matmul(op[None], m[:, None]).reshape(-1, *m.shape[1:])
                 for op, m in zip(ops, mats)]
         child_born = _traces(_branches(mats, state))
         keep = _nonzero(child_born, np.repeat(born, len(child_pq)))

@@ -4,7 +4,10 @@
 keeps (``Device.state_blocks``, ``Device.projector_blocks``,
 ``Device.round_ops``).  The routes here form the same quantities from full
 dim x dim matrices, as the package did before it held its devices per block,
-so the tests can compare the two.  Nothing in the package imports this module.
+so the tests can compare the two.  They also build the Magic Square mixtures
+densely (``block_mixture``), as the catalog did before it summed them from
+block stacks, and form joint projectors with ``np.kron``.  Nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
@@ -12,9 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import itertools
+
 import numpy as np
 
-from randx.devicemodel import Device, DeviceError, Letter, UnknownLetterError
+from randx import catalog
+from randx.devicemodel import GENERAL, Device, DeviceError, Letter, UnknownLetterError, make_device
 from randx.gamedefs import Game, SpotCheckGame, require_compatible
 from randx.matcore import as_matrix, dagger, psd_power
 from randx.scoring import _game_terms
@@ -129,3 +135,67 @@ def game_operator(g: Game | SpotCheckGame, d: Device) -> GameOperator:
     k = k_matrix(d, _game_terms(g, d))
     pair = state_pair(d, k)
     return GameOperator(matrix=k, device_state=pair.device_state, adversary_state=pair.adversary_state)
+
+
+def block_mixture(blocks: list[tuple], name: str) -> Device:
+    """Direct-sum mixture of (weight, state, measurements) blocks, each
+    projector written out densely (outputs in first-seen order)."""
+    game = catalog.magic_square_game()
+    ends = list(itertools.accumulate(s.shape[0] for _, s, _ in blocks))
+    total = ends[-1]
+    state = np.zeros((total, total), dtype=np.complex128)
+    meas: dict = {a: {} for a in game.input_alphabet}
+    for (w, block_state, block_meas), end in zip(blocks, ends):
+        block = slice(end - block_state.shape[0], end)
+        state[block, block] = w * block_state
+        for a, branch in meas.items():
+            for x, p in block_meas[a].items():
+                if x not in branch:
+                    branch[x] = np.zeros((total, total), dtype=np.complex128)
+                branch[x][block, block] = p
+    return make_device(
+        GENERAL,
+        (total,),
+        state,
+        meas,
+        input_alphabet=game.input_alphabet,
+        output_alphabet=game.output_alphabet,
+        name=name,
+    )
+
+
+def magic_square_mixtures() -> dict[str, Device]:
+    """The catalog's ``mixture``, ``cross-mixture`` and ``combined`` devices,
+    built densely by ``block_mixture`` from the catalog's pair devices and tables."""
+    game = catalog.magic_square_game()
+    pairs = [catalog.ms_pair_device(*pair) for pair in catalog.ms_answer_pairs()]
+    mixture = block_mixture([(1.0 / len(pairs), d.state, d.measurements) for d in pairs], "ms-mixture")
+    one = np.eye(1, dtype=np.complex128)
+    cross = [(a1, a2) for a1 in range(3) for a2 in range(3) if a1 == 0 or a2 == 0]
+    tables = [t for abar in cross for t in catalog._ms_cross_tables(abar)]
+    cross_mixture = block_mixture([
+        (1.0 / len(tables), one, {
+            (a1, a2): {(rows[a1], tuple(cols[i][a2] for i in range(3))): one}
+            for a1, a2 in game.input_alphabet
+        })
+        for rows, cols in tables
+    ], "ms-cross-mixture")
+    w_e = 0.2 / (0.2 + catalog.MS_LOSS_BETA)
+    w_s = catalog.MS_LOSS_BETA / (0.2 + catalog.MS_LOSS_BETA)
+    combined = block_mixture([
+        (w_e, mixture.state, mixture.measurements),
+        (w_s, cross_mixture.state, cross_mixture.measurements),
+    ], "ms-combined")
+    return {"mixture": mixture, "cross-mixture": cross_mixture, "combined": combined}
+
+
+def kron_projectors(site_measurements) -> dict[Letter, dict[Letter, np.ndarray]]:
+    """Joint projectors of per-site measurements as ``np.kron`` products of
+    listed site projectors, joint letters in ``itertools.product`` order."""
+    meas = {}
+    for a in itertools.product(*site_measurements):
+        combos = [((), np.eye(1, dtype=np.complex128))]
+        for m, ai in zip(site_measurements, a):
+            combos = [(x + (xi,), np.kron(p, pi)) for x, p in combos for xi, pi in m[ai].items()]
+        meas[a] = dict(combos)
+    return meas

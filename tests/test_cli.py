@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -328,3 +329,22 @@ def test_seesaw_stdout_is_the_json_dumps_of_its_payload(capsys):
     payload = json.loads(out)
     payload["device"] = device_to_dict(result.device)
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# SHA-256 of the stdout of the Magic Square steps of the `exact` benchmark
+# workload, recorded before the mixtures were summed from block stacks.
+MAGIC_SQUARE_STDOUT = {
+    "enumerate --game magic-square --device magic-square:combined --n 2 --q 0.3 --chi 0.5 --eps 0.1":
+        "bc24500ce8cc72efd87e86a63ae81fb160ca639fe40fcfce5532f5d53a5ed505",
+    "magic-square-demo": "65630e1970fc835fc3eb06edd5fb8237c15d4f84e529ed59d4aeadd52555adce",
+    "classical-value --game magic-square":
+        "c32384f6ec43a50ff8a1c40e58fc79e4a1e33fc8ede83731708432b519aa2794",
+    "validate --device magic-square:combined":
+        "6543c1b066921111fb7d567b945e333a4bab9e76431417c3e028d5fe6a331fc8",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MAGIC_SQUARE_STDOUT))
+def test_magic_square_steps_keep_their_bytes(argv, capsys):
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MAGIC_SQUARE_STDOUT[argv]

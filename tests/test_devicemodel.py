@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randx import catalog, classicaloracle
+from randx import catalog, classicaloracle, scoring
+from randx.cli import main
 from randx.devicemodel import (
     COMPONENTS,
     CONTEXTUAL,
     GENERAL,
+    DeviceError,
     UnknownLetterError,
     born_probabilities,
     components_device,
     device_from_dict,
+    direct_sum,
     device_to_dict,
     json_text,
     load_device,
@@ -462,3 +465,127 @@ class TestBlocks:
     def test_misfit_unlisted_letter_raises_matcore_error(self):
         with pytest.raises(MatcoreError):
             unlisted_misfit_letter_device().blocks
+
+
+MIXTURES = ("mixture", "cross-mixture", "combined")
+
+
+def assert_same_bits(a, b):
+    """Equal shape, dtype and bytes: -0.0 and +0.0 differ."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def live_strides(a):
+    """The strides of the axes longer than one, the only ones that address memory."""
+    return [stride for stride, n in zip(a.strides, a.shape) if n > 1]
+
+
+@pytest.fixture(scope="module")
+def dense_mixtures():
+    return dense.magic_square_mixtures()
+
+
+@pytest.fixture
+def fresh_magic_square():
+    """The Magic Square entry built anew, so no earlier test has read its projectors."""
+    for build in (catalog.magic_square, catalog.ms_mixture_device,
+                  catalog.ms_cross_mixture_device, catalog.ms_combined_device):
+        build.cache_clear()
+    return catalog.magic_square()
+
+
+class TestDirectSum:
+    @pytest.mark.parametrize("name", MIXTURES)
+    def test_stacks_equal_the_split_dense_sum(self, name, dense_mixtures, fresh_magic_square):
+        d, ref = fresh_magic_square.devices[name], dense_mixtures[name]
+        assert (d.input_alphabet, d.output_alphabet) == (ref.input_alphabet, ref.output_alphabet)
+        assert len(d.blocks) == len(ref.blocks)
+        for idx, ref_idx in zip(d.blocks, ref.blocks):
+            assert_same_bits(idx, ref_idx)
+            assert not idx.flags.writeable
+        for f, ref_f in zip(d.state_blocks, ref.state_blocks):
+            assert_same_bits(f, ref_f)
+            assert live_strides(f) == live_strides(ref_f)
+        assert list(d.projector_blocks) == list(ref.projector_blocks)
+        for a, stacks in ref.projector_blocks.items():
+            assert list(d.measurements[a]) == list(ref.measurements[a])
+            for p, ref_p in zip(d.projector_blocks[a], stacks, strict=True):
+                assert_same_bits(p, ref_p)
+                assert live_strides(p) == live_strides(ref_p)
+                assert not p.flags.writeable
+            assert born_probabilities(d, a) == born_probabilities(ref, a)
+        assert not any("_dense" in vars(outs) for outs in d.measurements.values())
+
+    @pytest.mark.parametrize("name", MIXTURES)
+    def test_materialised_measurements_equal_the_dense_oracle(self, name, dense_mixtures):
+        d, ref = catalog.magic_square().devices[name], dense_mixtures[name]
+        assert_same_bits(d.state, ref.state)
+        assert list(d.measurements) == list(ref.measurements)
+        for a, outs in ref.measurements.items():
+            assert list(d.measurements[a]) == list(outs)
+            for x, p in outs.items():
+                assert_same_bits(d.measurements[a][x], p)
+                assert not d.measurements[a][x].flags.writeable
+        with pytest.raises(TypeError):
+            d.measurements[a] = {}
+
+    def test_a_letter_is_scattered_once_on_first_read(self, fresh_magic_square):
+        d = fresh_magic_square.devices["combined"]
+        outs = d.measurements[(1, 2)]
+        x = next(iter(outs))
+        assert x in outs and len(outs) == 16 and "_dense" not in vars(outs)
+        p = outs[x]
+        assert "_dense" in vars(outs) and outs[x].base is p.base
+        assert not any("_dense" in vars(o) for a, o in d.measurements.items() if a != (1, 2))
+
+    def test_exact_steps_build_no_dense_projector(self, fresh_magic_square, capsys):
+        argv = ["enumerate", "--game", "magic-square", "--device", "magic-square:combined",
+                "--n", "2", "--q", "0.3", "--chi", "0.5", "--eps", "0.1"]
+        assert main(argv) == 0
+        assert main(["magic-square-demo"]) == 0
+        game = fresh_magic_square.game
+        for eps in (0.01, 0.05, 0.1, 0.2, 0.5, 1.0):
+            scoring.randomness_report(game, fresh_magic_square.devices["combined"], eps)
+        capsys.readouterr()
+        for name in MIXTURES:
+            outs = fresh_magic_square.devices[name].measurements.values()
+            assert not any("_dense" in vars(o) for o in outs), name
+
+    def test_parts_with_unitaries_are_refused(self):
+        one = np.eye(1)
+        d = make_device(GENERAL, (1,), one, {0: {0: one}}, unitaries={0: one})
+        with pytest.raises(DeviceError):
+            direct_sum([(1.0, d)])
+
+
+@pytest.fixture
+def components_calls(monkeypatch):
+    """Each components_device call the catalog and the see-saw make, with its site measurements."""
+    calls = []
+
+    def spy(site_dims, state, site_measurements, *args, **kwargs):
+        calls.append((site_measurements,
+                      components_device(site_dims, state, site_measurements, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(catalog, "components_device", spy)
+    monkeypatch.setattr(classicaloracle, "components_device", spy)
+    return calls
+
+
+def test_components_projectors_equal_kron(components_calls):
+    catalog.chsh_optimal_device()
+    catalog.chsh_classical_device()
+    for pair in catalog.ms_answer_pairs():
+        catalog.ms_pair_device.__wrapped__(*pair)
+    classicaloracle.seesaw(catalog.get_game("chsh"), (2, 2), restarts=1, iters=3, seed=1)
+    classicaloracle.seesaw(catalog.get_game("magic-square"), (4, 4), restarts=1, iters=2, seed=1)
+    assert len(components_calls) == 12
+    for site_measurements, d in components_calls:
+        ref = dense.kron_projectors(site_measurements)
+        assert list(d.measurements) == list(ref)
+        for a, outs in ref.items():
+            assert list(d.measurements[a]) == list(outs)
+            for x, p in outs.items():
+                assert_same_bits(d.measurements[a][x], p)

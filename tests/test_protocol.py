@@ -14,8 +14,10 @@ from randx.protocol import (
     ProtocolError,
     ProtocolParams,
     TooLargeError,
+    _branches,
     _round_plan,
     _round_tables,
+    _traces,
     binomial_tail,
     entropy_lower_bound,
     enumerate_success_state,
@@ -866,3 +868,13 @@ class TestRoundTablesPerBlock:
                 assert rotated_branch[2:] == (units, h)
                 assert rotated_branch[0] == pytest.approx(born, rel=1e-12)
                 assert rotated_branch[1] == pytest.approx(w, rel=1e-12)
+
+
+def test_traces_do_not_depend_on_the_block_layout():
+    """Every Magic Square letter's first-round branch weights, from the device's
+    round operators as stored and from C-contiguous copies of the branches."""
+    for name, d in catalog.magic_square().devices.items():
+        for a in d.input_alphabet:
+            branches = _branches(d.round_ops[a], d.state_blocks)
+            weights = _traces([np.ascontiguousarray(b) for b in branches])
+            assert _traces(branches).tobytes() == weights.tobytes(), (name, a)
