@@ -38,12 +38,11 @@ import numpy as np
 
 from . import protocol
 from .devicemodel import (
-    GENERAL,
     Device,
+    block_device,
     born_probabilities,
     components_device,
     direct_sum,
-    make_device,
 )
 from .gamedefs import Game, nonlocal_game
 from .matcore import haar_pvm, random_psd
@@ -266,18 +265,21 @@ def _ms_cross_tables(abar: tuple[int, int]) -> list[tuple]:
 def ms_cross_mixture_device() -> Device:
     """Uniform mixture of the tables losing only on abar, over the five cross
     inputs abar (loses 1/5 on cross inputs): one one-dimensional deterministic
-    block per (R, C) table, answering (R[a1], C[:, a2]) on input (a1, a2)."""
+    block per (R, C) table, answering (R[a1], C[:, a2]) on input (a1, a2),
+    built from the stacks ``direct_sum`` would build from the 80 tables."""
     game = magic_square_game()
-    one = np.eye(1, dtype=np.complex128)
     cross = [(a1, a2) for a1 in range(3) for a2 in range(3) if a1 == 0 or a2 == 0]
-    tables = [
-        make_device(GENERAL, (1,), one, {
-            (a1, a2): {(rows[a1], tuple(cols[i][a2] for i in range(3))): one}
-            for a1, a2 in game.input_alphabet
-        }, output_alphabet=game.output_alphabet)
-        for abar in cross for rows, cols in _ms_cross_tables(abar)
-    ]
-    return direct_sum([(1.0 / len(tables), d) for d in tables], "ms-cross-mixture")
+    tables = [t for abar in cross for t in _ms_cross_tables(abar)]
+    n = len(tables)
+    letters = {}
+    for a1, a2 in game.input_alphabet:
+        answers = [(rows[a1], tuple(cols[i][a2] for i in range(3))) for rows, cols in tables]
+        at = {x: j for j, x in enumerate(dict.fromkeys(answers))}
+        onehot = np.eye(len(at), dtype=np.complex128)[[at[x] for x in answers]]
+        letters[(a1, a2)] = (at, [np.moveaxis(onehot.reshape(n, 1, 1, -1), -1, 0)])
+    state = np.full((n, 1, 1), 1.0 / n, dtype=np.complex128)
+    return block_device([np.arange(n)[:, None]], [state], letters,
+                        game.input_alphabet, game.output_alphabet, "ms-cross-mixture")
 
 
 @lru_cache(maxsize=None)

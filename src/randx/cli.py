@@ -125,10 +125,13 @@ def _cmd_classical_value(args) -> int:
 
 def _cmd_seesaw(args) -> int:
     game = _resolve_game(args.game)
-    dims = tuple(int(x) for x in args.dims.split(","))
+    try:
+        d1, d2 = map(int, args.dims.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad --dims {args.dims!r}, expected two integers such as 2,2") from exc
     result = classicaloracle.seesaw(
         game,
-        dims,
+        (d1, d2),
         constrain_abar=args.constrain_abar,
         restarts=args.restarts,
         iters=args.iters,

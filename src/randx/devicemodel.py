@@ -17,8 +17,10 @@ rounds is carried by the caller as evolved per-block states (see
 orthogonal blocks once: ``blocks`` and the read-only per-block stacks of its
 state, projectors and round operators U_a P_a^x are cached on first use, and
 every device quantity the package computes, the Born table included, is read
-from those stacks.  A ``direct_sum`` holds its stacks from construction, and
-its dense projectors are built when a ``measurements`` value is first read.
+from those stacks.  Each input letter's projectors are stored once, in one
+read-only stack that ``measurements``, the stacks and the round operators view.
+A ``direct_sum`` holds its block stacks from construction, and its dense
+projectors are built when a ``measurements`` value is first read.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -86,6 +88,63 @@ class ValidationReport:
         return "; ".join(f"{v.check} ({v.deviation:.3e}) {v.detail}".strip() for v in self.violations)
 
 
+def _read_only(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The arrays as a tuple, each marked read-only in place."""
+    arrays = tuple(arrays)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _scattered(blocks, stacks, lead: tuple[int, ...]) -> np.ndarray:
+    """The read-only (*lead, dim, dim) zero array whose ``split_blocks`` are ``stacks``."""
+    dim = sum(idx.size for idx in blocks)
+    dense = np.zeros((*lead, dim, dim), dtype=np.complex128)
+    for idx, stack in zip(blocks, stacks):
+        dense[..., idx[:, :, None], idx[:, None, :]] = stack
+    return _read_only([dense])[0]
+
+
+class _Measurement(Mapping):
+    """One input letter's projectors: each listed output maps to a row of
+    ``_dense``, one read-only (outputs, dim, dim) stack laid out as
+    ``matcore.split_blocks`` lays out its stacks (outputs axis fastest), or
+    scattered from block stacks on the first read.  Projectors of mixed
+    shapes are a list of matrices, which only ``validate_device`` reads."""
+
+    def __init__(self, outputs: Iterable[Letter], dense=None, blocks=(), stacks=()) -> None:
+        self._rows = {x: j for j, x in enumerate(outputs)}
+        self._blocks, self._stacks = blocks, stacks
+        if dense is not None:
+            self._dense = dense
+
+    @functools.cached_property
+    def _dense(self) -> np.ndarray:
+        return _scattered(self._blocks, self._stacks, (len(self._rows),))
+
+    def __getitem__(self, x: Letter) -> np.ndarray:
+        return self._dense[self._rows[x]]
+
+    def __contains__(self, x: object) -> bool:
+        return x in self._rows
+
+    def __iter__(self) -> Iterator[Letter]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _measurement(outs: Mapping[Letter, Any], dim: int) -> _Measurement:
+    """``outs`` as a ``_Measurement``, its projectors copied into one stack."""
+    if isinstance(outs, _Measurement):
+        return outs
+    mats = [as_matrix(p) for p in outs.values()]
+    if not mats or any(m.shape != (dim, dim) for m in mats):
+        return _Measurement(outs, [frozen(m) for m in mats])
+    return _Measurement(outs, _read_only([np.stack(mats, axis=-1).transpose(2, 0, 1)])[0])
+
+
 @dataclass(frozen=True)
 class Device:
     kind: str
@@ -97,15 +156,15 @@ class Device:
     unitaries: Mapping[Letter, np.ndarray]
     name: str = ""
 
+    def __post_init__(self) -> None:
+        # however a device is built, its maps are read-only and each letter a _Measurement
+        letters = {a: _measurement(outs, self.dim) for a, outs in self.measurements.items()}
+        object.__setattr__(self, "measurements", MappingProxyType(letters))
+        object.__setattr__(self, "unitaries", MappingProxyType(dict(self.unitaries)))
+
     @property
     def dim(self) -> int:
         return self.state.shape[0]
-
-    def unitary(self, a: Letter) -> np.ndarray:
-        u = self.unitaries.get(a)
-        if u is None:
-            return np.eye(self.dim, dtype=np.complex128)
-        return u
 
     @functools.cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -122,24 +181,29 @@ class Device:
     @functools.cached_property
     def state_blocks(self) -> tuple[np.ndarray, ...]:
         """The state's read-only ``matcore.split_blocks`` on ``blocks``, built on first use."""
-        return tuple(map(frozen, matcore.split_blocks(self.state, self.blocks)))
+        return _read_only(matcore.split_blocks(self.state, self.blocks))
 
     @functools.cached_property
     def projector_blocks(self) -> Mapping[Letter, tuple[np.ndarray, ...]]:
         """Per measured letter, its projectors in listed order as one read-only
-        (outputs, k, s, s) stack per block size, built on first use."""
+        (outputs, k, s, s) stack per block size, built on first use.  When one
+        block spans the space, the stack is a view of the letter's stack."""
+        whole = len(self.blocks) == 1 and len(self.blocks[0]) == 1
         return {
-            a: tuple(map(frozen, matcore.split_blocks(np.stack(list(outs.values())), self.blocks)))
+            a: (outs._dense[:, None],) if whole
+            else _read_only(matcore.split_blocks(outs._dense, self.blocks))
             for a, outs in self.measurements.items()
         }
 
     @functools.cached_property
     def round_ops(self) -> Mapping[Letter, tuple[np.ndarray, ...]]:
         """Per measured letter, the round operators U_a P_a^x of its outputs,
-        stacked as in ``projector_blocks``, built on first use."""
+        stacked as in ``projector_blocks``, built on first use.  A letter
+        without a unitary has its ``projector_blocks`` as its round operators."""
         return {
-            a: tuple(frozen(u[None] @ p) for u, p in zip(
-                matcore.split_blocks(self.unitary(a), self.blocks), self.projector_blocks[a]))
+            a: _read_only(u[None] @ p for u, p in zip(
+                matcore.split_blocks(self.unitaries[a], self.blocks), self.projector_blocks[a]))
+            if a in self.unitaries else self.projector_blocks[a]
             for a in self.measurements
         }
 
@@ -162,24 +226,11 @@ def make_device(
     """Normalize inputs and build an immutable Device (no validation here)."""
     if kind not in KINDS:
         raise DeviceError(f"unknown device kind {kind!r}")
-    phi = frozen(as_matrix(state))
-    meas = {
-        a: {x: frozen(as_matrix(p)) for x, p in outs.items()}
-        for a, outs in measurements.items()
-    }
     unis = {a: frozen(as_matrix(u)) for a, u in (unitaries or {}).items()}
-    inputs = tuple(input_alphabet) if input_alphabet is not None else tuple(meas)
-    outputs = tuple(output_alphabet) if output_alphabet is not None else _listed_outputs(meas)
-    return Device(
-        kind=kind,
-        dims=tuple(int(d) for d in dims),
-        state=phi,
-        input_alphabet=inputs,
-        output_alphabet=outputs,
-        measurements=meas,
-        unitaries=unis,
-        name=name,
-    )
+    inputs = measurements if input_alphabet is None else input_alphabet
+    outputs = _listed_outputs(measurements) if output_alphabet is None else output_alphabet
+    return Device(kind, tuple(map(int, dims)), frozen(as_matrix(state)), tuple(inputs),
+                  tuple(outputs), measurements, unis, name)
 
 
 def components_device(
@@ -193,101 +244,82 @@ def components_device(
 
     Joint input letters are tuples of per-site inputs, joint outputs tuples of
     per-site outputs; joint projectors are Kronecker products, one broadcast
-    product per site.  Only products of listed (nonzero) site projectors are stored.
+    product per site with the outputs axes last, so that the letter's stack
+    is a view of the last product.  Only products of listed (nonzero) site
+    projectors are stored.
     """
     if len(site_measurements) != len(site_dims):
         raise DeviceError("one measurement map per site required")
     inputs = list(itertools.product(*site_measurements))
     outputs = list(itertools.product(*map(_listed_outputs, site_measurements)))
-    meas: dict[Letter, dict[Letter, np.ndarray]] = {}
+    meas: dict[Letter, _Measurement] = {}
     for a in inputs:
-        xs, mats = [()], np.ones((1, 1, 1), dtype=np.complex128)
+        xs, mats = [()], np.ones((1, 1, 1), dtype=np.complex128)  # (dim, dim, outputs)
         for m, ai in zip(site_measurements, a):
-            site = np.array(list(m[ai].values()))
+            site = np.stack([as_matrix(p) for p in m[ai].values()], axis=-1)
             xs = [x + (xi,) for x in xs for xi in m[ai]]
-            mats = (mats[:, None, :, None, :, None] * site[None, :, None, :, None, :]).reshape(
-                len(xs), mats.shape[1] * site.shape[1], -1)
-        meas[a] = dict(zip(xs, mats))
-    return make_device(
-        COMPONENTS,
-        site_dims,
-        state,
-        meas,
-        unitaries=unitaries,
-        input_alphabet=inputs,
-        output_alphabet=outputs,
-        name=name,
-    )
+            prod = mats[:, None, :, None, :, None] * site[None, :, None, :, None, :]
+            dim = prod.shape[0] * prod.shape[1]
+            mats = prod.reshape(dim, dim, len(xs))
+        meas[a] = _Measurement(xs, _read_only([mats.transpose(2, 0, 1)])[0])
+    return make_device(COMPONENTS, site_dims, state, meas, unitaries, inputs, outputs, name)
 
 
-class _ScatteredLetter(Mapping):
-    """One input letter's dense projectors, in listed order, scattered from its
-    block stacks into zero matrices when a value is first read, and kept."""
-
-    def __init__(self, rows: dict, stacks, blocks, dim: int) -> None:
-        self._rows, self._stacks, self._blocks, self._dim = rows, stacks, blocks, dim
-
-    @functools.cached_property
-    def _dense(self) -> np.ndarray:
-        dense = np.zeros((len(self._rows), self._dim, self._dim), dtype=np.complex128)
-        for idx, stack in zip(self._blocks, self._stacks):
-            dense[:, idx[:, :, None], idx[:, None, :]] = stack
-        dense.setflags(write=False)
-        return dense
-
-    def __getitem__(self, x: Letter) -> np.ndarray:
-        return self._dense[self._rows[x]]
-
-    def __contains__(self, x: object) -> bool:
-        return x in self._rows
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
+def block_device(blocks, state_blocks, letters, input_alphabet, output_alphabet, name="") -> Device:
+    """A general device without unitaries held as its block stacks, marked
+    read-only in place: ``blocks`` in ``matcore.support_blocks`` order, the
+    state's (k, s, s) stacks, and per measured letter its listed outputs and
+    one (outputs, k, s, s) stack per block size laid out as ``split_blocks``
+    lays it out (no validation here)."""
+    blocks, state_blocks = _read_only(blocks), _read_only(state_blocks)
+    stacks = {a: _read_only(s) for a, (_, s) in letters.items()}
+    meas = {a: _Measurement(xs, blocks=blocks, stacks=stacks[a]) for a, (xs, _) in letters.items()}
+    d = Device(GENERAL, (sum(idx.size for idx in blocks),), _scattered(blocks, state_blocks, ()),
+               tuple(input_alphabet), tuple(output_alphabet), meas, {}, name)
+    # a cached property reads the instance dict first, so the device holds its stacks from the start
+    d.__dict__.update(blocks=blocks, state_blocks=state_blocks, projector_blocks=stacks)
+    return d
 
 
 def direct_sum(parts: Sequence[tuple[float, Device]], name: str = "") -> Device:
     """The direct sum of devices without unitaries: part i's state times its
     positive weight, each output's projector summed over the parts listing it,
-    and the parts' alphabets joined in first-seen order.  Its block stacks are
+    and the parts' alphabets joined in first-seen order; every part must
+    measure every joined input letter.  Its block stacks are
     ``support_blocks`` / ``split_blocks`` of the dense sum, built from the
     parts' stacks: per block size, the parts' blocks in part order, zero blocks
     for outputs a part does not list, the outputs axis fastest in memory."""
-    if any(d.unitaries for _, d in parts):
-        raise DeviceError("direct_sum takes parts without unitaries")
+    if not parts:
+        raise DeviceError("direct_sum takes at least one part")
     inputs, outputs = (tuple(dict.fromkeys(c for _, d in parts for c in getattr(d, f)))
                        for f in ("input_alphabet", "output_alphabet"))
-    starts = list(itertools.accumulate((d.dim for _, d in parts), initial=0))
-    dim = starts[-1]
-    state = np.zeros((dim, dim), dtype=np.complex128)
+    for i, (w, d) in enumerate(parts):
+        if not (math.isfinite(w) and w > 0):
+            raise DeviceError(f"part {i} has weight {w!r}; weights must be positive and finite")
+        if d.unitaries:
+            raise DeviceError("direct_sum takes parts without unitaries")
+        if missing := [a for a in inputs if a not in d.measurements]:
+            raise DeviceError(f"part {i} does not measure input letter {missing[0]!r}")
+    starts = itertools.accumulate((d.dim for _, d in parts), initial=0)
     rows: dict[int, list] = {}  # block size -> (weight, part, stack position, indices)
     for (w, d), start in zip(parts, starts):
-        state[start:start + d.dim, start:start + d.dim] = w * d.state
         for j, idx in enumerate(d.blocks):
             rows.setdefault(idx.shape[1], []).append((w, d, j, idx + start))
     groups = [rows[s] for s in sorted(rows)]
-    blocks = tuple(np.concatenate([idx for *_, idx in g]) for g in groups)
-    state_blocks = tuple(np.concatenate([w * d.state_blocks[j] for w, d, j, _ in g])
-                         for g in groups)
-    measurements, projector_blocks = {}, {}
+    blocks = [np.concatenate([idx for *_, idx in g]) for g in groups]
+    state_blocks = [np.concatenate([w * d.state_blocks[j] for w, d, j, _ in g]) for g in groups]
+    letters = {}
     for a in inputs:
         listed = dict.fromkeys(x for _, d in parts for x in d.measurements[a])
         at = dict(zip(listed, itertools.count()))
-        stacks = tuple(np.moveaxis(np.zeros((*i.shape, i.shape[1], len(at)), np.complex128), -1, 0)
-                       for i in blocks)
+        stacks = [np.moveaxis(np.zeros((*i.shape, i.shape[1], len(at)), np.complex128), -1, 0)
+                  for i in blocks]
         for stack, g in zip(stacks, groups):
             ks = itertools.accumulate((len(idx) for *_, idx in g), initial=0)
             for (_, d, j, idx), k in zip(g, ks):
                 stack[[at[x] for x in d.measurements[a]], k:k + len(idx)] = d.projector_blocks[a][j]
-        projector_blocks[a], measurements[a] = stacks, _ScatteredLetter(at, stacks, blocks, dim)
-    for m in itertools.chain([state], blocks, state_blocks, *projector_blocks.values()):
-        m.setflags(write=False)
-    d = Device(GENERAL, (dim,), state, inputs, outputs, MappingProxyType(measurements), {}, name)
-    # a cached property reads the instance dict first, so the sum holds its stacks from the start
-    d.__dict__.update(blocks=blocks, state_blocks=state_blocks, projector_blocks=projector_blocks)
-    return d
+        letters[a] = (at, stacks)
+    return block_device(blocks, state_blocks, letters, inputs, outputs, name)
 
 
 def _is_tuple_of(x: Letter, m: int) -> bool:

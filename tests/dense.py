@@ -38,6 +38,11 @@ def sqrtm_psd(m) -> np.ndarray:
     return psd_power(m, 0.5)
 
 
+def unitary(d: Device, a: Letter) -> np.ndarray:
+    """U_a, the identity for a letter without a unitary."""
+    return d.unitaries.get(a, np.eye(d.dim, dtype=np.complex128))
+
+
 def projector(d: Device, a: Letter, x: Letter) -> np.ndarray:
     """Measurement projector for (input, output); zero if unlisted."""
     if a not in d.measurements:
@@ -83,7 +88,7 @@ def _branch_operator(d: Device, a_seq: Sequence[Letter], x_seq: Sequence[Letter]
     """M_n ... M_1 with M_j = U_{a_j} P_{a_j}^{x_j}."""
     m = np.eye(d.dim, dtype=np.complex128)
     for a, x in zip(a_seq, x_seq):
-        m = d.unitary(a) @ projector(d, a, x) @ m
+        m = unitary(d, a) @ projector(d, a, x) @ m
     return m
 
 

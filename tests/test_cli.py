@@ -348,3 +348,25 @@ MAGIC_SQUARE_STDOUT = {
 def test_magic_square_steps_keep_their_bytes(argv, capsys):
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MAGIC_SQUARE_STDOUT[argv]
+
+
+@pytest.mark.parametrize("dims", ["2,2,2", "2", "a,b", ""])
+def test_seesaw_rejects_bad_dims(dims, capsys):
+    assert main(["seesaw", "--game", "chsh", "--dims", dims]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad --dims {dims!r}, expected two integers such as 2,2\n"
+
+
+# SHA-256 of a Magic Square see-saw witness file, recorded before each
+# letter's projectors were stored as one stack.
+WITNESS_FILE_SHA256 = "c853d5802d4d906a6b43490883b32b8fe2a8038c7b805f572120a4697b22e649"
+
+
+def test_seesaw_witness_file_keeps_its_bytes(tmp_path, capsys):
+    path = tmp_path / "witness.json"
+    argv = ["seesaw", "--game", "magic-square", "--dims", "4,4", "--restarts", "2",
+            "--iters", "10", "--seed", "2", "--dump-device", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WITNESS_FILE_SHA256

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randx import catalog, classicaloracle, scoring
+from randx import catalog, classicaloracle, matcore, protocol, scoring
 from randx.cli import main
 from randx.devicemodel import (
     COMPONENTS,
@@ -226,7 +226,7 @@ class TestEvolve:
         d = random_device(42)
         a, x = 1, 0
         pair = evolve_sequence(d, [a], [x])
-        u = d.unitary(a)
+        u = dense.unitary(d, a)
         p = d.measurements[a][x]
         direct = u @ p @ d.state @ p @ u.conj().T
         assert np.max(np.abs(pair.device_state - direct)) < 1e-12
@@ -403,7 +403,7 @@ def test_device_dict_omitted_unitary_defaults_identity():
     for entry in data["inputs"]:
         entry.pop("unitary", None)
     loaded = device_from_dict(data)
-    assert np.allclose(loaded.unitary(0), np.eye(3))
+    assert np.allclose(dense.unitary(loaded, 0), np.eye(3))
 
 
 class TestBlocks:
@@ -589,3 +589,142 @@ def test_components_projectors_equal_kron(components_calls):
             assert list(d.measurements[a]) == list(outs)
             for x, p in outs.items():
                 assert_same_bits(d.measurements[a][x], p)
+
+
+def base_array(a):
+    """The array that owns a view's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.fixture(scope="module")
+def ms_witness():
+    """A 4x4 Magic Square see-saw witness: 576 projectors of 16x16, one block."""
+    g = catalog.get_game("magic-square")
+    return classicaloracle.seesaw(g, (4, 4), restarts=1, iters=2, seed=1).device
+
+
+def catalog_devices():
+    return [*catalog.chsh().devices.values(), *catalog.magic_square().devices.values()]
+
+
+class TestSingleStorage:
+    def test_measurements_share_the_projector_blocks(self, ms_witness):
+        for d in (catalog.get_device("chsh:optimal"), ms_witness):
+            assert [idx.shape for idx in d.blocks] == [(1, d.dim)]
+            for a, outs in d.measurements.items():
+                for x in outs:
+                    assert np.shares_memory(outs[x], d.projector_blocks[a][0])
+
+    def test_witness_holds_one_projector_array_per_letter(self, ms_witness):
+        d = ms_witness
+        arrays = [p for outs in d.measurements.values() for p in outs.values()]
+        arrays += [s for stacks in d.projector_blocks.values() for s in stacks]
+        arrays += [s for stacks in d.round_ops.values() for s in stacks]
+        bases = {id(base_array(m)): base_array(m) for m in arrays}
+        assert len(bases) == len(d.measurements) == 9
+        assert sum(b.nbytes for b in bases.values()) == 576 * 16 * 16 * 16
+
+    def test_round_ops_without_a_unitary_are_the_projector_blocks(self):
+        for d in catalog_devices():
+            for a in d.measurements:
+                assert d.round_ops[a] is d.projector_blocks[a]
+
+    def test_round_ops_with_a_unitary_equal_the_dense_oracle(self):
+        d = random_device(8)
+        one = make_device(GENERAL, (3,), d.state, d.measurements, unitaries={1: d.unitaries[1]})
+        for dev in (d, one):
+            for a, outs in dev.measurements.items():
+                if a not in dev.unitaries:
+                    assert dev.round_ops[a] is dev.projector_blocks[a]
+                    continue
+                ref = matcore.split_blocks(np.stack([dev.unitaries[a] @ p for p in outs.values()]),
+                                           dev.blocks)
+                for op, ref_op in zip(dev.round_ops[a], ref, strict=True):
+                    assert np.allclose(op, ref_op, rtol=0, atol=1e-15)
+                    assert not op.flags.writeable
+
+    def test_stacks_keep_the_layout_of_split_blocks(self):
+        opt = catalog.get_device("chsh:optimal")
+        raw = {a: dict(outs) for a, outs in opt.measurements.items()}
+        for d in (*catalog_devices(), make_device(GENERAL, (4,), opt.state, raw)):
+            for f, ref in zip(d.state_blocks, matcore.split_blocks(d.state, d.blocks), strict=True):
+                assert live_strides(f) == live_strides(ref)
+            for a, outs in d.measurements.items():
+                ref = matcore.split_blocks(np.stack(list(outs.values())), d.blocks)
+                for stacks in (d.projector_blocks[a], d.round_ops[a]):
+                    for p, ref_p in zip(stacks, ref, strict=True):
+                        assert_same_bits(p, ref_p)
+                        assert live_strides(p) == live_strides(ref_p)
+
+    def test_fresh_mass_equals_the_split_stacks_bit_for_bit(self):
+        d = catalog.chsh_optimal_device()
+        ref = dataclasses.replace(d)
+        ref.__dict__["projector_blocks"] = {
+            a: tuple(matcore.split_blocks(np.stack(list(outs.values())), d.blocks))
+            for a, outs in d.measurements.items()
+        }
+        g = catalog.chsh_game()
+        masses = [protocol.enumerate_success_state(g, dev, 3, q=0.5, chi=0.5, eps=0.2).mass
+                  for dev in (d, ref)]
+        assert masses == [0.8116474450410949] * 2
+
+    def test_mixed_shape_letters_are_kept_for_validation(self):
+        d = misfit_projector_device()
+        outs = d.measurements[0]
+        assert [p.shape for p in outs.values()] == [(2, 2), (3, 3)]
+        assert not any(p.flags.writeable for p in outs.values())
+
+
+class TestReadOnlyMaps:
+    def devices(self):
+        d = random_device(3)
+        return [
+            catalog.get_device("chsh:optimal"),
+            catalog.get_device("magic-square:pair-000-001"),
+            d,
+            dataclasses.replace(d, measurements={a: dict(outs) for a, outs in d.measurements.items()}),
+        ]
+
+    def test_measurements_and_unitaries_refuse_assignment(self):
+        for d in self.devices():
+            a = next(iter(d.measurements))
+            with pytest.raises(TypeError):
+                d.measurements[a] = {}
+            with pytest.raises(TypeError):
+                d.measurements[a][next(iter(d.measurements[a]))] = np.eye(d.dim)
+            with pytest.raises(TypeError):
+                d.unitaries[a] = np.eye(d.dim)
+            for outs in d.measurements.values():
+                assert not any(p.flags.writeable for p in outs.values())
+
+    def test_catalog_device_keeps_its_measurements(self):
+        d = catalog.get_device("chsh:optimal")
+        with pytest.raises(TypeError):
+            d.measurements[(0, 0)] = {}
+        assert len(catalog.get_device("chsh:optimal").measurements[(0, 0)]) == 4
+
+    def test_make_device_copies_its_inputs(self):
+        p = np.diag([1.0, 0.0]).astype(complex)
+        d = make_device(GENERAL, (2,), np.eye(2) / 2, {0: {0: p, 1: np.eye(2) - p}})
+        p[0, 0] = 0.0
+        assert d.measurements[0][0][0, 0] == 1.0
+
+
+class TestDirectSumErrors:
+    def test_part_without_a_joined_input_letter(self):
+        parts = [(0.5, catalog.get_device("chsh:optimal")),
+                 (0.5, catalog.get_device("magic-square:pair-000-001"))]
+        with pytest.raises(DeviceError, match="does not measure input letter"):
+            direct_sum(parts)
+
+    @pytest.mark.parametrize("weights", [(-0.5, 1.5), (0.0, 1.0), (math.nan, 0.5), (math.inf, 1.0)])
+    def test_weights_must_be_positive_and_finite(self, weights):
+        d = catalog.get_device("chsh:optimal")
+        with pytest.raises(DeviceError, match="positive and finite"):
+            direct_sum([(w, d) for w in weights])
+
+    def test_no_parts(self):
+        with pytest.raises(DeviceError, match="at least one part"):
+            direct_sum([])

@@ -27,6 +27,7 @@ from randx.protocol import (
     simulate_outcomes,
 )
 from randx.scoring import quadratic_rate_curve
+from tests import dense
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
 
@@ -154,7 +155,7 @@ def memory_tree_reference(g, d, n, q, chi, eps):
             continue
         for p_i, i, test in rows:
             a = g.input_alphabet[i]
-            uni = d.unitary(a)
+            uni = dense.unitary(d, a)
             for j, proj in zip(plan.outputs[i], d.measurements[a].values()):
                 nm = uni @ proj @ m
                 weight = float(np.trace(nm @ d.state @ dagger(nm)).real)
@@ -179,7 +180,7 @@ def memory_state_mass(g, d, n, q, chi):
     for p_i, i, test in protocol._supported_inputs(plan, q):
         a = g.input_alphabet[i]
         for j, proj in zip(plan.outputs[i], d.measurements[a].values()):
-            children.append((p_i, plan.units[i * n_out + j] if test else 0, d.unitary(a) @ proj))
+            children.append((p_i, plan.units[i * n_out + j] if test else 0, dense.unitary(d, a) @ proj))
     classes = {0: d.state}
     for _ in range(n):
         nxt = {}
@@ -220,7 +221,7 @@ def memory_transcript_reference(g, d, params):
         cdf[-1] = max(cdf[-1], 1.0)
         x_idx[j] = plan.outputs[a_idx[j]][protocol._search(cdf, u[j, 2])]
         proj = d.measurements[a][g.output_alphabet[x_idx[j]]]
-        uni = d.unitary(a)
+        uni = dense.unitary(d, a)
         state = uni @ proj @ state @ proj @ dagger(uni)
         tr = float(np.trace(state).real)
         if tr > 0:
