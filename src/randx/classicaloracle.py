@@ -160,6 +160,9 @@ def strategy_device(g: Game, strategy: Sequence[Mapping[Letter, Letter]]) -> Dev
     )
 
 
+_SEESAW_BLOCK = 16  # restarts stacked in one see-saw block; bounds its memory
+
+
 @dataclass(frozen=True)
 class SeesawResult:
     value: float
@@ -167,140 +170,178 @@ class SeesawResult:
     iterations: int
     constrained: bool
     restarts: int
+    restart_values: tuple[float, ...]  # each restart's best value, in restart order
 
 
-def _positive_part_projector(delta: np.ndarray) -> np.ndarray:
+def _top_columns(vecs: np.ndarray, r: int) -> np.ndarray:
+    """The last ``r`` columns of each matrix of a (k, d, d) stack, each slice
+    laid out column by column, as a boolean column mask lays out one matrix."""
+    return np.ascontiguousarray(vecs[..., vecs.shape[-1] - r:].swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _positive_part(delta: np.ndarray) -> np.ndarray:
+    """Projector onto the positive eigenspace of the Hermitian part of each
+    matrix of a (k, d, d) stack: one batched eigh, then one product per count
+    of positive eigenvalues (the top columns, as eigh sorts them)."""
     vals, vecs = np.linalg.eigh((delta + matcore.dagger(delta)) / 2)
-    keep = vecs[:, vals > 0]
-    return keep @ matcore.dagger(keep)
+    out = np.empty(delta.shape, dtype=np.complex128)
+    counts = (vals > 0).sum(axis=-1)
+    for p in set(counts.tolist()):
+        sel = np.flatnonzero(counts == p)
+        keep = _top_columns(vecs[sel], p)
+        out[sel] = keep @ matcore.dagger(keep)
+    return out
 
 
-def _update_pvm(pvm: list[np.ndarray], effops: list[np.ndarray]) -> list[np.ndarray]:
-    """Maximize sum_x Tr[A_x R_x] over projective measurements.
+def _update_pvms(pvms: np.ndarray, effops: np.ndarray) -> None:
+    """Maximize sum_x Tr[A_x R_x] over each projective measurement of a
+    (k, outputs, d, d) stack against its effective operators, in place.
 
     Binary case is exact (positive eigenspace of R_0 - R_1).  For more
     outcomes, pairwise subspace sweeps reoptimize every outcome pair's split,
-    which never decreases the objective.
-    """
-    n = len(effops)
-    if n == 2:
-        a0 = _positive_part_projector(effops[0] - effops[1])
-        return [a0, np.eye(a0.shape[0], dtype=np.complex128) - a0]
-    pvm = [p.copy() for p in pvm]
+    which never decreases the objective: one batched eigh per pair, its
+    slices grouped by the rank of the pair's subspace."""
+    outs, d = pvms.shape[1], pvms.shape[-1]
+    if outs == 2:
+        a0 = _positive_part(effops[:, 0] - effops[:, 1])
+        pvms[:, 0] = a0
+        pvms[:, 1] = np.eye(d, dtype=np.complex128) - a0
+        return
     for _ in range(3):  # a few sweeps settle this at desk scale
-        for j in range(n):
-            for k in range(j + 1, n):
-                sub = pvm[j] + pvm[k]
+        for j in range(outs):
+            for k in range(j + 1, outs):
+                sub = pvms[:, j] + pvms[:, k]
                 vals, vecs = np.linalg.eigh((sub + matcore.dagger(sub)) / 2)
-                iso = vecs[:, vals > 0.5]
-                if iso.shape[1] == 0:
-                    continue
-                rj = matcore.dagger(iso) @ effops[j] @ iso
-                rk = matcore.dagger(iso) @ effops[k] @ iso
-                split = _positive_part_projector(rj - rk)
-                pvm[j] = iso @ split @ matcore.dagger(iso)
-                pvm[k] = iso @ (np.eye(iso.shape[1]) - split) @ matcore.dagger(iso)
-    return pvm
+                ranks = (vals > 0.5).sum(axis=-1)
+                for r in set(ranks.tolist()) - {0}:
+                    sel = np.flatnonzero(ranks == r)
+                    iso = _top_columns(vecs[sel], r)
+                    iso_h = matcore.dagger(iso)
+                    rj = iso_h @ effops[sel, j] @ iso
+                    rk = iso_h @ effops[sel, k] @ iso
+                    split = _positive_part(rj - rk)
+                    pvms[sel, j] = iso @ split @ iso_h
+                    pvms[sel, k] = iso @ (np.eye(r) - split) @ iso_h
 
 
-def _score_terms(g: Game) -> list[tuple[float, Letter, Letter, int, int]]:
-    """Nonzero game-operator terms (p(a)·H(a, x), a1, a2, i1, i2).
-
-    Listed in (a, x1, x2) order, so every sum over a filtered subset adds its
-    terms in the order of the nested loops over inputs and outputs.
-    """
+def _score_cells(g: Game) -> list[tuple[float, int, int]]:
+    """Nonzero game-operator terms (p(a)·H(a, x), cell 1, cell 2), a player's
+    cell being input index · outputs + output index.  Listed in (a, x1, x2)
+    order, so every sum over a filtered subset adds its terms in the order of
+    the nested loops over inputs and outputs."""
+    (in1, in2), (outs1, outs2) = g.player_inputs, g.player_outputs
     terms = []
     for a in g.input_alphabet:
         p = g.prob(a)
         if p == 0.0:
             continue
-        for i1, x1 in enumerate(g.player_outputs[0]):
-            for i2, x2 in enumerate(g.player_outputs[1]):
+        c1, c2 = in1.index(a[0]) * len(outs1), in2.index(a[1]) * len(outs2)
+        for i1, x1 in enumerate(outs1):
+            for i2, x2 in enumerate(outs2):
                 h = g.score(a, (x1, x2))
                 if h != 0.0:
-                    terms.append((p * h, a[0], a[1], i1, i2))
+                    terms.append((p * h, c1 + i1, c2 + i2))
     return terms
 
 
-def _seesaw_restart(
-    g: Game,
-    terms: list[tuple[float, Letter, Letter, int, int]],
-    dims: tuple[int, int],
-    constrain_abar: bool,
-    iters: int,
-    seed: int,
-    restart: int,
-):
-    """One seeded restart; returns (best value, snapshot, iterations used)."""
-    d1, d2 = dims
-    outs1, outs2 = g.player_outputs
-    abar = g.distinguished_input
-    best_value = -math.inf
-    best_snapshot = None
-    total_iters = 0
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
-    pvm1 = {a: matcore.haar_pvm(d1, len(outs1), rng) for a in g.player_inputs[0]}
-    pvm2 = {b: matcore.haar_pvm(d2, len(outs2), rng) for b in g.player_inputs[1]}
-    psi = matcore.ginibre(d1 * d2, rng)
-    psi /= np.linalg.norm(psi)
-    prev = -math.inf
-    for it in range(iters):
-        total_iters += 1
-        psi_mat = psi.reshape(d1, d2)
+def _term_slots(kterms: list[tuple[float, int, int]], own: int) -> list:
+    """Per term slot s: player ``own``'s cells with over s terms, each one's s-th
+    weight and other cell, so slot-by-slot sums keep ``_score_cells`` order."""
+    rows: dict[int, list] = {}
+    for w, *cells in kterms:
+        rows.setdefault(cells[own], []).append((w, cells[1 - own]))
+    slots = []
+    for s in range(max(map(len, rows.values()), default=0)):
+        sel = [c for c in sorted(rows) if len(rows[c]) > s]
+        w, src = zip(*(rows[c][s] for c in sel))
+        slots.append((np.array(sel), np.array(w), np.array(src)))
+    return slots
+
+
+def _effective_sums(other: np.ndarray, slots: list, cells: int) -> np.ndarray:
+    """Per restart and cell, the weighted sum of the other player's
+    projectors, an (r, cells, d, d) stack, added slot by slot."""
+    m = np.zeros((other.shape[0], cells, *other.shape[2:]), dtype=np.complex128)
+    for sel, w, src in slots:
+        m[:, sel] += w[:, None, None] * other[:, src]
+    return m
+
+
+def _seesaw_block(g: Game, kterms: list, dims: tuple[int, int], constrain_abar: bool,
+                  iters: int, seed: int, block: range) -> list:
+    """Per restart of ``block``, in order: (best value, snapshot or None, sweeps).
+
+    Each half-step runs for all live restarts and inputs of a player at once,
+    on (r, inputs, outputs, d, d) projector stacks laid out slice by slice as
+    one restart's matrices were, so every product and eigh rounds alike.  The
+    value, branch and stop test run per restart; a stopped one leaves the stack.
+    """
+    (d1, d2), (i1, i2), (outs1, outs2) = dims, map(len, g.player_inputs), map(len, g.player_outputs)
+    slots = [_term_slots(kterms, own) for own in (0, 1)]
+    p1, p2, psi = [], [], []
+    for k in block:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        p1.append([matcore.haar_pvm(d1, outs1, rng) for _ in range(i1)])
+        p2.append([matcore.haar_pvm(d2, outs2, rng) for _ in range(i2)])
+        psi.append(matcore.ginibre(d1 * d2, rng))
+        psi[-1] /= np.linalg.norm(psi[-1])
+    p1, p2, psi = np.array(p1), np.array(p2), np.array(psi)  # psi: one state per row
+    live = list(range(len(block)))
+    best, prev = [-math.inf] * len(block), [-math.inf] * len(block)
+    snapshots, used = [None] * len(block), [0] * len(block)
+    for _ in range(iters):
+        n = len(live)
+        for pos in live:
+            used[pos] += 1
+        psi_mat = psi.reshape(n, d1, d2)
+        psi_h = matcore.dagger(psi_mat)
+        cells1, cells2 = p1.reshape(n, -1, d1, d1), p2.reshape(n, -1, d2, d2)  # views
         # player 1: effective operators R_x = Psi M^T Psi† per input
-        for a1 in g.player_inputs[0]:
-            effops = []
-            for i1 in range(len(outs1)):
-                m = np.zeros((d2, d2), dtype=np.complex128)
-                for w, b1, b2, j1, j2 in terms:
-                    if b1 == a1 and j1 == i1:
-                        m += w * pvm2[b2][j2]
-                effops.append(psi_mat @ m.T @ matcore.dagger(psi_mat))
-            pvm1[a1] = _update_pvm(pvm1[a1], effops)
+        m = _effective_sums(cells2, slots[0], i1 * outs1)
+        effops = psi_mat[:, None] @ m.swapaxes(-1, -2) @ psi_h[:, None]
+        _update_pvms(p1.reshape(-1, outs1, d1, d1), effops.reshape(-1, outs1, d1, d1))
         # player 2: effective operators R_x = Psi† M Psi per input
-        for a2 in g.player_inputs[1]:
-            effops = []
-            for i2 in range(len(outs2)):
-                m = np.zeros((d1, d1), dtype=np.complex128)
-                for w, b1, b2, j1, j2 in terms:
-                    if b2 == a2 and j2 == i2:
-                        m += w * pvm1[b1][j1]
-                effops.append(matcore.dagger(psi_mat) @ m @ psi_mat)
-            pvm2[a2] = _update_pvm(pvm2[a2], effops)
-        k = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
-        for w, b1, b2, j1, j2 in terms:
-            k += w * np.kron(pvm1[b1][j1], pvm2[b2][j2])
-        vals, vecs = np.linalg.eigh((k + matcore.dagger(k)) / 2)
-        psi = vecs[:, -1]
-        if constrain_abar:
-            # restrict the state to its heaviest deterministic branch of abar
-            best_branch = None
-            best_weight = -1.0
-            for i1, x1 in enumerate(outs1):
-                p1 = pvm1[abar[0]][i1]
-                for i2, x2 in enumerate(outs2):
-                    proj = np.kron(p1, pvm2[abar[1]][i2])
-                    w = float(np.vdot(psi, proj @ psi).real)
-                    if w > best_weight:
-                        best_weight = w
-                        best_branch = proj
-            projected = best_branch @ psi
-            norm = np.linalg.norm(projected)
-            if norm < 1e-12:
-                break
-            psi = projected / norm
-        value = float(np.vdot(psi, k @ psi).real)
-        if value > best_value:
-            best_value = value
-            best_snapshot = (
-                {a: [p.copy() for p in pvm1[a]] for a in pvm1},
-                {b: [p.copy() for p in pvm2[b]] for b in pvm2},
-                psi.copy(),
-            )
-        if abs(value - prev) < 1e-12 * max(1.0, abs(value)):
+        m = _effective_sums(cells1, slots[1], i2 * outs2)
+        effops = psi_h[:, None] @ m @ psi_mat[:, None]
+        _update_pvms(p2.reshape(-1, outs2, d2, d2), effops.reshape(-1, outs2, d2, d2))
+        # K = sum_terms w · P1 ⊗ P2, one stacked outer product per term
+        k = np.zeros((n, d1 * d2, d1 * d2), dtype=np.complex128)
+        for w, c1, c2 in kterms:
+            outer = cells1[:, c1, :, None, :, None] * cells2[:, c2, None, :, None, :]
+            k += w * outer.reshape(k.shape)
+        vecs = np.linalg.eigh((k + matcore.dagger(k)) / 2)[1]
+        states, keep = list(vecs[:, :, -1]), []
+        for i, pos in enumerate(live):
+            if constrain_abar:
+                states[i] = _abar_branch(g, p1[i], p2[i], states[i])
+                if states[i] is None:
+                    continue
+            value = float(np.vdot(states[i], k[i] @ states[i]).real)
+            if value > best[pos]:
+                best[pos] = value
+                snapshots[pos] = (p1[i].copy(), p2[i].copy(), states[i].copy())
+            if abs(value - prev[pos]) < 1e-12 * max(1.0, abs(value)):
+                continue
+            prev[pos] = value
+            keep.append(i)
+        if not keep:
             break
-        prev = value
-    return best_value, best_snapshot, total_iters
+        live, p1, p2 = [live[i] for i in keep], p1[keep], p2[keep]
+        # unconstrained states stay the eigh's strided columns, as in one restart
+        psi = np.array([states[i] for i in keep]) if constrain_abar else vecs[keep][:, :, -1]
+    return list(zip(best, snapshots, used))
+
+
+def _abar_branch(g: Game, pvm1: np.ndarray, pvm2: np.ndarray, psi: np.ndarray) -> np.ndarray | None:
+    """psi restricted to its heaviest (first if tied) deterministic branch of
+    the distinguished input, or None when that leaves (numerically) nothing."""
+    a1, a2 = g.distinguished_input
+    branches = [np.kron(p1, p2) for p1 in pvm1[g.player_inputs[0].index(a1)]
+                for p2 in pvm2[g.player_inputs[1].index(a2)]]
+    weights = [float(np.vdot(psi, proj @ psi).real) for proj in branches]
+    projected = branches[weights.index(max(weights))] @ psi
+    norm = np.linalg.norm(projected)
+    return None if norm < 1e-12 else projected / norm
 
 
 def seesaw(
@@ -316,10 +357,11 @@ def seesaw(
     Per sweep each player's measurement is reoptimized against the other
     player and the shared state, the state moves to the top eigenvector of
     the game operator, and with constrain_abar the state is then projected
-    onto its best deterministic branch of the distinguished input.  Restarts
-    run in index order, each from its own seeded stream, and are merged by
-    max with first-index tie break.  The returned value is a certified lower
-    bound: it is re-scored from the witnessed device.
+    onto its best deterministic branch of the distinguished input.  Each
+    restart starts from its own seeded stream; restarts run stacked, in
+    blocks of ``_SEESAW_BLOCK`` in index order, and are merged by max with
+    first-index tie break.  The returned value is a certified lower bound:
+    it is re-scored from the witnessed device.
     """
     if g.kind != NONLOCAL or g.player_inputs is None or len(g.player_inputs) != 2:
         raise UnsupportedError("see-saw supports exactly 2-player nonlocal games")
@@ -328,39 +370,36 @@ def seesaw(
         raise BadDimsError(f"per-player dims must lie in [1, 8], got {dims}")
     if restarts < 1 or iters < 1:
         raise OracleError(f"restarts and iters must be at least 1, got {restarts} and {iters}")
-    outs1, outs2 = g.player_outputs
+    if seed < 0:
+        raise OracleError(f"seed must be a non-negative integer, got seed {seed}")
 
-    terms = _score_terms(g)
-    runs = [
-        _seesaw_restart(g, terms, (d1, d2), constrain_abar, iters, seed, k)
-        for k in range(restarts)
-    ]
-    best_value = -math.inf
-    best_snapshot = None
-    total_iters = 0
-    for value, snapshot, used in runs:
-        total_iters += used
-        if snapshot is not None and value > best_value:
-            best_value = value
-            best_snapshot = snapshot
+    kterms = _score_cells(g)
+    best_value, best_snapshot, total_iters, restart_values = -math.inf, None, 0, []
+    for start in range(0, restarts, _SEESAW_BLOCK):
+        block = range(start, min(start + _SEESAW_BLOCK, restarts))
+        for value, snapshot, used in _seesaw_block(
+            g, kterms, (d1, d2), constrain_abar, iters, seed, block
+        ):
+            total_iters += used
+            restart_values.append(value)
+            if snapshot is not None and value > best_value:
+                best_value, best_snapshot = value, snapshot
 
     assert best_snapshot is not None
     pvm1, pvm2, psi = best_snapshot
-    site1 = {a: {x: pvm1[a][i] for i, x in enumerate(outs1)} for a in g.player_inputs[0]}
-    site2 = {b: {x: pvm2[b][i] for i, x in enumerate(outs2)} for b in g.player_inputs[1]}
-    device = components_device(
-        (d1, d2),
-        np.outer(psi, np.conj(psi)),
-        (site1, site2),
-        name="seesaw" + ("-constrained" if constrain_abar else ""),
+    sites = tuple(
+        {a: dict(zip(outs, pvm[k])) for k, a in enumerate(inputs)}
+        for pvm, inputs, outs in zip((pvm1, pvm2), g.player_inputs, g.player_outputs)
     )
-    value = scoring.eps_score(g, device, 0.0)
+    name = "seesaw" + ("-constrained" if constrain_abar else "")
+    device = components_device((d1, d2), np.outer(psi, np.conj(psi)), sites, name=name)
     return SeesawResult(
-        value=value,
+        value=scoring.eps_score(g, device, 0.0),
         device=device,
         iterations=total_iters,
         constrained=constrain_abar,
         restarts=restarts,
+        restart_values=tuple(restart_values),
     )
 
 

@@ -291,6 +291,8 @@ def run_suite(suite: str, trials: int, seed: int = 0) -> SuiteResult:
         raise ConvexityError(f"unknown suite {suite!r}; choose from {SUITES}")
     if trials < 1:
         raise ConvexityError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ConvexityError(f"seed must be a non-negative integer, got seed {seed}")
     rows: list[SuiteRow] = []
     for start in range(0, trials, SUITE_CHUNK):
         chunk = range(start, min(start + SUITE_CHUNK, trials))

@@ -6,8 +6,10 @@ keeps (``Device.state_blocks``, ``Device.projector_blocks``,
 dim x dim matrices, as the package did before it held its devices per block,
 so the tests can compare the two.  They also build the Magic Square mixtures
 densely (``block_mixture``), as the catalog did before it summed them from
-block stacks, and form joint projectors with ``np.kron``.  Nothing in the
-package imports this module.
+block stacks, and form joint projectors with ``np.kron``.  ``seesaw_oracle``
+runs the see-saw one restart, input and matrix at a time, as the package did
+before it stacked restarts and inputs.  Nothing in the package imports this
+module.
 """
 
 from __future__ import annotations
@@ -16,14 +18,18 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import itertools
+import math
 
 import numpy as np
 
 from randx import catalog
-from randx.devicemodel import GENERAL, Device, DeviceError, Letter, UnknownLetterError, make_device
+from randx.classicaloracle import SeesawResult
+from randx.devicemodel import (
+    GENERAL, Device, DeviceError, Letter, UnknownLetterError, components_device, make_device,
+)
 from randx.gamedefs import Game, SpotCheckGame, require_compatible
-from randx.matcore import as_matrix, dagger, psd_power
-from randx.scoring import _game_terms
+from randx.matcore import as_matrix, dagger, ginibre, haar_pvm, psd_power
+from randx.scoring import _game_terms, eps_score
 
 
 class DimMismatchError(DeviceError):
@@ -204,3 +210,160 @@ def kron_projectors(site_measurements) -> dict[Letter, dict[Letter, np.ndarray]]
             combos = [(x + (xi,), np.kron(p, pi)) for x, p in combos for xi, pi in m[ai].items()]
         meas[a] = dict(combos)
     return meas
+
+
+def _score_terms(g: Game) -> list[tuple[float, Letter, Letter, int, int]]:
+    """Nonzero game-operator terms (p(a)·H(a, x), a1, a2, i1, i2) in (a, x1, x2) order."""
+    terms = []
+    for a in g.input_alphabet:
+        p = g.prob(a)
+        if p == 0.0:
+            continue
+        for i1, x1 in enumerate(g.player_outputs[0]):
+            for i2, x2 in enumerate(g.player_outputs[1]):
+                h = g.score(a, (x1, x2))
+                if h != 0.0:
+                    terms.append((p * h, a[0], a[1], i1, i2))
+    return terms
+
+
+def _positive_part_projector(delta: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh((delta + dagger(delta)) / 2)
+    keep = vecs[:, vals > 0]
+    return keep @ dagger(keep)
+
+
+def _update_pvm(pvm: list[np.ndarray], effops: list[np.ndarray]) -> list[np.ndarray]:
+    """Maximize sum_x Tr[A_x R_x] over projective measurements (one input of
+    one restart): exact for two outcomes, else three pairwise sweeps."""
+    n = len(effops)
+    if n == 2:
+        a0 = _positive_part_projector(effops[0] - effops[1])
+        return [a0, np.eye(a0.shape[0], dtype=np.complex128) - a0]
+    pvm = [p.copy() for p in pvm]
+    for _ in range(3):
+        for j in range(n):
+            for k in range(j + 1, n):
+                sub = pvm[j] + pvm[k]
+                vals, vecs = np.linalg.eigh((sub + dagger(sub)) / 2)
+                iso = vecs[:, vals > 0.5]
+                if iso.shape[1] == 0:
+                    continue
+                rj = dagger(iso) @ effops[j] @ iso
+                rk = dagger(iso) @ effops[k] @ iso
+                split = _positive_part_projector(rj - rk)
+                pvm[j] = iso @ split @ dagger(iso)
+                pvm[k] = iso @ (np.eye(iso.shape[1]) - split) @ dagger(iso)
+    return pvm
+
+
+def _seesaw_restart(g: Game, terms, dims, constrain_abar: bool, iters: int, seed: int, restart: int):
+    """One seeded restart; returns (best value, snapshot, iterations used)."""
+    d1, d2 = dims
+    outs1, outs2 = g.player_outputs
+    abar = g.distinguished_input
+    best_value = -math.inf
+    best_snapshot = None
+    total_iters = 0
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
+    pvm1 = {a: haar_pvm(d1, len(outs1), rng) for a in g.player_inputs[0]}
+    pvm2 = {b: haar_pvm(d2, len(outs2), rng) for b in g.player_inputs[1]}
+    psi = ginibre(d1 * d2, rng)
+    psi /= np.linalg.norm(psi)
+    prev = -math.inf
+    for it in range(iters):
+        total_iters += 1
+        psi_mat = psi.reshape(d1, d2)
+        for a1 in g.player_inputs[0]:
+            effops = []
+            for i1 in range(len(outs1)):
+                m = np.zeros((d2, d2), dtype=np.complex128)
+                for w, b1, b2, j1, j2 in terms:
+                    if b1 == a1 and j1 == i1:
+                        m += w * pvm2[b2][j2]
+                effops.append(psi_mat @ m.T @ dagger(psi_mat))
+            pvm1[a1] = _update_pvm(pvm1[a1], effops)
+        for a2 in g.player_inputs[1]:
+            effops = []
+            for i2 in range(len(outs2)):
+                m = np.zeros((d1, d1), dtype=np.complex128)
+                for w, b1, b2, j1, j2 in terms:
+                    if b2 == a2 and j2 == i2:
+                        m += w * pvm1[b1][j1]
+                effops.append(dagger(psi_mat) @ m @ psi_mat)
+            pvm2[a2] = _update_pvm(pvm2[a2], effops)
+        k = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
+        for w, b1, b2, j1, j2 in terms:
+            k += w * np.kron(pvm1[b1][j1], pvm2[b2][j2])
+        vals, vecs = np.linalg.eigh((k + dagger(k)) / 2)
+        psi = vecs[:, -1]
+        if constrain_abar:
+            best_branch = None
+            best_weight = -1.0
+            for i1 in range(len(outs1)):
+                p1 = pvm1[abar[0]][i1]
+                for i2 in range(len(outs2)):
+                    proj = np.kron(p1, pvm2[abar[1]][i2])
+                    w = float(np.vdot(psi, proj @ psi).real)
+                    if w > best_weight:
+                        best_weight = w
+                        best_branch = proj
+            projected = best_branch @ psi
+            norm = np.linalg.norm(projected)
+            if norm < 1e-12:
+                break
+            psi = projected / norm
+        value = float(np.vdot(psi, k @ psi).real)
+        if value > best_value:
+            best_value = value
+            best_snapshot = (
+                {a: [p.copy() for p in pvm1[a]] for a in pvm1},
+                {b: [p.copy() for p in pvm2[b]] for b in pvm2},
+                psi.copy(),
+            )
+        if abs(value - prev) < 1e-12 * max(1.0, abs(value)):
+            break
+        prev = value
+    return best_value, best_snapshot, total_iters
+
+
+def seesaw_oracle(
+    g: Game,
+    dims: Sequence[int],
+    constrain_abar: bool = False,
+    restarts: int = 20,
+    iters: int = 500,
+    seed: int = 0,
+) -> SeesawResult:
+    """``classicaloracle.seesaw`` as a loop over restarts, each one a loop over
+    single matrices: every input, outcome pair and score term on its own."""
+    d1, d2 = (int(x) for x in dims)
+    outs1, outs2 = g.player_outputs
+    terms = _score_terms(g)
+    runs = [
+        _seesaw_restart(g, terms, (d1, d2), constrain_abar, iters, seed, k)
+        for k in range(restarts)
+    ]
+    best_value = -math.inf
+    best_snapshot = None
+    for value, snapshot, _ in runs:
+        if snapshot is not None and value > best_value:
+            best_value = value
+            best_snapshot = snapshot
+    pvm1, pvm2, psi = best_snapshot
+    site1 = {a: {x: pvm1[a][i] for i, x in enumerate(outs1)} for a in g.player_inputs[0]}
+    site2 = {b: {x: pvm2[b][i] for i, x in enumerate(outs2)} for b in g.player_inputs[1]}
+    device = components_device(
+        (d1, d2),
+        np.outer(psi, np.conj(psi)),
+        (site1, site2),
+        name="seesaw" + ("-constrained" if constrain_abar else ""),
+    )
+    return SeesawResult(
+        value=eps_score(g, device, 0.0),
+        device=device,
+        iterations=sum(used for _, _, used in runs),
+        constrained=constrain_abar,
+        restarts=restarts,
+        restart_values=tuple(value for value, _, _ in runs),
+    )

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from randx import catalog, scoring
+from randx import catalog, classicaloracle, devicemodel, scoring
 from randx.classicaloracle import (
     BadDimsError,
     OracleError,
@@ -18,6 +18,7 @@ from randx.classicaloracle import (
 )
 from randx.devicemodel import is_classically_predictable, validate_device
 from randx.gamedefs import nonlocal_game
+from tests.dense import seesaw_oracle
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
 
@@ -241,6 +242,84 @@ class TestSeesaw:
         )
         with pytest.raises(UnsupportedError):
             seesaw(three, (2, 2, 2))
+
+
+def zero_score_game():
+    g = catalog.chsh().game
+    return nonlocal_game(
+        "zero",
+        player_inputs=g.player_inputs,
+        player_outputs=g.player_outputs,
+        distribution={a: g.prob(a) for a in g.input_alphabet},
+        scores={},
+        distinguished_input=(0, 0),
+    )
+
+
+# (game, dims, constrain_abar, restarts, iters, seed): the stacked see-saw
+# against the one-restart loop; more restarts than one block in the last rows.
+SEESAW_GRID = [
+    ("chsh", (2, 2), False, 4, 500, 3),
+    ("chsh", (2, 2), True, 6, 500, 5),
+    ("chsh", (1, 2), False, 5, 500, 2),
+    ("chsh", (3, 2), True, 7, 500, 8),
+    ("chsh", (8, 8), False, 2, 5, 9),
+    ("magic-square", (1, 1), False, 3, 20, 3),
+    ("magic-square", (3, 3), False, 2, 4, 1),
+    ("magic-square", (4, 4), True, 2, 3, 4),
+    *[(seed, dims, False, 4, 500, seed) for seed in (1, 2, 3) for dims in ((2, 2), (3, 2))],
+    ("chsh", (2, 2), False, 2 * classicaloracle._SEESAW_BLOCK + 3, 500, 13),
+    ("chsh", (2, 2), True, classicaloracle._SEESAW_BLOCK + 4, 500, 1),
+    ("zero", (2, 2), False, classicaloracle._SEESAW_BLOCK + 2, 20, 0),
+]
+
+
+def seesaw_game(name):
+    if name == "zero":
+        return zero_score_game()
+    return random_two_player_game(name) if isinstance(name, int) else catalog.get_game(name)
+
+
+@pytest.mark.parametrize("name, dims, constrained, restarts, iters, seed", SEESAW_GRID)
+def test_stacked_seesaw_equals_one_restart_loop(name, dims, constrained, restarts, iters, seed):
+    g = seesaw_game(name)
+    kwargs = dict(constrain_abar=constrained, restarts=restarts, iters=iters, seed=seed)
+    got, want = seesaw(g, dims, **kwargs), seesaw_oracle(g, dims, **kwargs)
+    assert got.value == want.value
+    assert got.iterations == want.iterations
+    assert got.restart_values == want.restart_values
+    assert devicemodel.json_text(got.device, 1) == devicemodel.json_text(want.device, 1)
+
+
+def test_tied_restarts_keep_the_first_across_blocks():
+    # every restart of the zero game ends at 0.0; restart 0's witness wins
+    restarts = classicaloracle._SEESAW_BLOCK + 2
+    res = seesaw(zero_score_game(), (2, 2), restarts=restarts, iters=20, seed=0)
+    first = seesaw(zero_score_game(), (2, 2), restarts=1, iters=20, seed=0)
+    assert res.restart_values == (0.0,) * restarts
+    assert devicemodel.json_text(res.device, 1) == devicemodel.json_text(first.device, 1)
+
+
+class TestRestartValues:
+    def test_one_entry_per_restart_in_order(self):
+        res = seesaw(catalog.get_game("magic-square"), (4, 4), restarts=2, iters=10, seed=2)
+        assert len(res.restart_values) == 2
+        alone = seesaw(catalog.get_game("magic-square"), (4, 4), restarts=1, iters=10, seed=2)
+        assert res.restart_values[0] == alone.restart_values[0]
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_max_is_the_merged_value(self, constrained):
+        g = catalog.chsh().game
+        res = seesaw(g, (2, 2), constrain_abar=constrained, restarts=20, seed=1)
+        want = seesaw_oracle(g, (2, 2), constrain_abar=constrained, restarts=20, seed=1)
+        # the oracle merges its restarts' values before re-scoring the witness
+        assert max(res.restart_values) == max(want.restart_values)
+        assert max(res.restart_values) == pytest.approx(res.value, abs=1e-12)
+
+
+def test_seesaw_rejects_a_negative_seed():
+    with pytest.raises(OracleError, match="seed must be a non-negative integer, got seed -1"):
+        seesaw(catalog.chsh().game, (2, 2), seed=-1)
 
 
 class TestKnownValues:

@@ -363,6 +363,44 @@ def test_seesaw_rejects_bad_dims(dims, capsys):
 WITNESS_FILE_SHA256 = "c853d5802d4d906a6b43490883b32b8fe2a8038c7b805f572120a4697b22e649"
 
 
+# SHA-256 of the stdout of the `suites` benchmark workload's see-saw steps,
+# recorded before restarts and inputs were stacked.
+SUITES_SEESAW_STDOUT = {
+    "seesaw --game chsh --dims 2,2 --constrain-abar --restarts 20 --seed 1":
+        "12286b80f3d6bf158cc5041840babf626e9555f887cac4cf31a52bd42f985cb4",
+    "seesaw --game chsh --dims 2,2 --constrain-abar --restarts 20 --seed 2":
+        "41f5556c4229e856b4a33f5a70905373546c715f141c86189fdbf85562abcf9d",
+    "seesaw --game chsh --dims 2,2 --constrain-abar --restarts 20 --seed 7":
+        "503ff26fb8242fa41f5e861e5330d8d61cd527e5844855fc456fe87b88d531e5",
+    "seesaw --game magic-square --dims 4,4 --restarts 2 --iters 10 --seed 1":
+        "53e619e9e13668598e6530013c602a71686cc8bd548e8c33deead288c47df31e",
+    "seesaw --game magic-square --dims 4,4 --restarts 2 --iters 10 --seed 2":
+        "90c2f3c7739ea11e83821a4a13d08c70b9149a841b0a6fa837dba0ac6a12895f",
+    "seesaw --game magic-square --dims 4,4 --restarts 2 --iters 10 --seed 7":
+        "81be94c9100f4bac3296dedd62184eb99f3c21e3809bef46176c89c868fada54",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SUITES_SEESAW_STDOUT))
+def test_suites_seesaw_steps_keep_their_bytes(argv, capsys):
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SUITES_SEESAW_STDOUT[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seesaw", "--game", "chsh", "--seed", "-1"],
+        ["verify", "--suite", "uniform-convexity", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_named(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer, got seed -1\n"
+
+
 def test_seesaw_witness_file_keeps_its_bytes(tmp_path, capsys):
     path = tmp_path / "witness.json"
     argv = ["seesaw", "--game", "magic-square", "--dims", "4,4", "--restarts", "2",

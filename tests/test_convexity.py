@@ -138,6 +138,11 @@ def test_run_suite_rejects_fewer_than_one_trial():
             run_suite("uniform-convexity", trials=trials, seed=1)
 
 
+def test_run_suite_rejects_a_negative_seed():
+    with pytest.raises(ConvexityError, match="seed must be a non-negative integer, got seed -2"):
+        run_suite("chain-disturbance", trials=5, seed=-2)
+
+
 # Trial-by-trial reference for run_suite: one np.linalg.svd per matrix, with
 # the draws and the arithmetic of a per-trial evaluation written out here.
 
