@@ -175,6 +175,18 @@ class TestClassicalValue:
         assert a.best_strategy == b.best_strategy
 
 
+def zero_score_game():
+    g = catalog.chsh().game
+    return nonlocal_game(
+        "zero",
+        player_inputs=g.player_inputs,
+        player_outputs=g.player_outputs,
+        distribution={a: g.prob(a) for a in g.input_alphabet},
+        scores={},
+        distinguished_input=(0, 0),
+    )
+
+
 class TestSeesaw:
     def test_chsh_unconstrained_reaches_quantum_value(self):
         res = seesaw(catalog.chsh().game, (2, 2), restarts=8, seed=11)
@@ -194,16 +206,7 @@ class TestSeesaw:
         assert ok, f"constrained witness not predictable (defect {dev})"
 
     def test_zero_scores_give_zero(self):
-        g = catalog.chsh().game
-        zero = nonlocal_game(
-            "zero",
-            player_inputs=g.player_inputs,
-            player_outputs=g.player_outputs,
-            distribution={a: g.prob(a) for a in g.input_alphabet},
-            scores={},
-            distinguished_input=(0, 0),
-        )
-        res = seesaw(zero, (2, 2), restarts=2, iters=20, seed=0)
+        res = seesaw(zero_score_game(), (2, 2), restarts=2, iters=20, seed=0)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_classical_never_beats_quantum(self):
@@ -232,6 +235,8 @@ class TestSeesaw:
         for bad in ({"restarts": 0}, {"iters": 0}, {"restarts": -1}):
             with pytest.raises(OracleError, match="must be at least 1"):
                 seesaw(g, (2, 2), **bad)
+        with pytest.raises(OracleError, match="seed must be a non-negative integer, got seed -1"):
+            seesaw(g, (2, 2), seed=-1)
         three = nonlocal_game(
             "three",
             player_inputs=[(0,), (0,), (0,)],
@@ -242,18 +247,6 @@ class TestSeesaw:
         )
         with pytest.raises(UnsupportedError):
             seesaw(three, (2, 2, 2))
-
-
-def zero_score_game():
-    g = catalog.chsh().game
-    return nonlocal_game(
-        "zero",
-        player_inputs=g.player_inputs,
-        player_outputs=g.player_outputs,
-        distribution={a: g.prob(a) for a in g.input_alphabet},
-        scores={},
-        distinguished_input=(0, 0),
-    )
 
 
 # (game, dims, constrain_abar, restarts, iters, seed): the stacked see-saw
@@ -270,6 +263,7 @@ SEESAW_GRID = [
     *[(seed, dims, False, 4, 500, seed) for seed in (1, 2, 3) for dims in ((2, 2), (3, 2))],
     ("chsh", (2, 2), False, 2 * classicaloracle._SEESAW_BLOCK + 3, 500, 13),
     ("chsh", (2, 2), True, classicaloracle._SEESAW_BLOCK + 4, 500, 1),
+    # every restart of the zero game ties at 0.0, so restart 0's witness wins
     ("zero", (2, 2), False, classicaloracle._SEESAW_BLOCK + 2, 20, 0),
 ]
 
@@ -291,15 +285,6 @@ def test_stacked_seesaw_equals_one_restart_loop(name, dims, constrained, restart
     assert devicemodel.json_text(got.device, 1) == devicemodel.json_text(want.device, 1)
 
 
-def test_tied_restarts_keep_the_first_across_blocks():
-    # every restart of the zero game ends at 0.0; restart 0's witness wins
-    restarts = classicaloracle._SEESAW_BLOCK + 2
-    res = seesaw(zero_score_game(), (2, 2), restarts=restarts, iters=20, seed=0)
-    first = seesaw(zero_score_game(), (2, 2), restarts=1, iters=20, seed=0)
-    assert res.restart_values == (0.0,) * restarts
-    assert devicemodel.json_text(res.device, 1) == devicemodel.json_text(first.device, 1)
-
-
 class TestRestartValues:
     def test_one_entry_per_restart_in_order(self):
         res = seesaw(catalog.get_game("magic-square"), (4, 4), restarts=2, iters=10, seed=2)
@@ -315,11 +300,6 @@ class TestRestartValues:
         # the oracle merges its restarts' values before re-scoring the witness
         assert max(res.restart_values) == max(want.restart_values)
         assert max(res.restart_values) == pytest.approx(res.value, abs=1e-12)
-
-
-def test_seesaw_rejects_a_negative_seed():
-    with pytest.raises(OracleError, match="seed must be a non-negative integer, got seed -1"):
-        seesaw(catalog.chsh().game, (2, 2), seed=-1)
 
 
 class TestKnownValues:
