@@ -18,9 +18,13 @@ from . import (  # noqa: F401
     protocol,
     scoring,
 )
+from .convexity import (  # noqa: F401
+    check_binary_disturbance,
+    check_chain_disturbance,
+    check_uniform_convexity,
+)
 from .devicemodel import Device, validate_device  # noqa: F401
 from .gamedefs import Game, SpotCheckGame, spot_check, validate_game  # noqa: F401
-from .matcore import pinch, psd_power, schatten  # noqa: F401
 from .protocol import (  # noqa: F401
     ProtocolParams,
     entropy_lower_bound,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -136,27 +136,6 @@ def classical_value(g: Game) -> StrategyEnumeration:
         best_value=_strategy_score(g, best_strategy),
         best_strategy=best_strategy,
         count=count,
-    )
-
-
-def strategy_device(g: Game, strategy: Sequence[Mapping[Letter, Letter]]) -> Device:
-    """Embed a deterministic strategy as a trivial (all dims 1) quantum device."""
-    site_meas = []
-    for i, player_map in enumerate(strategy):
-        meas = {
-            a: {player_map[a]: np.eye(1, dtype=np.complex128)}
-            for a in g.player_inputs[i]
-        }
-        site_meas.append(meas)
-    d = components_device(
-        [1] * len(strategy),
-        np.eye(1, dtype=np.complex128),
-        site_meas,
-        name="deterministic",
-    )
-    # carry the game's full output alphabet so compatibility checks pass
-    return replace(
-        d, input_alphabet=tuple(g.input_alphabet), output_alphabet=tuple(g.output_alphabet)
     )
 
 

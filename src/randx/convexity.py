@@ -170,7 +170,7 @@ def check_chain_disturbance(
     t = matcore.as_matrix(tau)[None]
     stacks = [np.asarray(p)[None] for p in blocks]
     states, (factors,), (final,) = _chain_disturbance(t, stacks, [eps], normalize)
-    norms = [matcore.snorm(s[0], eps) for s in states[:-1]] + [final.lhs]
+    norms = schatten_stack(np.concatenate(states[:-1]), eps)[1] + [final.lhs]
     chain = [
         InequalityCheck(lhs=norms[i], rhs=f * norms[i - 1]) for i, f in enumerate(factors, 1)
     ]

@@ -502,15 +502,6 @@ def born_probabilities(d: Device, a: Letter) -> dict[Letter, float]:
     return dict(zip(d.measurements[a], probs.tolist()))
 
 
-def is_classically_predictable(d: Device, a: Letter) -> tuple[bool, float]:
-    """Whether the state is invariant under pinching by the a-measurement."""
-    pinched = np.zeros_like(d.state)
-    for p in d.measurements[a].values():
-        pinched += p @ d.state @ p
-    dev = float(np.max(np.abs(pinched - d.state)))
-    return dev <= HERM_TOL, dev
-
-
 # ---------------------------------------------------------------------------
 # file format
 
@@ -530,7 +521,7 @@ def _letter_from_json(obj) -> Letter:
 
 
 def _device_tree(d: Device) -> dict:
-    """``device_to_dict(d)`` with its matrices left as arrays."""
+    """The dict ``device_from_dict`` reads, with its matrices left as arrays."""
     inputs = []
     for a in d.input_alphabet:
         entry: dict[str, Any] = {
@@ -553,23 +544,10 @@ def _device_tree(d: Device) -> dict:
     }
 
 
-def _pairs(tree):
-    if isinstance(tree, np.ndarray):
-        return matcore.matrix_to_pairs(tree)
-    if isinstance(tree, dict):
-        return {k: _pairs(v) for k, v in tree.items()}
-    if isinstance(tree, list):
-        return [_pairs(v) for v in tree]
-    return tree
-
-
-def device_to_dict(d: Device) -> dict:
-    return _pairs(_device_tree(d))
-
-
 def json_text(obj: Any, indent: int) -> str:
     """``json.dumps(obj, sort_keys=True, indent=indent)``, where each Device in
-    ``obj`` is written as ``device_to_dict`` gives it.
+    ``obj`` is written as its ``_device_tree`` and each matrix as nested
+    [re, im] pairs, row-major (the format ``matcore.matrix_from_pairs`` reads).
 
     ``json.dumps`` formats a skeleton in which each matrix is a placeholder
     string; each matrix is then written in bulk (``matcore.matrix_json_parts``)

@@ -8,11 +8,10 @@ matrices into the connected components of their joint exact nonzero
 pattern, and ``block_psd_bracket`` / ``block_psd_power`` take the blocks as
 one ``(k, s, s)`` stack per block size, with one batched decomposition per
 stack; ``block_psd_brackets`` brackets L such matrices from ``(L, k, s, s)``
-stacks in the same calls.  ``psd_bracket`` and ``psd_power`` are their
-one-block case.
+stacks in the same calls.  A dense matrix is the one-block case:
+``block_psd_power([m[None]], p)``.
 Schatten norms of arbitrary matrices take the same shape: ``schatten_stack``
-runs one batched SVD per (k, d, d) stack, and ``schatten`` and ``snorm`` are
-its one-matrix case.
+runs one batched SVD per (k, d, d) stack, a single matrix being a stack of one.
 
 The random-matrix samplers live here too, so every random input in the
 package draws the same way: ``ginibre`` (complex Gaussian arrays),
@@ -36,7 +35,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -202,7 +200,7 @@ def block_psd_brackets(stacks: Sequence[np.ndarray], eps: float) -> np.ndarray:
     """bracket of each of L PSD block-diagonal matrices given as (L, k, s, s) stacks.
 
     One batched eigh runs per stack and only its eigenvalues are read: they
-    are those of ``psd_power``, where eigvalsh takes another LAPACK route
+    are those of ``block_psd_power``, where eigvalsh takes another LAPACK route
     with other rounding.  Eigenvalues are clipped at 0; each
     matrix's Tr[M^(1+eps)] sums its k*s powered eigenvalues of a stack in one
     reduction, and the stacks are added in order.  The Hermiticity and
@@ -224,18 +222,6 @@ def block_psd_bracket(stacks: Sequence[np.ndarray], eps: float) -> float:
     """bracket of a PSD block-diagonal matrix given as (k, s, s) stacks:
     ``block_psd_brackets`` with the matrix as its one slice."""
     return float(block_psd_brackets([np.asarray(b)[None] for b in stacks], eps)[0])
-
-
-def psd_power(m, p: float) -> np.ndarray:
-    """Eigenvalue power of a positive semidefinite matrix: ``block_psd_power``
-    with the whole matrix as its one block."""
-    return block_psd_power([np.asarray(m)[None]], p)[0][0]
-
-
-@dataclass(frozen=True)
-class SchattenValue:
-    bracket: float  # Tr[(Z†Z)^{(1+eps)/2}]
-    norm: float  # bracket^{1/(1+eps)}
 
 
 def schatten_stack(z, eps) -> tuple[list[float], list[float]]:
@@ -262,27 +248,6 @@ def schatten_stack(z, eps) -> tuple[list[float], list[float]]:
         powered[rows] = s[rows] ** (1.0 + e)
     brackets = powered.sum(axis=-1).tolist()
     return brackets, [b ** (1.0 / (1.0 + e)) for b, e in zip(brackets, eps)]
-
-
-def schatten(z, eps: float) -> SchattenValue:
-    """Schatten (1+eps) bracket and norm of an arbitrary matrix.
-
-    bracket(Z) = Tr[(Z†Z)^{(1+eps)/2}] = sum of singular values^(1+eps),
-    norm(Z) = bracket^{1/(1+eps)}.  eps = 0 gives the trace norm.  This is
-    ``schatten_stack`` with the matrix as its one slice.
-    """
-    brackets, norms = schatten_stack(np.asarray(z)[None], eps)
-    return SchattenValue(bracket=brackets[0], norm=norms[0])
-
-
-def snorm(z, eps: float) -> float:
-    return schatten(z, eps).norm
-
-
-def psd_bracket(m, eps: float) -> float:
-    """bracket of a PSD matrix via its eigenvalues (cheaper than an SVD):
-    ``block_psd_bracket`` with the whole matrix as its one block."""
-    return block_psd_bracket([np.asarray(m)[None]], eps)
 
 
 def resolution_defects(blocks: Sequence[np.ndarray], dim: int) -> tuple[float, float, float]:
@@ -317,21 +282,6 @@ def check_resolution(blocks: Sequence[np.ndarray], dim: int) -> None:
             f"blocks are not an orthogonal resolution of the identity (projector defect "
             f"{proj:.3e}, completeness {comp:.3e}, orthogonality {orth:.3e})"
         )
-
-
-def pinch(a, blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply the pinching channel A -> sum_k P_k A P_k.
-
-    blocks must be pairwise-orthogonal projectors summing to the identity.
-    For PSD A the bracket can only decrease under pinching.
-    """
-    m = as_matrix(a)
-    check_resolution(blocks, m.shape[0])
-    out = np.zeros_like(m)
-    for p in blocks:
-        p = np.asarray(p, dtype=np.complex128)
-        out += p @ m @ p
-    return out
 
 
 def ginibre(shape: int | tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -381,15 +331,10 @@ def column_pvm(u: np.ndarray, parts: int | Sequence[int]) -> list[np.ndarray]:
     return [c @ dagger(c) for c in np.array_split(u, parts, axis=-1)]
 
 
-def matrix_to_pairs(m) -> list:
-    """Serialize to the shared literal format: nested [re, im] pairs, row-major."""
-    a = as_matrix(m)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
-
-
 def matrix_json_parts(m, pad: str, step: str) -> list[str]:
-    """``matrix_to_pairs(m)`` as ``json.dumps`` indents it by ``step`` on a
-    line indented by ``pad``, built in bulk from the array: a list of short
+    """m as nested [re, im] pairs, row-major (the format ``matrix_from_pairs``
+    reads), as ``json.dumps`` indents them by ``step`` on a line indented by
+    ``pad``, built in bulk from the array: a list of short
     strings (one float repr or separator each) whose join is that text."""
     a = as_matrix(m)
     d = a.shape[0]

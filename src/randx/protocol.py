@@ -289,15 +289,6 @@ def _sample_outputs(cdfs: np.ndarray, a_idx: np.ndarray, u: np.ndarray) -> np.nd
     return np.minimum((u[:, None] >= cdfs[a_idx]).sum(axis=1), cdfs.shape[1] - 1)
 
 
-def _exact_score(plan: _RoundPlan, cells: np.ndarray, threshold: float) -> tuple[float, bool]:
-    """c and success of the test rounds in flat cells ``i * n_out + j``.
-
-    The score is summed exactly, as Python ints of lattice units; c is that
-    sum rounded once to the nearest float.
-    """
-    return _run_outcomes(plan, np.zeros(len(cells), dtype=np.int64), cells, 1, threshold)[0]
-
-
 def _run_outcomes(
     plan: _RoundPlan, trial: np.ndarray, cells: np.ndarray, trials: int, threshold: float
 ) -> list[tuple[float, bool]]:
@@ -354,9 +345,9 @@ def _transcript(
             state = [b[k] / born[k] if born[k] > 0 else b[k] for b in nxt]
 
     scores = np.where(t == 1, plan.scores[a_idx, x_idx], 0.0)
-    c, success = _exact_score(
-        plan, a_idx[test] * plan.scores.shape[1] + x_idx[test], params.threshold
-    )
+    cells = a_idx[test] * plan.scores.shape[1] + x_idx[test]
+    zeros = np.zeros(len(cells), dtype=np.int64)
+    c, success = _run_outcomes(plan, zeros, cells, 1, params.threshold)[0]
     return Transcript(
         test_flags=t,
         input_indices=a_idx,
@@ -739,8 +730,8 @@ def extractable_bits(
 def hmin_classical_adversary(table) -> float:
     """Min-entropy of X against a classical adversary E: -log2 sum_e max_x P(x,e).
 
-    The table is indexed (x, e); it must be entrywise nonnegative and sum to
-    at most one (subnormalized tables are allowed).
+    The table is indexed (x, e); it must be finite, entrywise nonnegative and
+    sum to at most one (subnormalized tables are allowed).
     """
     if isinstance(table, Mapping):
         xs = sorted({k[0] for k in table})
@@ -752,6 +743,8 @@ def hmin_classical_adversary(table) -> float:
         arr = np.asarray(table, dtype=float)
     if arr.ndim != 2:
         raise BadTableError(f"expected a 2-d table, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise BadTableError("table has non-finite entries")
     if float(arr.min(initial=0.0)) < -1e-12:
         raise BadTableError("table has negative entries")
     total = float(arr.sum())

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import matcore
-from .devicemodel import Device, Letter, is_classically_predictable
+from .devicemodel import Device, Letter
 from .gamedefs import Game, SpotCheckGame, require_compatible
 
 LOG2E = math.log2(math.e)
@@ -43,14 +43,6 @@ class ScoringError(ValueError):
 
 
 class BadParamsError(ScoringError):
-    pass
-
-
-class DomainError(ScoringError):
-    pass
-
-
-class NotPredictableError(ScoringError):
     pass
 
 
@@ -183,7 +175,7 @@ class RateCurve:
 
     w: float  # threshold below which the curve vanishes
     r: int  # output alphabet size used by the quadratic form
-    label: str  # "quadratic", "ghz_comparison", or "custom"
+    label: str  # "quadratic" from quadratic_rate_curve, else the caller's name
     evaluate: Callable[[float], float]
     derivative: Callable[[float], float]
 
@@ -203,77 +195,6 @@ def quadratic_rate_curve(w: float, r: int) -> RateCurve:
         return 2.0 * scale * (x - w) if x > w else 0.0
 
     return RateCurve(w=float(w), r=int(r), label="quadratic", evaluate=evaluate, derivative=derivative)
-
-
-def _binary_entropy(u: float) -> float:
-    if u < 0.0 or u > 1.0:
-        raise DomainError(f"binary entropy argument {u} outside [0, 1]")
-    if u == 0.0 or u == 1.0:
-        return 0.0
-    return -u * math.log2(u) - (1.0 - u) * math.log2(1.0 - u)
-
-
-def ghz_comparison_curve() -> RateCurve:
-    """The comparison curve x -> 1 - 2 H((1-x)/0.11) for x in (0.89, 1].
-
-    Provided for plotting comparisons only; raw values (possibly negative)
-    are returned, clamping for plots is the caller's business.
-    """
-
-    def evaluate(x: float) -> float:
-        if x <= 0.89:
-            raise DomainError(f"curve defined for x > 0.89, got {x}")
-        return 1.0 - 2.0 * _binary_entropy((1.0 - x) / 0.11)
-
-    def derivative(x: float) -> float:
-        if x <= 0.89:
-            raise DomainError(f"curve defined for x > 0.89, got {x}")
-        u = (1.0 - x) / 0.11
-        if u == 0.0:
-            return math.inf
-        return (2.0 / 0.11) * math.log2((1.0 - u) / u)
-
-    return RateCurve(w=0.89, r=8, label="ghz_comparison", evaluate=evaluate, derivative=derivative)
-
-
-def devind_bound(curve: RateCurve, r_point: float) -> float:
-    """Device-independent weighted-randomness floor pi(r) - pi'(r) * r.
-
-    This is the vertical-axis intercept of the tangent at r_point; the
-    leading term only, no O(eps) allowance is included.
-    """
-    if r_point <= 0.0:
-        raise DomainError(f"tangent point must be positive, got {r_point}")
-    return curve.evaluate(r_point) - curve.derivative(r_point) * r_point
-
-
-@dataclass(frozen=True)
-class CapCheck:
-    w_eps: float
-    cap: float
-    slack: float  # cap - w_eps
-
-
-def predictable_cap_check(
-    g: Game | SpotCheckGame, d: Device, eps: float, cap: float
-) -> CapCheck:
-    """Check the score cap for devices classically predictable on the
-    distinguished input.
-
-    cap is the restricted game value for the distinguished input (supplied
-    explicitly so its provenance stays visible).  For devices deterministic
-    on the distinguished input the inequality w_eps <= cap is exact; for
-    mixtures it holds up to O(eps).
-    """
-    base = g.base if isinstance(g, SpotCheckGame) else g
-    ok, dev = is_classically_predictable(d, base.distinguished_input)
-    if not ok:
-        raise NotPredictableError(
-            f"device is not classically predictable on {base.distinguished_input!r} "
-            f"(pinching defect {dev:.3e})"
-        )
-    w = eps_score(g, d, eps)
-    return CapCheck(w_eps=w, cap=float(cap), slack=float(cap) - w)
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,22 @@ so the tests can compare the two.  They also build the Magic Square mixtures
 densely (``block_mixture``), as the catalog did before it summed them from
 block stacks, and form joint projectors with ``np.kron``.  ``seesaw_oracle``
 runs the see-saw one restart, input and matrix at a time, as the package did
-before it stacked restarts and inputs.  Nothing in the package imports this
+before it stacked restarts and inputs.
+
+The one-matrix kernels (``psd_power``, ``psd_bracket``, ``schatten``,
+``snorm``) are the k = 1 case of the package's stacked kernels.
+``device_to_dict`` builds a device file's data as nested lists, the
+reference for the bytes ``devicemodel.json_text`` writes in bulk.
+``strategy_device`` embeds a deterministic strategy as a device, an
+independent route to ``classical_value``, and ``is_classically_predictable``
+checks pinching invariance densely.  Nothing in the package imports this
 module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Sequence
 
 import itertools
 import math
@@ -25,10 +33,14 @@ import numpy as np
 from randx import catalog
 from randx.classicaloracle import SeesawResult
 from randx.devicemodel import (
-    GENERAL, Device, DeviceError, Letter, UnknownLetterError, components_device, make_device,
+    GENERAL, Device, DeviceError, Letter, UnknownLetterError, _device_tree, components_device,
+    make_device,
 )
 from randx.gamedefs import Game, SpotCheckGame, require_compatible
-from randx.matcore import as_matrix, dagger, ginibre, haar_pvm, psd_power
+from randx.matcore import (
+    HERM_TOL, as_matrix, block_psd_bracket, block_psd_power, dagger, ginibre, haar_pvm,
+    schatten_stack,
+)
 from randx.scoring import _game_terms, eps_score
 
 
@@ -40,8 +52,83 @@ class LengthMismatchError(DeviceError):
     pass
 
 
+def psd_power(m, p: float) -> np.ndarray:
+    """Eigenvalue power of a positive semidefinite matrix: ``block_psd_power``
+    with the whole matrix as its one block."""
+    return block_psd_power([np.asarray(m)[None]], p)[0][0]
+
+
+def psd_bracket(m, eps: float) -> float:
+    """bracket of a PSD matrix via its eigenvalues: ``block_psd_bracket`` with
+    the whole matrix as its one block."""
+    return block_psd_bracket([np.asarray(m)[None]], eps)
+
+
+@dataclass(frozen=True)
+class SchattenValue:
+    bracket: float  # Tr[(Z†Z)^{(1+eps)/2}]
+    norm: float  # bracket^{1/(1+eps)}
+
+
+def schatten(z, eps: float) -> SchattenValue:
+    """Schatten (1+eps) bracket and norm of an arbitrary matrix: ``schatten_stack``
+    with the matrix as its one slice.  eps = 0 gives the trace norm."""
+    brackets, norms = schatten_stack(np.asarray(z)[None], eps)
+    return SchattenValue(bracket=brackets[0], norm=norms[0])
+
+
+def snorm(z, eps: float) -> float:
+    return schatten(z, eps).norm
+
+
 def sqrtm_psd(m) -> np.ndarray:
     return psd_power(m, 0.5)
+
+
+def matrix_to_pairs(m) -> list:
+    """A matrix as nested [re, im] pairs, row-major, one Python float each."""
+    a = as_matrix(m)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+
+
+def _pairs(tree):
+    if isinstance(tree, np.ndarray):
+        return matrix_to_pairs(tree)
+    if isinstance(tree, dict):
+        return {k: _pairs(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_pairs(v) for v in tree]
+    return tree
+
+
+def device_to_dict(d: Device) -> dict:
+    """The data of a device file, every matrix as ``matrix_to_pairs`` lists."""
+    return _pairs(_device_tree(d))
+
+
+def is_classically_predictable(d: Device, a: Letter) -> tuple[bool, float]:
+    """Whether the state is invariant under pinching by the a-measurement,
+    with the largest entry of the dense difference."""
+    pinched = np.zeros_like(d.state)
+    for p in d.measurements[a].values():
+        pinched += p @ d.state @ p
+    dev = float(np.max(np.abs(pinched - d.state)))
+    return dev <= HERM_TOL, dev
+
+
+def strategy_device(g: Game, strategy: Sequence[Mapping[Letter, Letter]]) -> Device:
+    """Embed a deterministic strategy as a trivial (all dims 1) quantum device."""
+    site_meas = [
+        {a: {player_map[a]: np.eye(1, dtype=np.complex128)} for a in g.player_inputs[i]}
+        for i, player_map in enumerate(strategy)
+    ]
+    d = components_device(
+        [1] * len(strategy), np.eye(1, dtype=np.complex128), site_meas, name="deterministic"
+    )
+    # carry the game's full output alphabet so compatibility checks pass
+    return replace(
+        d, input_alphabet=tuple(g.input_alphabet), output_alphabet=tuple(g.output_alphabet)
+    )
 
 
 def unitary(d: Device, a: Letter) -> np.ndarray:

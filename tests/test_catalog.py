@@ -16,12 +16,9 @@ from randx.catalog import (
     ms_answer_pairs,
 )
 from randx.classicaloracle import classical_value, known_values
-from randx.devicemodel import (
-    born_probabilities,
-    is_classically_predictable,
-    validate_device,
-)
+from randx.devicemodel import born_probabilities, validate_device
 from randx.gamedefs import validate_game
+from tests.dense import is_classically_predictable
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
 

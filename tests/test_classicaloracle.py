@@ -15,11 +15,10 @@ from randx.classicaloracle import (
     classical_value,
     known_values,
     seesaw,
-    strategy_device,
 )
-from randx.devicemodel import is_classically_predictable, validate_device
+from randx.devicemodel import validate_device
 from randx.gamedefs import nonlocal_game
-from tests.dense import seesaw_oracle
+from tests.dense import is_classically_predictable, seesaw_oracle, strategy_device
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
 

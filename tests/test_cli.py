@@ -7,8 +7,9 @@ import pytest
 
 from randx import catalog, classicaloracle, protocol
 from randx.cli import main
-from randx.devicemodel import device_to_dict, load_device, save_device
+from randx.devicemodel import load_device, save_device
 from randx.gamedefs import load_game, save_game
+from tests.dense import device_to_dict
 from tests.test_devicemodel import misfit_projector_device
 from tests.test_protocol import toy_setup
 

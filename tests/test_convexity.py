@@ -18,7 +18,8 @@ from randx.convexity import (
     check_uniform_convexity,
     run_suite,
 )
-from randx.matcore import NotAResolutionError, ginibre, haar_pvm, random_psd, snorm
+from randx.matcore import NotAResolutionError, ginibre, haar_pvm, random_psd
+from tests.dense import snorm
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.sampled_from([2, 3, 4, 6, 8])

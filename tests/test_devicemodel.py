@@ -18,7 +18,6 @@ from randx.devicemodel import (
     components_device,
     device_from_dict,
     direct_sum,
-    device_to_dict,
     json_text,
     load_device,
     make_device,
@@ -32,10 +31,12 @@ from randx.matcore import (
     ginibre,
     haar_pvm,
     haar_unitary,
-    matrix_to_pairs,
 )
 from tests import dense
-from tests.dense import DimMismatchError, LengthMismatchError, evolve_sequence, state_pair
+from tests.dense import (
+    DimMismatchError, LengthMismatchError, device_to_dict, evolve_sequence, matrix_to_pairs,
+    state_pair,
+)
 
 
 def random_device(seed, dim=3, n_inputs=2, n_outputs=3):

@@ -1,15 +1,19 @@
-"""Every name a package module imports is read somewhere in that module, and
-every module-level private function or class is read somewhere in the package.
+"""Every name a package module imports is read somewhere in that module,
+every module-level private function or class is read somewhere in the
+package, and every public one is reached by code that runs.
 
 No lint tool ships with the package, so these are its guards against dead
-imports and dead private code.  ``__init__.py`` is skipped for imports: its
-imports are the public exports.
+imports and dead code.  ``__init__.py`` is skipped for imports: its imports
+are the public exports.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "randx"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "randx"
+# code outside the package that runs it: the scripts and the benchmark harness
+CALLERS = ("scripts", "perfbench")
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -58,3 +62,60 @@ def test_every_private_definition_is_read():
     assert sum(len(names) for names in defined.values()) >= 80
     unread = {name: [d for d in names if d not in read] for name, names in defined.items()}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def public_definitions(tree: ast.Module) -> list[ast.stmt]:
+    """The module-level function and class nodes whose names have no leading underscore."""
+    return [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def unreached_public(trees: dict[str, ast.Module], callers: set[str]) -> dict[str, list[str]]:
+    """Per module, the public definitions that no other package module, no
+    other statement of its own module, no name in ``callers`` and no export
+    of ``__init__.py`` reads."""
+    exports = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    # the names each module-level statement reads, per module
+    reads = {name: [names_read(node) for node in tree.body] for name, tree in trees.items()}
+    unreached = {}
+    for name, tree in trees.items():
+        others = (r for other, rs in reads.items() if other != name for r in rs)
+        elsewhere = (callers | exports).union(*others)
+        for node in public_definitions(tree):
+            own = (r for n, r in zip(tree.body, reads[name]) if n is not node)
+            if node.name not in elsewhere and not any(node.name in r for r in own):
+                unreached.setdefault(name, []).append(node.name)
+    return unreached
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def caller_reads() -> set[str]:
+    paths = sorted(p for d in CALLERS for p in (ROOT / d).glob("*.py"))
+    assert paths
+    return set().union(*(names_read(ast.parse(p.read_text(), filename=str(p))) for p in paths))
+
+
+def test_every_public_definition_is_reached():
+    trees = package_trees()
+    assert sum(len(public_definitions(tree)) for tree in trees.values()) >= 100
+    assert unreached_public(trees, caller_reads()) == {}
+
+
+def test_public_guard_flags_an_unread_definition():
+    trees = package_trees()
+    callers = caller_reads()
+    for name in trees:
+        if name == "__init__.py":
+            continue
+        probe = ast.parse((SRC / name).read_text() + "\n\ndef unread_probe():\n    pass\n")
+        assert unreached_public({**trees, name: probe}, callers) == {name: ["unread_probe"]}

@@ -19,20 +19,15 @@ from randx.matcore import (
     haar_unitary,
     matrix_from_pairs,
     matrix_json_parts,
-    matrix_to_pairs,
     check_resolution,
-    pinch,
-    psd_bracket,
     psd_defect,
-    psd_power,
     random_psd,
     resolution_defects,
-    schatten,
     schatten_stack,
-    snorm,
     split_blocks,
     support_blocks,
 )
+from tests.dense import matrix_to_pairs, psd_bracket, psd_power, schatten, snorm
 
 EPS_GRID = (0.01, 0.1, 0.5, 1.0)
 
@@ -209,44 +204,6 @@ class TestSchatten:
         assert schatten(x, eps).bracket + schatten(y, eps).bracket <= (
             schatten(x + y, eps).bracket * (1 + 1e-10) + 1e-10
         )
-
-
-class TestPinch:
-    def blocks_computational(self, dim):
-        out = []
-        for i in range(dim):
-            p = np.zeros((dim, dim), dtype=complex)
-            p[i, i] = 1.0
-            out.append(p)
-        return out
-
-    def test_diagonal_fixed_point(self):
-        a = np.diag([1.0, 2.0, 3.0])
-        assert np.allclose(pinch(a, self.blocks_computational(3)), a)
-
-    def test_off_diagonal_killed(self):
-        a = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert np.allclose(pinch(a, self.blocks_computational(2)), np.diag([0.5, 0.5]))
-
-    def test_single_block(self):
-        rng = np.random.default_rng(5)
-        a = ginibre((3, 3), rng)
-        assert np.allclose(pinch(a, [np.eye(3)]), a)
-
-    def test_bad_resolution_rejected(self):
-        with pytest.raises(NotAResolutionError):
-            pinch(np.eye(2), [np.diag([1.0, 0.0])])
-        with pytest.raises(NotAResolutionError):
-            pinch(np.eye(2), [np.diag([1.0, 0.0]), np.eye(2)])
-
-    @given(seeds, dims, eps_values)
-    @settings(max_examples=40, deadline=None)
-    def test_monotonicity_psd(self, seed, dim, eps):
-        rng = np.random.default_rng(seed)
-        a = random_psd(dim, rng)
-        u = haar_unitary(dim, rng)
-        blocks = [u @ p @ u.conj().T for p in self.blocks_computational(dim)]
-        assert schatten(pinch(a, blocks), eps).bracket <= schatten(a, eps).bracket + 1e-9
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from randx import catalog, protocol
 from randx.devicemodel import make_device
 from randx.gamedefs import nonlocal_game
-from randx.matcore import dagger, ginibre, haar_unitary, psd_bracket, psd_power
+from randx.matcore import dagger, ginibre, haar_unitary
 from randx.protocol import (
     BadDeltaError,
     BadTableError,
@@ -28,6 +28,7 @@ from randx.protocol import (
 )
 from randx.scoring import quadratic_rate_curve
 from tests import dense
+from tests.dense import psd_bracket, psd_power
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
 
@@ -227,7 +228,8 @@ def memory_transcript_reference(g, d, params):
         if tr > 0:
             state = state / tr
     cells = a_idx[test] * len(g.output_alphabet) + x_idx[test]
-    return (x_idx, *protocol._exact_score(plan, cells, params.threshold))
+    zeros = np.zeros(len(cells), dtype=np.int64)
+    return (x_idx, *protocol._run_outcomes(plan, zeros, cells, 1, params.threshold)[0])
 
 
 def memory_summary(g, d, n, q, chi, eps):
@@ -841,6 +843,9 @@ class TestHminClassical:
             hmin_classical_adversary([[0.9, 0.3]])
         with pytest.raises(BadTableError):
             hmin_classical_adversary([[-0.1, 0.5]])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(BadTableError, match="non-finite"):
+                hmin_classical_adversary(np.array([[0.5, bad], [0.2, 0.1]]))
 
 
 class TestRoundTablesPerBlock:

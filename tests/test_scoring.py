@@ -9,13 +9,8 @@ from randx.devicemodel import GENERAL, make_device
 from randx.gamedefs import IncompatibleError, nonlocal_game, spot_check
 from randx.scoring import (
     BadParamsError,
-    DomainError,
-    NotPredictableError,
-    devind_bound,
     eps_randomness,
     eps_score,
-    ghz_comparison_curve,
-    predictable_cap_check,
     quadratic_rate_curve,
     randomness_report,
     weighted_randomness,
@@ -234,89 +229,6 @@ class TestRateCurves:
         with pytest.raises(BadParamsError):
             quadratic_rate_curve(0.5, 1)
 
-    def test_ghz_comparison_values(self):
-        curve = ghz_comparison_curve()
-        assert curve.evaluate(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert curve.evaluate(0.945) == pytest.approx(-1.0, abs=1e-12)
-        u = (1.0 - 0.9999) / 0.11
-        h = -u * math.log2(u) - (1 - u) * math.log2(1 - u)
-        assert curve.evaluate(0.9999) == pytest.approx(1.0 - 2.0 * h, rel=1e-12)
-
-    def test_ghz_domain(self):
-        curve = ghz_comparison_curve()
-        with pytest.raises(DomainError):
-            curve.evaluate(0.89)
-        with pytest.raises(DomainError):
-            curve.evaluate(0.5)
-
-
-class TestDevindBound:
-    def test_zero_below_threshold(self):
-        curve = quadratic_rate_curve(0.75, 4)
-        assert devind_bound(curve, 0.5) == 0.0
-
-    def test_closed_form(self):
-        curve = quadratic_rate_curve(0.75, 4)
-        r = 0.8
-        scale = 2.0 * math.log2(math.e) / 3.0
-        expected = scale * (r - 0.75) ** 2 - 2.0 * scale * (r - 0.75) * r
-        assert devind_bound(curve, r) == pytest.approx(expected, rel=1e-12)
-
-    def test_tangent_intercept_identity(self):
-        curve = quadratic_rate_curve(0.75, 4)
-        r = 0.82
-        slope = curve.derivative(r)
-        intercept = curve.evaluate(r) - slope * r
-        assert devind_bound(curve, r) == pytest.approx(intercept, rel=1e-12)
-
-    def test_domain(self):
-        curve = quadratic_rate_curve(0.75, 4)
-        with pytest.raises(DomainError):
-            devind_bound(curve, 0.0)
-
-
-class TestPredictableCap:
-    def test_chsh_deterministic_device(self):
-        entry = catalog.chsh()
-        res = predictable_cap_check(entry.game, entry.devices["classical"], 0.3, 0.75)
-        assert res.slack >= -1e-9
-
-    def test_zero_scores(self):
-        g = constant_score_game(0.0)
-        res = predictable_cap_check(g, catalog.chsh().devices["classical"], 0.2, 0.75)
-        assert res.w_eps == pytest.approx(0.0, abs=1e-12)
-
-    def test_not_predictable_rejected(self):
-        entry = catalog.chsh()
-        with pytest.raises(NotPredictableError):
-            predictable_cap_check(entry.game, entry.devices["optimal"], 0.1, 0.75)
-
-    def test_mixture_slack_bounded(self):
-        # block-diagonal mixture of two deterministic strategies
-        g = catalog.chsh().game
-        meas = {}
-        for a in g.input_alphabet:
-            outs = {}
-            x_first = (0, 0)
-            x_second = (1, 1)
-            p_first = np.diag([1.0, 0.0])
-            p_second = np.diag([0.0, 1.0])
-            if x_first == x_second:
-                outs[x_first] = np.eye(2)
-            else:
-                outs[x_first] = p_first
-                outs[x_second] = p_second
-            meas[a] = outs
-        d = make_device(
-            GENERAL, (2,), np.diag([0.6, 0.4]), meas,
-            input_alphabet=g.input_alphabet, output_alphabet=g.output_alphabet,
-        )
-        ratios = []
-        for eps in (0.1, 0.05, 0.02):
-            res = predictable_cap_check(g, d, eps, 0.75)
-            ratios.append(res.slack / eps)
-        assert all(r >= -3.0 for r in ratios)
-
 
 def test_randomness_report_fields():
     entry = catalog.chsh()
@@ -409,13 +321,13 @@ def test_block_brackets_match_dense_brackets(eps):
     entry = catalog.magic_square()
     d = entry.devices["combined"]
     table = scoring._branch_table(d, list(d.measurements), eps)
-    phi = matcore.psd_bracket(d.state, eps)
+    phi = dense.psd_bracket(d.state, eps)
     assert table.state == pytest.approx(phi, rel=1e-12, abs=0)
     assert len(table.branches) == sum(len(outs) for outs in d.measurements.values())
     for (a, x), w in table.branches.items():
         p = d.measurements[a][x]
-        assert w == pytest.approx(matcore.psd_bracket(p @ d.state @ p, eps), rel=1e-12, abs=0)
-    dense_score = matcore.psd_bracket(game_operator(entry.game, d).device_state, eps) / phi
+        assert w == pytest.approx(dense.psd_bracket(p @ d.state @ p, eps), rel=1e-12, abs=0)
+    dense_score = dense.psd_bracket(game_operator(entry.game, d).device_state, eps) / phi
     assert eps_score(entry.game, d, eps) == pytest.approx(dense_score, rel=1e-12, abs=0)
 
 
