@@ -20,27 +20,12 @@ import numpy as np
 from . import catalog, matcore, scoring
 from .devicemodel import Device, Letter, components_device
 from .gamedefs import NONLOCAL, Game
+from .protocol import GuardError
 
 ENUMERATION_GUARD = 10**7
 
 
 class OracleError(ValueError):
-    pass
-
-
-class TooLargeError(OracleError):
-    pass
-
-
-class UnsupportedError(OracleError):
-    pass
-
-
-class BadDimsError(OracleError):
-    pass
-
-
-class UnknownGameError(OracleError):
     pass
 
 
@@ -78,7 +63,7 @@ def classical_value(g: Game) -> StrategyEnumeration:
     for i in range(s):
         count *= len(g.player_outputs[i]) ** len(g.player_inputs[i])
     if count > ENUMERATION_GUARD:
-        raise TooLargeError(f"{count} strategies exceed the {ENUMERATION_GUARD} guard")
+        raise GuardError(f"{count} strategies exceed the {ENUMERATION_GUARD} guard")
 
     last_inputs = g.player_inputs[-1]
     last_outputs = g.player_outputs[-1]
@@ -343,10 +328,10 @@ def seesaw(
     it is re-scored from the witnessed device.
     """
     if g.kind != NONLOCAL or g.player_inputs is None or len(g.player_inputs) != 2:
-        raise UnsupportedError("see-saw supports exactly 2-player nonlocal games")
+        raise GuardError("see-saw supports exactly 2-player nonlocal games")
     d1, d2 = (int(x) for x in dims)
     if not (1 <= d1 <= 8 and 1 <= d2 <= 8):
-        raise BadDimsError(f"per-player dims must lie in [1, 8], got {dims}")
+        raise GuardError(f"per-player dims must lie in [1, 8], got {dims}")
     if restarts < 1 or iters < 1:
         raise OracleError(f"restarts and iters must be at least 1, got {restarts} and {iters}")
     if seed < 0:
@@ -397,7 +382,7 @@ def known_values(name: str) -> KnownValues:
     try:
         key = catalog.entry_key(name)
     except KeyError:
-        raise UnknownGameError(f"no known-values row for {name!r}") from None
+        raise OracleError(f"no known-values row for {name!r}") from None
     if key == "chsh":
         return KnownValues(
             name="chsh",

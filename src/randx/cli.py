@@ -3,11 +3,19 @@
 Subcommands: classical-value, seesaw, rate-curve, simulate, enumerate,
 entropy-bound, verify, magic-square-demo, validate.
 
-Exit codes: 0 success, 1 validation or usage error, 2 computational guard
-(enumeration or branch caps, unsupported sizes).  Identical argv and seed
-produce byte-identical output apart from the versioned header.  The seed
-is taken from --seed, else RANDX_SEED, else 0; a non-integer RANDX_SEED is
-a usage error wherever --seed applies; run seeds must lie in [0, 2^128).
+Exit codes: 0 success; 1 usage error, invalid file or any other ValueError,
+OSError or KeyError (``error:`` on stderr); 2 computational guard, which is
+``protocol.GuardError`` alone (``guard:``): enumeration or branch caps,
+unsupported game sizes or see-saw dims.  --game and --device take a catalog
+name or a file.  A file is checked once, at load: a structurally broken file
+is an error, and a well-formed one that ``validate_game`` or
+``validate_device`` rejects is an error naming its violations, except under
+validate, which prints the report.  Catalog objects are not checked again.
+
+Identical argv and seed produce byte-identical output apart from the
+versioned header.  The seed is taken from --seed, else RANDX_SEED, else 0;
+a non-integer RANDX_SEED is a usage error wherever --seed applies; run
+seeds must lie in [0, 2^128).
 Multi-trial simulate runs go through protocol.simulate_outcomes, which keys
 trial k by seed + k.  Fresh-state trials are drawn in chunks from one
 re-keyed generator and scored a chunk at once, only their test rounds
@@ -27,7 +35,6 @@ from typing import Any
 import numpy as np
 
 from . import __version__, catalog, classicaloracle, convexity, protocol, scoring
-from .classicaloracle import BadDimsError, TooLargeError, UnsupportedError
 from .devicemodel import (
     Device,
     json_text,
@@ -73,24 +80,27 @@ def _emit_csv(header_row: list[str], rows: list[list[str]], path: str | None) ->
     _emit("\n".join(lines) + "\n", path)
 
 
-def _resolve_game(spec: str) -> Game:
+def _resolve(spec: str, from_catalog, load, validate):
+    """The catalog object named ``spec``, else the one in the file ``spec``.
+    A file's object must pass ``validate`` unless it is None; catalog objects
+    are not checked again."""
     try:
-        return catalog.get_game(spec)
-    except KeyError:
-        pass
-    if os.path.exists(spec):
-        return load_game(spec)
-    raise UsageError(f"unknown game {spec!r} (not a catalog name or file)")
+        return from_catalog(spec)
+    except KeyError as exc:
+        if not os.path.exists(spec):
+            raise UsageError(f"{exc.args[0]} (not a catalog name or file)") from None
+    obj = load(spec)
+    if validate is not None and not (report := validate(obj)).ok:
+        raise UsageError(f"invalid file {spec!r}: {report.summary()}")
+    return obj
+
+
+def _resolve_game(spec: str) -> Game:
+    return _resolve(spec, catalog.get_game, load_game, validate_game)
 
 
 def _resolve_device(spec: str) -> Device:
-    try:
-        return catalog.get_device(spec)
-    except KeyError:
-        pass
-    if os.path.exists(spec):
-        return load_device(spec)
-    raise UsageError(f"unknown device {spec!r} (not a catalog name or file)")
+    return _resolve(spec, catalog.get_device, load_device, validate_device)
 
 
 def _letterstr(letter) -> str:
@@ -353,12 +363,12 @@ def _cmd_magic_square_demo(args) -> int:
 def _cmd_validate(args) -> int:
     reports = {}
     if args.game:
-        game = _resolve_game(args.game)
+        game = _resolve(args.game, catalog.get_game, load_game, None)
         reports["game"] = validate_game(game)
         if args.dump:
             save_game(game, args.dump)
     if args.device:
-        device = _resolve_device(args.device)
+        device = _resolve(args.device, catalog.get_device, load_device, None)
         reports["device"] = validate_device(device)
         if args.dump and not args.game:
             save_device(device, args.dump)
@@ -485,9 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-GUARD_ERRORS = (TooLargeError, protocol.TooLargeError, UnsupportedError, BadDimsError)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -496,7 +503,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except GUARD_ERRORS as exc:
+    except protocol.GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError) as exc:

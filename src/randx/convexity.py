@@ -47,14 +47,6 @@ class ConvexityError(ValueError):
     pass
 
 
-class NotNormalizedError(ConvexityError):
-    pass
-
-
-class NotProjectorError(ConvexityError):
-    pass
-
-
 @dataclass(frozen=True)
 class InequalityCheck:
     lhs: float
@@ -77,9 +69,9 @@ def _normalized(m: np.ndarray, eps: list[float], normalize: bool, what: str) -> 
     if not off:
         return m
     if not normalize:
-        raise NotNormalizedError(f"{what} has norm {norms[off[0]]}, expected 1")
+        raise ConvexityError(f"{what} has norm {norms[off[0]]}, expected 1")
     if any(norms[i] <= 0.0 for i in off):
-        raise NotNormalizedError(f"{what} is zero")
+        raise ConvexityError(f"{what} is zero")
     m = m.copy()
     m[off] = m[off] / np.array([norms[i] for i in off])[:, None, None]
     return m
@@ -102,7 +94,7 @@ def _binary_disturbance(tau, r0, eps: list[float], normalize: bool) -> list[Ineq
     t = _normalized(tau, eps, normalize, "tau")
     defect = matcore.projector_defect(r0)
     if defect > VALIDATION_TOL:
-        raise NotProjectorError(f"R0 is not a projector (defect {defect:.3e})")
+        raise ConvexityError(f"R0 is not a projector (defect {defect:.3e})")
     r1 = np.eye(t.shape[-1], dtype=np.complex128) - r0
     t_pinched = r0 @ t @ r0 + r1 @ t @ r1
     _, norms = schatten_stack(np.concatenate([t_pinched, t - t_pinched]), eps * 2)

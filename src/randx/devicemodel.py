@@ -58,10 +58,6 @@ class DeviceError(ValueError):
     pass
 
 
-class UnknownLetterError(DeviceError):
-    pass
-
-
 @dataclass(frozen=True)
 class Violation:
     check: str
@@ -145,7 +141,8 @@ def _measurement(outs: Mapping[Letter, Any], dim: int) -> _Measurement:
     return _Measurement(outs, _read_only([np.stack(mats, axis=-1).transpose(2, 0, 1)])[0])
 
 
-@dataclass(frozen=True)
+# eq=False: a device compares and hashes by identity, as its fields hold arrays
+@dataclass(frozen=True, eq=False)
 class Device:
     kind: str
     dims: tuple[int, ...]
@@ -495,7 +492,7 @@ def born_probabilities(d: Device, a: Letter) -> dict[Letter, float]:
     """Outcome distribution for one use on input a (unlisted outputs omitted):
     Tr[P_a^x phi] summed over the blocks of the device, one einsum per block size."""
     if a not in d.measurements:
-        raise UnknownLetterError(f"unknown input letter {a!r}")
+        raise DeviceError(f"unknown input letter {a!r}")
     probs = sum(
         np.einsum("xkij,kji->x", p, f).real for p, f in zip(d.projector_blocks[a], d.state_blocks)
     )
@@ -517,6 +514,8 @@ def _letter_to_json(letter: Letter):
 def _letter_from_json(obj) -> Letter:
     if isinstance(obj, list):
         return tuple(_letter_from_json(v) for v in obj)
+    if isinstance(obj, dict):
+        raise TypeError(f"letter {obj!r} is not a number, string or list")
     return obj
 
 
@@ -615,6 +614,18 @@ def save_device(d: Device, path) -> None:
         fh.write(json_text(d, 1) + "\n")
 
 
-def load_device(path) -> Device:
+def _load(path, from_dict, error: type[ValueError]):
+    """``from_dict`` of the JSON file at ``path``.  A file that is not JSON,
+    or whose structure ``from_dict`` cannot read, raises ``error`` naming the
+    path; a well-formed file is returned unvalidated."""
     with open(path, "r", encoding="utf-8") as fh:
-        return device_from_dict(json.load(fh))
+        try:
+            return from_dict(json.load(fh))
+        except KeyError as exc:
+            raise error(f"malformed file {str(path)!r}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise error(f"malformed file {str(path)!r}: {exc}") from exc
+
+
+def load_device(path) -> Device:
+    return _load(path, device_from_dict, DeviceError)

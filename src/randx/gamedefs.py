@@ -31,6 +31,7 @@ from .devicemodel import (
     ValidationReport,
     _letter_from_json,
     _letter_to_json,
+    _load,
 )
 
 NONLOCAL = "nonlocal"
@@ -40,14 +41,6 @@ PROB_TOL = 1e-12
 
 
 class GameError(ValueError):
-    pass
-
-
-class BadQError(GameError):
-    pass
-
-
-class IncompatibleError(GameError):
     pass
 
 
@@ -202,13 +195,13 @@ def check_compatibility(g: Game | SpotCheckGame, d: Device) -> ValidationReport:
 def require_compatible(g: Game | SpotCheckGame, d: Device) -> None:
     report = check_compatibility(g, d)
     if not report.ok:
-        raise IncompatibleError(report.summary())
+        raise GameError(report.summary())
 
 
 def spot_check(g: Game, q: float) -> SpotCheckGame:
     """The spot-checking transform G -> G_q."""
     if not 0.0 < q < 1.0:
-        raise BadQError(f"q must lie strictly between 0 and 1, got {q}")
+        raise GameError(f"q must lie strictly between 0 and 1, got {q}")
     return SpotCheckGame(base=g, q=float(q))
 
 
@@ -291,5 +284,4 @@ def save_game(g: Game, path) -> None:
 
 
 def load_game(path) -> Game:
-    with open(path, "r", encoding="utf-8") as fh:
-        return game_from_dict(json.load(fh))
+    return _load(path, game_from_dict, GameError)

@@ -48,25 +48,9 @@ class MatcoreError(ValueError):
     """Base class for matrix-algebra failures."""
 
 
-class NonFiniteError(MatcoreError):
-    pass
-
-
-class NonHermitianError(MatcoreError):
-    pass
-
-
-class NegativeEigenvalueError(MatcoreError):
-    pass
-
-
-class NotAResolutionError(MatcoreError):
-    pass
-
-
 def _finite(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
-        raise NonFiniteError("matrix has non-finite entries")
+        raise MatcoreError("matrix has non-finite entries")
     return a
 
 
@@ -104,7 +88,7 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
     """(A + A†)/2 of a matrix or stack; an asymmetry beyond 1e-6 raises."""
     defect = hermiticity_defect(a)
     if defect > VALIDATION_TOL:
-        raise NonHermitianError(f"matrix is not Hermitian (defect {defect:.3e})")
+        raise MatcoreError(f"matrix is not Hermitian (defect {defect:.3e})")
     return (a + dagger(a)) / 2
 
 
@@ -173,7 +157,7 @@ def block_psd_power(stacks: Sequence[np.ndarray], p: float) -> list[np.ndarray]:
 
     Eigenvalues below 1e-12 times the largest one are mapped to 0 even for
     negative p (pseudo-inverse / support convention).  A spectrum with a
-    positive ``psd_defect`` raises NegativeEigenvalueError.  The cutoff and
+    positive ``psd_defect`` raises MatcoreError.  The cutoff and
     the defect read the least and largest eigenvalues over all blocks, so a
     block split keeps the support of the dense matrix.  One batched eigh runs
     per stack.
@@ -182,7 +166,7 @@ def block_psd_power(stacks: Sequence[np.ndarray], p: float) -> list[np.ndarray]:
     spectrum = np.sort(np.concatenate([vals.ravel() for vals, _ in eigs]))
     top = float(spectrum[-1]) if spectrum.size else 0.0
     if psd_defect(spectrum) > 0:
-        raise NegativeEigenvalueError(
+        raise MatcoreError(
             f"matrix is not PSD (min eigenvalue {spectrum[0]:.3e}, max {top:.3e})"
         )
     cutoff = RANK_TOL * max(top, 0.0)
@@ -266,19 +250,19 @@ def resolution_defects(blocks: Sequence[np.ndarray], dim: int) -> tuple[float, f
 
 
 def check_resolution(blocks: Sequence[np.ndarray], dim: int) -> None:
-    """Raise NotAResolutionError unless blocks form an orthogonal resolution of I.
+    """Raise MatcoreError unless blocks form an orthogonal resolution of I.
 
     Each block is a dim x dim matrix, or a (k, dim, dim) stack that checks k
     resolutions at once, as in ``resolution_defects``."""
     if not blocks:
-        raise NotAResolutionError("no blocks given")
+        raise MatcoreError("no blocks given")
     blocks = [as_matrix(p) if np.ndim(p) == 2 else _as_stack(p) for p in blocks]
     for k, p in enumerate(blocks):
         if p.shape[-1] != dim:
-            raise NotAResolutionError(f"block {k} has dim {p.shape[-1]}, expected {dim}")
+            raise MatcoreError(f"block {k} has dim {p.shape[-1]}, expected {dim}")
     proj, comp, orth = resolution_defects(blocks, dim)
     if max(proj, comp, orth) > VALIDATION_TOL:
-        raise NotAResolutionError(
+        raise MatcoreError(
             f"blocks are not an orthogonal resolution of the identity (projector defect "
             f"{proj:.3e}, completeness {comp:.3e}, orthogonality {orth:.3e})"
         )

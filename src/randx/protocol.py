@@ -77,16 +77,9 @@ class ProtocolError(ValueError):
     pass
 
 
-class BadDeltaError(ProtocolError):
-    pass
-
-
-class BadTableError(ProtocolError):
-    pass
-
-
-class TooLargeError(ProtocolError):
-    pass
+class GuardError(ValueError):
+    """A computational guard: the request is well formed but exceeds a size
+    the package refuses to compute (the CLI exits 2 on it)."""
 
 
 @dataclass(frozen=True)
@@ -598,7 +591,7 @@ def enumerate_success_state(
         raise ProtocolError("n_rounds must be positive")
     rows = list(_supported_inputs(plan, q))
     if (len(rows) * len(g.output_alphabet)) ** n_rounds > branch_cap:
-        raise TooLargeError(
+        raise GuardError(
             f"({len(rows)} inputs x {len(g.output_alphabet)} outputs)^{n_rounds} "
             f"exceeds the {branch_cap} branch cap"
         )
@@ -670,7 +663,7 @@ def entropy_lower_bound(summary: SuccessStateSummary, delta: float) -> Expansion
     parameters and reported as-is.
     """
     if not 0.0 < delta <= 1.0:
-        raise BadDeltaError(f"delta must lie in (0, 1], got {delta}")
+        raise ProtocolError(f"delta must lie in (0, 1], got {delta}")
     penalty = (1.0 + 2.0 * math.log2(1.0 / delta)) / summary.eps
     hmin = summary.renyi_randomness - penalty
     return ExpansionBound(
@@ -742,15 +735,15 @@ def hmin_classical_adversary(table) -> float:
     else:
         arr = np.asarray(table, dtype=float)
     if arr.ndim != 2:
-        raise BadTableError(f"expected a 2-d table, got shape {arr.shape}")
+        raise ProtocolError(f"expected a 2-d table, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise BadTableError("table has non-finite entries")
+        raise ProtocolError("table has non-finite entries")
     if float(arr.min(initial=0.0)) < -1e-12:
-        raise BadTableError("table has negative entries")
+        raise ProtocolError("table has negative entries")
     total = float(arr.sum())
     if total > 1.0 + 1e-9:
-        raise BadTableError(f"table mass {total} exceeds 1")
+        raise ProtocolError(f"table mass {total} exceeds 1")
     if total <= 0.0:
-        raise BadTableError("table has no mass")
+        raise ProtocolError("table has no mass")
     guess = float(arr.max(axis=0).sum())
     return -math.log2(guess)

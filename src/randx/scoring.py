@@ -42,10 +42,6 @@ class ScoringError(ValueError):
     pass
 
 
-class BadParamsError(ScoringError):
-    pass
-
-
 _Term = tuple[float, Letter, Letter, float]  # (probability, input, output, score)
 
 
@@ -113,7 +109,7 @@ def _score_bracket(d: Device, k: list[np.ndarray], eps: float) -> float:
 def eps_score(g: Game | SpotCheckGame, d: Device, eps: float) -> float:
     """(1+eps)-score of a device; the Born-rule expected score at eps = 0."""
     if not 0.0 <= eps <= 1.0:
-        raise BadParamsError(f"eps must lie in [0, 1], got {eps}")
+        raise ScoringError(f"eps must lie in [0, 1], got {eps}")
     require_compatible(g, d)
     return _score_bracket(d, _k_blocks(d, _game_terms(g, d)), eps) / _branch_table(d, (), eps).state
 
@@ -136,7 +132,7 @@ def _randomness(table: _BranchTable, terms: list[_Term], s: float) -> float:
 
 def _check_randomness_eps(eps: float) -> None:
     if not 0.0 < eps <= 1.0:
-        raise BadParamsError(f"eps must lie in (0, 1], got {eps}")
+        raise ScoringError(f"eps must lie in (0, 1], got {eps}")
 
 
 def eps_randomness(target: Game | SpotCheckGame | Letter, d: Device, eps: float) -> float:
@@ -183,9 +179,9 @@ class RateCurve:
 def quadratic_rate_curve(w: float, r: int) -> RateCurve:
     """The universal quadratic curve 2 log2(e) (x - w)^2 / (r - 1) above w."""
     if not 0.0 <= w < 1.0:
-        raise BadParamsError(f"threshold w must lie in [0, 1), got {w}")
+        raise ScoringError(f"threshold w must lie in [0, 1), got {w}")
     if r < 2:
-        raise BadParamsError(f"output alphabet size must be >= 2, got {r}")
+        raise ScoringError(f"output alphabet size must be >= 2, got {r}")
     scale = 2.0 * LOG2E / (r - 1)
 
     def evaluate(x: float) -> float:

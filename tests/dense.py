@@ -33,7 +33,7 @@ import numpy as np
 from randx import catalog
 from randx.classicaloracle import SeesawResult
 from randx.devicemodel import (
-    GENERAL, Device, DeviceError, Letter, UnknownLetterError, _device_tree, components_device,
+    GENERAL, Device, DeviceError, Letter, _device_tree, components_device,
     make_device,
 )
 from randx.gamedefs import Game, SpotCheckGame, require_compatible
@@ -139,11 +139,11 @@ def unitary(d: Device, a: Letter) -> np.ndarray:
 def projector(d: Device, a: Letter, x: Letter) -> np.ndarray:
     """Measurement projector for (input, output); zero if unlisted."""
     if a not in d.measurements:
-        raise UnknownLetterError(f"unknown input letter {a!r}")
+        raise DeviceError(f"unknown input letter {a!r}")
     p = d.measurements[a].get(x)
     if p is None:
         if x not in d.output_alphabet:
-            raise UnknownLetterError(f"unknown output letter {x!r}")
+            raise DeviceError(f"unknown output letter {x!r}")
         return np.zeros((d.dim, d.dim), dtype=np.complex128)
     return p
 
@@ -151,7 +151,7 @@ def projector(d: Device, a: Letter, x: Letter) -> np.ndarray:
 def born_probabilities(d: Device, a: Letter) -> dict[Letter, float]:
     """Tr[P_a^x phi] for each listed output, one dense einsum per projector."""
     if a not in d.measurements:
-        raise UnknownLetterError(f"unknown input letter {a!r}")
+        raise DeviceError(f"unknown input letter {a!r}")
     return {x: float(np.einsum("ij,ji->", p, d.state).real) for x, p in d.measurements[a].items()}
 
 
@@ -200,7 +200,7 @@ def evolve_sequence(d: Device, a_seq: Sequence[Letter], x_seq: Sequence[Letter])
         )
     for a in a_seq:
         if a not in d.measurements:
-            raise UnknownLetterError(f"unknown input letter {a!r}")
+            raise DeviceError(f"unknown input letter {a!r}")
     m = _branch_operator(d, a_seq, x_seq)
     rphi = sqrtm_psd(d.state)
     return DeviceStatePair(

@@ -7,17 +7,14 @@ import pytest
 
 from randx import catalog, classicaloracle, devicemodel, scoring
 from randx.classicaloracle import (
-    BadDimsError,
     OracleError,
-    TooLargeError,
-    UnknownGameError,
-    UnsupportedError,
     classical_value,
     known_values,
     seesaw,
 )
 from randx.devicemodel import validate_device
 from randx.gamedefs import nonlocal_game
+from randx.protocol import GuardError
 from tests.dense import is_classically_predictable, seesaw_oracle, strategy_device
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
@@ -145,7 +142,7 @@ class TestClassicalValue:
             scores={},
             distinguished_input=(0, 0),
         )
-        with pytest.raises(TooLargeError):
+        with pytest.raises(GuardError, match="strategies exceed the 10000000 guard"):
             classical_value(g)
 
     def test_strategy_rescoring_matches(self):
@@ -227,7 +224,7 @@ class TestSeesaw:
 
     def test_guards(self):
         g = catalog.chsh().game
-        with pytest.raises(BadDimsError):
+        with pytest.raises(GuardError, match=r"per-player dims must lie in \[1, 8\]"):
             seesaw(g, (9, 2))
         for bad in ({"restarts": 0}, {"iters": 0}, {"restarts": -1}):
             with pytest.raises(OracleError, match="must be at least 1"):
@@ -242,7 +239,7 @@ class TestSeesaw:
             scores={},
             distinguished_input=(0, 0, 0),
         )
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(GuardError, match="see-saw supports exactly 2-player nonlocal games"):
             seesaw(three, (2, 2, 2))
 
 
@@ -320,5 +317,5 @@ class TestKnownValues:
         assert "lower bound" in row.notes["w_quantum"]
 
     def test_unknown(self):
-        with pytest.raises(UnknownGameError):
+        with pytest.raises(OracleError, match="no known-values row for 'ghz'"):
             known_values("ghz")

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import pytest
 from randx import catalog, classicaloracle, protocol
 from randx.cli import main
 from randx.devicemodel import load_device, save_device
-from randx.gamedefs import load_game, save_game
+from randx.gamedefs import load_game, nonlocal_game, save_game
 from tests.dense import device_to_dict
 from tests.test_devicemodel import misfit_projector_device
 from tests.test_protocol import toy_setup
@@ -166,6 +168,115 @@ def test_validate_malformed_device_file_prints_report(tmp_path, capsys):
     assert "measurement-dim" in {v["check"] for v in payload["device"]["violations"]}
 
 
+def halved_projector_file(path):
+    """chsh:optimal with its first projector halved, which validate rejects."""
+    data = device_to_dict(catalog.get_device("chsh:optimal"))
+    proj = data["inputs"][0]["projectors"][0]
+    proj["matrix"] = [[[re / 2, im / 2] for re, im in row] for row in proj["matrix"]]
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+RUN_ARGV = {
+    "simulate": ["simulate", "--n", "20", "--q", "0.3", "--chi", "0.5"],
+    "enumerate": ["enumerate", "--n", "2", "--q", "0.3", "--chi", "0.5", "--eps", "0.2"],
+    "entropy-bound": ["entropy-bound", "--n", "2", "--q", "0.3", "--chi", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_ARGV))
+def test_file_that_validate_rejects_does_not_run(command, tmp_path, capsys):
+    device = halved_projector_file(tmp_path / "device.json")
+    assert main(["validate", "--device", device]) == 1
+    violations = json.loads(capsys.readouterr().out)["device"]["violations"]
+    assert "measurement-completeness" in {v["check"] for v in violations}
+    assert main([*RUN_ARGV[command], "--device", device]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid file {device!r}: measurement-projector")
+    # a game outside the framework's score range [0, inf) is refused the same way
+    game = str(tmp_path / "game.json")
+    save_game(toy_setup()[0], game)
+    assert main([*RUN_ARGV[command], "--game", game]) == 1
+    assert capsys.readouterr().err.startswith(f"error: invalid file {game!r}: score-range")
+
+
+def object_letter(data):
+    data["inputs"][0]["letter"] = {"a": 0}
+    return data
+
+
+# structurally broken files: each mutates the dict of a catalog object's file
+MALFORMED_FILES = {
+    "phi-number": ("device", lambda data: {**data, "phi": 5}),
+    "inputs-null": ("device", lambda data: {**data, "inputs": None}),
+    "top-level-list": ("device", lambda data: [data]),
+    "object-letter": ("device", object_letter),
+    "object-output": ("device", lambda data: {**data, "output_alphabet": [{}]}),
+    "game-top-level-list": ("game", lambda data: [data]),
+    "game-object-letter": ("game", lambda data: {**data, "input_alphabet": [{}, 1, 2, 3]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_is_an_error_not_a_traceback(case, tmp_path, capsys):
+    kind, mutate = MALFORMED_FILES[case]
+    path = tmp_path / f"{kind}.json"
+    if kind == "device":
+        data, run = device_to_dict(catalog.get_device("chsh:optimal")), RUN_ARGV["enumerate"]
+    else:
+        save_game(catalog.get_game("chsh"), path)
+        data, run = json.loads(path.read_text()), ["classical-value"]
+    path.write_text(json.dumps(mutate(data)))
+    for argv in (["validate", f"--{kind}", str(path)], [*run, f"--{kind}", str(path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: malformed file {str(path)!r}: ")
+
+
+def test_unknown_catalog_device_lists_the_choices(capsys):
+    assert main([*RUN_ARGV["enumerate"], "--device", "chsh:bogus"]) == 1
+    assert "choose from ['classical', 'optimal']" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def guard_games(tmp_path_factory):
+    """Files of a 3-player game and of a 2-player game with (16^3)^2 strategies."""
+    folder = tmp_path_factory.mktemp("games")
+    three = nonlocal_game("three", [(0,)] * 3, [(0, 1)] * 3, {(0, 0, 0): 1.0}, {}, (0, 0, 0))
+    inputs = list(itertools.product(range(3), repeat=2))
+    big = nonlocal_game("big", [range(3)] * 2, [range(16)] * 2, {a: 1 / 9 for a in inputs}, {},
+                        (0, 0))
+    for name, game in (("three", three), ("big", big)):
+        save_game(game, folder / f"{name}.json")
+    return folder
+
+
+# argv -> (exit code, stderr prefix); "{games}" is the guard_games folder
+EXIT_CODES = {
+    "enumerate --n 12 --q 0.3 --chi 0.5 --eps 0.2 --branch-cap 100":
+        (2, "guard: (5 inputs x 4 outputs)^12 exceeds the 100 branch cap"),
+    "seesaw --game chsh --dims 9,2": (2, "guard: per-player dims must lie in [1, 8]"),
+    "seesaw --game {games}/three.json": (2, "guard: see-saw supports exactly 2-player"),
+    "classical-value --game {games}/big.json": (2, "guard: 16777216 strategies exceed"),
+    "simulate --n 10": (1, "error: the following arguments are required"),
+    "classical-value --game nosuchgame": (1, "error: unknown catalog entry 'nosuchgame'"),
+    "seesaw --game chsh --dims a,b": (1, "error: bad --dims"),
+    "rate-curve --game magic-square --grid 0:1:3": (1, "error: no closed-form threshold"),
+    "simulate --n 10 --q 0.3 --chi 0.5 --trials 0": (1, "error: --trials must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXIT_CODES))
+def test_exit_code_table(argv, guard_games, capsys):
+    code, prefix = EXIT_CODES[argv]
+    assert main(argv.format(games=guard_games).split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(prefix)
+
+
 def test_usage_error_exit_one():
     proc = run_cli(["simulate", "--n", "10"])
     assert proc.returncode == 1
@@ -198,6 +309,11 @@ def test_simulate_runs_match_transcripts(case, memory, tmp_path, capsys):
     if game_spec is None:
         game_spec, device_spec = str(tmp_path / "game.json"), str(tmp_path / "device.json")
         toy_game, toy_device = toy_setup()
+        # files are validated at load, and a score must lie in [0, inf), so the
+        # toy's scores -1, 0.5, 1 move up by 1; its negative-score game is refused
+        # in test_file_that_validate_rejects_does_not_run
+        shifted = {k: h + 1.0 for k, h in toy_game.scores.items()}
+        toy_game = dataclasses.replace(toy_game, scores=shifted)
         save_game(toy_game, game_spec)
         save_device(toy_device, device_spec)
         game, device = load_game(game_spec), load_device(device_spec)

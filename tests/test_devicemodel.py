@@ -13,7 +13,6 @@ from randx.devicemodel import (
     CONTEXTUAL,
     GENERAL,
     DeviceError,
-    UnknownLetterError,
     born_probabilities,
     components_device,
     device_from_dict,
@@ -26,7 +25,6 @@ from randx.devicemodel import (
 )
 from randx.matcore import (
     MatcoreError,
-    NonFiniteError,
     check_resolution,
     ginibre,
     haar_pvm,
@@ -263,7 +261,7 @@ class TestEvolve:
         d = catalog.chsh().devices["optimal"]
         with pytest.raises(LengthMismatchError):
             evolve_sequence(d, [(0, 0)], [])
-        with pytest.raises(UnknownLetterError):
+        with pytest.raises(DeviceError, match=r"unknown input letter \(9, 9\)"):
             evolve_sequence(d, [(9, 9)], [(0, 0)])
 
     @given(st.integers(0, 2**32 - 1))
@@ -386,11 +384,11 @@ class TestJsonText:
 
     def test_non_finite_entries_raise(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(MatcoreError, match="matrix has non-finite entries"):
             json_text({"m": bad}, 2)
         d = dataclasses.replace(catalog.get_device("chsh:optimal"), state=np.full((4, 4), np.inf))
         for write in (device_to_dict, lambda d: json_text(d, 1)):
-            with pytest.raises(NonFiniteError):
+            with pytest.raises(MatcoreError, match="matrix has non-finite entries"):
                 write(d)
 
     def test_other_objects_are_not_serializable(self):
@@ -405,6 +403,14 @@ def test_device_dict_omitted_unitary_defaults_identity():
         entry.pop("unitary", None)
     loaded = device_from_dict(data)
     assert np.allclose(dense.unitary(loaded, 0), np.eye(3))
+
+
+def test_devices_compare_and_hash_by_identity():
+    d = catalog.chsh_optimal_device()
+    assert d == d
+    assert (d == catalog.chsh_optimal_device()) is False
+    assert hash(d) == hash(d)
+    assert {d: 1}[d] == 1
 
 
 class TestBlocks:

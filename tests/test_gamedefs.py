@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from randx import catalog, scoring
 from randx.gamedefs import (
-    BadQError,
+    GameError,
     check_compatibility,
     game_from_dict,
     game_to_dict,
@@ -76,7 +76,7 @@ class TestSpotCheck:
 
     def test_bad_q(self):
         for q in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(BadQError):
+            with pytest.raises(GameError, match="q must lie strictly between 0 and 1"):
                 spot_check(catalog.chsh().game, q)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.3, 0.7]))

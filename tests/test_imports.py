@@ -1,6 +1,7 @@
 """Every name a package module imports is read somewhere in that module,
 every module-level private function or class is read somewhere in the
-package, and every public one is reached by code that runs.
+package, every public one is reached by code that runs, and each module
+defines at most one exception class that no ``except`` clause names.
 
 No lint tool ships with the package, so these are its guards against dead
 imports and dead code.  ``__init__.py`` is skipped for imports: its imports
@@ -8,6 +9,7 @@ are the public exports.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -119,3 +121,65 @@ def test_public_guard_flags_an_unread_definition():
             continue
         probe = ast.parse((SRC / name).read_text() + "\n\ndef unread_probe():\n    pass\n")
         assert unreached_public({**trees, name: probe}, callers) == {name: ["unread_probe"]}
+
+
+def exception_classes(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Per module, its module-level classes that derive from a builtin
+    exception, directly or through other classes found here."""
+    known = {
+        n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)
+    }
+    found: dict[str, list[str]] = {}
+    grew = True
+    while grew:
+        grew = False
+        for name, tree in trees.items():
+            for node in tree.body:
+                if (isinstance(node, ast.ClassDef) and node.name not in found.get(name, [])
+                        and set().union(*map(names_read, node.bases)) & known):
+                    known.add(node.name)
+                    found.setdefault(name, []).append(node.name)
+                    grew = True
+    return found
+
+
+def names_caught(tree: ast.AST) -> set[str]:
+    """Every name, and every attribute name, in the type of an except clause of tree."""
+    return set().union(*(
+        names_read(h.type) for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and h.type
+    ))
+
+
+def uncaught_surplus(trees: dict[str, ast.Module], caught: set[str]) -> dict[str, list[str]]:
+    """The modules that define more than one exception class not in ``caught``,
+    each with those classes."""
+    surplus = {}
+    for name, classes in exception_classes(trees).items():
+        if len(uncaught := [c for c in classes if c not in caught]) > 1:
+            surplus[name] = uncaught
+    return surplus
+
+
+def caught_in_package_and_scripts(trees: dict[str, ast.Module]) -> set[str]:
+    paths = sorted((ROOT / "scripts").glob("*.py"))
+    scripts = [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+    assert scripts
+    return set().union(*map(names_caught, [*trees.values(), *scripts]))
+
+
+def test_one_uncaught_exception_class_per_module():
+    trees = package_trees()
+    assert sum(len(c) for c in exception_classes(trees).values()) >= 9
+    assert uncaught_surplus(trees, caught_in_package_and_scripts(trees)) == {}
+
+
+def test_error_guard_flags_a_second_exception_class():
+    trees = package_trees()
+    caught = caught_in_package_and_scripts(trees)
+    classes = exception_classes(trees)
+    for name in trees:
+        uncaught = [c for c in classes.get(name, []) if c not in caught]
+        base = (classes.get(name) or ["ValueError"])[0]
+        probe = ast.parse((SRC / name).read_text() + f"\n\nclass ProbeError({base}):\n    pass\n")
+        expected = {name: [*uncaught, "ProbeError"]} if uncaught else {}
+        assert uncaught_surplus({**trees, name: probe}, caught) == expected

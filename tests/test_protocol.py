@@ -9,11 +9,9 @@ from randx.devicemodel import make_device
 from randx.gamedefs import nonlocal_game
 from randx.matcore import dagger, ginibre, haar_unitary
 from randx.protocol import (
-    BadDeltaError,
-    BadTableError,
+    GuardError,
     ProtocolError,
     ProtocolParams,
-    TooLargeError,
     _branches,
     _round_plan,
     _round_tables,
@@ -423,7 +421,7 @@ class TestEnumerate:
 
     def test_branch_cap(self):
         g, opt, _ = chsh_setup()
-        with pytest.raises(TooLargeError):
+        with pytest.raises(GuardError, match="exceeds the 1000 branch cap"):
             enumerate_success_state(g, opt, 10, q=0.3, chi=0.5, eps=0.2, branch_cap=1000)
 
     @pytest.mark.parametrize("chi", [0.0, 0.5, 0.8, 1.0])
@@ -778,9 +776,9 @@ class TestEntropyBound:
     def test_bad_delta(self):
         g, opt, _ = chsh_setup()
         s = enumerate_success_state(g, opt, 1, q=0.3, chi=0.0, eps=0.2)
-        with pytest.raises(BadDeltaError):
+        with pytest.raises(ProtocolError, match=r"delta must lie in \(0, 1\], got 0.0"):
             entropy_lower_bound(s, 0.0)
-        with pytest.raises(BadDeltaError):
+        with pytest.raises(ProtocolError, match=r"delta must lie in \(0, 1\], got 1.5"):
             entropy_lower_bound(s, 1.5)
 
 
@@ -839,12 +837,12 @@ class TestHminClassical:
         assert hmin_classical_adversary(table) == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
 
     def test_bad_tables(self):
-        with pytest.raises(BadTableError):
+        with pytest.raises(ProtocolError, match="table mass .* exceeds 1"):
             hmin_classical_adversary([[0.9, 0.3]])
-        with pytest.raises(BadTableError):
+        with pytest.raises(ProtocolError, match="table has negative entries"):
             hmin_classical_adversary([[-0.1, 0.5]])
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(BadTableError, match="non-finite"):
+            with pytest.raises(ProtocolError, match="non-finite"):
                 hmin_classical_adversary(np.array([[0.5, bad], [0.2, 0.1]]))
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from randx import catalog, matcore, protocol, scoring
 from randx.devicemodel import GENERAL, make_device
-from randx.gamedefs import IncompatibleError, nonlocal_game, spot_check
+from randx.gamedefs import GameError, nonlocal_game, spot_check
 from randx.scoring import (
-    BadParamsError,
+    ScoringError,
     eps_randomness,
     eps_score,
     quadratic_rate_curve,
@@ -75,7 +75,7 @@ class TestGameOperator:
         assert np.max(np.abs(op.matrix - k)) < 1e-12
 
     def test_incompatible_rejected(self):
-        with pytest.raises(IncompatibleError):
+        with pytest.raises(GameError, match="game and device input alphabets differ"):
             game_operator(catalog.chsh().game, catalog.magic_square().devices["mixture"])
 
 
@@ -120,7 +120,7 @@ class TestEpsScore:
 
     def test_eps_range(self):
         entry = catalog.chsh()
-        with pytest.raises(BadParamsError):
+        with pytest.raises(ScoringError, match=r"eps must lie in \[0, 1\], got 1.5"):
             eps_score(entry.game, entry.devices["optimal"], 1.5)
 
 
@@ -224,9 +224,9 @@ class TestRateCurves:
         assert np.all(second >= -1e-12)
 
     def test_bad_params(self):
-        with pytest.raises(BadParamsError):
+        with pytest.raises(ScoringError, match=r"threshold w must lie in \[0, 1\), got -0.1"):
             quadratic_rate_curve(-0.1, 4)
-        with pytest.raises(BadParamsError):
+        with pytest.raises(ScoringError, match="output alphabet size must be >= 2, got 1"):
             quadratic_rate_curve(0.5, 1)
 
 
