@@ -27,6 +27,7 @@ simulate and enumerate share one exact success rule.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -37,6 +38,7 @@ import numpy as np
 from . import __version__, catalog, classicaloracle, convexity, protocol, scoring
 from .devicemodel import (
     Device,
+    _Records,
     json_text,
     load_device,
     save_device,
@@ -55,6 +57,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         self.print_usage(sys.stderr)
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # the parser is built once per process, so --seed reads RANDX_SEED
+        # here, when its own (sub)command line is parsed
+        for action in self._actions:
+            if action.dest == "seed":
+                action.default = os.environ.get("RANDX_SEED") or "0"
+        return super().parse_known_args(args, namespace)
 
 
 def _fmt(x: float) -> str:
@@ -233,6 +243,7 @@ def _cmd_simulate(args) -> int:
         ]
         _emit_csv(["trial", "c", "success"], rows, args.output)
     else:
+        c, success = zip(*outcomes)
         _emit_json(
             {
                 "game": game.name,
@@ -244,9 +255,10 @@ def _cmd_simulate(args) -> int:
                 "trials": args.trials,
                 "fresh_state": fresh,
                 "threshold": args.chi * args.q * args.n,
-                "successes": sum(1 for _, success in outcomes if success),
-                "runs": [{"seed": args.seed + k, "c": c, "success": success}
-                         for k, (c, success) in enumerate(outcomes)],
+                "successes": sum(success),
+                "runs": _Records(
+                    {"c": c, "seed": range(args.seed, args.seed + args.trials), "success": success}
+                ),
             },
             args.output,
         )
@@ -393,7 +405,9 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (``main`` parses with it)."""
     parser = _Parser(prog="randx", description=__doc__)
     parser.add_argument("--version", action="version", version=f"randx {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -401,10 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True):
         p.add_argument("--output", help="write to a file instead of stdout")
         if seed:
-            p.add_argument(
-                "--seed", type=int, default=os.environ.get("RANDX_SEED") or "0",
-                help="base seed (env RANDX_SEED)",
-            )
+            p.add_argument("--seed", type=int, help="base seed (env RANDX_SEED)")
 
     p = sub.add_parser("classical-value", help="exact classical game value by enumeration")
     p.add_argument("--game", required=True)

@@ -204,6 +204,12 @@ class Device:
             for a in self.measurements
         }
 
+    @functools.cached_property
+    def _round_plans(self) -> dict:
+        """Per game, by identity, ``protocol``'s round plan of (game, device),
+        stored there on first use, so a plan lives as long as its device."""
+        return {}
+
 
 def _listed_outputs(measurements: Mapping[Letter, Mapping[Letter, Any]]) -> tuple[Letter, ...]:
     """The output letters a measurement map lists, in first-seen order."""
@@ -543,42 +549,84 @@ def _device_tree(d: Device) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class _Records:
+    """A JSON list of flat records held by column: record k maps each key to
+    ``columns[key][k]``, a number, bool or None, and every column has one
+    entry per record.  ``json_text`` writes it as the list of dicts."""
+
+    columns: Mapping[str, Sequence]
+
+    def json_parts(self, pad: str, step: str) -> list[str]:
+        """The records as ``json.dumps(..., sort_keys=True)`` indents them by
+        ``step`` on a line indented by ``pad``, built in bulk: a list of
+        short strings (one scalar or separator each) whose join is that text.
+        Each scalar's text is the C encoder's, which the indenting encoder
+        shares, and none contains ", "."""
+        keys = sorted(self.columns)
+        n = len(self.columns[keys[0]])
+        if not n:
+            return ["[]"]
+        texts = [json.dumps(list(self.columns[k]))[1:-1].split(", ") for k in keys]
+        if any(len(t) != n for t in texts):
+            raise ValueError("record columns must be of equal length and hold scalars")
+        record, field = "\n" + pad + step, "\n" + pad + step * 2
+        names = [json.dumps(k) + ": " for k in keys]
+        # the text after each scalar: before the next key, between records,
+        # and after the last scalar
+        seps = ["," + field + name for name in names[1:]]
+        seps.append(record + "}," + record + "{" + field + names[0])
+        seps *= n
+        seps[-1] = record + "}\n" + pad + "]"
+        parts = [""] * (2 * len(keys) * n + 1)
+        parts[0] = "[" + record + "{" + field + names[0]
+        parts[1::2] = itertools.chain.from_iterable(zip(*texts))
+        parts[2::2] = seps
+        return parts
+
+
 def json_text(obj: Any, indent: int) -> str:
     """``json.dumps(obj, sort_keys=True, indent=indent)``, where each Device in
-    ``obj`` is written as its ``_device_tree`` and each matrix as nested
-    [re, im] pairs, row-major (the format ``matcore.matrix_from_pairs`` reads).
+    ``obj`` is written as its ``_device_tree``, each matrix as nested
+    [re, im] pairs, row-major (the format ``matcore.matrix_from_pairs`` reads),
+    and each ``_Records`` as its list of records.
 
-    ``json.dumps`` formats a skeleton in which each matrix is a placeholder
-    string; each matrix is then written in bulk (``matcore.matrix_json_parts``)
-    at its placeholder's indentation.  The placeholder is lengthened until no
-    other string of ``obj`` renders to it, so only placeholders are replaced.
-    The text is joined once from short strings, with no string per matrix:
-    such strings are too large for Python's small-object allocator, and
-    freeing megabytes of them left the process's resident memory depending
-    on where the C heap happened to place them.
+    ``json.dumps`` formats a skeleton in which each matrix and each
+    ``_Records`` is a placeholder string; each is then written in bulk
+    (``matcore.matrix_json_parts``, ``_Records.json_parts``) at its
+    placeholder's indentation, so the large parts skip Python's indenting
+    encoder.  The placeholder is lengthened until no other string of ``obj``
+    renders to it, so only placeholders are replaced.  The text is joined
+    once from short strings, with no string per matrix: such strings are too
+    large for Python's small-object allocator, and freeing megabytes of them
+    left the process's resident memory depending on where the C heap
+    happened to place them.
     """
     mark = "randx:matrix"
     while True:
-        mats: list[np.ndarray] = []
+        writers: list = []  # per placeholder, its text's parts given (pad, step)
 
         def leaf(o):
             if isinstance(o, Device):
                 return _device_tree(o)
             if isinstance(o, np.ndarray):
-                mats.append(o)
+                writers.append(functools.partial(matcore.matrix_json_parts, o))
+                return mark
+            if isinstance(o, _Records):
+                writers.append(o.json_parts)
                 return mark
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
         text = json.dumps(obj, sort_keys=True, indent=indent, default=leaf)
         pieces = text.split(json.dumps(mark))
-        if len(pieces) == len(mats) + 1:
+        if len(pieces) == len(writers) + 1:
             break
         mark += "+"
     step = " " * indent
     out = [pieces[0]]
-    for m, before, after in zip(mats, pieces, pieces[1:]):
+    for write, before, after in zip(writers, pieces, pieces[1:]):
         line = before.rpartition("\n")[2]
-        out += matcore.matrix_json_parts(m, " " * (len(line) - len(line.lstrip(" "))), step)
+        out += write(" " * (len(line) - len(line.lstrip(" "))), step)
         out.append(after)
     return "".join(out)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 from .devicemodel import (
@@ -44,7 +45,8 @@ class GameError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+# eq=False: a game compares and hashes by identity, as a device does
+@dataclass(frozen=True, eq=False)
 class Game:
     """A single-round game with a distinguished input letter."""
 
@@ -62,6 +64,11 @@ class Game:
     # contextual structure: base alphabets
     base_inputs: tuple[Letter, ...] | None = None
     base_outputs: tuple[Letter, ...] | None = None
+
+    def __post_init__(self) -> None:
+        # however a game is built, its tables are read-only copies
+        object.__setattr__(self, "distribution", MappingProxyType(dict(self.distribution)))
+        object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))
 
     def prob(self, a: Letter) -> float:
         return float(self.distribution.get(a, 0.0))
@@ -129,8 +136,8 @@ def nonlocal_game(
         kind=NONLOCAL,
         input_alphabet=tuple(itertools.product(*player_inputs)),
         output_alphabet=tuple(itertools.product(*player_outputs)),
-        distribution=dict(distribution),
-        scores=dict(scores),
+        distribution=distribution,
+        scores=scores,
         distinguished_input=distinguished_input,
         unbounded=unbounded,
         player_inputs=tuple(tuple(p) for p in player_inputs),

@@ -41,8 +41,10 @@ chunks from one generator, re-keyed for each trial, into one buffer, and
 samples and scores only the test rounds of a whole chunk at once, since
 generation rounds add nothing to c; each trial still gets exactly the
 uniforms, and so the c and success, of ``simulate`` at seed + k.
-Every entry point tabulates one round of its (game, device) pair once, in a
-private round plan, and checks their compatibility there.
+Every entry point reads one round of its (game, device) pair from a private
+round plan, which checks their compatibility and tabulates the round.  The
+plan is built once per pair, by identity, and kept on the device, so it lives
+as long as the device and later calls on the same pair reuse it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from . import matcore
-from .devicemodel import Device, Letter, born_probabilities
+from .devicemodel import Device, Letter, _read_only, born_probabilities
 from .gamedefs import Game, require_compatible, spot_check
 from .matcore import dagger
 
@@ -205,7 +207,12 @@ class _RoundPlan:
 
 
 def _round_plan(g: Game, d: Device) -> _RoundPlan:
-    """Check compatibility once and tabulate one round of (g, d)."""
+    """Check compatibility once and tabulate one round of (g, d), on the
+    pair's first call; later calls read the plan from ``d._round_plans``.
+    Games and devices compare by identity and are immutable, so the plan and
+    its read-only arrays can be shared."""
+    if (plan := d._round_plans.get(g)) is not None:
+        return plan
     require_compatible(g, d)
     n_in, n_out = len(g.input_alphabet), len(g.output_alphabet)
     out_index = {x: j for j, x in enumerate(g.output_alphabet)}
@@ -225,7 +232,11 @@ def _round_plan(g: Game, d: Device) -> _RoundPlan:
     units = tuple(ratios[h][0] * (den // ratios[h][1]) for h in flat)
     scores = np.array(flat).reshape(n_in, n_out)
     abar = g.input_alphabet.index(g.distinguished_input)
-    return _RoundPlan(g, d, input_cdf, born, output_cdfs, scores, units, den, abar, tuple(outputs))
+    input_cdf, born, output_cdfs, scores = _read_only([input_cdf, born, output_cdfs, scores])
+    plan = d._round_plans[g] = _RoundPlan(
+        g, d, input_cdf, born, output_cdfs, scores, units, den, abar, tuple(outputs)
+    )
+    return plan
 
 
 def _supported_inputs(plan: _RoundPlan, q: float) -> Iterator[tuple[float, int, bool]]:

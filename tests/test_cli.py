@@ -293,6 +293,17 @@ def test_unknown_game_exit_one():
     assert proc.returncode == 1
 
 
+def toy_files(tmp_path):
+    """The toy game and device written to files; files are validated at load,
+    so the game's scores -1, 0.5, 1 move up by 1 to 0, 1.5, 2."""
+    toy_game, toy_device = toy_setup()
+    toy_game = dataclasses.replace(toy_game, scores={k: h + 1.0 for k, h in toy_game.scores.items()})
+    game_spec, device_spec = str(tmp_path / "game.json"), str(tmp_path / "device.json")
+    save_game(toy_game, game_spec)
+    save_device(toy_device, device_spec)
+    return game_spec, device_spec
+
+
 # game, device, q, chi, fresh-state N, memory N (the in-place path loops over rounds)
 SIMULATE_CASES = {
     "chsh-optimal": ("chsh", "chsh:optimal", 0.1, 0.85, 5000, 200),
@@ -307,15 +318,8 @@ SIMULATE_CASES = {
 def test_simulate_runs_match_transcripts(case, memory, tmp_path, capsys):
     game_spec, device_spec, q, chi, n_fresh, n_memory = SIMULATE_CASES[case]
     if game_spec is None:
-        game_spec, device_spec = str(tmp_path / "game.json"), str(tmp_path / "device.json")
-        toy_game, toy_device = toy_setup()
-        # files are validated at load, and a score must lie in [0, inf), so the
-        # toy's scores -1, 0.5, 1 move up by 1; its negative-score game is refused
-        # in test_file_that_validate_rejects_does_not_run
-        shifted = {k: h + 1.0 for k, h in toy_game.scores.items()}
-        toy_game = dataclasses.replace(toy_game, scores=shifted)
-        save_game(toy_game, game_spec)
-        save_device(toy_device, device_spec)
+        # the negative-score toy game is refused in test_file_that_validate_rejects_does_not_run
+        game_spec, device_spec = toy_files(tmp_path)
         game, device = load_game(game_spec), load_device(device_spec)
     else:
         game, device = catalog.get_game(game_spec), catalog.get_device(device_spec)
@@ -330,6 +334,35 @@ def test_simulate_runs_match_transcripts(case, memory, tmp_path, capsys):
                                fresh_state=not memory)
         expected.append({"seed": seed + k, "c": tr.c, "success": tr.success})
     assert payload["runs"] == expected
+
+
+@pytest.mark.parametrize("case", ["one-trial", "memory", "top-seeds", "toy-files"])
+def test_simulate_json_is_the_json_dumps_of_its_payload(case, tmp_path, capsys):
+    game, device = catalog.get_game("chsh"), catalog.get_device("chsh:optimal")
+    argv = ["simulate", "--n", "40", "--q", "0.3", "--chi", "0.5"]
+    if case == "one-trial":
+        argv += ["--trials", "1", "--seed", "3"]
+    elif case == "memory":
+        argv += ["--trials", "7", "--memory"]
+    elif case == "top-seeds":
+        argv += ["--trials", "5", "--seed", str(2**128 - 5)]
+    else:
+        game_spec, device_spec = toy_files(tmp_path)
+        game, device = load_game(game_spec), load_device(device_spec)
+        argv += ["--game", game_spec, "--device", device_spec, "--trials", "30", "--seed", "9"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    runs = []
+    for k in range(payload["trials"]):
+        params = protocol.ProtocolParams(40, 0.3, 0.5, seed=payload["seed"] + k)
+        tr = protocol.simulate(game, device, params, fresh_state=payload["fresh_state"])
+        runs.append({"c": tr.c, "seed": params.seed, "success": tr.success})
+    assert len(runs) == int(argv[argv.index("--trials") + 1])
+    if case == "toy-files":
+        assert any(r["c"] % 1 for r in runs)
+    payload["runs"] = runs
+    assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])
@@ -437,6 +470,26 @@ def test_determinism_byte_identical(argv):
     b = run_cli(argv)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# the commands of acceptance criterion 10
+CRITERION_10_ARGV = [
+    ["simulate", "--n", "1000", "--q", "0.1", "--chi", "0.5", "--seed", "42", "--trials", "5"],
+    ["verify", "--suite", "uniform-convexity", "--trials", "100", "--seed", "4", "--out", "csv"],
+    ["enumerate", "--n", "3", "--q", "0.3", "--chi", "0.8", "--eps", "0.1"],
+    ["seesaw", "--game", "chsh", "--restarts", "2", "--seed", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", CRITERION_10_ARGV, ids=" ".join)
+def test_calls_in_one_process_print_the_bytes_of_a_new_process(argv, capsys):
+    # a new process builds its parser and round plans anew; in this one the
+    # second call reuses both
+    fresh = run_cli(argv)
+    assert fresh.returncode == 0
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == fresh.stdout
 
 
 def test_seesaw_stdout_is_the_json_dumps_of_its_payload(capsys):

@@ -13,6 +13,7 @@ from randx.devicemodel import (
     CONTEXTUAL,
     GENERAL,
     DeviceError,
+    _Records,
     born_probabilities,
     components_device,
     device_from_dict,
@@ -31,6 +32,7 @@ from randx.matcore import (
     haar_unitary,
 )
 from tests import dense
+from tests.test_protocol import toy_setup
 from tests.dense import (
     DimMismatchError, LengthMismatchError, device_to_dict, evolve_sequence, matrix_to_pairs,
     state_pair,
@@ -390,6 +392,39 @@ class TestJsonText:
         for write in (device_to_dict, lambda d: json_text(d, 1)):
             with pytest.raises(MatcoreError, match="matrix has non-finite entries"):
                 write(d)
+
+    def test_records_are_the_list_of_dicts(self):
+        columns = {
+            "success": [True, False, True, False, True],
+            "c": [-0.0, math.nan, math.inf, -math.inf, -1.5e-300],
+            "seed": [0, -1, 2**64, 2**128 - 1, 2**200],
+        }
+        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        self.assert_same_text(_Records(columns), records)
+        # at depth, beside a matrix, one record, and none
+        one = {k: v[:1] for k, v in columns.items()}
+        none = {k: [] for k in columns}
+        self.assert_same_text(
+            {"a": [{"runs": _Records(columns)}, np.eye(1)], "b": _Records(one), "c": _Records(none)},
+            {"a": [{"runs": records}, matrix_to_pairs(np.eye(1))], "b": records[:1], "c": []},
+        )
+        # negative fractional scores: the toy game's runs, on the fresh and memory paths
+        g, d = toy_setup()
+        for fresh in (True, False):
+            outcomes = protocol.simulate_outcomes(
+                g, d, protocol.ProtocolParams(30, 0.3, 0.1, seed=9), 20, fresh_state=fresh
+            )
+            assert any(c < 0 for c, _ in outcomes) and any(c % 1 for c, _ in outcomes)
+            c, success = map(list, zip(*outcomes))
+            self.assert_same_text(
+                _Records({"c": c, "seed": range(9, 29), "success": success}),
+                [{"c": ck, "seed": 9 + k, "success": sk} for k, (ck, sk) in enumerate(outcomes)],
+            )
+
+    def test_records_hold_scalars_only(self):
+        for column in ([[1, 2]], ["a, b"]):
+            with pytest.raises(ValueError, match="hold scalars"):
+                json_text(_Records({"c": [0.5], "x": column}), 2)
 
     def test_other_objects_are_not_serializable(self):
         with pytest.raises(TypeError, match="not JSON serializable"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,3 +113,17 @@ def test_game_dict_rejects_bad_distribution_length():
     data["distribution"] = data["distribution"][:-1]
     with pytest.raises(ValueError):
         game_from_dict(data)
+
+
+def test_games_compare_and_hash_by_identity_with_read_only_tables():
+    g = catalog.chsh_game()
+    copy = dataclasses.replace(g)
+    assert g == g and hash(g) == hash(g) and {g: 1}[g] == 1
+    assert (g == copy) is False
+    scores = {k: 0.5 for k in g.scores}
+    built = dataclasses.replace(g, scores=scores)
+    scores.clear()  # the game holds a copy
+    assert built.score(*next(iter(g.scores))) == 0.5
+    for table in (g.distribution, g.scores, built.scores):
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = 0.0

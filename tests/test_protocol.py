@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -744,12 +746,47 @@ class TestSimulateOutcomes:
         g, opt, _ = chsh_setup()
         params = ProtocolParams(n_rounds=20, q=0.3, chi=0.5)
         for fresh in (True, False):
+            # each call on a new device checks once; its round plan then
+            # holds the check for every later call on the same pair
             calls.clear()
-            simulate_outcomes(g, opt, params, 5, fresh_state=fresh)
+            d = replace(opt)
+            simulate_outcomes(g, d, params, 5, fresh_state=fresh)
+            assert len(calls) == 1
+            simulate(g, d, params, fresh_state=fresh)
+            enumerate_success_state(g, d, 2, q=0.3, chi=0.5, eps=0.2, fresh_state=fresh)
             assert len(calls) == 1
             calls.clear()
-            enumerate_success_state(g, opt, 2, q=0.3, chi=0.5, eps=0.2, fresh_state=fresh)
+            enumerate_success_state(g, replace(opt), 2, q=0.3, chi=0.5, eps=0.2,
+                                    fresh_state=fresh)
             assert len(calls) == 1
+
+
+class TestRoundPlanMemo:
+    def test_same_pair_same_plan(self):
+        g, opt, _ = chsh_setup()
+        plan = _round_plan(g, opt)
+        assert _round_plan(g, opt) is plan
+        assert plan.game is g and plan.device is opt
+        assert not any(a.flags.writeable
+                       for a in (plan.input_cdf, plan.born, plan.output_cdfs, plan.scores))
+
+    def test_second_game_on_the_same_device_gets_its_own_plan(self):
+        g, opt, _ = chsh_setup()
+        d = replace(opt)
+        other = replace(g, scores={k: 1.0 - h for k, h in g.scores.items()})
+        plan, other_plan = _round_plan(g, d), _round_plan(other, d)
+        assert other_plan is not plan and other_plan.game is other
+        assert _round_plan(g, d) is plan and _round_plan(other, d) is other_plan
+        assert np.array_equal(other_plan.scores, 1.0 - plan.scores)
+
+    def test_plan_dies_with_its_device(self):
+        g, opt, _ = chsh_setup()
+        d = replace(opt)
+        simulate(g, d, ProtocolParams(n_rounds=3, q=0.3, chi=0.8))
+        ref = weakref.ref(d)
+        del d
+        gc.collect()
+        assert ref() is None
 
 
 class TestEntropyBound:
