@@ -32,11 +32,11 @@ from randx.matcore import (
     haar_unitary,
 )
 from tests import dense
-from tests.test_protocol import toy_setup
 from tests.dense import (
     DimMismatchError, LengthMismatchError, device_to_dict, evolve_sequence, matrix_to_pairs,
     state_pair,
 )
+from tests.test_protocol import toy_setup
 
 
 def random_device(seed, dim=3, n_inputs=2, n_outputs=3):
