@@ -4,24 +4,19 @@ Subcommands: classical-value, seesaw, rate-curve, simulate, enumerate,
 entropy-bound, verify, magic-square-demo, validate.
 
 Exit codes: 0 success; 1 usage error, invalid file or any other ValueError,
-OSError or KeyError (``error:`` on stderr); 2 computational guard, which is
-``protocol.GuardError`` alone (``guard:``): enumeration or branch caps,
-unsupported game sizes or see-saw dims.  --game and --device take a catalog
-name or a file.  A file is checked once, at load: a structurally broken file
-is an error, and a well-formed one that ``validate_game`` or
-``validate_device`` rejects is an error naming its violations, except under
-validate, which prints the report.  Catalog objects are not checked again.
+OSError or KeyError (``error:`` on stderr); 2 computational guard
+(``guard:``): enumeration or branch caps, unsupported game sizes or
+see-saw dims.
 
-Identical argv and seed produce byte-identical output apart from the
-versioned header.  The seed is taken from --seed, else RANDX_SEED, else 0;
-a non-integer RANDX_SEED is a usage error wherever --seed applies; run
-seeds must lie in [0, 2^128).
-Multi-trial simulate runs go through protocol.simulate_outcomes, which keys
-trial k by seed + k.  Fresh-state trials are drawn in chunks from one
-re-keyed generator and scored a chunk at once, only their test rounds
-sampled; every round still consumes its three uniforms, so each trial is
-bit-identical to protocol.simulate at seed + k.
-simulate and enumerate share one exact success rule.
+--game and --device take a catalog name or a file.  A file is checked once,
+at load: a malformed file, or one that ``validate_game`` or
+``validate_device`` rejects, is an error naming its violations, except under
+validate, which prints the report.
+
+The seed is --seed, else RANDX_SEED, else 0; a non-integer RANDX_SEED is a
+usage error wherever --seed applies.  Run seeds lie in [0, 2^128), and trial
+k of a multi-trial simulate is keyed by seed + k.  Identical argv and seed
+produce byte-identical output apart from the versioned header.
 """
 
 from __future__ import annotations
@@ -219,8 +214,6 @@ def _cmd_rate_curve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     game = _resolve_game(args.game)
     device = _resolve_device(args.device)
     fresh = not args.memory

@@ -22,11 +22,11 @@ one batched ``matcore.schatten_stack`` SVD per round of norms; the public
 ``check_*`` functions are the k = 1 case.  ``run_suite`` draws trial k from
 its own ``SeedSequence(entropy=seed, spawn_key=(k,))`` stream, in the order
 dim, eps, rank or block count, then the Ginibre matrices, and evaluates the
-trials SUITE_CHUNK at a time, stacked by dimension.  Normalization and the
-projector and resolution checks run on every trial, at the 1e-6 validation
-threshold.  Since a stacked decomposition or product runs the same
-LAPACK/BLAS routine on each slice, every row equals a trial-by-trial
-evaluation bit for bit.
+trials SUITE_CHUNK at a time, stacked by dimension.  W, Z and tau are
+scaled to unit norm first (a zero one raises), and the projector and
+resolution checks run on every trial, at the 1e-6 validation threshold.
+Since a stacked decomposition or product runs the same LAPACK/BLAS routine
+on each slice, every row equals a trial-by-trial evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -61,15 +61,13 @@ class InequalityCheck:
         return self.margin >= MARGIN_TOL
 
 
-def _normalized(m: np.ndarray, eps: list[float], normalize: bool, what: str) -> np.ndarray:
+def _normalized(m: np.ndarray, eps: list[float], what: str) -> np.ndarray:
     """The (k, d, d) stack m with each matrix scaled to unit norm; a matrix
-    within 1e-9 of norm 1 is kept as it is."""
+    within 1e-9 of norm 1 is kept as it is, and a zero one raises."""
     _, norms = schatten_stack(m, eps)
     off = [i for i, n in enumerate(norms) if abs(n - 1.0) > 1e-9]
     if not off:
         return m
-    if not normalize:
-        raise ConvexityError(f"{what} has norm {norms[off[0]]}, expected 1")
     if any(norms[i] <= 0.0 for i in off):
         raise ConvexityError(f"{what} is zero")
     m = m.copy()
@@ -77,10 +75,10 @@ def _normalized(m: np.ndarray, eps: list[float], normalize: bool, what: str) -> 
     return m
 
 
-def _uniform_convexity(w, z, eps: list[float], normalize: bool) -> list[InequalityCheck]:
+def _uniform_convexity(w, z, eps: list[float]) -> list[InequalityCheck]:
     """Uniform convexity of (k, d, d) stacks w and z, one eps per pair."""
-    w = _normalized(w, eps, normalize, "W")
-    z = _normalized(z, eps, normalize, "Z")
+    w = _normalized(w, eps, "W")
+    z = _normalized(z, eps, "Z")
     _, norms = schatten_stack(np.concatenate([(w + z) / 2.0, w - z]), eps * 2)
     k = len(eps)
     return [
@@ -89,9 +87,9 @@ def _uniform_convexity(w, z, eps: list[float], normalize: bool) -> list[Inequali
     ]
 
 
-def _binary_disturbance(tau, r0, eps: list[float], normalize: bool) -> list[InequalityCheck]:
+def _binary_disturbance(tau, r0, eps: list[float]) -> list[InequalityCheck]:
     """Binary disturbance of a (k, d, d) stack of states under a stack of R0."""
-    t = _normalized(tau, eps, normalize, "tau")
+    t = _normalized(tau, eps, "tau")
     defect = matcore.projector_defect(r0)
     if defect > VALIDATION_TOL:
         raise ConvexityError(f"R0 is not a projector (defect {defect:.3e})")
@@ -106,7 +104,7 @@ def _binary_disturbance(tau, r0, eps: list[float], normalize: bool) -> list[Ineq
 
 
 def _chain_disturbance(
-    tau, blocks: Sequence[np.ndarray], eps: list[float], normalize: bool
+    tau, blocks: Sequence[np.ndarray], eps: list[float]
 ) -> tuple[list[np.ndarray], list[list[float]], list[InequalityCheck]]:
     """Product-form disturbance chain of a (k, d, d) stack of states.
 
@@ -115,7 +113,7 @@ def _chain_disturbance(
     1 - (eps/2) ||tau_i - tau_{i-1}||^2, and each trial's final check.  Only
     the norms these need are taken: tau_n's and the n steps', in one SVD call.
     """
-    t = _normalized(tau, eps, normalize, "tau")
+    t = _normalized(tau, eps, "tau")
     matcore.check_resolution(blocks, t.shape[-1])
     blocks = [np.asarray(p, dtype=np.complex128) for p in blocks]
     n = len(blocks) - 1
@@ -137,21 +135,21 @@ def _chain_disturbance(
     return states, factors, finals
 
 
-def check_uniform_convexity(w, z, eps: float, normalize: bool = True) -> InequalityCheck:
-    """Uniform convexity for arbitrary linear operators of unit norm."""
+def check_uniform_convexity(w, z, eps: float) -> InequalityCheck:
+    """Uniform convexity for arbitrary linear operators W and Z."""
     wm = matcore.as_matrix(w)[None]
     zm = matcore.as_matrix(z)[None]
-    return _uniform_convexity(wm, zm, [eps], normalize)[0]
+    return _uniform_convexity(wm, zm, [eps])[0]
 
 
-def check_binary_disturbance(tau, r0, eps: float, normalize: bool = True) -> InequalityCheck:
+def check_binary_disturbance(tau, r0, eps: float) -> InequalityCheck:
     """Disturbance bound for a binary projective measurement {R0, I - R0}."""
     t = matcore.as_matrix(tau)[None]
-    return _binary_disturbance(t, matcore.as_matrix(r0)[None], [eps], normalize)[0]
+    return _binary_disturbance(t, matcore.as_matrix(r0)[None], [eps])[0]
 
 
 def check_chain_disturbance(
-    tau, blocks: Sequence[np.ndarray], eps: float, normalize: bool = True
+    tau, blocks: Sequence[np.ndarray], eps: float
 ) -> tuple[InequalityCheck, list[InequalityCheck]]:
     """Disturbance chain for an orthogonal resolution {P_0, ..., P_n}.
 
@@ -161,7 +159,7 @@ def check_chain_disturbance(
     """
     t = matcore.as_matrix(tau)[None]
     stacks = [np.asarray(p)[None] for p in blocks]
-    states, (factors,), (final,) = _chain_disturbance(t, stacks, [eps], normalize)
+    states, (factors,), (final,) = _chain_disturbance(t, stacks, [eps])
     norms = schatten_stack(np.concatenate(states[:-1]), eps)[1] + [final.lhs]
     chain = [
         InequalityCheck(lhs=norms[i], rhs=f * norms[i - 1]) for i, f in enumerate(factors, 1)
@@ -256,7 +254,7 @@ def _suite_checks(suite: str, draws: list[_Draw]) -> list[InequalityCheck]:
     a = matcore.ginibre_from_normals(normals[0])
     b = matcore.ginibre_from_normals(normals[1])
     if suite == "uniform-convexity":
-        return _uniform_convexity(a, b, eps, True)
+        return _uniform_convexity(a, b, eps)
     tau = matcore.dagger(a) @ a
     u = matcore.haar_from_ginibre(b)
 
@@ -264,9 +262,9 @@ def _suite_checks(suite: str, draws: list[_Draw]) -> list[InequalityCheck]:
         sub_eps = [eps[i] for i in sel]
         if suite == "binary-disturbance":
             r0 = matcore.column_pvm(u[sel], [parts])[0]
-            return _binary_disturbance(tau[sel], r0, sub_eps, True)
+            return _binary_disturbance(tau[sel], r0, sub_eps)
         blocks = matcore.column_pvm(u[sel], parts)
-        return _chain_disturbance(tau[sel], blocks, sub_eps, True)[2]
+        return _chain_disturbance(tau[sel], blocks, sub_eps)[2]
 
     return _grouped([d.parts for d in draws], evaluate)
 

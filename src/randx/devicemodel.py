@@ -240,10 +240,9 @@ def components_device(
     site_dims: Sequence[int],
     state,
     site_measurements: Sequence[Mapping[Letter, Mapping[Letter, Any]]],
-    unitaries: Mapping[Letter, Any] | None = None,
     name: str = "",
 ) -> Device:
-    """Build an r-site device from per-site measurements.
+    """Build an r-site device without unitaries from per-site measurements.
 
     Joint input letters are tuples of per-site inputs, joint outputs tuples of
     per-site outputs; joint projectors are Kronecker products, one broadcast
@@ -265,7 +264,7 @@ def components_device(
             dim = prod.shape[0] * prod.shape[1]
             mats = prod.reshape(dim, dim, len(xs))
         meas[a] = _Measurement(xs, _read_only([mats.transpose(2, 0, 1)])[0])
-    return make_device(COMPONENTS, site_dims, state, meas, unitaries, inputs, outputs, name)
+    return make_device(COMPONENTS, site_dims, state, meas, None, inputs, outputs, name)
 
 
 def block_device(blocks, state_blocks, letters, input_alphabet, output_alphabet, name="") -> Device:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
@@ -128,9 +129,8 @@ def nonlocal_game(
     distribution: Mapping[Letter, float],
     scores: Mapping[tuple[Letter, Letter], float],
     distinguished_input: Letter,
-    unbounded: bool = False,
 ) -> Game:
-    """Assemble a nonlocal game; joint letters are tuples of per-player letters."""
+    """Assemble a bounded nonlocal game; joint letters are tuples of per-player letters."""
     return Game(
         name=name,
         kind=NONLOCAL,
@@ -139,14 +139,14 @@ def nonlocal_game(
         distribution=distribution,
         scores=scores,
         distinguished_input=distinguished_input,
-        unbounded=unbounded,
         player_inputs=tuple(tuple(p) for p in player_inputs),
         player_outputs=tuple(tuple(p) for p in player_outputs),
     )
 
 
-def validate_game(g: Game | SpotCheckGame) -> ValidationReport:
-    """Check normalization, score ranges, and alphabet structure."""
+def validate_game(g: Game) -> ValidationReport:
+    """Check normalization, score ranges, and alphabet structure.  A NaN or
+    infinite probability or score is a violation."""
     report = ValidationReport()
     total = sum(g.prob(a) for a in g.input_alphabet)
     if abs(total - 1.0) > PROB_TOL:
@@ -154,17 +154,14 @@ def validate_game(g: Game | SpotCheckGame) -> ValidationReport:
     for a in g.input_alphabet:
         if g.prob(a) < 0:
             report.add("distribution-negative", -g.prob(a), f"input {a!r}")
-    if isinstance(g, SpotCheckGame):
-        if not 0.0 < g.q < 1.0:
-            report.add("q-range", abs(g.q), "q must lie in (0, 1)")
-        return report
-    unbounded = g.unbounded
+        elif not math.isfinite(g.prob(a)):
+            report.add("distribution-finite", g.prob(a), f"input {a!r}")
     for (a, x), h in g.scores.items():
         if a not in g.input_alphabet:
             report.add("score-input", 1.0, f"unknown input {a!r}")
         if x not in g.output_alphabet:
             report.add("score-output", 1.0, f"unknown output {x!r}")
-        if h < 0 or (not unbounded and h > 1.0):
+        if not (0.0 <= h < math.inf and (g.unbounded or h <= 1.0)):
             report.add("score-range", float(h), f"H({a!r}, {x!r})")
     if g.distinguished_input not in g.input_alphabet:
         report.add("distinguished-input", 1.0, f"{g.distinguished_input!r} not in alphabet")
@@ -179,7 +176,7 @@ def validate_game(g: Game | SpotCheckGame) -> ValidationReport:
     return report
 
 
-def check_compatibility(g: Game | SpotCheckGame, d: Device) -> ValidationReport:
+def check_compatibility(g: Game, d: Device) -> ValidationReport:
     """Device/game compatibility: matching descriptors and alphabets.
 
     Contextual games require contextual (or abstract) devices and vice versa;
@@ -187,19 +184,18 @@ def check_compatibility(g: Game | SpotCheckGame, d: Device) -> ValidationReport:
     devices whose joint letters match.
     """
     report = ValidationReport()
-    base = g.base if isinstance(g, SpotCheckGame) else g
-    if base.kind == CONTEXTUAL and d.kind not in (CONTEXTUAL, "abstract"):
+    if g.kind == CONTEXTUAL and d.kind not in (CONTEXTUAL, "abstract"):
         report.add("descriptor", 1.0, f"contextual game with {d.kind} device")
-    if base.kind == NONLOCAL and d.kind == CONTEXTUAL:
+    if g.kind == NONLOCAL and d.kind == CONTEXTUAL:
         report.add("descriptor", 1.0, "nonlocal game with contextual device")
-    if set(base.input_alphabet) != set(d.input_alphabet):
+    if set(g.input_alphabet) != set(d.input_alphabet):
         report.add("input-alphabet", 1.0, "game and device input alphabets differ")
-    if set(base.output_alphabet) != set(d.output_alphabet):
+    if set(g.output_alphabet) != set(d.output_alphabet):
         report.add("output-alphabet", 1.0, "game and device output alphabets differ")
     return report
 
 
-def require_compatible(g: Game | SpotCheckGame, d: Device) -> None:
+def require_compatible(g: Game, d: Device) -> None:
     report = check_compatibility(g, d)
     if not report.ok:
         raise GameError(report.summary())

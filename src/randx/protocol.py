@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -126,9 +126,6 @@ class Transcript:
             self.test_flags, self.input_indices, self.output_indices, self.scores
         ):
             yield int(t), self.input_alphabet[ai], self.output_alphabet[xi], float(s)
-
-    def __len__(self) -> int:
-        return len(self.test_flags)
 
 
 def binomial_tail(n: int, p: float, k: int) -> float:
@@ -239,16 +236,22 @@ def _round_plan(g: Game, d: Device) -> _RoundPlan:
     return plan
 
 
-def _supported_inputs(plan: _RoundPlan, q: float) -> Iterator[tuple[float, int, bool]]:
+def _supported_inputs(
+    plan: _RoundPlan, q: float | None = None
+) -> Iterator[tuple[float, int, bool]]:
     """The supported inputs of ``spot_check(plan.game, q)`` in its order, as
     (p_i, input index, test round): the generation round (1 - q, abar) first,
-    then each test round (q p(a), a) of positive weight.
+    then each test round (q p(a), a) of positive weight.  With q None, those
+    of the game itself: each input (p(a), a, True) of positive weight.
     """
-    g_q = spot_check(plan.game, q)
-    for t, a in g_q.input_alphabet:
-        p_i = g_q.prob((t, a))
+    if q is None:
+        inputs = [(plan.game.prob(a), a, True) for a in plan.game.input_alphabet]
+    else:
+        g_q = spot_check(plan.game, q)
+        inputs = [(g_q.prob((t, a)), a, t == 1) for t, a in g_q.input_alphabet]
+    for p_i, a, test in inputs:
         if p_i > 0.0:
-            yield p_i, plan.game.input_alphabet.index(a), t == 1
+            yield p_i, plan.game.input_alphabet.index(a), test
 
 
 def _generator() -> np.random.Generator:
@@ -388,8 +391,10 @@ def simulate_outcomes(
     re-keyed generator fills one row of a single buffer per run, and one
     vectorised pass samples and scores the chunk.  Generation rounds add
     nothing to c, so only test rounds' inputs and outputs are sampled, from
-    the same uniforms.
+    the same uniforms.  ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise ProtocolError(f"trials must be at least 1, got {trials}")
     _check_seeds(params.seed, trials)
     plan = _round_plan(g, d)
     gen = _generator()
@@ -734,17 +739,10 @@ def extractable_bits(
 def hmin_classical_adversary(table) -> float:
     """Min-entropy of X against a classical adversary E: -log2 sum_e max_x P(x,e).
 
-    The table is indexed (x, e); it must be finite, entrywise nonnegative and
-    sum to at most one (subnormalized tables are allowed).
+    The table is a 2-d array indexed (x, e); it must be finite, entrywise
+    nonnegative and sum to at most one (subnormalized tables are allowed).
     """
-    if isinstance(table, Mapping):
-        xs = sorted({k[0] for k in table})
-        es = sorted({k[1] for k in table})
-        arr = np.zeros((len(xs), len(es)))
-        for (x, e), p in table.items():
-            arr[xs.index(x), es.index(e)] = p
-    else:
-        arr = np.asarray(table, dtype=float)
+    arr = np.asarray(table, dtype=float)
     if arr.ndim != 2:
         raise ProtocolError(f"expected a 2-d table, got shape {arr.shape}")
     if not np.isfinite(arr).all():

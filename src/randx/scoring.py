@@ -20,19 +20,24 @@ batched eigendecomposition per block size, never as dense products.  K is
 summed per block from the same projector stacks, and sqrt(K) and
 sqrt(K) phi sqrt(K) are taken per block in the same way; no dense matrix is
 formed or split.
+
+A game's branches are read from the round plan of the (game, device) pair
+(``protocol._round_plan``), which checks the pair once and maps each game
+cell to its device output row; a G_q is scored through its base game's plan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import matcore
 from .devicemodel import Device, Letter
-from .gamedefs import Game, SpotCheckGame, require_compatible
+from .gamedefs import Game, SpotCheckGame
+from .protocol import _round_plan, _supported_inputs
 
 LOG2E = math.log2(math.e)
 RATIO_CLAMP = 1.0 + 1e-9
@@ -42,26 +47,28 @@ class ScoringError(ValueError):
     pass
 
 
-_Term = tuple[float, Letter, Letter, float]  # (probability, input, output, score)
+_Term = tuple[float, Letter, int, float]  # (probability, input, device output row, score)
 
 
-def _game_terms(g: Game | SpotCheckGame, d: Device) -> Iterable[_Term]:
-    """Yield (probability, device input letter, output letter, score)."""
+def _game_terms(g: Game | SpotCheckGame, d: Device) -> list[_Term]:
+    """The branches of g's supported inputs, read from the pair's round plan
+    (which checks the pair once): each test input's measured outputs score
+    H(a, x), or H(a, x) / q under G_q, and a generation input's score 0."""
     spot = isinstance(g, SpotCheckGame)
-    for i in g.input_alphabet:
-        p = g.prob(i)
-        if p <= 0.0:
-            continue
-        a = i[1] if spot else i
-        for x in d.measurements[a]:
-            yield p, a, x, g.score(i, x)
+    plan = _round_plan(g.base if spot else g, d)
+    scale = g.q if spot else 1.0
+    return [
+        (p, plan.game.input_alphabet[i], r, float(plan.scores[i, j]) / scale if test else 0.0)
+        for p, i, test in _supported_inputs(plan, g.q if spot else None)
+        for r, j in enumerate(plan.outputs[i])
+    ]
 
 
 def _letter_terms(d: Device, a: Letter) -> list[_Term]:
     """One input letter's branches, each of weight 1 and score 0."""
     if a not in d.measurements:
         raise ScoringError(f"input letter {a!r} unknown to the device")
-    return [(1.0, a, x, 0.0) for x in d.measurements[a]]
+    return [(1.0, a, r, 0.0) for r in range(len(d.measurements[a]))]
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,7 @@ class _BranchTable:
 
     eps: float
     state: float  # bracket(phi, eps)
-    branches: dict[tuple[Letter, Letter], float]  # (a, x) -> bracket(P_a^x phi P_a^x, eps)
+    branches: dict[Letter, list[float]]  # a -> bracket(P_a^x phi P_a^x, eps) per device row
 
 
 def _branch_table(d: Device, inputs: Iterable[Letter], eps: float) -> _BranchTable:
@@ -80,7 +87,7 @@ def _branch_table(d: Device, inputs: Iterable[Letter], eps: float) -> _BranchTab
     branches = {}
     for a in dict.fromkeys(inputs):
         w = matcore.block_psd_brackets([p @ f @ p for p, f in zip(d.projector_blocks[a], phi)], eps)
-        branches.update(zip(((a, x) for x in d.measurements[a]), w.tolist()))
+        branches[a] = w.tolist()
     return _BranchTable(eps, matcore.block_psd_bracket(phi, eps), branches)
 
 
@@ -90,12 +97,10 @@ def _k_blocks(d: Device, terms: Iterable[_Term]) -> list[np.ndarray]:
     terms in the same order as the dense sum would, so it is that sum's entry
     bit for bit."""
     k = [np.zeros_like(f) for f in d.state_blocks]
-    rows = {a: {x: j for j, x in enumerate(outs)} for a, outs in d.measurements.items()}
-    for p, a, x, h in terms:
+    for p, a, r, h in terms:
         if h != 0.0:
-            j = rows[a][x]
             for kb, pb in zip(k, d.projector_blocks[a]):
-                kb += (p * h) * pb[j]
+                kb += (p * h) * pb[r]
     return k
 
 
@@ -110,7 +115,6 @@ def eps_score(g: Game | SpotCheckGame, d: Device, eps: float) -> float:
     """(1+eps)-score of a device; the Born-rule expected score at eps = 0."""
     if not 0.0 <= eps <= 1.0:
         raise ScoringError(f"eps must lie in [0, 1], got {eps}")
-    require_compatible(g, d)
     return _score_bracket(d, _k_blocks(d, _game_terms(g, d)), eps) / _branch_table(d, (), eps).state
 
 
@@ -121,9 +125,9 @@ def _randomness(table: _BranchTable, terms: list[_Term], s: float) -> float:
     plain bracket ratio, and a ratio above RATIO_CLAMP raises ScoringError.
     """
     num = 0.0
-    for p, a, x, h in terms:
+    for p, a, r, h in terms:
         weight = 2.0 ** (table.eps * s * h) if (s != 0.0 and h != 0.0) else 1.0
-        num += p * weight * table.branches[a, x]
+        num += p * weight * table.branches[a][r]
     ratio = num / table.state
     if s == 0.0 and ratio > RATIO_CLAMP:
         raise ScoringError(f"branch bracket ratio {ratio} exceeds 1 beyond numerical tolerance")
@@ -135,33 +139,30 @@ def _check_randomness_eps(eps: float) -> None:
         raise ScoringError(f"eps must lie in (0, 1], got {eps}")
 
 
-def eps_randomness(target: Game | SpotCheckGame | Letter, d: Device, eps: float) -> float:
-    """(1+eps)-randomness of a device.
+def eps_randomness(a: Letter, d: Device, eps: float) -> float:
+    """(1+eps)-randomness of a device on the input letter a.
 
-    With a game as target, branches are weighted by the input distribution;
-    with an input letter, only that letter's branches enter.  The result is
-    -(1/eps) log2 of a bracket ratio that cannot exceed 1 except by rounding
-    noise; a ratio above RATIO_CLAMP = 1 + 1e-9 raises ScoringError.
+    The result is -(1/eps) log2 of a bracket ratio that cannot exceed 1
+    except by rounding noise; a ratio above RATIO_CLAMP = 1 + 1e-9 raises
+    ScoringError.  ``weighted_randomness(g, d, eps, 0.0)`` weights the
+    branches of every input of a game by its distribution instead.
     """
-    if isinstance(target, (Game, SpotCheckGame)):
-        return weighted_randomness(target, d, eps, 0.0)
     _check_randomness_eps(eps)
-    terms = _letter_terms(d, target)
-    return _randomness(_branch_table(d, (target,), eps), terms, 0.0)
+    return _randomness(_branch_table(d, (a,), eps), _letter_terms(d, a), 0.0)
 
 
 def weighted_randomness(
     g: Game | SpotCheckGame, d: Device, eps: float, s: float
 ) -> float:
-    """Randomness weighted by 2^(eps * s * H); equals eps_randomness at s = 0.
+    """Randomness of the branches of g's inputs, weighted by the input
+    distribution and by 2^(eps * s * H).
 
     Computed on the device side; the adversary-side branches share the same
     spectrum, so the value is identical.  At s = 0 the ratio is the plain
     bracket ratio and gets the same RATIO_CLAMP check as ``eps_randomness``.
     """
     _check_randomness_eps(eps)
-    require_compatible(g, d)
-    terms = list(_game_terms(g, d))
+    terms = _game_terms(g, d)
     return _randomness(_branch_table(d, (a for _, a, _, _ in terms), eps), terms, s)
 
 
@@ -199,24 +200,19 @@ class RandomnessReport:
     w_eps: float
     r_input: float
     r_game: float
-    r_weighted: dict[float, float]
 
 
-def randomness_report(
-    g: Game | SpotCheckGame, d: Device, eps: float, s_values: Sequence[float] = ()
-) -> RandomnessReport:
-    """eps_score, eps_randomness on the distinguished input and on g, and
-    weighted_randomness at each s, all from one branch table."""
+def randomness_report(g: Game | SpotCheckGame, d: Device, eps: float) -> RandomnessReport:
+    """eps_score, eps_randomness on the distinguished input and
+    weighted_randomness on g at s = 0, all from one branch table."""
     _check_randomness_eps(eps)
-    require_compatible(g, d)
+    terms = _game_terms(g, d)
     base = g.base if isinstance(g, SpotCheckGame) else g
     letter = _letter_terms(d, base.distinguished_input)
-    terms = list(_game_terms(g, d))
     table = _branch_table(d, [base.distinguished_input, *(a for _, a, _, _ in terms)], eps)
     return RandomnessReport(
         eps=eps,
         w_eps=_score_bracket(d, _k_blocks(d, terms), eps) / table.state,
         r_input=_randomness(table, letter, 0.0),
         r_game=_randomness(table, terms, 0.0),
-        r_weighted={float(s): _randomness(table, terms, s) for s in s_values},
     )

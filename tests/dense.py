@@ -23,7 +23,7 @@ module.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import itertools
 import math
@@ -36,12 +36,12 @@ from randx.devicemodel import (
     GENERAL, Device, DeviceError, Letter, _device_tree, components_device,
     make_device,
 )
-from randx.gamedefs import Game, SpotCheckGame, require_compatible
+from randx.gamedefs import Game, require_compatible
 from randx.matcore import (
     HERM_TOL, as_matrix, block_psd_bracket, block_psd_power, dagger, ginibre, haar_pvm,
     schatten_stack,
 )
-from randx.scoring import _game_terms, eps_score
+from randx.scoring import eps_score
 
 
 class DimMismatchError(DeviceError):
@@ -218,19 +218,20 @@ class GameOperator:
     adversary_state: np.ndarray
 
 
-def k_matrix(d: Device, terms: Iterable[tuple[float, Letter, Letter, float]]) -> np.ndarray:
-    """K = sum p(a) H(a,x) P_a^x over (probability, input, output, score) terms, densely."""
-    k = np.zeros((d.dim, d.dim), dtype=np.complex128)
-    for p, a, x, h in terms:
-        if h != 0.0:
-            k += (p * h) * d.measurements[a][x]
-    return k
+def game_operator(g: Game, d: Device) -> GameOperator:
+    """The dense game operator of a compatible device and its sandwich states.
 
-
-def game_operator(g: Game | SpotCheckGame, d: Device) -> GameOperator:
-    """The dense game operator of a compatible device and its sandwich states."""
+    K = sum p(a) H(a,x) P_a^x is summed from the game's own tables: over its
+    inputs of positive weight in alphabet order, then each input's measured
+    outputs in device order, skipping zero scores.
+    """
     require_compatible(g, d)
-    k = k_matrix(d, _game_terms(g, d))
+    k = np.zeros((d.dim, d.dim), dtype=np.complex128)
+    for a in g.input_alphabet:
+        if g.prob(a) > 0.0:
+            for x, proj in d.measurements[a].items():
+                if g.score(a, x) != 0.0:
+                    k += (g.prob(a) * g.score(a, x)) * proj
     pair = state_pair(d, k)
     return GameOperator(matrix=k, device_state=pair.device_state, adversary_state=pair.adversary_state)
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 from randx import catalog, classicaloracle, protocol
 from randx.cli import main
 from randx.devicemodel import load_device, save_device
-from randx.gamedefs import load_game, nonlocal_game, save_game
+from randx.gamedefs import game_to_dict, load_game, nonlocal_game, save_game
 from tests.dense import device_to_dict
 from tests.test_devicemodel import misfit_projector_device
 from tests.test_protocol import toy_setup
@@ -240,9 +241,28 @@ def test_unknown_catalog_device_lists_the_choices(capsys):
     assert "choose from ['classical', 'optimal']" in capsys.readouterr().err
 
 
+# CHSH game files holding a number that is not finite -> the check validate reports
+NON_FINITE_GAMES = {
+    "nan-distribution": "distribution-finite",
+    "nan-score": "score-range",
+    "inf-score": "score-range",  # on a game marked unbounded
+}
+
+
+def non_finite_game(name: str) -> dict:
+    data = game_to_dict(catalog.get_game("chsh"))
+    if name == "nan-distribution":
+        data["distribution"][0] = math.nan
+    else:
+        data["scoring"][0]["score"] = math.nan if name == "nan-score" else math.inf
+        data["unbounded"] = name == "inf-score"
+    return data
+
+
 @pytest.fixture(scope="module")
 def guard_games(tmp_path_factory):
-    """Files of a 3-player game and of a 2-player game with (16^3)^2 strategies."""
+    """Files of a 3-player game, of a 2-player game with (16^3)^2 strategies,
+    and of the ``NON_FINITE_GAMES``."""
     folder = tmp_path_factory.mktemp("games")
     three = nonlocal_game("three", [(0,)] * 3, [(0, 1)] * 3, {(0, 0, 0): 1.0}, {}, (0, 0, 0))
     inputs = list(itertools.product(range(3), repeat=2))
@@ -250,6 +270,8 @@ def guard_games(tmp_path_factory):
                         (0, 0))
     for name, game in (("three", three), ("big", big)):
         save_game(game, folder / f"{name}.json")
+    for name in NON_FINITE_GAMES:
+        (folder / f"{name}.json").write_text(json.dumps(non_finite_game(name)))
     return folder
 
 
@@ -264,7 +286,12 @@ EXIT_CODES = {
     "classical-value --game nosuchgame": (1, "error: unknown catalog entry 'nosuchgame'"),
     "seesaw --game chsh --dims a,b": (1, "error: bad --dims"),
     "rate-curve --game magic-square --grid 0:1:3": (1, "error: no closed-form threshold"),
-    "simulate --n 10 --q 0.3 --chi 0.5 --trials 0": (1, "error: --trials must be at least 1"),
+    "simulate --n 10 --q 0.3 --chi 0.5 --trials 0": (1, "error: trials must be at least 1, got 0"),
+    "classical-value --game {games}/nan-distribution.json": (1, "error: invalid file"),
+    "enumerate --game {games}/nan-distribution.json --n 2 --q 0.3 --chi 0.8 --eps 0.1":
+        (1, "error: invalid file"),
+    "classical-value --game {games}/nan-score.json": (1, "error: invalid file"),
+    "classical-value --game {games}/inf-score.json": (1, "error: invalid file"),
 }
 
 
@@ -275,6 +302,14 @@ def test_exit_code_table(argv, guard_games, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith(prefix)
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_GAMES))
+def test_validate_reports_a_non_finite_number(name, guard_games, capsys):
+    assert main(["validate", "--game", str(guard_games / f"{name}.json")]) == 1
+    report = json.loads(capsys.readouterr().out)["game"]
+    assert not report["ok"]
+    assert NON_FINITE_GAMES[name] in {v["check"] for v in report["violations"]}
 
 
 def test_usage_error_exit_one():
@@ -371,7 +406,7 @@ def test_simulate_rejects_nonpositive_trials(trials, capsys):
                  "--trials", trials]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--trials must be at least 1" in captured.err
+    assert f"error: trials must be at least 1, got {trials}" in captured.err
 
 
 def test_threads_flag_is_unknown(capsys):

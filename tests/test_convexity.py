@@ -40,9 +40,13 @@ class TestUniformConvexity:
         assert chk.rhs == pytest.approx(0.75, abs=1e-12)
         assert chk.holds
 
-    def test_unnormalized_rejected_without_autonormalize(self):
-        with pytest.raises(ConvexityError, match="has norm .*, expected 1"):
-            check_uniform_convexity(2 * np.eye(2), np.eye(2) / 2, 0.5, normalize=False)
+    def test_inputs_scaled_to_unit_norm_and_zero_rejected(self):
+        w, z = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        assert check_uniform_convexity(3 * w, z / 2, 1.0) == check_uniform_convexity(w, z, 1.0)
+        with pytest.raises(ConvexityError, match="Z is zero"):
+            check_uniform_convexity(w, 0 * z, 0.5)
+        with pytest.raises(ConvexityError, match="tau is zero"):
+            check_binary_disturbance(np.zeros((2, 2)), w, 0.5)
 
     @given(seeds, dims, eps_values)
     @settings(max_examples=60, deadline=None)

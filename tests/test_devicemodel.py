@@ -14,6 +14,7 @@ from randx.devicemodel import (
     GENERAL,
     DeviceError,
     _Records,
+    block_device,
     born_probabilities,
     components_device,
     device_from_dict,
@@ -350,10 +351,22 @@ class TestJsonText:
         self.assert_same_text({"device": d, "value": 0.5}, {"device": device_to_dict(d), "value": 0.5})
 
     def test_combined_device_file_text(self):
-        # 80 MB of text: json.dumps takes about 10 s per indent, so only the
-        # indent this device is written with (a device file, validate --dump)
+        # 80 MB of text, which Python's indenting encoder takes about 10 s to
+        # write: the whole text is compared token by token with the C
+        # encoder's compact text, and the indented bytes of a device file
+        # (indent 1) on a small device of the same structure, a direct sum of
+        # a direct sum and a block device
         d = catalog.get_device("magic-square:combined")
-        self.assert_same_text(d, device_to_dict(d), indents=(1,))
+        compact = json.dumps(device_to_dict(d), sort_keys=True, separators=(",", ":"))
+        assert "".join(json_text(d, 1).split()) == compact
+        pairs = [catalog.ms_pair_device(*pair) for pair in catalog.ms_answer_pairs()[:3]]
+        p = pairs[2]
+        letters = {a: (list(outs), p.projector_blocks[a]) for a, outs in p.measurements.items()}
+        block = block_device(p.blocks, p.state_blocks, letters, p.input_alphabet,
+                             p.output_alphabet, "block")
+        inner = direct_sum([(0.5, pairs[0]), (0.5, pairs[1])], "inner")
+        small = direct_sum([(0.25, inner), (0.75, block)], "small")
+        self.assert_same_text(small, device_to_dict(small), indents=(1,))
 
     def test_fresh_seesaw_result(self):
         result = classicaloracle.seesaw(catalog.get_game("chsh"), (2, 2), restarts=2, seed=3)

@@ -1,7 +1,9 @@
 """Every name a package module imports is read somewhere in that module,
 every module-level private function or class is read somewhere in the
-package, every public one is reached by code that runs, and each module
-defines at most one exception class that no ``except`` clause names.
+package, every public one is reached by code that runs, every parameter
+with a default of a public function is bound by some call in code that
+runs, and each module defines at most one exception class that no
+``except`` clause names.
 
 No lint tool ships with the package, so these are its guards against dead
 imports and dead code.  ``__init__.py`` is skipped for imports: its imports
@@ -10,6 +12,7 @@ are the public exports.
 
 import ast
 import builtins
+import itertools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,6 +124,84 @@ def test_public_guard_flags_an_unread_definition():
             continue
         probe = ast.parse((SRC / name).read_text() + "\n\ndef unread_probe():\n    pass\n")
         assert unreached_public({**trees, name: probe}, callers) == {name: ["unread_probe"]}
+
+
+def defaulted_parameters(tree: ast.Module) -> dict[str, list[tuple[str, int | None]]]:
+    """Each public module-level function with its parameters that have a
+    default, as (name, position), the position None for a keyword-only one."""
+    found = {}
+    for node in public_definitions(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)  # defaults fill the last positions
+            params = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            if params:
+                found[node.name] = params
+    return found
+
+
+def bound_parameters(trees: list[ast.AST]) -> set[tuple[str, str]]:
+    """(function, parameter) pairs that a call in ``trees`` binds, the function
+    named by the call's name or attribute: by keyword (``**`` binds any), or
+    by position as (function, "#k") for each position k a positional
+    argument fills (a ``*`` argument fills all)."""
+    bound = set()
+    for call in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)):
+        fn = call.func
+        name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+        if name is None:
+            continue
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords
+        ):
+            bound.add((name, "*"))
+        bound.update((name, f"#{k}") for k in range(len(call.args)))
+        bound.update((name, k.arg) for k in call.keywords if k.arg is not None)
+    return bound
+
+
+def unbound_defaults(trees: dict[str, ast.Module], callers: list[ast.AST]) -> dict[str, list[str]]:
+    """Per module, ``function(parameter)`` for each defaulted parameter of a
+    public function that no call in the package or in ``callers`` binds."""
+    bound = bound_parameters([*trees.values(), *callers])
+    unbound = {}
+    for name, tree in trees.items():
+        for fn, params in defaulted_parameters(tree).items():
+            for param, pos in params:
+                keys = {(fn, param), (fn, "*")} | ({(fn, f"#{pos}")} if pos is not None else set())
+                if not keys & bound:
+                    unbound.setdefault(name, []).append(f"{fn}({param})")
+    return unbound
+
+
+def caller_trees() -> list[ast.Module]:
+    return [ast.parse(p.read_text(), filename=str(p))
+            for d in CALLERS for p in sorted((ROOT / d).glob("*.py"))]
+
+
+def test_every_default_is_bound_by_a_call():
+    trees = package_trees()
+    assert sum(len(defaulted_parameters(t)) for t in trees.values()) >= 10
+    assert unbound_defaults(trees, caller_trees()) == {}
+
+
+def test_default_guard_flags_an_unbound_parameter():
+    trees = package_trees()
+    callers = caller_trees()
+    probe = "\n\ndef unbound_probe(x, y=1, *, z=2):\n    return x\n\n\n"
+    # the probe and the call that binds its defaults, or not, in every module
+    calls = {
+        "unbound_probe(0)": ["unbound_probe(y)", "unbound_probe(z)"],
+        "unbound_probe(0, 1)": ["unbound_probe(z)"],
+        "unbound_probe(0, y=1, z=2)": [],
+        "unbound_probe(*[0, 1], z=2)": [],
+    }
+    for name, (call, expected) in zip(trees, itertools.cycle(calls.items())):
+        text = (SRC / name).read_text() + probe + call + "\n"
+        found = unbound_defaults({**trees, name: ast.parse(text)}, callers)
+        assert found == ({name: expected} if expected else {}), (name, call)
 
 
 def exception_classes(trees: dict[str, ast.Module]) -> dict[str, list[str]]:

@@ -60,8 +60,8 @@ def toy_setup():
         distribution={(0,): 0.5, (1,): 0.5},
         scores=scores,
         distinguished_input=(0,),
-        unbounded=True,
     )
+    game = replace(game, unbounded=True)
     rng = np.random.default_rng(7)
     m = ginibre((2, 2), rng)
     state = np.zeros((3, 3), dtype=complex)
@@ -712,6 +712,16 @@ class TestSimulateOutcomes:
             assert len(built) == 1
 
     @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
+    def test_trial_count_checked_before_any_run(self, monkeypatch, fresh):
+        drawn = []
+        monkeypatch.setattr(protocol, "_keyed_uniforms", lambda *args: drawn.append(1))
+        g, opt, _ = chsh_setup()
+        for trials in (0, -5):
+            with pytest.raises(ProtocolError, match=f"trials must be at least 1, got {trials}"):
+                simulate_outcomes(g, opt, ProtocolParams(3, 0.3, 0.5), trials, fresh_state=fresh)
+        assert drawn == []
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
     def test_seed_domain_checked_before_any_run(self, monkeypatch, fresh):
         drawn = []
         real = protocol._keyed_uniforms
@@ -867,10 +877,6 @@ class TestHminClassical:
 
     def test_partial_knowledge(self):
         table = [[0.5, 0.0], [0.25, 0.25]]
-        assert hmin_classical_adversary(table) == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
-
-    def test_dict_input(self):
-        table = {(0, 0): 0.5, (1, 0): 0.25, (1, 1): 0.25}
         assert hmin_classical_adversary(table) == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
 
     def test_bad_tables(self):

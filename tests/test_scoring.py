@@ -139,7 +139,7 @@ class TestEpsRandomness:
     def test_game_variant_weights(self):
         entry = catalog.chsh()
         d = entry.devices["optimal"]
-        val = eps_randomness(entry.game, d, 0.5)
+        val = weighted_randomness(entry.game, d, 0.5, 0.0)
         per_input = [eps_randomness(a, d, 0.5) for a in entry.game.input_alphabet]
         assert min(per_input) - 1e-9 <= val <= max(per_input) + 1e-9
 
@@ -152,10 +152,13 @@ class TestEpsRandomness:
 
 class TestWeightedRandomness:
     def test_s_zero_matches_game_randomness(self):
+        # at s = 0 the ratio is the p-weighted mean of each input's ratio
         entry = catalog.chsh()
         d = entry.devices["optimal"]
-        assert weighted_randomness(entry.game, d, 0.3, 0.0) == eps_randomness(
-            entry.game, d, 0.3
+        g = entry.game
+        mean = sum(g.prob(a) * 2.0 ** (-0.3 * eps_randomness(a, d, 0.3)) for a in g.input_alphabet)
+        assert weighted_randomness(g, d, 0.3, 0.0) == pytest.approx(
+            -math.log2(mean) / 0.3, rel=1e-12
         )
         # every projector I: the bracket ratio is 4, beyond the clamp, on both routes
         eye = np.eye(d.dim, dtype=complex)
@@ -163,7 +166,7 @@ class TestWeightedRandomness:
             a: {x: eye for x in outs} for a, outs in d.measurements.items()
         })
         with pytest.raises(scoring.ScoringError):
-            eps_randomness(entry.game, bad, 0.3)
+            eps_randomness((0, 0), bad, 0.3)
         with pytest.raises(scoring.ScoringError):
             weighted_randomness(entry.game, bad, 0.3, 0.0)
 
@@ -171,7 +174,7 @@ class TestWeightedRandomness:
         g = constant_score_game(0.0)
         d = catalog.chsh().devices["optimal"]
         for s in (-2.0, 1.0, 5.0):
-            assert weighted_randomness(g, d, 0.2, s) == eps_randomness(g, d, 0.2)
+            assert weighted_randomness(g, d, 0.2, s) == weighted_randomness(g, d, 0.2, 0.0)
 
     def test_spotcheck_game_accepted(self):
         entry = catalog.chsh()
@@ -188,7 +191,7 @@ class TestWeightedRandomness:
         for eps in (0.1, 0.05, 0.01):
             slack = (
                 weighted_randomness(entry.game, d, eps, s)
-                - eps_randomness(entry.game, d, eps)
+                - weighted_randomness(entry.game, d, eps, 0.0)
                 + s * eps_score(entry.game, d, eps)
             )
             ratios.append(slack / eps)
@@ -233,39 +236,55 @@ class TestRateCurves:
 def test_randomness_report_fields():
     entry = catalog.chsh()
     g, d = entry.game, entry.devices["optimal"]
-    rep = randomness_report(g, d, 0.2, s_values=(0.0, 1.0))
+    rep = randomness_report(g, d, 0.2)
     assert rep.w_eps > 0.8
-    assert rep.r_weighted[0.0] == pytest.approx(rep.r_game, abs=1e-12)
-    assert set(rep.r_weighted) == {0.0, 1.0}
     # one shared branch table gives the same bits as the separate calls
     assert rep.w_eps == eps_score(g, d, 0.2)
     assert rep.r_input == eps_randomness(g.distinguished_input, d, 0.2)
-    assert rep.r_game == eps_randomness(g, d, 0.2)
-    for s, value in rep.r_weighted.items():
-        assert value == weighted_randomness(g, d, 0.2, s)
+    assert rep.r_game == weighted_randomness(g, d, 0.2, 0.0)
 
 
 def test_randomness_report_brackets_each_branch_once(monkeypatch):
     bracketed = []  # each call's number of matrices L
-    checks = []
     real_brackets = matcore.block_psd_brackets
-    real_check = scoring.require_compatible
     monkeypatch.setattr(
         matcore, "block_psd_brackets",
         lambda stacks, eps: bracketed.append(len(stacks[0])) or real_brackets(stacks, eps),
     )
-    monkeypatch.setattr(
-        scoring, "require_compatible", lambda g, d: checks.append(1) or real_check(g, d)
-    )
     entry = catalog.magic_square()
     d = entry.devices["combined"]
-    randomness_report(entry.game, d, 0.1, s_values=(0.0, 1.0, 2.0))
+    randomness_report(entry.game, d, 0.1)
     branches = sum(len(outs) for outs in d.measurements.values())
     # every branch once, plus phi and the K sandwich
     assert sum(bracketed) == branches + 2
     # one call per input, plus phi and the K sandwich
     assert len(bracketed) <= len(d.measurements) + 2 == 11
+
+
+def test_each_pair_is_checked_once(monkeypatch):
+    checks = []
+    real = protocol.require_compatible
+    monkeypatch.setattr(
+        protocol, "require_compatible", lambda g, d: checks.append(1) or real(g, d)
+    )
+    entry = catalog.chsh()
+    g, d = entry.game, replace(entry.devices["optimal"])
+    params = protocol.ProtocolParams(n_rounds=10, q=0.3, chi=0.5)
+
+    def every_entry_point():
+        eps_score(g, d, 0.1)
+        eps_score(spot_check(g, 0.3), d, 0.1)  # G_q is scored through g's plan
+        weighted_randomness(g, d, 0.1, 1.0)
+        randomness_report(g, d, 0.1)
+        protocol.simulate_outcomes(g, d, params, 3)
+        protocol.enumerate_success_state(g, d, 2, q=0.3, chi=0.5, eps=0.1)
+
+    every_entry_point()
     assert len(checks) == 1
+    every_entry_point()
+    assert len(checks) == 1
+    with pytest.raises(GameError, match="input alphabets differ"):
+        eps_score(g, catalog.magic_square().devices["mixture"], 0.1)
 
 
 def test_repeated_report_and_round_plan_split_nothing(monkeypatch):
@@ -323,10 +342,11 @@ def test_block_brackets_match_dense_brackets(eps):
     table = scoring._branch_table(d, list(d.measurements), eps)
     phi = dense.psd_bracket(d.state, eps)
     assert table.state == pytest.approx(phi, rel=1e-12, abs=0)
-    assert len(table.branches) == sum(len(outs) for outs in d.measurements.values())
-    for (a, x), w in table.branches.items():
-        p = d.measurements[a][x]
-        assert w == pytest.approx(dense.psd_bracket(p @ d.state @ p, eps), rel=1e-12, abs=0)
+    assert list(table.branches) == list(d.measurements)
+    for a, outs in d.measurements.items():
+        assert len(table.branches[a]) == len(outs)
+        for p, w in zip(outs.values(), table.branches[a]):
+            assert w == pytest.approx(dense.psd_bracket(p @ d.state @ p, eps), rel=1e-12, abs=0)
     dense_score = dense.psd_bracket(game_operator(entry.game, d).device_state, eps) / phi
     assert eps_score(entry.game, d, eps) == pytest.approx(dense_score, rel=1e-12, abs=0)
 
