@@ -24,7 +24,7 @@ from .convexity import (  # noqa: F401
     check_uniform_convexity,
 )
 from .devicemodel import Device, validate_device  # noqa: F401
-from .gamedefs import Game, SpotCheckGame, spot_check, validate_game  # noqa: F401
+from .gamedefs import Game  # noqa: F401
 from .protocol import (  # noqa: F401
     ProtocolParams,
     entropy_lower_bound,

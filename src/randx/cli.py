@@ -9,8 +9,9 @@ OSError or KeyError (``error:`` on stderr); 2 computational guard
 see-saw dims.
 
 --game and --device take a catalog name or a file.  A file is checked once,
-at load: a malformed file, or one that ``validate_game`` or
-``validate_device`` rejects, is an error naming its violations, except under
+at load: a malformed file is an error naming the path, and a game that breaks
+a rule as it is built (``gamedefs.GameError``) or a device that
+``validate_device`` rejects is an error naming its violations, except under
 validate, which prints the report.
 
 The seed is --seed, else RANDX_SEED, else 0; a non-integer RANDX_SEED is a
@@ -33,13 +34,14 @@ import numpy as np
 from . import __version__, catalog, classicaloracle, convexity, protocol, scoring
 from .devicemodel import (
     Device,
+    ValidationReport,
     _Records,
     json_text,
     load_device,
     save_device,
     validate_device,
 )
-from .gamedefs import Game, load_game, save_game, validate_game
+from .gamedefs import Game, GameError, load_game, save_game
 
 HEADER = f"# randx {__version__}"
 
@@ -100,8 +102,23 @@ def _resolve(spec: str, from_catalog, load, validate):
     return obj
 
 
+def _checked_game(spec: str) -> tuple[Game | None, ValidationReport]:
+    """The game ``spec`` names and its report.  A game is checked as it is
+    built, so a file's game that breaks a rule is None, with the report its
+    GameError carries."""
+    try:
+        return _resolve(spec, catalog.get_game, load_game, None), ValidationReport()
+    except GameError as exc:
+        if exc.report is None:
+            raise
+        return None, exc.report
+
+
 def _resolve_game(spec: str) -> Game:
-    return _resolve(spec, catalog.get_game, load_game, validate_game)
+    game, report = _checked_game(spec)
+    if game is None:
+        raise UsageError(f"invalid file {spec!r}: {report.summary()}")
+    return game
 
 
 def _resolve_device(spec: str) -> Device:
@@ -368,9 +385,8 @@ def _cmd_magic_square_demo(args) -> int:
 def _cmd_validate(args) -> int:
     reports = {}
     if args.game:
-        game = _resolve(args.game, catalog.get_game, load_game, None)
-        reports["game"] = validate_game(game)
-        if args.dump:
+        game, reports["game"] = _checked_game(args.game)
+        if args.dump and game is not None:
             save_game(game, args.dump)
     if args.device:
         device = _resolve(args.device, catalog.get_device, load_device, None)

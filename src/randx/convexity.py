@@ -186,16 +186,12 @@ SUITE_CHUNK = 1024  # trials evaluated together; bounds the stacks' memory
 
 
 @dataclass(frozen=True)
-class SuiteRow:
+class SuiteRow(InequalityCheck):
+    """One suite trial's check, with the trial's index, dimension and eps."""
+
     trial: int
     dim: int
     eps: float
-    lhs: float
-    rhs: float
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
 
 
 @dataclass
@@ -210,7 +206,7 @@ class SuiteResult:
 
     @property
     def violations(self) -> int:
-        return sum(1 for r in self.rows if r.margin < MARGIN_TOL)
+        return sum(1 for r in self.rows if not r.holds)
 
 
 class _Draw(NamedTuple):

@@ -584,11 +584,25 @@ class _Records:
         return parts
 
 
+def _named_non_finite(o: Any) -> Any:
+    """o with each NaN or infinite float in its dicts, lists and tuples
+    replaced by the string of its name: "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(o, float):
+        return o if math.isfinite(o) else json.dumps(o)
+    if isinstance(o, dict):
+        return {k: _named_non_finite(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_named_non_finite(v) for v in o]
+    return o
+
+
 def json_text(obj: Any, indent: int) -> str:
     """``json.dumps(obj, sort_keys=True, indent=indent)``, where each Device in
     ``obj`` is written as its ``_device_tree``, each matrix as nested
     [re, im] pairs, row-major (the format ``matcore.matrix_from_pairs`` reads),
-    and each ``_Records`` as its list of records.
+    and each ``_Records`` as its list of records.  A NaN or infinite float
+    is written as the string of its name, so strict JSON parsers, which
+    refuse the bare tokens NaN and Infinity, read the text.
 
     ``json.dumps`` formats a skeleton in which each matrix and each
     ``_Records`` is a placeholder string; each is then written in bulk
@@ -602,6 +616,7 @@ def json_text(obj: Any, indent: int) -> str:
     happened to place them.
     """
     mark = "randx:matrix"
+    obj = _named_non_finite(obj)
     while True:
         writers: list = []  # per placeholder, its text's parts given (pad, step)
 
@@ -664,13 +679,16 @@ def save_device(d: Device, path) -> None:
 def _load(path, from_dict, error: type[ValueError]):
     """``from_dict`` of the JSON file at ``path``.  A file that is not JSON,
     or whose structure ``from_dict`` cannot read, raises ``error`` naming the
-    path; a well-formed file is returned unvalidated."""
+    path.  An error that carries a ``report`` (a well-formed game that breaks
+    a rule) passes through; a device is returned unvalidated."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return from_dict(json.load(fh))
         except KeyError as exc:
             raise error(f"malformed file {str(path)!r}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
+            if getattr(exc, "report", None) is not None:
+                raise
             raise error(f"malformed file {str(path)!r}: {exc}") from exc
 
 

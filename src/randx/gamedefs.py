@@ -1,20 +1,15 @@
-"""Game definitions and the spot-checking transform.
+"""Game definitions and their file format.
 
 A game is an input alphabet with a distribution and a distinguished input, an
 output alphabet, and a scoring table with values in [0, 1] (or [0, inf) when
 the unbounded flag is set).  Nonlocal games carry a per-player product
-structure; contextual games use sequences over base alphabets.
+structure; contextual games use sequences of base letters as their letters.
 
-The spot-checking transform G -> G_q produces the unbounded game whose input
-alphabet is {0,1} x A:
-
-    p_q((1, a)) = q * p(a)          H_q((1, a), x) = H(a, x) / q
-    p_q((0, abar)) = 1 - q          H_q((0, a), x) = 0
-    p_q((0, a)) = 0   for a != abar
-
-The 1/q weight compensates for game rounds occurring only with frequency q,
-so the expected H_q score of any device against G_q equals its expected H
-score against G.
+A game is valid by construction: however it is built (``Game``,
+``nonlocal_game``, ``dataclasses.replace`` or a game file), tables that break
+a rule raise ``GameError`` carrying the ``ValidationReport`` of every violated
+check.  Negative, NaN and infinite scores and NaN or infinite probabilities
+are refused.
 """
 
 from __future__ import annotations
@@ -43,13 +38,19 @@ PROB_TOL = 1e-12
 
 
 class GameError(ValueError):
-    pass
+    """A game error.  A game that breaks a rule carries its ``report``, the
+    ValidationReport of every violated check; other game errors carry None."""
+
+    def __init__(self, message: str, report: ValidationReport | None = None):
+        super().__init__(message)
+        self.report = report
 
 
 # eq=False: a game compares and hashes by identity, as a device does
 @dataclass(frozen=True, eq=False)
 class Game:
-    """A single-round game with a distinguished input letter."""
+    """A single-round game with a distinguished input letter.  Building one
+    copies its tables read-only and checks every rule in the same pass."""
 
     name: str
     kind: str  # "nonlocal" or "contextual"
@@ -62,64 +63,42 @@ class Game:
     # nonlocal structure: per-player alphabets
     player_inputs: tuple[tuple[Letter, ...], ...] | None = None
     player_outputs: tuple[tuple[Letter, ...], ...] | None = None
-    # contextual structure: base alphabets
-    base_inputs: tuple[Letter, ...] | None = None
-    base_outputs: tuple[Letter, ...] | None = None
 
     def __post_init__(self) -> None:
-        # however a game is built, its tables are read-only copies
         object.__setattr__(self, "distribution", MappingProxyType(dict(self.distribution)))
         object.__setattr__(self, "scores", MappingProxyType(dict(self.scores)))
+        report = ValidationReport()
+        total = sum(self.prob(a) for a in self.input_alphabet)
+        if abs(total - 1.0) > PROB_TOL:
+            report.add("distribution-normalization", abs(total - 1.0))
+        for a in self.input_alphabet:
+            if self.prob(a) < 0:
+                report.add("distribution-negative", -self.prob(a), f"input {a!r}")
+            elif not math.isfinite(self.prob(a)):
+                report.add("distribution-finite", self.prob(a), f"input {a!r}")
+        for (a, x), h in self.scores.items():
+            if a not in self.input_alphabet:
+                report.add("score-input", 1.0, f"unknown input {a!r}")
+            if x not in self.output_alphabet:
+                report.add("score-output", 1.0, f"unknown output {x!r}")
+            if not (0.0 <= h < math.inf and (self.unbounded or h <= 1.0)):
+                report.add("score-range", float(h), f"H({a!r}, {x!r})")
+        if self.distinguished_input not in self.input_alphabet:
+            report.add("distinguished-input", 1.0, f"{self.distinguished_input!r} not in alphabet")
+        if self.kind == NONLOCAL and self.player_inputs is not None:
+            expected = math.prod(len(p) for p in self.player_inputs)
+            if expected != len(self.input_alphabet):
+                report.add("player-structure", abs(expected - len(self.input_alphabet)))
+        if self.kind not in GAME_KINDS:
+            report.add("kind", 1.0, f"unknown kind {self.kind!r}")
+        if not report.ok:
+            raise GameError(report.summary(), report)
 
     def prob(self, a: Letter) -> float:
         return float(self.distribution.get(a, 0.0))
 
     def score(self, a: Letter, x: Letter) -> float:
         return float(self.scores.get((a, x), 0.0))
-
-
-@dataclass(frozen=True)
-class SpotCheckGame:
-    """The game G_q: inputs are (t, a) with t = 1 on test rounds."""
-
-    base: Game
-    q: float
-
-    @property
-    def name(self) -> str:
-        return f"{self.base.name}_q={self.q}"
-
-    @property
-    def input_alphabet(self) -> tuple[Letter, ...]:
-        abar = self.base.distinguished_input
-        letters = [(0, abar)]
-        letters.extend((1, a) for a in self.base.input_alphabet)
-        letters.extend((0, a) for a in self.base.input_alphabet if a != abar)
-        return tuple(letters)
-
-    @property
-    def output_alphabet(self) -> tuple[Letter, ...]:
-        return self.base.output_alphabet
-
-    @property
-    def distinguished_input(self) -> Letter:
-        return (0, self.base.distinguished_input)
-
-    @property
-    def unbounded(self) -> bool:
-        return True
-
-    def prob(self, i: Letter) -> float:
-        t, a = i
-        if t == 1:
-            return self.q * self.base.prob(a)
-        return (1.0 - self.q) if a == self.base.distinguished_input else 0.0
-
-    def score(self, i: Letter, x: Letter) -> float:
-        t, a = i
-        if t == 1:
-            return self.base.score(a, x) / self.q
-        return 0.0
 
 
 def nonlocal_game(
@@ -142,38 +121,6 @@ def nonlocal_game(
         player_inputs=tuple(tuple(p) for p in player_inputs),
         player_outputs=tuple(tuple(p) for p in player_outputs),
     )
-
-
-def validate_game(g: Game) -> ValidationReport:
-    """Check normalization, score ranges, and alphabet structure.  A NaN or
-    infinite probability or score is a violation."""
-    report = ValidationReport()
-    total = sum(g.prob(a) for a in g.input_alphabet)
-    if abs(total - 1.0) > PROB_TOL:
-        report.add("distribution-normalization", abs(total - 1.0))
-    for a in g.input_alphabet:
-        if g.prob(a) < 0:
-            report.add("distribution-negative", -g.prob(a), f"input {a!r}")
-        elif not math.isfinite(g.prob(a)):
-            report.add("distribution-finite", g.prob(a), f"input {a!r}")
-    for (a, x), h in g.scores.items():
-        if a not in g.input_alphabet:
-            report.add("score-input", 1.0, f"unknown input {a!r}")
-        if x not in g.output_alphabet:
-            report.add("score-output", 1.0, f"unknown output {x!r}")
-        if not (0.0 <= h < math.inf and (g.unbounded or h <= 1.0)):
-            report.add("score-range", float(h), f"H({a!r}, {x!r})")
-    if g.distinguished_input not in g.input_alphabet:
-        report.add("distinguished-input", 1.0, f"{g.distinguished_input!r} not in alphabet")
-    if g.kind == NONLOCAL and g.player_inputs is not None:
-        expected = 1
-        for p in g.player_inputs:
-            expected *= len(p)
-        if expected != len(g.input_alphabet):
-            report.add("player-structure", abs(expected - len(g.input_alphabet)))
-    if g.kind not in GAME_KINDS:
-        report.add("kind", 1.0, f"unknown kind {g.kind!r}")
-    return report
 
 
 def check_compatibility(g: Game, d: Device) -> ValidationReport:
@@ -199,13 +146,6 @@ def require_compatible(g: Game, d: Device) -> None:
     report = check_compatibility(g, d)
     if not report.ok:
         raise GameError(report.summary())
-
-
-def spot_check(g: Game, q: float) -> SpotCheckGame:
-    """The spot-checking transform G -> G_q."""
-    if not 0.0 < q < 1.0:
-        raise GameError(f"q must lie strictly between 0 and 1, got {q}")
-    return SpotCheckGame(base=g, q=float(q))
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +175,12 @@ def game_to_dict(g: Game) -> dict:
             }
             for i in range(len(g.player_inputs))
         ]
-    if g.base_inputs is not None:
-        data["base_inputs"] = [_letter_to_json(b) for b in g.base_inputs]
-        data["base_outputs"] = [_letter_to_json(y) for y in (g.base_outputs or ())]
     return data
 
 
 def game_from_dict(data: Mapping) -> Game:
+    """The game a game file's dict describes.  Keys of other formats, such
+    as ``base_inputs`` and ``base_outputs``, are ignored."""
     inputs = tuple(_letter_from_json(a) for a in data["input_alphabet"])
     outputs = tuple(_letter_from_json(x) for x in data["output_alphabet"])
     dist_list = data["distribution"]
@@ -260,10 +199,6 @@ def game_from_dict(data: Mapping) -> Game:
         player_outputs = tuple(
             tuple(_letter_from_json(x) for x in p["outputs"]) for p in data["players"]
         )
-    base_inputs = base_outputs = None
-    if "base_inputs" in data:
-        base_inputs = tuple(_letter_from_json(b) for b in data["base_inputs"])
-        base_outputs = tuple(_letter_from_json(y) for y in data.get("base_outputs", []))
     return Game(
         name=data.get("name", ""),
         kind=data["kind"],
@@ -275,8 +210,6 @@ def game_from_dict(data: Mapping) -> Game:
         unbounded=bool(data.get("unbounded", False)),
         player_inputs=player_inputs,
         player_outputs=player_outputs,
-        base_inputs=base_inputs,
-        base_outputs=base_outputs,
     )
 
 
@@ -287,4 +220,7 @@ def save_game(g: Game, path) -> None:
 
 
 def load_game(path) -> Game:
+    """The game in the file at ``path``: a file that is not well formed raises
+    GameError naming the path, and a game that breaks a rule raises the
+    GameError that carries its report."""
     return _load(path, game_from_dict, GameError)

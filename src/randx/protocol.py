@@ -57,7 +57,7 @@ import numpy as np
 
 from . import matcore
 from .devicemodel import Device, Letter, _read_only, born_probabilities
-from .gamedefs import Game, require_compatible, spot_check
+from .gamedefs import Game, require_compatible
 from .matcore import dagger
 
 BRANCH_CAP = 10**7
@@ -148,17 +148,6 @@ def binomial_tail(n: int, p: float, k: int) -> float:
     )
 
 
-def _ratio(h: float) -> tuple[int, int]:
-    """A finite score's exact value as (numerator, denominator).
-
-    A finite float is a dyadic rational, so ``as_integer_ratio`` is exact and
-    the lcm of the denominators makes every score an integer number of units.
-    """
-    if not math.isfinite(h):
-        raise ProtocolError(f"score {h} is not finite")
-    return h.as_integer_ratio()
-
-
 def _meets_threshold(units, den: int, threshold: float):
     """The success rule: the exact score units/den is at least the float threshold.
 
@@ -224,7 +213,7 @@ def _round_plan(g: Game, d: Device) -> _RoundPlan:
     input_cdf = np.cumsum([g.prob(a) for a in g.input_alphabet])
     input_cdf[-1] = max(input_cdf[-1], 1.0)
     flat = [g.score(a, x) for a in g.input_alphabet for x in g.output_alphabet]
-    ratios = {h: _ratio(h) for h in set(flat)}
+    ratios = {h: h.as_integer_ratio() for h in set(flat)}  # exact: a finite float is dyadic
     den = math.lcm(*(r for _, r in ratios.values()))
     units = tuple(ratios[h][0] * (den // ratios[h][1]) for h in flat)
     scores = np.array(flat).reshape(n_in, n_out)
@@ -239,19 +228,29 @@ def _round_plan(g: Game, d: Device) -> _RoundPlan:
 def _supported_inputs(
     plan: _RoundPlan, q: float | None = None
 ) -> Iterator[tuple[float, int, bool]]:
-    """The supported inputs of ``spot_check(plan.game, q)`` in its order, as
-    (p_i, input index, test round): the generation round (1 - q, abar) first,
-    then each test round (q p(a), a) of positive weight.  With q None, those
-    of the game itself: each input (p(a), a, True) of positive weight.
+    """The inputs of positive weight of one round of G_q, in order, as
+    (p_i, input index, test round): the generation round (1 - q, abar)
+    first, then each test round (q p(a), a) in the game's input order.
+    With q None, those of the game itself: each input (p(a), a, True).
+
+    These are the rows of the paper's spot-checking game G_q, whose inputs
+    are (t, a) in {0,1} x A:
+
+        p_q((1, a)) = q * p(a)          H_q((1, a), x) = H(a, x) / q
+        p_q((0, abar)) = 1 - q          H_q((0, a), x) = 0
+        p_q((0, a)) = 0   for a != abar
+
+    The 1/q weight compensates for game rounds occurring only with frequency
+    q, so the expected H_q score of any device equals its expected H score.
+    The protocol adds the raw H(a, x) of a test round to c instead, and its
+    success rule c >= chi*q*N carries the q.
     """
+    probs = [plan.game.prob(a) for a in plan.game.input_alphabet]
     if q is None:
-        inputs = [(plan.game.prob(a), a, True) for a in plan.game.input_alphabet]
+        rows = [(p, i, True) for i, p in enumerate(probs)]
     else:
-        g_q = spot_check(plan.game, q)
-        inputs = [(g_q.prob((t, a)), a, t == 1) for t, a in g_q.input_alphabet]
-    for p_i, a, test in inputs:
-        if p_i > 0.0:
-            yield p_i, plan.game.input_alphabet.index(a), test
+        rows = [(1.0 - q, plan.abar, False), *((q * p, i, True) for i, p in enumerate(probs))]
+    return ((p_i, i, test) for p_i, i, test in rows if p_i > 0.0)
 
 
 def _generator() -> np.random.Generator:

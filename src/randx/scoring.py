@@ -23,7 +23,7 @@ formed or split.
 
 A game's branches are read from the round plan of the (game, device) pair
 (``protocol._round_plan``), which checks the pair once and maps each game
-cell to its device output row; a G_q is scored through its base game's plan.
+cell to its device output row.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import matcore
 from .devicemodel import Device, Letter
-from .gamedefs import Game, SpotCheckGame
+from .gamedefs import Game
 from .protocol import _round_plan, _supported_inputs
 
 LOG2E = math.log2(math.e)
@@ -50,16 +50,13 @@ class ScoringError(ValueError):
 _Term = tuple[float, Letter, int, float]  # (probability, input, device output row, score)
 
 
-def _game_terms(g: Game | SpotCheckGame, d: Device) -> list[_Term]:
+def _game_terms(g: Game, d: Device) -> list[_Term]:
     """The branches of g's supported inputs, read from the pair's round plan
-    (which checks the pair once): each test input's measured outputs score
-    H(a, x), or H(a, x) / q under G_q, and a generation input's score 0."""
-    spot = isinstance(g, SpotCheckGame)
-    plan = _round_plan(g.base if spot else g, d)
-    scale = g.q if spot else 1.0
+    (which checks the pair once), each scoring H(a, x)."""
+    plan = _round_plan(g, d)
     return [
-        (p, plan.game.input_alphabet[i], r, float(plan.scores[i, j]) / scale if test else 0.0)
-        for p, i, test in _supported_inputs(plan, g.q if spot else None)
+        (p, g.input_alphabet[i], r, float(plan.scores[i, j]))
+        for p, i, _ in _supported_inputs(plan)
         for r, j in enumerate(plan.outputs[i])
     ]
 
@@ -111,7 +108,7 @@ def _score_bracket(d: Device, k: list[np.ndarray], eps: float) -> float:
     return matcore.block_psd_bracket([r @ f @ r for r, f in zip(root, d.state_blocks)], eps)
 
 
-def eps_score(g: Game | SpotCheckGame, d: Device, eps: float) -> float:
+def eps_score(g: Game, d: Device, eps: float) -> float:
     """(1+eps)-score of a device; the Born-rule expected score at eps = 0."""
     if not 0.0 <= eps <= 1.0:
         raise ScoringError(f"eps must lie in [0, 1], got {eps}")
@@ -151,9 +148,7 @@ def eps_randomness(a: Letter, d: Device, eps: float) -> float:
     return _randomness(_branch_table(d, (a,), eps), _letter_terms(d, a), 0.0)
 
 
-def weighted_randomness(
-    g: Game | SpotCheckGame, d: Device, eps: float, s: float
-) -> float:
+def weighted_randomness(g: Game, d: Device, eps: float, s: float) -> float:
     """Randomness of the branches of g's inputs, weighted by the input
     distribution and by 2^(eps * s * H).
 
@@ -202,14 +197,13 @@ class RandomnessReport:
     r_game: float
 
 
-def randomness_report(g: Game | SpotCheckGame, d: Device, eps: float) -> RandomnessReport:
+def randomness_report(g: Game, d: Device, eps: float) -> RandomnessReport:
     """eps_score, eps_randomness on the distinguished input and
     weighted_randomness on g at s = 0, all from one branch table."""
     _check_randomness_eps(eps)
     terms = _game_terms(g, d)
-    base = g.base if isinstance(g, SpotCheckGame) else g
-    letter = _letter_terms(d, base.distinguished_input)
-    table = _branch_table(d, [base.distinguished_input, *(a for _, a, _, _ in terms)], eps)
+    letter = _letter_terms(d, g.distinguished_input)
+    table = _branch_table(d, [g.distinguished_input, *(a for _, a, _, _ in terms)], eps)
     return RandomnessReport(
         eps=eps,
         w_eps=_score_bracket(d, _k_blocks(d, terms), eps) / table.state,

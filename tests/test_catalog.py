@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -17,10 +18,19 @@ from randx.catalog import (
 )
 from randx.classicaloracle import classical_value, known_values
 from randx.devicemodel import born_probabilities, validate_device
-from randx.gamedefs import validate_game
+from randx.gamedefs import GameError
 from tests.dense import is_classically_predictable
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
+
+
+def assert_game_validates(game):
+    """A game checks its rules as it is built: a copy of ``game`` builds, and
+    a copy with one score above 1 raises."""
+    dataclasses.replace(game)
+    cell = next(iter(game.scores))
+    with pytest.raises(GameError, match="score-range"):
+        dataclasses.replace(game, scores={**game.scores, cell: 1.5})
 
 
 class TestChshEntry:
@@ -29,7 +39,7 @@ class TestChshEntry:
             assert validate_device(dev).ok, dev.name
 
     def test_game_validates(self):
-        assert validate_game(chsh().game).ok
+        assert_game_validates(chsh().game)
 
     def test_expected_values_recomputed(self):
         entry = chsh()
@@ -61,7 +71,7 @@ class TestMagicSquareEntry:
             assert validate_device(dev).ok, f"{name}: {validate_device(dev).summary()}"
 
     def test_game_validates(self):
-        assert validate_game(magic_square().game).ok
+        assert_game_validates(magic_square().game)
 
     def test_classical_value_exact(self):
         res = classical_value(magic_square().game)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -196,8 +195,11 @@ def test_file_that_validate_rejects_does_not_run(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: invalid file {device!r}: measurement-projector")
     # a game outside the framework's score range [0, inf) is refused the same way
-    game = str(tmp_path / "game.json")
-    save_game(toy_setup()[0], game)
+    path = tmp_path / "game.json"
+    data = game_to_dict(toy_setup()[0])
+    data["scoring"][0]["score"] = -1.0
+    path.write_text(json.dumps(data))
+    game = str(path)
     assert main([*RUN_ARGV[command], "--game", game]) == 1
     assert capsys.readouterr().err.startswith(f"error: invalid file {game!r}: score-range")
 
@@ -312,6 +314,41 @@ def test_validate_reports_a_non_finite_number(name, guard_games, capsys):
     assert NON_FINITE_GAMES[name] in {v["check"] for v in report["violations"]}
 
 
+def strict_json(text: str):
+    """``json.loads`` refusing the tokens NaN, Infinity and -Infinity, as
+    RFC 8259 parsers such as jq do."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# argv -> (path to a non-finite number in its JSON stdout, that number's
+# string); the argv of criterion 10 print only finite numbers, so None
+STRICT_JSON_ARGV = {
+    "enumerate --n 3 --q 0.3 --chi 5 --eps 0.1": (["renyi_randomness"], "Infinity"),
+    "entropy-bound --n 3 --q 0.3 --chi 5 --eps 0.1": (["hmin_lower"], "Infinity"),
+    "validate --game {games}/nan-score.json": (["game", "violations", 0, "deviation"], "NaN"),
+    "simulate --n 1000 --q 0.1 --chi 0.5 --seed 42 --trials 5": None,
+    # criterion 10 runs this suite with --out csv, which is not JSON
+    "verify --suite uniform-convexity --trials 100 --seed 4": None,
+    "enumerate --n 3 --q 0.3 --chi 0.8 --eps 0.1": None,
+    "seesaw --game chsh --restarts 2 --seed 5": None,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STRICT_JSON_ARGV))
+def test_stdout_is_strict_json(argv, guard_games, capsys):
+    main(argv.format(games=guard_games).split())
+    payload = strict_json(capsys.readouterr().out)
+    if STRICT_JSON_ARGV[argv] is not None:
+        path, name = STRICT_JSON_ARGV[argv]
+        for key in path:
+            payload = payload[key]
+        assert payload == name
+
+
 def test_usage_error_exit_one():
     proc = run_cli(["simulate", "--n", "10"])
     assert proc.returncode == 1
@@ -329,10 +366,8 @@ def test_unknown_game_exit_one():
 
 
 def toy_files(tmp_path):
-    """The toy game and device written to files; files are validated at load,
-    so the game's scores -1, 0.5, 1 move up by 1 to 0, 1.5, 2."""
+    """The toy game and device written to files."""
     toy_game, toy_device = toy_setup()
-    toy_game = dataclasses.replace(toy_game, scores={k: h + 1.0 for k, h in toy_game.scores.items()})
     game_spec, device_spec = str(tmp_path / "game.json"), str(tmp_path / "device.json")
     save_game(toy_game, game_spec)
     save_device(toy_device, device_spec)
@@ -353,7 +388,6 @@ SIMULATE_CASES = {
 def test_simulate_runs_match_transcripts(case, memory, tmp_path, capsys):
     game_spec, device_spec, q, chi, n_fresh, n_memory = SIMULATE_CASES[case]
     if game_spec is None:
-        # the negative-score toy game is refused in test_file_that_validate_rejects_does_not_run
         game_spec, device_spec = toy_files(tmp_path)
         game, device = load_game(game_spec), load_device(device_spec)
     else:

@@ -1,5 +1,7 @@
 """End-to-end coverage of the contextual route: game, device, scoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from randx.devicemodel import (
 )
 from randx.gamedefs import (
     Game,
+    GameError,
     check_compatibility,
     load_game,
     save_game,
-    validate_game,
 )
 from tests.test_devicemodel import commuting_contextual_device
 
@@ -33,13 +35,14 @@ def parity_context_game() -> Game:
         distribution={("A",): 0.25, ("B",): 0.25, ("A", "B"): 0.5},
         scores=scores,
         distinguished_input=("A",),
-        base_inputs=("A", "B"),
-        base_outputs=(0, 1),
     )
 
 
 def test_contextual_game_validates():
-    assert validate_game(parity_context_game()).ok
+    # a game checks its rules as it is built; an output outside the alphabet is refused
+    g = parity_context_game()
+    with pytest.raises(GameError, match="score-output"):
+        dataclasses.replace(g, scores={**g.scores, (("A",), (2,)): 1.0})
 
 
 def test_contextual_compatibility():
@@ -78,5 +81,5 @@ def test_contextual_game_file_roundtrip(tmp_path):
     loaded = load_game(path)
     assert loaded.kind == CONTEXTUAL
     assert loaded.input_alphabet == g.input_alphabet
-    assert loaded.base_inputs == g.base_inputs
-    assert validate_game(loaded).ok
+    assert loaded.output_alphabet == g.output_alphabet
+    assert dict(loaded.scores) == dict(g.scores)

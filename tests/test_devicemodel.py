@@ -421,18 +421,24 @@ class TestJsonText:
             {"a": [{"runs": _Records(columns)}, np.eye(1)], "b": _Records(one), "c": _Records(none)},
             {"a": [{"runs": records}, matrix_to_pairs(np.eye(1))], "b": records[:1], "c": []},
         )
-        # negative fractional scores: the toy game's runs, on the fresh and memory paths
+        # fractional scores: the toy game's runs, on the fresh and memory paths
         g, d = toy_setup()
         for fresh in (True, False):
             outcomes = protocol.simulate_outcomes(
                 g, d, protocol.ProtocolParams(30, 0.3, 0.1, seed=9), 20, fresh_state=fresh
             )
-            assert any(c < 0 for c, _ in outcomes) and any(c % 1 for c, _ in outcomes)
+            assert any(c % 1 for c, _ in outcomes)
             c, success = map(list, zip(*outcomes))
             self.assert_same_text(
                 _Records({"c": c, "seed": range(9, 29), "success": success}),
                 [{"c": ck, "seed": 9 + k, "success": sk} for k, (ck, sk) in enumerate(outcomes)],
             )
+
+    def test_non_finite_floats_are_named_strings(self):
+        numbers = [math.nan, math.inf, -math.inf, 1.5, np.float64(math.inf)]
+        names = ["NaN", "Infinity", "-Infinity", 1.5, "Infinity"]
+        self.assert_same_text({"x": numbers, "y": {"z": (math.nan,)}, "w": math.inf},
+                              {"x": names, "y": {"z": ["NaN"]}, "w": "Infinity"})
 
     def test_records_hold_scalars_only(self):
         for column in ([[1, 2]], ["a, b"]):

@@ -1,11 +1,13 @@
 import dataclasses
+import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randx import catalog, scoring
+from randx import catalog, protocol, scoring
 from randx.gamedefs import (
+    NONLOCAL,
+    Game,
     GameError,
     check_compatibility,
     game_from_dict,
@@ -13,29 +15,81 @@ from randx.gamedefs import (
     load_game,
     nonlocal_game,
     save_game,
-    spot_check,
-    validate_game,
 )
-from tests.test_devicemodel import commuting_contextual_device, random_device
+from tests.test_devicemodel import commuting_contextual_device
 
 
 def test_catalog_games_valid():
-    assert validate_game(catalog.chsh().game).ok
-    assert validate_game(catalog.magic_square().game).ok
+    # a game checks its rules as it is built, so copies of the catalog games build
+    for g in (catalog.chsh().game, catalog.magic_square().game):
+        assert dataclasses.replace(g).distribution == g.distribution
 
 
 def test_bad_normalization_flagged():
     g = catalog.chsh().game
-    broken = nonlocal_game(
-        "broken",
-        player_inputs=g.player_inputs,
-        player_outputs=g.player_outputs,
-        distribution={a: 0.225 for a in g.input_alphabet},
-        scores=dict(g.scores),
-        distinguished_input=(0, 0),
-    )
-    rep = validate_game(broken)
-    assert any(v.check == "distribution-normalization" for v in rep.violations)
+    with pytest.raises(GameError) as info:
+        nonlocal_game(
+            "broken",
+            player_inputs=g.player_inputs,
+            player_outputs=g.player_outputs,
+            distribution={a: 0.225 for a in g.input_alphabet},
+            scores=dict(g.scores),
+            distinguished_input=(0, 0),
+        )
+    assert any(v.check == "distribution-normalization" for v in info.value.report.violations)
+
+
+def build_chsh(route, distribution, scores, abar):
+    """A CHSH game with the given tables, built through ``route``."""
+    g = catalog.chsh_game()
+    if route == "Game":
+        return Game(
+            name="x", kind=NONLOCAL, input_alphabet=g.input_alphabet,
+            output_alphabet=g.output_alphabet, distribution=distribution, scores=scores,
+            distinguished_input=abar, player_inputs=g.player_inputs,
+            player_outputs=g.player_outputs,
+        )
+    if route == "nonlocal_game":
+        return nonlocal_game("x", g.player_inputs, g.player_outputs, distribution, scores, abar)
+    if route == "replace":
+        return dataclasses.replace(
+            g, distribution=distribution, scores=scores, distinguished_input=abar
+        )
+    data = game_to_dict(g)  # game_from_dict: the dict a file with these tables holds
+    data["distribution"] = [distribution.get(a, 0.0) for a in g.input_alphabet]
+    data["scoring"] = [{"input": a, "output": x, "score": h} for (a, x), h in scores.items()]
+    data["distinguished_input"] = abar
+    return game_from_dict(data)
+
+
+WIN = ((0, 0), (0, 0))  # a winning CHSH cell
+# each broken table -> the check it violates; each entry edits CHSH's
+# (distribution, scores, distinguished input)
+BROKEN_TABLES = {
+    "nan-score": (lambda p, h, abar: (p, {**h, WIN: math.nan}, abar), "score-range"),
+    "infinite-score": (lambda p, h, abar: (p, {**h, WIN: math.inf}, abar), "score-range"),
+    "negative-score": (lambda p, h, abar: (p, {**h, WIN: -0.5}, abar), "score-range"),
+    "score-above-one": (lambda p, h, abar: (p, {**h, WIN: 1.5}, abar), "score-range"),
+    "nan-probability": (lambda p, h, abar: ({**p, (0, 0): math.nan}, h, abar),
+                        "distribution-finite"),
+    "bad-total": (lambda p, h, abar: ({a: 0.3 for a in p}, h, abar),
+                  "distribution-normalization"),
+    "unknown-letter": (lambda p, h, abar: (p, {**h, ((2, 2), (0, 0)): 1.0}, abar), "score-input"),
+    "bad-distinguished-input": (lambda p, h, abar: (p, h, (5, 5)), "distinguished-input"),
+}
+
+
+@pytest.mark.parametrize("route", ["Game", "nonlocal_game", "replace", "game_from_dict"])
+@pytest.mark.parametrize("case", sorted(BROKEN_TABLES))
+def test_every_route_refuses_a_broken_table(case, route):
+    edit, check = BROKEN_TABLES[case]
+    g = catalog.chsh_game()
+    tables = dict(g.distribution), dict(g.scores), g.distinguished_input
+    build_chsh(route, *tables)  # the unedited tables build
+    with pytest.raises(GameError) as info:
+        build_chsh(route, *edit(*tables))
+    assert check in {v.check for v in info.value.report.violations}
+    assert str(info.value) == info.value.report.summary()
 
 
 def test_nonlocal_game_incompatible_with_contextual_device():
@@ -51,46 +105,69 @@ def test_general_device_with_matching_alphabets_is_compatible():
     assert rep.ok
 
 
+def spot_check_rows(q, g=None):
+    """The rows (p_i, input index, test round) of G_q that the protocol runs."""
+    g = g or catalog.chsh().game
+    plan = protocol._round_plan(g, catalog.chsh().devices["optimal"])
+    return list(protocol._supported_inputs(plan, q))
+
+
 class TestSpotCheck:
+    """G_q as the protocol's input weights (``protocol._supported_inputs``)."""
+
     def test_generation_mass(self):
-        gq = spot_check(catalog.chsh().game, 0.1)
-        assert gq.prob((0, (0, 0))) == pytest.approx(0.9, abs=1e-15)
+        assert spot_check_rows(0.1)[0] == (1.0 - 0.1, 0, False)
 
     def test_test_round_mass(self):
-        gq = spot_check(catalog.chsh().game, 0.1)
-        for a in gq.base.input_alphabet:
-            assert gq.prob((1, a)) == pytest.approx(0.1 * 0.25, abs=1e-15)
+        assert spot_check_rows(0.1)[1:] == [(0.1 * 0.25, i, True) for i in range(4)]
 
     def test_off_distinguished_generation_mass_zero(self):
-        gq = spot_check(catalog.chsh().game, 0.1)
-        assert gq.prob((0, (1, 1))) == 0.0
+        # the distinguished input is the only generation row
+        assert [row for row in spot_check_rows(0.1) if not row[2]] == [(0.9, 0, False)]
 
     def test_normalization(self):
         for q in (0.01, 0.25, 0.5, 0.9):
-            gq = spot_check(catalog.chsh().game, q)
-            assert sum(gq.prob(i) for i in gq.input_alphabet) == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(p for p, _, _ in spot_check_rows(q)) == pytest.approx(1.0, abs=1e-12)
 
     def test_score_compensation(self):
-        gq = spot_check(catalog.chsh().game, 0.25)
-        win = ((0, 0), (0, 0))
-        assert gq.score((1, win[0]), win[1]) == pytest.approx(4.0, abs=1e-12)
-        assert gq.score((0, win[0]), win[1]) == 0.0
+        # the 1/q weight: each test row's weight over q is the game's own weight
+        g, d = catalog.chsh().game, catalog.chsh().devices["optimal"]
+        own = list(protocol._supported_inputs(protocol._round_plan(g, d)))
+        lifted = [(p / 0.25, i, test) for p, i, test in spot_check_rows(0.25)[1:]]
+        assert lifted == own
+
+    def test_row_order(self):
+        # generation first, on abar wherever it sits; then the test rows in
+        # input order, an input of zero weight left out
+        g = catalog.chsh().game
+        g = dataclasses.replace(
+            g, distinguished_input=(1, 1),
+            distribution={(0, 0): 0.5, (0, 1): 0.0, (1, 0): 0.25, (1, 1): 0.25},
+        )
+        assert spot_check_rows(0.5, g) == [(0.5, 3, False), (0.25, 0, True), (0.125, 2, True),
+                                           (0.125, 3, True)]
 
     def test_bad_q(self):
+        # the rows exist for q in (0, 1) only; the entry points refuse any other q
+        g, d = catalog.chsh().game, catalog.chsh().devices["optimal"]
         for q in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(GameError, match="q must lie strictly between 0 and 1"):
-                spot_check(catalog.chsh().game, q)
+            with pytest.raises(protocol.ProtocolError, match="q must lie in"):
+                protocol.enumerate_success_state(g, d, 1, q=q, chi=0.5, eps=0.1)
+            with pytest.raises(protocol.ProtocolError, match="q must lie in"):
+                protocol.ProtocolParams(10, q, 0.5)
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.3, 0.7]))
-    @settings(max_examples=15, deadline=None)
-    def test_expected_score_preserved(self, seed, q):
-        # the 1/q weight exactly cancels the q round probability
-        g = catalog.chsh().game
-        d = catalog.chsh().devices["optimal"]
-        gq = spot_check(g, q)
-        base = scoring.eps_score(g, d, 0.0)
-        lifted = scoring.eps_score(gq, d, 0.0)
-        assert lifted == pytest.approx(base, abs=1e-9)
+    @given(st.sampled_from([0.05, 0.3, 1 / 3, 0.7]), st.sampled_from(["optimal", "classical"]))
+    @settings(max_examples=8, deadline=None)
+    def test_expected_score_preserved(self, q, device):
+        # the 1/q weight exactly cancels the q round probability: scored with
+        # H / q on its test rows, G_q has the game's expected score
+        g, d = catalog.chsh().game, catalog.chsh().devices[device]
+        plan = protocol._round_plan(g, d)
+        lifted = sum(
+            p / q * float(plan.born[i] @ plan.scores[i])
+            for p, i, test in protocol._supported_inputs(plan, q) if test
+        )
+        assert lifted == pytest.approx(scoring.eps_score(g, d, 0.0), abs=1e-9)
 
 
 def test_game_file_roundtrip(tmp_path):
@@ -105,7 +182,6 @@ def test_game_file_roundtrip(tmp_path):
         assert loaded.prob(a) == g.prob(a)
         for x in g.output_alphabet:
             assert loaded.score(a, x) == g.score(a, x)
-    assert validate_game(loaded).ok
 
 
 def test_game_dict_rejects_bad_distribution_length():

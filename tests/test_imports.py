@@ -1,6 +1,7 @@
 """Every name a package module imports is read somewhere in that module,
 every module-level private function or class is read somewhere in the
-package, every public one is reached by code that runs, every parameter
+package, every public one is reached by code that runs, every public
+method or property of a public class is read by code that runs, every parameter
 with a default of a public function is bound by some call in code that
 runs, and each module defines at most one exception class that no
 ``except`` clause names.
@@ -124,6 +125,45 @@ def test_public_guard_flags_an_unread_definition():
             continue
         probe = ast.parse((SRC / name).read_text() + "\n\ndef unread_probe():\n    pass\n")
         assert unreached_public({**trees, name: probe}, callers) == {name: ["unread_probe"]}
+
+
+def public_members(tree: ast.Module) -> list[str]:
+    """``Class.member`` for each public method and property of each public
+    class.  Dataclass fields are not members here: ``vars`` reads them."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in public_definitions(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
+def unread_members(trees: dict[str, ast.Module], callers: set[str]) -> dict[str, list[str]]:
+    """Per module, the public members of its public classes whose name no
+    expression in the package and no name in ``callers`` reads."""
+    read = callers.union(*map(names_read, trees.values()))
+    unread = {}
+    for name, tree in trees.items():
+        for member in public_members(tree):
+            if member.partition(".")[2] not in read:
+                unread.setdefault(name, []).append(member)
+    return unread
+
+
+def test_every_public_member_is_read():
+    trees = package_trees()
+    assert sum(len(public_members(tree)) for tree in trees.values()) >= 15
+    assert unread_members(trees, caller_reads()) == {}
+
+
+def test_member_guard_flags_an_unread_member():
+    trees = package_trees()
+    callers = caller_reads()
+    probe = "\n\nclass Probe:\n    @property\n    def unread_probe(self):\n        pass\n"
+    for name in trees:
+        tree = ast.parse((SRC / name).read_text() + probe)
+        assert unread_members({**trees, name: tree}, callers) == {name: ["Probe.unread_probe"]}
 
 
 def defaulted_parameters(tree: ast.Module) -> dict[str, list[tuple[str, int | None]]]:

@@ -8,7 +8,7 @@ import pytest
 
 from randx import catalog, protocol
 from randx.devicemodel import make_device
-from randx.gamedefs import nonlocal_game
+from randx.gamedefs import GameError, nonlocal_game
 from randx.matcore import dagger, ginibre, haar_unitary
 from randx.protocol import (
     GuardError,
@@ -44,13 +44,13 @@ def magic_square_combined():
 
 
 def toy_setup():
-    """One-player qutrit game with scores -1, 0.5 and 1, and a rank-2 state.
+    """One-player qutrit game with scores 0, 0.5 and 1, and a rank-2 state.
 
-    The scores give non-unit and negative lattice units; the rank-2 state
-    gives branches with zero born probability and zero bracket.
+    The scores give non-unit lattice units; the rank-2 state gives branches
+    with zero born probability and zero bracket.
     """
     scores = {}
-    for a, row in {(0,): (-1.0, 0.5, 1.0), (1,): (1.0, -1.0, 0.5)}.items():
+    for a, row in {(0,): (0.0, 0.5, 1.0), (1,): (1.0, 0.0, 0.5)}.items():
         for x, h in enumerate(row):
             scores[(a, (x,))] = h
     game = nonlocal_game(
@@ -61,7 +61,6 @@ def toy_setup():
         scores=scores,
         distinguished_input=(0,),
     )
-    game = replace(game, unbounded=True)
     rng = np.random.default_rng(7)
     m = ginibre((2, 2), rng)
     state = np.zeros((3, 3), dtype=complex)
@@ -473,11 +472,11 @@ class TestEnumerate:
         for chi in (math.inf, math.nan):
             with pytest.raises(ProtocolError):
                 enumerate_success_state(g, opt, 1, q=0.3, chi=chi, eps=0.2)
-        toy, d = toy_setup()
+        toy, _ = toy_setup()
         scores = dict(toy.scores)
         scores[((1,), (2,))] = math.inf
-        with pytest.raises(ProtocolError):
-            enumerate_success_state(replace(toy, scores=scores), d, 1, q=0.3, chi=0.5, eps=0.2)
+        with pytest.raises(GameError, match="score-range"):
+            replace(toy, scores=scores, unbounded=True)
 
 
 class TestSharedSuccessRule:

@@ -6,7 +6,7 @@ import pytest
 
 from randx import catalog, matcore, protocol, scoring
 from randx.devicemodel import GENERAL, make_device
-from randx.gamedefs import GameError, nonlocal_game, spot_check
+from randx.gamedefs import GameError, nonlocal_game
 from randx.scoring import (
     ScoringError,
     eps_randomness,
@@ -176,12 +176,6 @@ class TestWeightedRandomness:
         for s in (-2.0, 1.0, 5.0):
             assert weighted_randomness(g, d, 0.2, s) == weighted_randomness(g, d, 0.2, 0.0)
 
-    def test_spotcheck_game_accepted(self):
-        entry = catalog.chsh()
-        gq = spot_check(entry.game, 0.3)
-        val = weighted_randomness(gq, entry.devices["optimal"], 0.2, 0.5)
-        assert math.isfinite(val)
-
     def test_weighted_lower_bound_slack(self):
         # slack of the weighted-vs-plain relation stays O(eps)
         entry = catalog.chsh()
@@ -273,7 +267,6 @@ def test_each_pair_is_checked_once(monkeypatch):
 
     def every_entry_point():
         eps_score(g, d, 0.1)
-        eps_score(spot_check(g, 0.3), d, 0.1)  # G_q is scored through g's plan
         weighted_randomness(g, d, 0.1, 1.0)
         randomness_report(g, d, 0.1)
         protocol.simulate_outcomes(g, d, params, 3)
