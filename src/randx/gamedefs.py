@@ -85,10 +85,16 @@ class Game:
                 report.add("score-range", float(h), f"H({a!r}, {x!r})")
         if self.distinguished_input not in self.input_alphabet:
             report.add("distinguished-input", 1.0, f"{self.distinguished_input!r} not in alphabet")
-        if self.kind == NONLOCAL and self.player_inputs is not None:
-            expected = math.prod(len(p) for p in self.player_inputs)
-            if expected != len(self.input_alphabet):
-                report.add("player-structure", abs(expected - len(self.input_alphabet)))
+        if self.kind == NONLOCAL:
+            for side, players, alphabet in (
+                ("inputs", self.player_inputs, self.input_alphabet),
+                ("outputs", self.player_outputs, self.output_alphabet),
+            ):
+                # the players' letters must combine into exactly the joint alphabet
+                if players is not None:
+                    stray = set(itertools.product(*players)) ^ set(alphabet)
+                    if stray:
+                        report.add("player-structure", len(stray), f"player {side}")
         if self.kind not in GAME_KINDS:
             report.add("kind", 1.0, f"unknown kind {self.kind!r}")
         if not report.ok:

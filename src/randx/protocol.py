@@ -36,10 +36,17 @@ the run seed, a key in [0, 2^128); each round consumes three uniforms in a
 fixed order (round type, then input, then output; unused draws are still
 consumed), so transcripts are bit-reproducible.  ``simulate_outcomes`` runs
 several trials and is the one place that keys trial k by seed + k; it
-returns only c and success of each.  On a fresh state it draws its trials in
-chunks from one generator, re-keyed for each trial, into one buffer, and
-samples and scores only the test rounds of a whole chunk at once, since
-generation rounds add nothing to c; each trial still gets exactly the
+returns only c and success of each.  On a fresh state it splits its trials
+into pieces of at most ``_CHUNK_UNIFORMS`` uniforms: several whole trials,
+or one slice of a trial too long for a piece.  A slice starts at a row r
+that is a multiple of 4, so its first uniform starts a 4-word Philox block
+and a generator re-keyed to seed + k with counter 3r/4 draws it.  Each piece
+samples and scores only its test rounds, since generation rounds add nothing
+to c, into a tally of how often each trial played each (input, output) cell.
+A call of one piece runs it on the calling thread.  A call of several runs
+them on min(2, usable CPUs) workers, each with its own generator, buffer and
+tally: the calling thread and threads started and joined within the call.
+The tallies are summed after the join, so each trial still gets exactly the
 uniforms, and so the c and success, of ``simulate`` at seed + k.
 Every entry point reads one round of its (game, device) pair from a private
 round plan, which checks their compatibility and tabulates the round.  The
@@ -50,6 +57,8 @@ as long as the device and later calls on the same pair reuse it.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -67,9 +76,12 @@ PRUNE_FLOOR = 1e-30
 # One batch of the --memory tree holds at most this many complex matrix
 # entries over all its nodes (4 MiB), whatever N is.
 MEMORY_BATCH_ENTRIES = 2**18
-# One chunk of fresh-state trials in ``simulate_outcomes`` holds at most this
-# many uniforms (512 KiB), or one trial if a trial needs more.
+# One piece of fresh-state work in ``simulate_outcomes`` holds at most this
+# many uniforms (512 KiB): whole trials, or one slice of a longer trial.
 _CHUNK_UNIFORMS = 2**16
+# The rows of a slice: as many as a piece holds, a multiple of 4, so that
+# every slice starts a 4-word Philox block (3 words a row).
+_SLICE_ROWS = _CHUNK_UNIFORMS // 12 * 4
 _WORD = 2**64 - 1
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)  # a fresh Philox counter and buffer
 _ZERO_WORDS.flags.writeable = False
@@ -266,17 +278,24 @@ def _check_seeds(seed: int, trials: int) -> None:
         )
 
 
-def _keyed_uniforms(gen: np.random.Generator, seed: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the first ``out.size`` uniforms of run ``seed``.
+def _keyed_uniforms(
+    gen: np.random.Generator, seed: int, out: np.ndarray, row: int = 0
+) -> np.ndarray:
+    """Fill ``out`` with the uniforms of run ``seed`` from round ``row`` on.
 
-    They are the uniforms of ``Generator(Philox(key=seed))``: the generator's
-    Philox is re-keyed through its public state (key words low then high,
-    counter 0, empty buffer) instead of being built anew.  For
-    ``out.shape == (n, 3)`` row j holds round j's round type, input and output.
+    They are the uniforms of ``Generator(Philox(key=seed))``, three a round,
+    less the first ``3 * row``: the generator's Philox is re-keyed through its
+    public state (key words low then high, counter ``3 * row / 4``, empty
+    buffer) instead of being built anew.  ``row`` must be a multiple of 4, so
+    that the first uniform starts a Philox block.  For ``out.shape == (n, 3)``
+    row j holds round ``row + j``'s round type, input and output.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": (seed & _WORD, seed >> 64)},
+        "state": {
+            "counter": (3 * row // 4, 0, 0, 0) if row else _ZERO_WORDS,
+            "key": (seed & _WORD, seed >> 64),
+        },
         "buffer": _ZERO_WORDS,
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -296,17 +315,15 @@ def _sample_outputs(cdfs: np.ndarray, a_idx: np.ndarray, u: np.ndarray) -> np.nd
 
 
 def _run_outcomes(
-    plan: _RoundPlan, trial: np.ndarray, cells: np.ndarray, trials: int, threshold: float
+    plan: _RoundPlan, counts: np.ndarray, threshold: float
 ) -> list[tuple[float, bool]]:
-    """(c, success) of each of ``trials`` runs from its test rounds, given as
-    the run index and flat cell ``i * n_out + j`` of every test round.
+    """(c, success) of each run from its tally: row k of ``counts`` holds how
+    often run k played each flat cell ``i * n_out + j`` on a test round.
 
-    One bincount tallies every run's cells; each run's exact score is then a
-    Python int of lattice units, and c is that sum rounded once to a float.
+    Each run's exact score is a Python int of lattice units, and c is that
+    sum rounded once to a float.
     """
-    n_cells = len(plan.units)
-    counts = np.bincount(trial * n_cells + cells, minlength=trials * n_cells)
-    totals = counts.reshape(trials, n_cells).astype(object) @ np.array(plan.units, dtype=object)
+    totals = counts.astype(object) @ np.array(plan.units, dtype=object)
     return [(t / plan.den, _meets_threshold(t, plan.den, threshold)) for t in totals.tolist()]
 
 
@@ -352,8 +369,8 @@ def _transcript(
 
     scores = np.where(t == 1, plan.scores[a_idx, x_idx], 0.0)
     cells = a_idx[test] * plan.scores.shape[1] + x_idx[test]
-    zeros = np.zeros(len(cells), dtype=np.int64)
-    c, success = _run_outcomes(plan, zeros, cells, 1, params.threshold)[0]
+    counts = np.bincount(cells, minlength=len(plan.units))[None]
+    c, success = _run_outcomes(plan, counts, params.threshold)[0]
     return Transcript(
         test_flags=t,
         input_indices=a_idx,
@@ -384,13 +401,16 @@ def simulate_outcomes(
 ) -> list[tuple[float, bool]]:
     """(c, success) of ``trials`` runs, run k keyed by ``params.seed + k``.
 
-    Run k reports the c and success of ``simulate`` at seed ``params.seed + k``.
-    Every seed is checked before the first run.  Fresh-state runs go in
-    chunks of at most ``_CHUNK_UNIFORMS`` uniforms (or of one run): one
-    re-keyed generator fills one row of a single buffer per run, and one
-    vectorised pass samples and scores the chunk.  Generation rounds add
-    nothing to c, so only test rounds' inputs and outputs are sampled, from
-    the same uniforms.  ``trials`` must be at least 1.
+    Run k reports the c and success of ``simulate`` at seed ``params.seed + k``,
+    bit for bit.  Every seed is checked before the first run.  Fresh-state
+    runs go in pieces of at most ``_CHUNK_UNIFORMS`` uniforms (``_pieces``):
+    several whole runs, or one slice of a longer run starting at a round
+    that is a multiple of 4.  Generation rounds add nothing to c, so a piece
+    samples only its test rounds' inputs and outputs, from the same uniforms,
+    and tallies their cells per run.  A call of one piece runs it on the
+    calling thread, with one generator and one buffer of the piece's size.
+    A call of several pieces runs them on min(2, usable CPUs) workers
+    (``_tally_pieces``).  ``trials`` must be at least 1.
     """
     if trials < 1:
         raise ProtocolError(f"trials must be at least 1, got {trials}")
@@ -400,20 +420,103 @@ def simulate_outcomes(
     if not fresh_state:
         runs = (replace(params, seed=params.seed + k) for k in range(trials))
         return [(tr.c, tr.success) for tr in (_transcript(plan, run, False, gen) for run in runs)]
-    n, n_out = params.n_rounds, plan.scores.shape[1]
-    rows = max(1, min(trials, _CHUNK_UNIFORMS // (3 * n)))
-    buf = np.empty((rows, n, 3))
-    outcomes: list[tuple[float, bool]] = []
-    for first in range(0, trials, rows):
-        m = min(rows, trials - first)
-        for r in range(m):
-            _keyed_uniforms(gen, params.seed + first + r, buf[r])
-        u = buf[:m].reshape(m * n, 3)
-        test = np.flatnonzero(u[:, 0] < params.q)
-        a = _search(plan.input_cdf, u[test, 1])
-        x = _sample_outputs(plan.output_cdfs, a, u[test, 2])
-        outcomes += _run_outcomes(plan, test // n, a * n_out + x, m, params.threshold)
-    return outcomes
+    pieces = _pieces(params.n_rounds, trials)
+    if len(pieces) == 1:
+        buf = np.empty(3 * params.n_rounds * trials)
+        counts = _piece_counts(plan, params, gen, buf, pieces[0])
+    else:
+        counts = _tally_pieces(plan, params, gen, pieces, trials)
+    return _run_outcomes(plan, counts, params.threshold)
+
+
+def _pieces(n: int, trials: int) -> list[tuple[int, int, int, int]]:
+    """The pieces of ``trials`` fresh-state runs of n rounds, in run order, as
+    (first run, runs, first round, rounds).  Runs that fit in a piece go as
+    many to a piece as fit; a longer run goes in slices of ``_SLICE_ROWS``
+    rounds, the last one shorter."""
+    if 3 * n <= _CHUNK_UNIFORMS:
+        per = min(trials, _CHUNK_UNIFORMS // (3 * n))
+        return [(k, min(per, trials - k), 0, n) for k in range(0, trials, per)]
+    return [
+        (k, 1, r, min(_SLICE_ROWS, n - r)) for k in range(trials) for r in range(0, n, _SLICE_ROWS)
+    ]
+
+
+def _piece_counts(
+    plan: _RoundPlan,
+    params: ProtocolParams,
+    gen: np.random.Generator,
+    buf: np.ndarray,
+    piece: tuple[int, int, int, int],
+) -> np.ndarray:
+    """The (runs, cells) tally of one piece: how often each of its runs played
+    each cell on a test round.  ``buf`` holds the piece's uniforms."""
+    first, m, row, rows = piece
+    u = buf[: 3 * m * rows].reshape(m, rows, 3)
+    if row:
+        _keyed_uniforms(gen, params.seed + first, u[0], row)
+    else:
+        for j in range(m):
+            _keyed_uniforms(gen, params.seed + first + j, u[j])
+    u = u.reshape(m * rows, 3)
+    test = np.flatnonzero(u[:, 0] < params.q)
+    a = _search(plan.input_cdf, u[test, 1])
+    x = _sample_outputs(plan.output_cdfs, a, u[test, 2])
+    n_cells = len(plan.units)
+    cells = test // rows * n_cells + a * plan.scores.shape[1] + x
+    return np.bincount(cells, minlength=m * n_cells).reshape(m, n_cells)
+
+
+def _workers() -> int:
+    """min(2, the CPUs this process may run on)."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+def _tally_pieces(
+    plan: _RoundPlan,
+    params: ProtocolParams,
+    gen: np.random.Generator,
+    pieces: list[tuple[int, int, int, int]],
+    trials: int,
+) -> np.ndarray:
+    """The (trials, cells) tally of several pieces, on ``_workers()`` workers.
+
+    Worker w takes pieces w, w + workers, ... into its own tally, with its own
+    ``_CHUNK_UNIFORMS`` buffer.  Worker 0 is the calling thread and uses
+    ``gen``; each other worker is a thread started and joined here, with a
+    generator of its own.  numpy's fills and sampling release the GIL, so the
+    workers run on separate CPUs.  The tallies are summed after the join, and
+    an exception raised on a worker is raised here.
+    """
+    workers = _workers()
+    tallies = [np.zeros((trials, len(plan.units)), dtype=np.int64) for _ in range(workers)]
+    errors: list[BaseException] = []
+
+    def work(w: int, gen: np.random.Generator) -> None:
+        buf = np.empty(_CHUNK_UNIFORMS)
+        for piece in pieces[w::workers]:
+            first, m = piece[:2]
+            tallies[w][first : first + m] += _piece_counts(plan, params, gen, buf, piece)
+
+    def on_thread(w: int) -> None:
+        try:
+            work(w, _generator())
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=on_thread, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        work(0, gen)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return sum(tallies)
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,24 @@ def test_validate_broken_file_exits_one(tmp_path, capsys):
     assert not payload["game"]["ok"]
 
 
+def test_player_outputs_outside_the_game_are_refused(tmp_path, capsys):
+    game_path = tmp_path / "game.json"
+    main(["validate", "--game", "chsh", "--dump", str(game_path)])
+    capsys.readouterr()
+    data = json.loads(game_path.read_text())
+    data["players"][0]["outputs"] = [0, 1, 2]
+    game_path.write_text(json.dumps(data))
+    game = str(game_path)
+    assert main(["validate", "--game", game]) == 1
+    out = capsys.readouterr().out
+    assert '"ok": false' in out
+    assert [v["check"] for v in json.loads(out)["game"]["violations"]] == ["player-structure"]
+    assert main(["classical-value", "--game", game]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid file {game!r}: player-structure")
+
+
 def test_validate_malformed_device_file_prints_report(tmp_path, capsys):
     path = tmp_path / "device.json"
     save_device(misfit_projector_device(), path)

@@ -92,6 +92,16 @@ def test_every_route_refuses_a_broken_table(case, route):
     assert str(info.value) == info.value.report.summary()
 
 
+@pytest.mark.parametrize("players", ["player_inputs", "player_outputs"])
+@pytest.mark.parametrize("letters", [((0, 1, 2), (0, 1)), ((0, 1), (1, 2))],
+                         ids=["extra-letter", "same-size-other-letters"])
+def test_player_alphabets_must_combine_into_the_joint_alphabet(players, letters):
+    # CHSH's joint alphabets are {0, 1}^2; both edits name a letter outside them
+    with pytest.raises(GameError) as info:
+        dataclasses.replace(catalog.chsh_game(), **{players: letters})
+    assert [v.check for v in info.value.report.violations] == ["player-structure"]
+
+
 def test_nonlocal_game_incompatible_with_contextual_device():
     rep = check_compatibility(catalog.chsh().game, commuting_contextual_device())
     assert any(v.check == "descriptor" for v in rep.violations)

@@ -4,7 +4,8 @@ package, every public one is reached by code that runs, every public
 method or property of a public class is read by code that runs, every parameter
 with a default of a public function is bound by some call in code that
 runs, and each module defines at most one exception class that no
-``except`` clause names.
+``except`` clause names.  ``import randx.cli`` loads none of the modules in
+``HEAVY_MODULES``, whose import costs set-up time or resident memory.
 
 No lint tool ships with the package, so these are its guards against dead
 imports and dead code.  ``__init__.py`` is skipped for imports: its imports
@@ -14,12 +15,25 @@ are the public exports.
 import ast
 import builtins
 import itertools
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "randx"
 # code outside the package that runs it: the scripts and the benchmark harness
 CALLERS = ("scripts", "perfbench")
+# modules the CLI must not load: concurrent.futures costs about 7 ms of
+# import, numpy.ma about 1.2 MB of resident memory
+HEAVY_MODULES = ("concurrent.futures", "multiprocessing", "numpy.ma")
+
+
+def test_cli_import_loads_no_heavy_module():
+    # a fresh interpreter, so that modules the tests themselves import do not count
+    code = "import sys, randx.cli; print(' '.join(m for m in sys.argv[1:] if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code, *HEAVY_MODULES],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -1,5 +1,8 @@
 import gc
 import math
+import sys
+import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -227,8 +230,8 @@ def memory_transcript_reference(g, d, params):
         if tr > 0:
             state = state / tr
     cells = a_idx[test] * len(g.output_alphabet) + x_idx[test]
-    zeros = np.zeros(len(cells), dtype=np.int64)
-    return (x_idx, *protocol._run_outcomes(plan, zeros, cells, 1, params.threshold)[0])
+    counts = np.bincount(cells, minlength=len(plan.units))[None]
+    return (x_idx, *protocol._run_outcomes(plan, counts, params.threshold)[0])
 
 
 def memory_summary(g, d, n, q, chi, eps):
@@ -695,6 +698,115 @@ class TestSimulateOutcomes:
             got = protocol._keyed_uniforms(gen, seed, np.empty(count))
             want = np.random.Generator(np.random.Philox(key=seed)).random(count)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("row", [4, 21844, 2**40])
+    def test_rekeyed_from_a_later_round_equals_an_advanced_philox(self, row):
+        # round row's first uniform is word 3 * row, the start of block 3 * row / 4
+        seed = 2**64 + 7
+        got = protocol._keyed_uniforms(protocol._generator(), seed, np.empty((5, 3)), row)
+        want = np.random.Generator(np.random.Philox(key=seed).advance(3 * row // 4)).random(15)
+        assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
+
+    def test_pieces_hold_whole_runs_or_slices_at_multiples_of_four(self):
+        S = protocol._SLICE_ROWS
+        assert S % 4 == 0 and 3 * S <= protocol._CHUNK_UNIFORMS < 3 * (S + 4)
+        assert protocol._pieces(5000, 10) == [(0, 4, 0, 5000), (4, 4, 0, 5000), (8, 2, 0, 5000)]
+        assert protocol._pieces(21845, 2) == [(0, 1, 0, 21845), (1, 1, 0, 21845)]
+        assert protocol._pieces(21846, 2) == [(0, 1, 0, S), (0, 1, S, 2), (1, 1, 0, S), (1, 1, S, 2)]
+        assert len(protocol._pieces(3, 2500)) == 1  # sim-short's call
+
+    @pytest.mark.parametrize("n", [21843, 21844, 21845, 43691, 100003])
+    @pytest.mark.parametrize("setup", ["optimal", "classical", "magic-square"])
+    def test_pieces_are_simulate_at_seed_plus_k(self, monkeypatch, setup, n):
+        # whole runs at the edge of a piece (21843 and 21845 rounds) and runs
+        # sliced at piece boundaries, on one worker and on two; keys cross 2^64
+        if setup == "magic-square":
+            g, d = magic_square_combined()
+        else:
+            entry = catalog.chsh()
+            g, d = entry.game, entry.devices[setup]
+        params = ProtocolParams(n_rounds=n, q=0.3, chi=0.5, seed=2**64 - 2)
+        runs = [simulate(g, d, replace(params, seed=params.seed + k)) for k in range(3)]
+        for workers in (1, 2):
+            monkeypatch.setattr(protocol, "_workers", lambda: workers)
+            for trials in (1, 2, 3):
+                want = [(tr.c, tr.success) for tr in runs[:trials]]
+                assert simulate_outcomes(g, d, params, trials) == want
+
+    def test_more_workers_than_cpus_with_fast_switching(self, monkeypatch):
+        # workers share only the read-only plan and piece list; each writes its
+        # own tally, so switching threads every microsecond changes no result
+        g, opt, _ = chsh_setup()
+        params = ProtocolParams(n_rounds=5000, q=0.3, chi=0.5, seed=2**64 - 5)
+        want = [(tr.c, tr.success) for tr in
+                (simulate(g, opt, replace(params, seed=params.seed + k)) for k in range(30))]
+        monkeypatch.setattr(protocol, "_workers", lambda: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert simulate_outcomes(g, opt, params, 30) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("failing", ["started thread", "calling thread"])
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch, failing):
+        monkeypatch.setattr(protocol, "_workers", lambda: 2)
+        real = protocol._sample_outputs
+
+        def sample(*args):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing == "calling thread"):
+                raise RuntimeError(f"piece failed on the {failing}")
+            return real(*args)
+
+        monkeypatch.setattr(protocol, "_sample_outputs", sample)
+        g, opt, _ = chsh_setup()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"piece failed on the {failing}"):
+            simulate_outcomes(g, opt, ProtocolParams(43691, 0.3, 0.5), 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n, trials, started", [(3, 2500, 0), (5000, 30, 1), (100003, 1, 1)])
+    def test_threads_start_and_end_within_the_call(self, monkeypatch, n, trials, started):
+        monkeypatch.setattr(protocol, "_workers", lambda: 2)
+        threads = []
+        real = threading.Thread
+        monkeypatch.setattr(
+            protocol.threading, "Thread", lambda *a, **k: threads.append(1) or real(*a, **k)
+        )
+        g, opt, _ = chsh_setup()
+        before = threading.active_count()
+        simulate_outcomes(g, opt, ProtocolParams(n, 0.3, 0.5), trials)
+        assert len(threads) == started
+        assert threading.active_count() == before
+
+    def test_one_philox_per_worker(self, monkeypatch):
+        built = []
+        real = np.random.Philox
+        monkeypatch.setattr(
+            protocol.np.random, "Philox", lambda *a, **k: built.append(1) or real(*a, **k)
+        )
+        g, opt, _ = chsh_setup()
+        for workers in (1, 2):
+            monkeypatch.setattr(protocol, "_workers", lambda: workers)
+            built.clear()
+            simulate_outcomes(g, opt, ProtocolParams(100003, 0.05, 0.84), 2)
+            assert len(built) == workers
+
+    def test_a_long_run_takes_two_pieces_of_memory(self):
+        g, opt, _ = chsh_setup()
+        params = ProtocolParams(100000, 0.05, 0.84, seed=1)
+        simulate_outcomes(g, opt, params, 1)  # the round plan is built outside the trace
+        tracemalloc.start()
+        try:
+            simulate_outcomes(g, opt, params, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 512 KiB buffer and one piece's temporaries per worker; one
+        # (1e5, 3) buffer of the whole run would take 2.4 MB
+        assert peak < 1.5 * 2**20
 
     @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
     def test_one_philox_per_call(self, monkeypatch, fresh):
