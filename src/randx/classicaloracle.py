@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,17 +34,6 @@ class StrategyEnumeration:
     best_value: float
     best_strategy: tuple[dict[Letter, Letter], ...]  # per player: input -> output
     count: int  # total deterministic strategies covered
-
-
-def _strategy_score(g: Game, strategy: Sequence[Mapping[Letter, Letter]]) -> float:
-    terms = []
-    for a in g.input_alphabet:
-        p = g.prob(a)
-        if p == 0.0:
-            continue
-        x = tuple(strategy[i][a[i]] for i in range(len(strategy)))
-        terms.append(p * g.score(a, x))
-    return math.fsum(terms)
 
 
 def classical_value(g: Game) -> StrategyEnumeration:
@@ -107,7 +96,7 @@ def classical_value(g: Game) -> StrategyEnumeration:
                     best_x = x
             choice.append(best_x)
             chosen_terms.extend(row[best_x] for row in rows)
-        # the terms of _strategy_score, whose fsum does not depend on their order
+        # p(a) H(a, x) of every supported input a, summed exactly rounded
         value = math.fsum(chosen_terms)
         if value > best_value + 1e-15:
             best_value = value
@@ -118,7 +107,7 @@ def classical_value(g: Game) -> StrategyEnumeration:
         {a_last: last_outputs[x] for a_last, x in zip(last_inputs, choice)},
     )
     return StrategyEnumeration(
-        best_value=_strategy_score(g, best_strategy),
+        best_value=best_value,
         best_strategy=best_strategy,
         count=count,
     )

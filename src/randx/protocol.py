@@ -37,17 +37,18 @@ fixed order (round type, then input, then output; unused draws are still
 consumed), so transcripts are bit-reproducible.  ``simulate_outcomes`` runs
 several trials and is the one place that keys trial k by seed + k; it
 returns only c and success of each.  On a fresh state it splits its trials
-into pieces of at most ``_CHUNK_UNIFORMS`` uniforms: several whole trials,
-or one slice of a trial too long for a piece.  A slice starts at a row r
-that is a multiple of 4, so its first uniform starts a 4-word Philox block
-and a generator re-keyed to seed + k with counter 3r/4 draws it.  Each piece
-samples and scores only its test rounds, since generation rounds add nothing
-to c, into a tally of how often each trial played each (input, output) cell.
-A call of one piece runs it on the calling thread.  A call of several runs
-them on min(2, usable CPUs) workers, each with its own generator, buffer and
-tally: the calling thread and threads started and joined within the call.
-The tallies are summed after the join, so each trial still gets exactly the
-uniforms, and so the c and success, of ``simulate`` at seed + k.
+into pieces: as many whole trials as fit in ``_CHUNK_UNIFORMS`` uniforms and
+in a count table of as many cells, or one slice of a longer trial.  A slice
+starts at a row r that is a multiple of 4, so a generator re-keyed to
+seed + k with counter 3r/4 draws it.  A piece samples only its test rounds,
+since generation rounds add nothing to c, and returns each of its trials'
+exact score in lattice units, a Python int.  One loop runs every call's
+pieces on min(2, usable CPUs, pieces) workers, each with its own generator
+and buffer: the calling thread, and threads started and joined within the
+call.  The slices of a trial add into its one score, so each trial gets the
+c and success of ``simulate`` at seed + k, bit for bit.  A transcript draws
+its test rounds as a piece does, and its generation rounds' outputs from the
+distinguished input's one CDF row.
 Every entry point reads one round of its (game, device) pair from a private
 round plan, which checks their compatibility and tabulates the round.  The
 plan is built once per pair, by identity, and kept on the device, so it lives
@@ -204,6 +205,14 @@ class _RoundPlan:
     outputs: tuple[tuple[int, ...], ...]  # per input, its measured outputs in device order
 
 
+def _cdf(weights) -> np.ndarray:
+    """The CDF along the last axis, its last entry raised to at least 1 so
+    that every uniform in [0, 1) draws an index."""
+    cdf = np.cumsum(weights, axis=-1)
+    cdf[..., -1] = np.maximum(cdf[..., -1], 1.0)
+    return cdf
+
+
 def _round_plan(g: Game, d: Device) -> _RoundPlan:
     """Check compatibility once and tabulate one round of (g, d), on the
     pair's first call; later calls read the plan from ``d._round_plans``.
@@ -220,10 +229,8 @@ def _round_plan(g: Game, d: Device) -> _RoundPlan:
         probs = born_probabilities(d, a)
         outputs.append(tuple(out_index[x] for x in probs))
         born[i, list(outputs[-1])] = list(probs.values())
-    output_cdfs = np.cumsum(born, axis=1)
-    output_cdfs[:, -1] = np.maximum(output_cdfs[:, -1], 1.0)
-    input_cdf = np.cumsum([g.prob(a) for a in g.input_alphabet])
-    input_cdf[-1] = max(input_cdf[-1], 1.0)
+    output_cdfs = _cdf(born)
+    input_cdf = _cdf([g.prob(a) for a in g.input_alphabet])
     flat = [g.score(a, x) for a in g.input_alphabet for x in g.output_alphabet]
     ratios = {h: h.as_integer_ratio() for h in set(flat)}  # exact: a finite float is dyadic
     den = math.lcm(*(r for _, r in ratios.values()))
@@ -309,22 +316,29 @@ def _search(cdf: np.ndarray, u):
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def _sample_outputs(cdfs: np.ndarray, a_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Fresh-state output indices: the number of CDF entries at most u, per round."""
-    return np.minimum((u[:, None] >= cdfs[a_idx]).sum(axis=1), cdfs.shape[1] - 1)
+def _test_inputs(plan: _RoundPlan, u: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The test rounds among the rows of uniforms ``u``, and their input indices."""
+    test = np.flatnonzero(u[:, 0] < q)
+    return test, _search(plan.input_cdf, u[test, 1])
 
 
-def _run_outcomes(
-    plan: _RoundPlan, counts: np.ndarray, threshold: float
-) -> list[tuple[float, bool]]:
-    """(c, success) of each run from its tally: row k of ``counts`` holds how
-    often run k played each flat cell ``i * n_out + j`` on a test round.
+def _sample_outputs(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Fresh-state output indices: the number of CDF entries at most u, per
+    round, from each round's CDF row or from one row for every round."""
+    return np.minimum((u[:, None] >= cdfs).sum(axis=1), cdfs.shape[-1] - 1)
 
-    Each run's exact score is a Python int of lattice units, and c is that
-    sum rounded once to a float.
-    """
-    totals = counts.astype(object) @ np.array(plan.units, dtype=object)
-    return [(t / plan.den, _meets_threshold(t, plan.den, threshold)) for t in totals.tolist()]
+
+def _unit_scores(plan: _RoundPlan, counts: np.ndarray) -> list[int]:
+    """Each run's exact score in lattice units, from its row of ``counts``:
+    how often it played each flat cell ``i * n_out + j`` on a test round.
+    The scores are Python ints, since units can pass 2^63."""
+    return (counts.astype(object) @ np.array(plan.units, dtype=object)).tolist()
+
+
+def _outcomes(plan: _RoundPlan, units: list[int], threshold: float) -> list[tuple[float, bool]]:
+    """(c, success) of runs of exact scores ``units``: c is each score rounded once."""
+    won = _meets_threshold(np.array(units, dtype=object), plan.den, threshold).tolist()
+    return [(t / plan.den, w) for t, w in zip(units, won)]
 
 
 def _branches(mats: list[np.ndarray], state: list[np.ndarray]) -> list[np.ndarray]:
@@ -346,13 +360,16 @@ def _transcript(
     """One run with its per-round records, its uniforms drawn by ``gen``."""
     g, n = plan.game, params.n_rounds
     u = _keyed_uniforms(gen, params.seed, np.empty((n, 3)))
-    t = (u[:, 0] < params.q).astype(np.uint8)
-    test = np.flatnonzero(t)
+    test, a = _test_inputs(plan, u, params.q)
+    t = np.zeros(n, dtype=np.uint8)
+    t[test] = 1
     a_idx = np.full(n, plan.abar, dtype=np.int64)
-    a_idx[test] = _search(plan.input_cdf, u[test, 1])
+    a_idx[test] = a
 
     if fresh_state:
-        x_idx = _sample_outputs(plan.output_cdfs, a_idx, u[:, 2]).astype(np.int64)
+        # generation rounds draw from the distinguished input's row, test rounds from theirs
+        x_idx = _sample_outputs(plan.output_cdfs[plan.abar], u[:, 2])
+        x_idx[test] = _sample_outputs(plan.output_cdfs[a], u[test, 2])
     else:
         state = plan.device.state_blocks
         ops = [plan.device.round_ops[a] for a in g.input_alphabet]
@@ -361,16 +378,13 @@ def _transcript(
             # every output's next state; its trace is the output's Born weight
             nxt = _branches(ops[a_idx[j]], state)
             born = _traces(nxt)
-            cdf = np.cumsum(born / born.sum())
-            cdf[-1] = max(cdf[-1], 1.0)
-            k = _search(cdf, u[j, 2])
+            k = _search(_cdf(born / born.sum()), u[j, 2])
             x_idx[j] = plan.outputs[a_idx[j]][k]
             state = [b[k] / born[k] if born[k] > 0 else b[k] for b in nxt]
 
     scores = np.where(t == 1, plan.scores[a_idx, x_idx], 0.0)
-    cells = a_idx[test] * plan.scores.shape[1] + x_idx[test]
-    counts = np.bincount(cells, minlength=len(plan.units))[None]
-    c, success = _run_outcomes(plan, counts, params.threshold)[0]
+    counts = np.bincount(a * plan.scores.shape[1] + x_idx[test], minlength=len(plan.units))
+    [(c, success)] = _outcomes(plan, _unit_scores(plan, counts[None]), params.threshold)
     return Transcript(
         test_flags=t,
         input_indices=a_idx,
@@ -403,54 +417,51 @@ def simulate_outcomes(
 
     Run k reports the c and success of ``simulate`` at seed ``params.seed + k``,
     bit for bit.  Every seed is checked before the first run.  Fresh-state
-    runs go in pieces of at most ``_CHUNK_UNIFORMS`` uniforms (``_pieces``):
-    several whole runs, or one slice of a longer run starting at a round
-    that is a multiple of 4.  Generation rounds add nothing to c, so a piece
-    samples only its test rounds' inputs and outputs, from the same uniforms,
-    and tallies their cells per run.  A call of one piece runs it on the
-    calling thread, with one generator and one buffer of the piece's size.
-    A call of several pieces runs them on min(2, usable CPUs) workers
-    (``_tally_pieces``).  ``trials`` must be at least 1.
+    runs go in pieces (``_pieces``): several whole runs, or one slice of a
+    longer run starting at a round that is a multiple of 4.  Generation
+    rounds add nothing to c, so a piece samples only its test rounds' inputs
+    and outputs, from the same uniforms, counts each run's cells and returns
+    each run's exact score.  One loop runs every call's pieces
+    (``_run_pieces``); the slices of a long run add into its one score.
+    ``trials`` must be at least 1.
     """
     if trials < 1:
         raise ProtocolError(f"trials must be at least 1, got {trials}")
     _check_seeds(params.seed, trials)
     plan = _round_plan(g, d)
-    gen = _generator()
     if not fresh_state:
+        gen = _generator()
         runs = (replace(params, seed=params.seed + k) for k in range(trials))
         return [(tr.c, tr.success) for tr in (_transcript(plan, run, False, gen) for run in runs)]
-    pieces = _pieces(params.n_rounds, trials)
-    if len(pieces) == 1:
-        buf = np.empty(3 * params.n_rounds * trials)
-        counts = _piece_counts(plan, params, gen, buf, pieces[0])
-    else:
-        counts = _tally_pieces(plan, params, gen, pieces, trials)
-    return _run_outcomes(plan, counts, params.threshold)
+    pieces = _pieces(params.n_rounds, trials, len(plan.units))
+    scores: list[int] = []
+    for (first, _, row, _), piece in zip(pieces, _run_pieces(plan, params, pieces)):
+        if row:
+            scores[first] += piece[0]
+        else:
+            scores.extend(piece)
+    return _outcomes(plan, scores, params.threshold)
 
 
-def _pieces(n: int, trials: int) -> list[tuple[int, int, int, int]]:
-    """The pieces of ``trials`` fresh-state runs of n rounds, in run order, as
-    (first run, runs, first round, rounds).  Runs that fit in a piece go as
-    many to a piece as fit; a longer run goes in slices of ``_SLICE_ROWS``
-    rounds, the last one shorter."""
+def _pieces(n: int, trials: int, cells: int) -> list[tuple[int, int, int, int]]:
+    """The pieces of ``trials`` fresh-state runs of n rounds on a plan of
+    ``cells`` cells, in run order, as (first run, runs, first round, rounds).
+    Runs that fit in a piece go as many to a piece as fit, in its
+    ``_CHUNK_UNIFORMS`` uniforms and in a count table of as many cells; a
+    longer run goes in slices of ``_SLICE_ROWS`` rounds, the last one shorter."""
     if 3 * n <= _CHUNK_UNIFORMS:
-        per = min(trials, _CHUNK_UNIFORMS // (3 * n))
+        per = min(trials, _CHUNK_UNIFORMS // (3 * n), max(1, _CHUNK_UNIFORMS // cells))
         return [(k, min(per, trials - k), 0, n) for k in range(0, trials, per)]
     return [
         (k, 1, r, min(_SLICE_ROWS, n - r)) for k in range(trials) for r in range(0, n, _SLICE_ROWS)
     ]
 
 
-def _piece_counts(
-    plan: _RoundPlan,
-    params: ProtocolParams,
-    gen: np.random.Generator,
-    buf: np.ndarray,
-    piece: tuple[int, int, int, int],
-) -> np.ndarray:
-    """The (runs, cells) tally of one piece: how often each of its runs played
-    each cell on a test round.  ``buf`` holds the piece's uniforms."""
+def _score_piece(
+    plan: _RoundPlan, params: ProtocolParams, gen: np.random.Generator, buf: np.ndarray, piece
+) -> list[int]:
+    """The exact score, in lattice units, of each run of one piece over the
+    piece's rounds.  ``buf`` holds the piece's uniforms."""
     first, m, row, rows = piece
     u = buf[: 3 * m * rows].reshape(m, rows, 3)
     if row:
@@ -459,12 +470,11 @@ def _piece_counts(
         for j in range(m):
             _keyed_uniforms(gen, params.seed + first + j, u[j])
     u = u.reshape(m * rows, 3)
-    test = np.flatnonzero(u[:, 0] < params.q)
-    a = _search(plan.input_cdf, u[test, 1])
-    x = _sample_outputs(plan.output_cdfs, a, u[test, 2])
+    test, a = _test_inputs(plan, u, params.q)
+    x = _sample_outputs(plan.output_cdfs[a], u[test, 2])
     n_cells = len(plan.units)
     cells = test // rows * n_cells + a * plan.scores.shape[1] + x
-    return np.bincount(cells, minlength=m * n_cells).reshape(m, n_cells)
+    return _unit_scores(plan, np.bincount(cells, minlength=m * n_cells).reshape(m, n_cells))
 
 
 def _workers() -> int:
@@ -474,49 +484,47 @@ def _workers() -> int:
     return min(2, os.cpu_count() or 1)
 
 
-def _tally_pieces(
-    plan: _RoundPlan,
-    params: ProtocolParams,
-    gen: np.random.Generator,
-    pieces: list[tuple[int, int, int, int]],
-    trials: int,
-) -> np.ndarray:
-    """The (trials, cells) tally of several pieces, on ``_workers()`` workers.
+def _run_pieces(
+    plan: _RoundPlan, params: ProtocolParams, pieces: list[tuple[int, int, int, int]]
+) -> list[list[int]]:
+    """Each piece's run scores (``_score_piece``), on min(``_workers()``, pieces) workers.
 
-    Worker w takes pieces w, w + workers, ... into its own tally, with its own
-    ``_CHUNK_UNIFORMS`` buffer.  Worker 0 is the calling thread and uses
-    ``gen``; each other worker is a thread started and joined here, with a
-    generator of its own.  numpy's fills and sampling release the GIL, so the
-    workers run on separate CPUs.  The tallies are summed after the join, and
-    an exception raised on a worker is raised here.
+    Worker w takes pieces w, w + workers, ... with a generator and a buffer
+    of its own, the buffer the size of the first, largest piece.  Worker 0
+    is the calling thread; each other worker is a thread started and joined
+    here.  numpy's fills and sampling release the GIL, so the workers run on
+    separate CPUs.  Each piece's scores go to its own slot, and an exception
+    raised on a worker is raised here.
     """
-    workers = _workers()
-    tallies = [np.zeros((trials, len(plan.units)), dtype=np.int64) for _ in range(workers)]
+    # built on the calling thread: the first imports numpy.random, which on a
+    # started thread raised a sim-long run's peak RSS by about 0.8 MB
+    gens = [_generator() for _ in range(min(_workers(), len(pieces)))]
+    _, m, _, rows = pieces[0]
+    results: list = [None] * len(pieces)
     errors: list[BaseException] = []
 
-    def work(w: int, gen: np.random.Generator) -> None:
-        buf = np.empty(_CHUNK_UNIFORMS)
-        for piece in pieces[w::workers]:
-            first, m = piece[:2]
-            tallies[w][first : first + m] += _piece_counts(plan, params, gen, buf, piece)
+    def work(w: int) -> None:
+        buf = np.empty(3 * m * rows)
+        for p in range(w, len(pieces), len(gens)):
+            results[p] = _score_piece(plan, params, gens[w], buf, pieces[p])
 
     def on_thread(w: int) -> None:
         try:
-            work(w, _generator())
+            work(w)
         except BaseException as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=on_thread, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=on_thread, args=(w,)) for w in range(1, len(gens))]
     for t in threads:
         t.start()
     try:
-        work(0, gen)
+        work(0)
     finally:
         for t in threads:
             t.join()
     if errors:
         raise errors[0]
-    return sum(tallies)
+    return results
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from randx.protocol import (
     binomial_tail,
     entropy_lower_bound,
     enumerate_success_state,
-    simulate,
+    simulate_outcomes,
 )
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
@@ -202,15 +202,14 @@ def test_criterion_07_protocol_statistics():
     entry = catalog.chsh()
     g = entry.game
     t0 = time.monotonic()
+    # trial k of simulate_outcomes is simulate at seed k, bit for bit
     successes = sum(
-        simulate(g, entry.devices["optimal"],
-                 ProtocolParams(n_rounds=10**5, q=0.05, chi=0.84, seed=s)).success
-        for s in range(100)
+        success for _, success in simulate_outcomes(
+            g, entry.devices["optimal"], ProtocolParams(n_rounds=10**5, q=0.05, chi=0.84), 100)
     )
     aborts = sum(
-        not simulate(g, entry.devices["classical"],
-                     ProtocolParams(n_rounds=10**5, q=0.05, chi=0.80, seed=s)).success
-        for s in range(100)
+        not success for _, success in simulate_outcomes(
+            g, entry.devices["classical"], ProtocolParams(n_rounds=10**5, q=0.05, chi=0.80), 100)
     )
     elapsed = time.monotonic() - t0
     w = scoring.eps_score(g, entry.devices["optimal"], 0.0)
@@ -239,8 +238,8 @@ def test_criterion_08_enumeration_simulation_consistency():
     summary = enumerate_success_state(g, opt, 3, q=0.3, chi=0.8, eps=0.1)
     trials = 100_000
     hits = sum(
-        simulate(g, opt, ProtocolParams(n_rounds=3, q=0.3, chi=0.8, seed=s)).success
-        for s in range(trials)
+        success for _, success in simulate_outcomes(
+            g, opt, ProtocolParams(n_rounds=3, q=0.3, chi=0.8), trials)
     )
     elapsed = time.monotonic() - t0
     freq = hits / trials

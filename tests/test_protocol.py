@@ -5,14 +5,16 @@ import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randx import catalog, protocol
-from randx.devicemodel import make_device
+from randx.devicemodel import components_device, make_device
 from randx.gamedefs import GameError, nonlocal_game
-from randx.matcore import dagger, ginibre, haar_unitary
+from randx.matcore import dagger, ginibre, haar_pvm, haar_unitary, random_psd
 from randx.protocol import (
     GuardError,
     ProtocolError,
@@ -230,8 +232,9 @@ def memory_transcript_reference(g, d, params):
         if tr > 0:
             state = state / tr
     cells = a_idx[test] * len(g.output_alphabet) + x_idx[test]
-    counts = np.bincount(cells, minlength=len(plan.units))[None]
-    return (x_idx, *protocol._run_outcomes(plan, counts, params.threshold)[0])
+    counts = np.bincount(cells, minlength=len(plan.units)).tolist()
+    units = sum(k * h for k, h in zip(counts, plan.units))  # exact: Python ints
+    return x_idx, units / plan.den, protocol._meets_threshold(units, plan.den, params.threshold)
 
 
 def memory_summary(g, d, n, q, chi, eps):
@@ -710,10 +713,21 @@ class TestSimulateOutcomes:
     def test_pieces_hold_whole_runs_or_slices_at_multiples_of_four(self):
         S = protocol._SLICE_ROWS
         assert S % 4 == 0 and 3 * S <= protocol._CHUNK_UNIFORMS < 3 * (S + 4)
-        assert protocol._pieces(5000, 10) == [(0, 4, 0, 5000), (4, 4, 0, 5000), (8, 2, 0, 5000)]
-        assert protocol._pieces(21845, 2) == [(0, 1, 0, 21845), (1, 1, 0, 21845)]
-        assert protocol._pieces(21846, 2) == [(0, 1, 0, S), (0, 1, S, 2), (1, 1, 0, S), (1, 1, S, 2)]
-        assert len(protocol._pieces(3, 2500)) == 1  # sim-short's call
+        assert protocol._pieces(5000, 10, 4) == [(0, 4, 0, 5000), (4, 4, 0, 5000), (8, 2, 0, 5000)]
+        assert protocol._pieces(21845, 2, 4) == [(0, 1, 0, 21845), (1, 1, 0, 21845)]
+        assert protocol._pieces(21846, 2, 4) == [
+            (0, 1, 0, S), (0, 1, S, 2), (1, 1, 0, S), (1, 1, S, 2)
+        ]
+        assert len(protocol._pieces(3, 2500, 16)) == 1  # sim-short's call
+
+    def test_a_piece_counts_at_most_a_chunk_of_cells(self):
+        # Magic Square's plan has 9 x 64 = 576 cells: 65536 // 576 = 113 runs a piece
+        pieces = protocol._pieces(3, 5000, 576)
+        assert pieces[:2] == [(0, 113, 0, 3), (113, 113, 0, 3)]
+        assert len(pieces) == 45 and pieces[-1] == (4972, 28, 0, 3)
+        assert protocol._pieces(100, 5000, 576)[0] == (0, 113, 0, 100)
+        assert protocol._pieces(3, 3, 2**17) == [(0, 1, 0, 3), (1, 1, 0, 3), (2, 1, 0, 3)]
+        assert all(m * 576 <= protocol._CHUNK_UNIFORMS for _, m, _, _ in pieces)
 
     @pytest.mark.parametrize("n", [21843, 21844, 21845, 43691, 100003])
     @pytest.mark.parametrize("setup", ["optimal", "classical", "magic-square"])
@@ -735,7 +749,8 @@ class TestSimulateOutcomes:
 
     def test_more_workers_than_cpus_with_fast_switching(self, monkeypatch):
         # workers share only the read-only plan and piece list; each writes its
-        # own tally, so switching threads every microsecond changes no result
+        # pieces' scores to their own slots, so switching threads every
+        # microsecond changes no result
         g, opt, _ = chsh_setup()
         params = ProtocolParams(n_rounds=5000, q=0.3, chi=0.5, seed=2**64 - 5)
         want = [(tr.c, tr.success) for tr in
@@ -807,6 +822,33 @@ class TestSimulateOutcomes:
         # a 512 KiB buffer and one piece's temporaries per worker; one
         # (1e5, 3) buffer of the whole run would take 2.4 MB
         assert peak < 1.5 * 2**20
+
+    @pytest.mark.parametrize("n", [3, 100])
+    def test_many_trials_take_no_trials_by_cells_table(self, n):
+        g, d = magic_square_combined()
+        params = ProtocolParams(n, 0.3, 0.5, seed=2)
+        simulate_outcomes(g, d, params, 1)  # the round plan is built outside the trace
+        tracemalloc.start()
+        try:
+            simulate_outcomes(g, d, params, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (5000, 576) int64 table of cell counts would take 22 MiB
+        assert peak < 16 * 2**20
+
+    def test_a_long_transcript_gathers_no_cdf_row_per_round(self):
+        g, d = magic_square_combined()
+        params = ProtocolParams(100000, 0.05, 0.84, seed=1)
+        simulate_outcomes(g, d, params, 1)  # the round plan is built outside the trace
+        tracemalloc.start()
+        try:
+            simulate(g, d, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (1e5, 64) float gather of CDF rows alone would take 49 MiB
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
     def test_one_philox_per_call(self, monkeypatch, fresh):
@@ -880,6 +922,57 @@ class TestSimulateOutcomes:
             enumerate_success_state(g, replace(opt), 2, q=0.3, chi=0.5, eps=0.2,
                                     fresh_state=fresh)
             assert len(calls) == 1
+
+
+def random_dyadic_pair(rng: np.random.Generator, inputs: tuple[int, int]):
+    """A two-player game with 2 outputs a player and scores k / 2^e in [0, 1]
+    (e <= 70, so lattice units can pass 2^63), on a device of Haar bases and
+    a random state."""
+    player_inputs = [tuple(range(k)) for k in inputs]
+    letters = [(i, j) for i in player_inputs[0] for j in player_inputs[1]]
+    probs = rng.dirichlet(np.ones(len(letters)))
+    exps = rng.integers(0, 71, size=4 * len(letters)).tolist()
+    cells = [(a, (x, y)) for a in letters for x in (0, 1) for y in (0, 1)]
+    scores = {  # k <= 2^53 is a float, so the score is exactly k / 2^e
+        c: math.ldexp(int(rng.integers(0, 2 ** min(e, 53) + 1)), -e) for c, e in zip(cells, exps)
+    }
+    abar = letters[int(rng.integers(len(letters)))]
+    g = nonlocal_game("dyadic", player_inputs, [(0, 1), (0, 1)],
+                      dict(zip(letters, probs.tolist())), scores, abar)
+    state = random_psd(4, rng)
+    sites = [{a: dict(enumerate(haar_pvm(2, 2, rng))) for a in ins} for ins in player_inputs]
+    return g, components_device((2, 2), state / np.trace(state).real, sites)
+
+
+class TestRandomInstances:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(st.integers(2, 3), st.integers(2, 3)),
+        st.integers(1, 40),
+        st.integers(1, 4),
+        st.sampled_from([0, 2**64 - 2, 2**128 - 4]),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_runs_are_simulate_and_sum_their_rounds_exactly(
+        self, rng_seed, inputs, n, trials, seed, fresh
+    ):
+        rng = np.random.default_rng(rng_seed)
+        g, d = random_dyadic_pair(rng, inputs)
+        params = ProtocolParams(n, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.01, 0.99)),
+                                seed=seed)
+        runs = [simulate(g, d, replace(params, seed=seed + k), fresh) for k in range(trials)]
+        assert simulate_outcomes(g, d, params, trials, fresh) == [(tr.c, tr.success) for tr in runs]
+        plan = _round_plan(g, d)
+        for k, tr in enumerate(runs):
+            total = sum(map(Fraction, tr.scores.tolist()), Fraction(0))
+            assert tr.c == float(total)
+            assert tr.success == (total >= Fraction(params.threshold))
+            if fresh:  # every round's output is drawn from its own input's CDF row
+                u = np.random.Generator(np.random.Philox(key=seed + k)).random((n, 3))
+                rows = plan.output_cdfs[tr.input_indices]
+                want = np.minimum((u[:, 2:] >= rows).sum(axis=1), rows.shape[1] - 1)
+                assert np.array_equal(tr.output_indices, want)
 
 
 class TestRoundPlanMemo:
