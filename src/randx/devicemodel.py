@@ -2,14 +2,12 @@
 
 A device holds a quantum system with an initial operator, one projective
 measurement per input letter, and one unitary per input letter applied after
-the measurement.  Four structure tags are supported:
+the measurement.  Three structure tags are supported:
 
   general     no structural restriction,
   components  the space and measurements factor over r sites,
   contextual  inputs are non-repeating sequences of base letters whose
-              per-letter measurements commute within each declared context,
-  abstract    like general but the initial operator need only be a nonzero
-              positive semidefinite matrix (not trace one).
+              per-letter measurements commute within each declared context.
 
 Devices are immutable after construction; the memory a device keeps between
 rounds is carried by the caller as evolved per-block states (see
@@ -21,6 +19,9 @@ from those stacks.  Each input letter's projectors are stored once, in one
 read-only stack that ``measurements``, the stacks and the round operators view.
 A ``direct_sum`` holds its block stacks from construction, and its dense
 projectors are built when a ``measurements`` value is first read.
+
+``json_text`` is the package's one JSON writer: every stdout payload, device
+file and game file is one walk of its object.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from .matcore import (
 GENERAL = "general"
 COMPONENTS = "components"
 CONTEXTUAL = "contextual"
-ABSTRACT = "abstract"
-KINDS = (GENERAL, COMPONENTS, CONTEXTUAL, ABSTRACT)
+KINDS = (GENERAL, COMPONENTS, CONTEXTUAL)
 
 Letter = Any  # hashable: int, str, or (nested) tuple
 
@@ -154,7 +154,10 @@ class Device:
     name: str = ""
 
     def __post_init__(self) -> None:
-        # however a device is built, its maps are read-only and each letter a _Measurement
+        # however a device is built, its kind is known, its maps are read-only
+        # and each letter a _Measurement
+        if self.kind not in KINDS:
+            raise DeviceError(f"unknown device kind {self.kind!r}")
         letters = {a: _measurement(outs, self.dim) for a, outs in self.measurements.items()}
         object.__setattr__(self, "measurements", MappingProxyType(letters))
         object.__setattr__(self, "unitaries", MappingProxyType(dict(self.unitaries)))
@@ -227,8 +230,6 @@ def make_device(
     name: str = "",
 ) -> Device:
     """Normalize inputs and build an immutable Device (no validation here)."""
-    if kind not in KINDS:
-        raise DeviceError(f"unknown device kind {kind!r}")
     unis = {a: frozen(as_matrix(u)) for a, u in (unitaries or {}).items()}
     inputs = measurements if input_alphabet is None else input_alphabet
     outputs = _listed_outputs(measurements) if output_alphabet is None else output_alphabet
@@ -448,12 +449,8 @@ def validate_device(d: Device) -> ValidationReport:
     if psd > 0:
         report.add("state-psd", psd)
     tr = float(np.trace(d.state).real)
-    if d.kind == ABSTRACT:
-        if tr <= HERM_TOL:
-            report.add("state-nonzero", abs(tr), "abstract state must be nonzero PSD")
-    else:
-        if abs(tr - 1.0) > HERM_TOL:
-            report.add("state-trace", abs(tr - 1.0))
+    if abs(tr - 1.0) > HERM_TOL:
+        report.add("state-trace", abs(tr - 1.0))
 
     misfit = False
     # every measured letter is checked, since kernels read all of d.measurements
@@ -508,14 +505,6 @@ def born_probabilities(d: Device, a: Letter) -> dict[Letter, float]:
 # file format
 
 
-def _letter_to_json(letter: Letter):
-    if isinstance(letter, tuple):
-        return [_letter_to_json(v) for v in letter]
-    if isinstance(letter, (np.integer,)):
-        return int(letter)
-    return letter
-
-
 def _letter_from_json(obj) -> Letter:
     if isinstance(obj, list):
         return tuple(_letter_from_json(v) for v in obj)
@@ -525,15 +514,13 @@ def _letter_from_json(obj) -> Letter:
 
 
 def _device_tree(d: Device) -> dict:
-    """The dict ``device_from_dict`` reads, with its matrices left as arrays."""
+    """The dict ``device_from_dict`` reads, with its matrices left as arrays
+    and its letters as they are (``json_text`` writes tuples as lists)."""
     inputs = []
     for a in d.input_alphabet:
         entry: dict[str, Any] = {
-            "letter": _letter_to_json(a),
-            "projectors": [
-                {"output": _letter_to_json(x), "matrix": p}
-                for x, p in d.measurements[a].items()
-            ],
+            "letter": a,
+            "projectors": [{"output": x, "matrix": p} for x, p in d.measurements[a].items()],
         }
         if a in d.unitaries:
             entry["unitary"] = d.unitaries[a]
@@ -543,7 +530,7 @@ def _device_tree(d: Device) -> dict:
         "name": d.name,
         "dims": list(d.dims),
         "phi": d.state,
-        "output_alphabet": [_letter_to_json(x) for x in d.output_alphabet],
+        "output_alphabet": list(d.output_alphabet),
         "inputs": inputs,
     }
 
@@ -584,64 +571,59 @@ class _Records:
         return parts
 
 
-def _named_non_finite(o: Any) -> Any:
-    """o with each NaN or infinite float in its dicts, lists and tuples
-    replaced by the string of its name: "NaN", "Infinity" or "-Infinity"."""
-    if isinstance(o, float):
-        return o if math.isfinite(o) else json.dumps(o)
-    if isinstance(o, dict):
-        return {k: _named_non_finite(v) for k, v in o.items()}
-    if isinstance(o, (list, tuple)):
-        return [_named_non_finite(v) for v in o]
-    return o
+def _json_parts(o: Any, pad: str, step: str, out: list[str], seen: dict[str, str]) -> None:
+    """Append to ``out`` the text of ``o`` on a line indented by ``pad``, as
+    ``json_text`` writes it; ``seen`` keeps each separator and key text once.
+    A module-level function, not a closure: a closure that calls itself is a
+    reference cycle, which would keep ``out``, hundreds of thousands of
+    strings for a large device, alive until the cyclic collector runs."""
+    if isinstance(o, Device):
+        o = _device_tree(o)
+    if isinstance(o, np.ndarray):
+        out.extend(matcore.matrix_json_parts(o, pad, step))
+    elif isinstance(o, _Records):
+        out.extend(o.json_parts(pad, step))
+    elif isinstance(o, (dict, list, tuple)):
+        keyed = isinstance(o, dict)
+        if not o:
+            out.append("{}" if keyed else "[]")
+            return
+        inner = pad + step
+        out.append("{" if keyed else "[")
+        for k, key in enumerate(sorted(o) if keyed else range(len(o))):
+            sep = ("," if k else "") + "\n" + inner
+            sep += json.dumps(str(key)) + ": " if keyed else ""
+            out.append(seen.setdefault(sep, sep))
+            _json_parts(o[key], inner, step, out, seen)
+        close = "\n" + pad + ("}" if keyed else "]")
+        out.append(seen.setdefault(close, close))
+    elif isinstance(o, np.integer):
+        out.append(str(int(o)))
+    else:
+        text = json.dumps(o)
+        out.append(text if not isinstance(o, float) or math.isfinite(o) else json.dumps(text))
 
 
 def json_text(obj: Any, indent: int) -> str:
     """``json.dumps(obj, sort_keys=True, indent=indent)``, where each Device in
     ``obj`` is written as its ``_device_tree``, each matrix as nested
-    [re, im] pairs, row-major (the format ``matcore.matrix_from_pairs`` reads),
-    and each ``_Records`` as its list of records.  A NaN or infinite float
-    is written as the string of its name, so strict JSON parsers, which
-    refuse the bare tokens NaN and Infinity, read the text.
+    [re, im] pairs, row-major (the format ``matcore.matrix_from_pairs``
+    reads), each ``_Records`` as its list of records, tuples as lists and
+    numpy integers as ints.  A NaN or infinite float is written as the
+    string of its name, so strict JSON parsers, which refuse the bare tokens
+    NaN and Infinity, read the text.
 
-    ``json.dumps`` formats a skeleton in which each matrix and each
-    ``_Records`` is a placeholder string; each is then written in bulk
-    (``matcore.matrix_json_parts``, ``_Records.json_parts``) at its
-    placeholder's indentation, so the large parts skip Python's indenting
-    encoder.  The placeholder is lengthened until no other string of ``obj``
-    renders to it, so only placeholders are replaced.  The text is joined
-    once from short strings, with no string per matrix: such strings are too
-    large for Python's small-object allocator, and freeing megabytes of them
-    left the process's resident memory depending on where the C heap
-    happened to place them.
+    One walk of ``obj`` (``_json_parts``) appends short strings to one list,
+    which is joined once: dicts by sorted keys, matrices and ``_Records`` in
+    bulk (``matcore.matrix_json_parts``, ``_Records.json_parts``) at the
+    walk's indentation, other scalars through ``json.dumps``.  Each
+    separator and key text is kept once, however often it is written.  No
+    string is built per matrix: such strings are too large for Python's
+    small-object allocator, and freeing megabytes of them left the process's
+    resident memory depending on where the C heap happened to place them.
     """
-    mark = "randx:matrix"
-    obj = _named_non_finite(obj)
-    while True:
-        writers: list = []  # per placeholder, its text's parts given (pad, step)
-
-        def leaf(o):
-            if isinstance(o, Device):
-                return _device_tree(o)
-            if isinstance(o, np.ndarray):
-                writers.append(functools.partial(matcore.matrix_json_parts, o))
-                return mark
-            if isinstance(o, _Records):
-                writers.append(o.json_parts)
-                return mark
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-        text = json.dumps(obj, sort_keys=True, indent=indent, default=leaf)
-        pieces = text.split(json.dumps(mark))
-        if len(pieces) == len(writers) + 1:
-            break
-        mark += "+"
-    step = " " * indent
-    out = [pieces[0]]
-    for write, before, after in zip(writers, pieces, pieces[1:]):
-        line = before.rpartition("\n")[2]
-        out += write(" " * (len(line) - len(line.lstrip(" "))), step)
-        out.append(after)
+    out: list[str] = []
+    _json_parts(obj, "", " " * indent, out, {})
     return "".join(out)
 
 

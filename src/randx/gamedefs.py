@@ -15,7 +15,6 @@ are refused.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -27,8 +26,8 @@ from .devicemodel import (
     Letter,
     ValidationReport,
     _letter_from_json,
-    _letter_to_json,
     _load,
+    json_text,
 )
 
 NONLOCAL = "nonlocal"
@@ -132,12 +131,12 @@ def nonlocal_game(
 def check_compatibility(g: Game, d: Device) -> ValidationReport:
     """Device/game compatibility: matching descriptors and alphabets.
 
-    Contextual games require contextual (or abstract) devices and vice versa;
-    nonlocal games accept component devices as well as general and abstract
-    devices whose joint letters match.
+    Contextual games require contextual devices and vice versa; nonlocal
+    games accept component devices as well as general devices whose joint
+    letters match.
     """
     report = ValidationReport()
-    if g.kind == CONTEXTUAL and d.kind not in (CONTEXTUAL, "abstract"):
+    if g.kind == CONTEXTUAL and d.kind != CONTEXTUAL:
         report.add("descriptor", 1.0, f"contextual game with {d.kind} device")
     if g.kind == NONLOCAL and d.kind == CONTEXTUAL:
         report.add("descriptor", 1.0, "nonlocal game with contextual device")
@@ -162,22 +161,22 @@ def game_to_dict(g: Game) -> dict:
     data: dict[str, Any] = {
         "name": g.name,
         "kind": g.kind,
-        "input_alphabet": [_letter_to_json(a) for a in g.input_alphabet],
-        "output_alphabet": [_letter_to_json(x) for x in g.output_alphabet],
+        "input_alphabet": list(g.input_alphabet),
+        "output_alphabet": list(g.output_alphabet),
         "distribution": [g.prob(a) for a in g.input_alphabet],
         "scoring": [
-            {"input": _letter_to_json(a), "output": _letter_to_json(x), "score": float(h)}
+            {"input": a, "output": x, "score": float(h)}
             for (a, x), h in g.scores.items()
             if h != 0.0
         ],
-        "distinguished_input": _letter_to_json(g.distinguished_input),
+        "distinguished_input": g.distinguished_input,
         "unbounded": g.unbounded,
     }
     if g.player_inputs is not None:
         data["players"] = [
             {
-                "inputs": [_letter_to_json(a) for a in g.player_inputs[i]],
-                "outputs": [_letter_to_json(x) for x in g.player_outputs[i]],
+                "inputs": list(g.player_inputs[i]),
+                "outputs": list(g.player_outputs[i]),
             }
             for i in range(len(g.player_inputs))
         ]
@@ -221,8 +220,7 @@ def game_from_dict(data: Mapping) -> Game:
 
 def save_game(g: Game, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(g), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json_text(game_to_dict(g), 1) + "\n")
 
 
 def load_game(path) -> Game:

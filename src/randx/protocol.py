@@ -48,7 +48,11 @@ and buffer: the calling thread, and threads started and joined within the
 call.  The slices of a trial add into its one score, so each trial gets the
 c and success of ``simulate`` at seed + k, bit for bit.  A transcript draws
 its test rounds as a piece does, and its generation rounds' outputs from the
-distinguished input's one CDF row.
+distinguished input's one CDF row.  Every draw follows one rule (``_draw``):
+a uniform draws the number of CDF entries at most it, by ``searchsorted`` on
+one row or by counting on one row per uniform.  The two agree because every
+CDF of Born weights is built after the zero rule, so no row decreases, and
+simulation never draws a branch that enumeration drops.
 Every entry point reads one round of its (game, device) pair from a private
 round plan, which checks their compatibility and tabulates the round.  The
 plan is built once per pair, by identity, and kept on the device, so it lives
@@ -109,8 +113,7 @@ class ProtocolParams:
             raise ProtocolError(f"n_rounds must be positive, got {self.n_rounds}")
         if not 0.0 < self.q < 1.0:
             raise ProtocolError(f"q must lie in (0, 1), got {self.q}")
-        if not 0.0 < self.chi < 1.0:
-            raise ProtocolError(f"chi must lie in (0, 1), got {self.chi}")
+        _check_chi(self.chi)
 
     @property
     def threshold(self) -> float:
@@ -165,13 +168,14 @@ def _meets_threshold(units, den: int, threshold: float):
     """The success rule: the exact score units/den is at least the float threshold.
 
     ``units`` is a Python int, or an object array of them compared elementwise.
+    A chi*q*N that overflows to inf is the ratio 1/0, which no score meets.
     """
-    tn, td = threshold.as_integer_ratio()
+    tn, td = threshold.as_integer_ratio() if threshold < math.inf else (1, 0)
     return units * td >= tn * den
 
 
 def _check_chi(chi: float) -> None:
-    """The chi domain of enumeration and of the rate-curve pipeline alike."""
+    """The chi domain of simulation, enumeration and the rate-curve pipeline alike."""
     if not 0.0 <= chi < math.inf:
         raise ProtocolError(f"chi must be nonnegative and finite, got {chi}")
 
@@ -197,7 +201,8 @@ class _RoundPlan:
     device: Device
     input_cdf: np.ndarray  # CDF of p over the inputs
     born: np.ndarray  # (input, output) Born probabilities of the initial state
-    output_cdfs: np.ndarray  # row i: the output CDF of input i
+    tr_phi: float  # the initial state's trace, every fresh round's parent weight
+    output_cdfs: np.ndarray  # row i: the output CDF of input i, after the zero rule
     scores: np.ndarray  # (input, output) raw scores H(a, x)
     units: tuple[int, ...]
     den: int
@@ -229,7 +234,8 @@ def _round_plan(g: Game, d: Device) -> _RoundPlan:
         probs = born_probabilities(d, a)
         outputs.append(tuple(out_index[x] for x in probs))
         born[i, list(outputs[-1])] = list(probs.values())
-    output_cdfs = _cdf(born)
+    tr_phi = float(_traces([b[None] for b in d.state_blocks])[0])
+    output_cdfs = _cdf(np.where(_nonzero(born, tr_phi), born, 0.0))
     input_cdf = _cdf([g.prob(a) for a in g.input_alphabet])
     flat = [g.score(a, x) for a in g.input_alphabet for x in g.output_alphabet]
     ratios = {h: h.as_integer_ratio() for h in set(flat)}  # exact: a finite float is dyadic
@@ -239,7 +245,7 @@ def _round_plan(g: Game, d: Device) -> _RoundPlan:
     abar = g.input_alphabet.index(g.distinguished_input)
     input_cdf, born, output_cdfs, scores = _read_only([input_cdf, born, output_cdfs, scores])
     plan = d._round_plans[g] = _RoundPlan(
-        g, d, input_cdf, born, output_cdfs, scores, units, den, abar, tuple(outputs)
+        g, d, input_cdf, born, tr_phi, output_cdfs, scores, units, den, abar, tuple(outputs)
     )
     return plan
 
@@ -311,21 +317,22 @@ def _keyed_uniforms(
     return gen.random(out=out)
 
 
-def _search(cdf: np.ndarray, u):
-    """Indices drawn from a CDF by uniforms u (array or scalar)."""
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+def _draw(cdf: np.ndarray, u):
+    """The one draw rule: the index drawn by a uniform is the number of CDF
+    entries at most it, capped at the last index.  ``cdf`` is one row for
+    every uniform (``np.searchsorted``, O(len(u)) memory; u may be a
+    scalar) or one row per uniform (the count rule).  The two agree because
+    no row decreases: every row is a CDF of nonnegative weights, Born weights
+    taken after the zero rule."""
+    if cdf.ndim == 1:
+        return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    return np.minimum((u[:, None] >= cdf).sum(axis=1), cdf.shape[-1] - 1)
 
 
 def _test_inputs(plan: _RoundPlan, u: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
     """The test rounds among the rows of uniforms ``u``, and their input indices."""
     test = np.flatnonzero(u[:, 0] < q)
-    return test, _search(plan.input_cdf, u[test, 1])
-
-
-def _sample_outputs(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Fresh-state output indices: the number of CDF entries at most u, per
-    round, from each round's CDF row or from one row for every round."""
-    return np.minimum((u[:, None] >= cdfs).sum(axis=1), cdfs.shape[-1] - 1)
+    return test, _draw(plan.input_cdf, u[test, 1])
 
 
 def _unit_scores(plan: _RoundPlan, counts: np.ndarray) -> list[int]:
@@ -368,19 +375,22 @@ def _transcript(
 
     if fresh_state:
         # generation rounds draw from the distinguished input's row, test rounds from theirs
-        x_idx = _sample_outputs(plan.output_cdfs[plan.abar], u[:, 2])
-        x_idx[test] = _sample_outputs(plan.output_cdfs[a], u[test, 2])
+        x_idx = _draw(plan.output_cdfs[plan.abar], u[:, 2])
+        x_idx[test] = _draw(plan.output_cdfs[a], u[test, 2])
     else:
-        state = plan.device.state_blocks
+        state, parent = plan.device.state_blocks, plan.tr_phi
         ops = [plan.device.round_ops[a] for a in g.input_alphabet]
         x_idx = np.zeros(n, dtype=np.int64)
         for j in range(n):
-            # every output's next state; its trace is the output's Born weight
+            # every output's next state; its trace is the output's Born weight,
+            # and the state's trace (1 once normalized) is the zero rule's parent
             nxt = _branches(ops[a_idx[j]], state)
             born = _traces(nxt)
-            k = _search(_cdf(born / born.sum()), u[j, 2])
+            born = np.where(_nonzero(born, parent), born, 0.0)
+            k = _draw(_cdf(born / born.sum()), u[j, 2])
             x_idx[j] = plan.outputs[a_idx[j]][k]
-            state = [b[k] / born[k] if born[k] > 0 else b[k] for b in nxt]
+            # the drawn output's weight is positive, since no CDF row decreases
+            state, parent = [b[k] / born[k] for b in nxt], 1.0
 
     scores = np.where(t == 1, plan.scores[a_idx, x_idx], 0.0)
     counts = np.bincount(a * plan.scores.shape[1] + x_idx[test], minlength=len(plan.units))
@@ -471,7 +481,7 @@ def _score_piece(
             _keyed_uniforms(gen, params.seed + first + j, u[j])
     u = u.reshape(m * rows, 3)
     test, a = _test_inputs(plan, u, params.q)
-    x = _sample_outputs(plan.output_cdfs[a], u[test, 2])
+    x = _draw(plan.output_cdfs[a], u[test, 2])
     n_cells = len(plan.units)
     cells = test // rows * n_cells + a * plan.scores.shape[1] + x
     return _unit_scores(plan, np.bincount(cells, minlength=m * n_cells).reshape(m, n_cells))
@@ -648,7 +658,7 @@ def _memory_sums(
     mass = ksum = 0.0
     branches = 0
     root = [np.broadcast_to(np.eye(b.shape[-1], dtype=np.complex128), (1, *b.shape)) for b in state]
-    stack = [(0, np.ones(1), np.zeros(1, dtype=object), _traces([b[None] for b in state]), root)]
+    stack = [(0, np.ones(1), np.zeros(1, dtype=object), np.array([plan.tr_phi]), root)]
     while stack:
         depth, pq, units, born, mats = stack.pop()
         if depth < root_depth:
@@ -724,8 +734,7 @@ def enumerate_success_state(
     threshold = chi * q * n_rounds
 
     if fresh_state:
-        tr_phi = float(_traces([b[None] for b in d.state_blocks])[0])
-        table = _lattice_table(_round_tables(plan, q, eps), tr_phi)
+        table = _lattice_table(_round_tables(plan, q, eps), plan.tr_phi)
         # classes: summed lattice units -> [born, bracket, branches]
         dist = {0: [1.0, 1.0, 1]}
         for _ in range(n_rounds):

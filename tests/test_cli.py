@@ -467,6 +467,23 @@ def test_threads_flag_is_unknown(capsys):
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(RUN_ARGV))
+def test_abstract_device_kind_is_malformed(command, tmp_path, capsys):
+    # "abstract" is no device kind: such a file whose state is twice
+    # chsh:optimal's would otherwise enumerate a success mass above 1
+    data = device_to_dict(catalog.get_device("chsh:optimal"))
+    data["kind"] = "abstract"
+    data["phi"] = [[[2 * re, 2 * im] for re, im in row] for row in data["phi"]]
+    path = tmp_path / "abstract.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate", "--device", str(path)], [*RUN_ARGV[command], "--device", str(path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"malformed file {str(path)!r}: unknown device kind 'abstract'"
+        assert captured.err == f"error: {message}\n"
+
+
 def test_entropy_bound_reports_seed_scale(capsys):
     assert main(["entropy-bound", "--game", "chsh", "--n", "4096", "--q", "0.05",
                  "--chi", "0.8", "--b", "0.1"]) == 0
@@ -476,11 +493,12 @@ def test_entropy_bound_reports_seed_scale(capsys):
 
 @pytest.mark.parametrize("chi", ["nan", "inf"])
 def test_non_finite_chi_exits_one(chi, capsys):
-    # the rate-curve pipeline and enumeration share one chi domain and message
+    # the rate-curve pipeline, enumeration and simulation share one chi domain and message
     rate_curve = ["entropy-bound", "--b", "0.5", "--chi", chi, "--q", "0.1", "--n", "1000",
                   "--w", "0.75", "--r", "4"]
     enumeration = ["enumerate", "--n", "1", "--q", "0.3", "--chi", chi, "--eps", "0.2"]
-    for argv in (rate_curve, enumeration):
+    simulation = ["simulate", "--n", "10", "--q", "0.3", "--chi", chi]
+    for argv in (rate_curve, enumeration, simulation):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -390,7 +390,7 @@ class TestJsonText:
         "text", ["randx:matrix", "randx:matrix+", 'x"randx:matrix', "[randx:matrix]"]
     )
     def test_placeholder_text_in_strings_is_not_spliced(self, text):
-        # "randx:matrix" is the writer's first placeholder
+        # "randx:matrix" was an earlier writer's placeholder: now an ordinary string
         d = dataclasses.replace(catalog.get_device("chsh:optimal"), name=text)
         self.assert_same_text(
             {"device": d, text: text, "list": [text, np.eye(1)]},
@@ -771,6 +771,14 @@ class TestReadOnlyMaps:
         d = make_device(GENERAL, (2,), np.eye(2) / 2, {0: {0: p, 1: np.eye(2) - p}})
         p[0, 0] = 0.0
         assert d.measurements[0][0][0, 0] == 1.0
+
+    def test_a_device_of_unknown_kind_cannot_be_built(self):
+        # however it is built: "abstract" is no device kind
+        d = catalog.get_device("chsh:optimal")
+        with pytest.raises(DeviceError, match="unknown device kind 'abstract'"):
+            dataclasses.replace(d, kind="abstract")
+        with pytest.raises(DeviceError, match="unknown device kind 'abstract'"):
+            make_device("abstract", (2,), np.eye(2) / 2, {0: {0: np.eye(2)}})
 
 
 class TestDirectSumErrors:

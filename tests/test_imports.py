@@ -5,7 +5,9 @@ method or property of a public class is read by code that runs, every parameter
 with a default of a public function is bound by some call in code that
 runs, and each module defines at most one exception class that no
 ``except`` clause names.  ``import randx.cli`` loads none of the modules in
-``HEAVY_MODULES``, whose import costs set-up time or resident memory.
+``HEAVY_MODULES``, whose import costs set-up time or resident memory.  Only
+``devicemodel`` writes JSON text: no other module calls ``json.dump``, or
+``json.dumps`` with an indent.
 
 No lint tool ships with the package, so these are its guards against dead
 imports and dead code.  ``__init__.py`` is skipped for imports: its imports
@@ -318,3 +320,46 @@ def test_error_guard_flags_a_second_exception_class():
         probe = ast.parse((SRC / name).read_text() + f"\n\nclass ProbeError({base}):\n    pass\n")
         expected = {name: [*uncaught, "ProbeError"]} if uncaught else {}
         assert uncaught_surplus({**trees, name: probe}, caught) == expected
+
+
+# the one module whose code writes JSON text: every other module writes through its json_text
+JSON_WRITER = "devicemodel.py"
+
+
+def json_writes(tree: ast.AST) -> list[str]:
+    """Each ``json.dump`` call, and each ``json.dumps`` call with an
+    ``indent`` (or ``**`` keywords, which may hold one), in tree, as
+    "json.<name> (line n)"."""
+    return [
+        f"json.{node.func.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        and (node.func.attr == "dump"
+             or node.func.attr == "dumps"
+             and any(k.arg in ("indent", None) for k in node.keywords))
+    ]
+
+
+def stray_json_writes(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Per module other than ``JSON_WRITER``, its ``json_writes``."""
+    found = {name: json_writes(tree) for name, tree in trees.items() if name != JSON_WRITER}
+    return {name: calls for name, calls in found.items() if calls}
+
+
+def test_one_module_writes_json_text():
+    trees = package_trees()
+    assert JSON_WRITER in trees
+    assert stray_json_writes(trees) == {}
+
+
+def test_json_guard_flags_a_second_writer():
+    trees = package_trees()
+    probe = ("\n\ndef write_probe(obj, fh):\n    json.dump(obj, fh)\n"
+             "    json.dumps(obj)\n    return json.dumps(obj, sort_keys=True, indent=2)\n")
+    for name in trees:
+        text = (SRC / name).read_text() + probe
+        end = len(text.splitlines())  # the probe's last line
+        found = stray_json_writes({**trees, name: ast.parse(text)})
+        expected = [f"json.dump (line {end - 2})", f"json.dumps (line {end})"]
+        assert found == ({} if name == JSON_WRITER else {name: expected}), name

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from randx import catalog, protocol
-from randx.devicemodel import components_device, make_device
+from randx.devicemodel import components_device, make_device, validate_device
 from randx.gamedefs import GameError, nonlocal_game
 from randx.matcore import dagger, ginibre, haar_pvm, haar_unitary, random_psd
 from randx.protocol import (
@@ -215,16 +215,17 @@ def memory_transcript_reference(g, d, params):
     u = np.random.Generator(np.random.Philox(key=params.seed)).random(3 * n).reshape(n, 3)
     test = np.flatnonzero(u[:, 0] < params.q)
     a_idx = np.full(n, plan.abar, dtype=np.int64)
-    a_idx[test] = protocol._search(plan.input_cdf, u[test, 1])
+    a_idx[test] = protocol._draw(plan.input_cdf, u[test, 1])
     state = d.state.copy()
     x_idx = np.zeros(n, dtype=np.int64)
     for j in range(n):
         a = g.input_alphabet[a_idx[j]]
         tr = float(np.trace(state).real)
         born = [float(np.einsum("ij,ji->", p, state).real) for p in d.measurements[a].values()]
+        born = [p if p > protocol.PRUNE_FLOOR * tr else 0.0 for p in born]  # the zero rule
         cdf = np.cumsum([p / tr for p in born])
         cdf[-1] = max(cdf[-1], 1.0)
-        x_idx[j] = plan.outputs[a_idx[j]][protocol._search(cdf, u[j, 2])]
+        x_idx[j] = plan.outputs[a_idx[j]][protocol._draw(cdf, u[j, 2])]
         proj = d.measurements[a][g.output_alphabet[x_idx[j]]]
         uni = dense.unitary(d, a)
         state = uni @ proj @ state @ proj @ dagger(uni)
@@ -252,8 +253,30 @@ class TestParams:
             ProtocolParams(n_rounds=0, q=0.5, chi=0.5)
         with pytest.raises(ProtocolError):
             ProtocolParams(n_rounds=1, q=0.0, chi=0.5)
-        with pytest.raises(ProtocolError):
-            ProtocolParams(n_rounds=1, q=0.5, chi=1.0)
+        # chi has the one domain of enumeration and the rate-curve pipeline
+        for chi in (-0.5, math.nan, math.inf):
+            with pytest.raises(ProtocolError, match="chi must be nonnegative and finite"):
+                ProtocolParams(n_rounds=1, q=0.5, chi=chi)
+        for chi in (0.0, 1.0, 1.5):
+            assert ProtocolParams(n_rounds=4, q=0.5, chi=chi).threshold == chi * 2.0
+
+    def test_a_threshold_that_overflows_is_never_met(self):
+        # chi is finite, but chi*q*N overflows to inf: no run and no sequence succeeds
+        g, opt, _ = chsh_setup()
+        params = ProtocolParams(4, 0.5, 1e308, seed=3)
+        assert params.threshold == math.inf
+        assert not any(won for _, won in simulate_outcomes(g, opt, params, 5))
+        for fresh in (True, False):
+            assert not simulate(g, opt, params, fresh_state=fresh).success
+            s = enumerate_success_state(g, opt, 4, q=0.5, chi=1e308, eps=0.2, fresh_state=fresh)
+            assert (s.mass, s.branches) == (0.0, 0)
+
+    def test_chi_zero_and_chi_above_one(self):
+        # at chi 0 every run succeeds; at chi 1.5 a run needs 38 wins in 50 rounds at q 0.5
+        g, opt, _ = chsh_setup()
+        for chi, won in ((0.0, True), (1.5, False)):
+            outcomes = simulate_outcomes(g, opt, ProtocolParams(50, 0.5, chi, seed=3), 20)
+            assert {s for _, s in outcomes} == {won}
 
 
 class TestSimulate:
@@ -767,7 +790,7 @@ class TestSimulateOutcomes:
     @pytest.mark.parametrize("failing", ["started thread", "calling thread"])
     def test_a_worker_error_reaches_the_caller(self, monkeypatch, failing):
         monkeypatch.setattr(protocol, "_workers", lambda: 2)
-        real = protocol._sample_outputs
+        real = protocol._draw
 
         def sample(*args):
             on_caller = threading.current_thread() is threading.main_thread()
@@ -775,7 +798,7 @@ class TestSimulateOutcomes:
                 raise RuntimeError(f"piece failed on the {failing}")
             return real(*args)
 
-        monkeypatch.setattr(protocol, "_sample_outputs", sample)
+        monkeypatch.setattr(protocol, "_draw", sample)
         g, opt, _ = chsh_setup()
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"piece failed on the {failing}"):
@@ -847,8 +870,9 @@ class TestSimulateOutcomes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a (1e5, 64) float gather of CDF rows alone would take 49 MiB
-        assert peak < 16 * 2**20
+        # a (1e5, 64) float gather of CDF rows alone would take 49 MiB, and
+        # a (1e5, 64) bool comparison for the generation rounds 6.1 MiB
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
     def test_one_philox_per_call(self, monkeypatch, fresh):
@@ -973,6 +997,80 @@ class TestRandomInstances:
                 rows = plan.output_cdfs[tr.input_indices]
                 want = np.minimum((u[:, 2:] >= rows).sum(axis=1), rows.shape[1] - 1)
                 assert np.array_equal(tr.output_indices, want)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(st.integers(2, 3), st.integers(2, 3)),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_success_counts_match_the_enumerated_mass(self, rng_seed, inputs, n):
+        # the successes of the runs are Binomial(trials, mass) on both
+        # semantics; each count must lie in the two-sided region that holds
+        # it with probability at least 1 - alarm
+        trials, alarm = 200, 1e-6
+        rng = np.random.default_rng(rng_seed)
+        g, d = random_dyadic_pair(rng, inputs)
+        q, chi = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.0, 1.0))
+        for fresh in (True, False):
+            mass = enumerate_success_state(g, d, n, q=q, chi=chi, eps=0.5, fresh_state=fresh).mass
+            p = min(max(mass, 0.0), 1.0)  # roundoff can take mass past 1
+            params = ProtocolParams(n, q, chi, seed=rng_seed)
+            won = sum(s for _, s in simulate_outcomes(g, d, params, trials, fresh))
+            upper = binomial_tail(trials, p, won)  # P(X >= won)
+            lower = binomial_tail(trials, 1.0 - p, trials - won)  # P(X <= won)
+            assert min(upper, lower) > alarm / 2, (fresh, won, mass)
+
+
+class TestNegativeBornWeight:
+    """A valid device whose Born table holds a negative roundoff weight: the
+    zero rule sets it to 0 before any CDF is built, so no row decreases, the
+    searchsorted and count forms of the one draw rule agree, and neither
+    semantics ever draws the output that enumeration drops."""
+
+    @staticmethod
+    def pair():
+        # state diag(1e-17, 0, 1); output 1's projector carries -1e-18 on the
+        # third axis, within every validation tolerance
+        g = nonlocal_game("negative-born", [(0,)], [(0, 1, 2)], {(0,): 1.0},
+                          {((0,), (2,)): 1.0}, (0,))
+        meas = {(0,): {(0,): np.diag([1.0, 0.0, 0.0]), (1,): np.diag([0.0, 1.0, -1e-18]),
+                       (2,): np.diag([0.0, 0.0, 1.0])}}
+        d = make_device("general", (3,), np.diag([1e-17, 0.0, 1.0]), meas, name="negative-born")
+        return g, d
+
+    def test_cdf_rows_do_not_decrease(self):
+        g, d = self.pair()
+        assert validate_device(d).ok
+        plan = _round_plan(g, d)
+        assert plan.born[0].tolist() == [1e-17, -1e-18, 1.0]
+        raw = np.cumsum(plan.born[0])
+        assert raw[1] < raw[0]  # the raw weights' CDF decreases
+        row = plan.output_cdfs[0]
+        assert row.tolist() == [1e-17, 1e-17, 1.0]
+        u = np.array([0.0, 5e-18, 9.5e-18, 1e-17, 0.5, 1.0 - 2**-53])
+        want = [0, 0, 0, 2, 2, 2]
+        assert protocol._draw(row, u).tolist() == want
+        assert protocol._draw(np.broadcast_to(row, (len(u), 3)), u).tolist() == want
+        # on the raw row the count rule drew the negative output at 9.5e-18
+        assert protocol._draw(np.broadcast_to(raw, (len(u), 3)), u)[2] == 1
+
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
+    def test_simulation_drops_what_enumeration_drops(self, monkeypatch, fresh):
+        g, d = self.pair()
+        s = enumerate_success_state(g, d, 2, q=0.5, chi=0.0, eps=0.5, fresh_state=fresh)
+        # 2 rows of G_q (generation and test) times outputs 0 and 2 per round;
+        # in memory the state after output 0 or 2 is that output's axis, so a
+        # second round keeps that output alone
+        assert s.branches == (4 * 4 if fresh else 4 * 2)
+        # every output CDF row a run draws from gives output 1 no weight: in
+        # memory, after output 2 its raw weight is 1e-36, as (-1e-18)^2
+        rows = []
+        real = protocol._draw
+        monkeypatch.setattr(protocol, "_draw", lambda cdf, u: rows.append(cdf) or real(cdf, u))
+        simulate(g, d, ProtocolParams(50, 0.5, 0.5, seed=1), fresh_state=fresh)
+        outputs = [r for r in rows if r.shape[-1] == 3]  # the input CDF has one entry
+        assert outputs and all(np.array_equal(r[..., 1], r[..., 0]) for r in outputs)
 
 
 class TestRoundPlanMemo:
