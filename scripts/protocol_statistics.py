@@ -54,7 +54,7 @@ def main():
     print(f"optimal device: score mean {mean:.1f}, sd {sd:.1f}")
     optimal = entry.devices["optimal"]
     for chi, succ in run_grid(entry.game, optimal, args.n, args.q, chis, args.trials, args.seed):
-        z = (mean - chi * args.q * args.n) / sd
+        z = (mean - ProtocolParams(args.n, args.q, chi).threshold) / sd
         p = predicted_success(entry.game, optimal, args.n, args.q, chi)
         print(f"  chi={chi}: {succ}/{args.trials} succeed, predicted P(success) = {p:.4f} "
               f"(threshold {z:+.2f} sd below mean)")

@@ -264,7 +264,7 @@ def _cmd_simulate(args) -> int:
                 "seed": args.seed,
                 "trials": args.trials,
                 "fresh_state": fresh,
-                "threshold": args.chi * args.q * args.n,
+                "threshold": params.threshold,
                 "successes": sum(success),
                 "runs": _Records(
                     {"c": c, "seed": range(args.seed, args.seed + args.trials), "success": success}

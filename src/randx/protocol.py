@@ -7,7 +7,8 @@ accumulator c; on a generation round feed the distinguished input.  The run
 succeeds iff c >= chi*q*N at the end.  One exact rule decides this for
 simulation and enumeration alike: scores are held as integer units of a
 common lattice (every finite float is a dyadic rational), and their exact
-sum is compared exactly with the float chi*q*N.
+sum is compared exactly with the float chi*q*N, which is formed in one
+place, ``ProtocolParams.threshold``.
 
 Two usage semantics are supported everywhere:
 
@@ -23,13 +24,15 @@ Two usage semantics are supported everywhere:
       device and stepped by the device's round operators U_a P_a^x
       (``Device.round_ops``), the same stacks the --memory tree expands.
 
-Success-state aggregates under fresh-state semantics come from a
-convolution: each sequence weight is a product over rounds and success
-depends only on the summed raw score, so the one-round table of score
-classes is convolved N times, in O(N * classes) work.  The memory semantics
-expands the sequence tree in batches: each batch is a subtree of bounded
-size whose nodes are held per orthogonal block of the device, and one
-stacked product expands each of its depths.  The branch cap guards both.
+Success-state aggregates come from one sums function per semantics, both
+called with the same arguments (``enumerate_success_state``).  Under
+fresh-state semantics each sequence weight is a product over rounds and
+success depends only on the summed raw score, so ``_fresh_sums`` convolves
+the one-round table of score classes N times, in O(N * classes) work.
+``_memory_sums`` expands the sequence tree in batches: each batch is a
+subtree of bounded size whose nodes are held per orthogonal block of the
+device, and one stacked product expands each of its depths.  The branch cap
+guards both.
 
 Randomness is drawn from a counter-based 64-bit generator (Philox) keyed by
 the run seed, a key in [0, 2^128); each round consumes three uniforms in a
@@ -103,6 +106,9 @@ class GuardError(ValueError):
 
 @dataclass(frozen=True)
 class ProtocolParams:
+    """One run's parameters.  Their check is the one domain of N, q and chi
+    in simulation, enumeration and the rate-curve pipeline alike."""
+
     n_rounds: int
     q: float
     chi: float
@@ -113,7 +119,8 @@ class ProtocolParams:
             raise ProtocolError(f"n_rounds must be positive, got {self.n_rounds}")
         if not 0.0 < self.q < 1.0:
             raise ProtocolError(f"q must lie in (0, 1), got {self.q}")
-        _check_chi(self.chi)
+        if not 0.0 <= self.chi < math.inf:
+            raise ProtocolError(f"chi must be nonnegative and finite, got {self.chi}")
 
     @property
     def threshold(self) -> float:
@@ -172,12 +179,6 @@ def _meets_threshold(units, den: int, threshold: float):
     """
     tn, td = threshold.as_integer_ratio() if threshold < math.inf else (1, 0)
     return units * td >= tn * den
-
-
-def _check_chi(chi: float) -> None:
-    """The chi domain of simulation, enumeration and the rate-curve pipeline alike."""
-    if not 0.0 <= chi < math.inf:
-        raise ProtocolError(f"chi must be nonnegative and finite, got {chi}")
 
 
 def _nonzero(born, parent):
@@ -250,13 +251,10 @@ def _round_plan(g: Game, d: Device) -> _RoundPlan:
     return plan
 
 
-def _supported_inputs(
-    plan: _RoundPlan, q: float | None = None
-) -> Iterator[tuple[float, int, bool]]:
+def _supported_inputs(plan: _RoundPlan, q: float) -> Iterator[tuple[float, int, bool]]:
     """The inputs of positive weight of one round of G_q, in order, as
     (p_i, input index, test round): the generation round (1 - q, abar)
     first, then each test round (q p(a), a) in the game's input order.
-    With q None, those of the game itself: each input (p(a), a, True).
 
     These are the rows of the paper's spot-checking game G_q, whose inputs
     are (t, a) in {0,1} x A:
@@ -270,11 +268,9 @@ def _supported_inputs(
     The protocol adds the raw H(a, x) of a test round to c instead, and its
     success rule c >= chi*q*N carries the q.
     """
-    probs = [plan.game.prob(a) for a in plan.game.input_alphabet]
-    if q is None:
-        rows = [(p, i, True) for i, p in enumerate(probs)]
-    else:
-        rows = [(1.0 - q, plan.abar, False), *((q * p, i, True) for i, p in enumerate(probs))]
+    g = plan.game
+    rows = [(1.0 - q, plan.abar, False),
+            *((q * g.prob(a), i, True) for i, a in enumerate(g.input_alphabet))]
     return ((p_i, i, test) for p_i, i, test in rows if p_i > 0.0)
 
 
@@ -556,58 +552,58 @@ class SuccessStateSummary:
     chi: float
 
 
-def _round_tables(
-    plan: _RoundPlan, q: float, eps: float
-) -> list[tuple[float, int, list[tuple[float, float, int, float]]]]:
-    """Per-round branch data for the fresh (iid) semantics.
+def _branch_brackets(plan: _RoundPlan, i: int, sandwich, eps: float) -> list[float]:
+    """bracket(phi^s P_a^x phi^s, eps) of each of input i's branches, in
+    device output order, with phi^s the sandwich phi^(1/(2+2eps)): one
+    batched call per block size over the input's projector stacks
+    (``Device.projector_blocks``)."""
+    projs = plan.device.projector_blocks[plan.game.input_alphabet[i]]
+    return matcore.block_psd_brackets([r @ p @ r for r, p in zip(sandwich, projs)], eps).tolist()
 
-    Returns the supported inputs of G_q as (p_i, input index, branches), each
-    branch being (born probability, sandwiched bracket, score in lattice
-    units, raw score); the score is H(a, x) on a test round and 0 on a
-    generation round.  The sandwich phi^(1/(2+2eps)) and the brackets are
-    taken per orthogonal block of the device, with one batched call for all
-    of an input's branches (``Device.projector_blocks``).
+
+def _fresh_sums(
+    plan: _RoundPlan, rows, sandwich, params: ProtocolParams, eps: float
+) -> tuple[float, float, int]:
+    """(mass, bracket sum, branches) of the fresh-state sequences, by convolution.
+
+    One round's table groups the nonzero branches (``_nonzero`` against
+    tr phi, the Born weight every fresh round starts from) by their score in
+    lattice units, 0 on a generation round.  Entry k holds the Born weight
+    sum p_i born, the bracket weight sum p_i w and the number of branches,
+    each of which convolves over rounds like a weight.  The table is
+    convolved N times, and the classes that meet the threshold are summed.
     """
-    d = plan.device
-    sandwich = matcore.block_psd_power(d.state_blocks, 1.0 / (2.0 + 2.0 * eps))
     n_out = plan.scores.shape[1]
     brackets: dict[int, list[float]] = {}
-    rows = []
-    for p_i, i, test in _supported_inputs(plan, q):
-        if i not in brackets:
-            projs = d.projector_blocks[plan.game.input_alphabet[i]]
-            sandwiched = [r @ p @ r for r, p in zip(sandwich, projs)]
-            brackets[i] = matcore.block_psd_brackets(sandwiched, eps).tolist()
-        branches = [
-            (float(plan.born[i, j]), w, plan.units[i * n_out + j] if test else 0,
-             float(plan.scores[i, j]) if test else 0.0)
-            for j, w in zip(plan.outputs[i], brackets[i])
-        ]
-        rows.append((p_i, i, branches))
-    return rows
-
-
-def _lattice_table(rows, parent: float) -> dict[int, list]:
-    """One round's nonzero branches grouped by their score in lattice units.
-
-    ``parent`` is tr phi, the Born weight every fresh round starts from, and a
-    branch is left out when ``_nonzero`` calls it zero.  Entry k holds the
-    born weight sum p_i born, the bracket weight sum p_i w and the number of
-    branches, each of which convolves over rounds like a weight.
-    """
     table: dict[int, list] = {}
-    for p_i, _i, branches in rows:
-        for born, w, units, _h in branches:
-            if _nonzero(born, parent):
-                e = table.setdefault(units, [0.0, 0.0, 0])
+    for p_i, i, test in rows:
+        if i not in brackets:
+            brackets[i] = _branch_brackets(plan, i, sandwich, eps)
+        for j, w in zip(plan.outputs[i], brackets[i]):
+            born = float(plan.born[i, j])
+            if _nonzero(born, plan.tr_phi):
+                e = table.setdefault(plan.units[i * n_out + j] if test else 0, [0.0, 0.0, 0])
                 e[0] += p_i * born
                 e[1] += p_i * w
                 e[2] += 1
-    return table
+    # classes: summed lattice units -> [born, bracket, branches]
+    dist = {0: [1.0, 1.0, 1]}
+    for _ in range(params.n_rounds):
+        nxt: dict[int, list] = {}
+        for s, (m, kw, nb) in dist.items():
+            for k, (tm, tk, tb) in table.items():
+                e = nxt.setdefault(s + k, [0.0, 0.0, 0])
+                e[0] += m * tm
+                e[1] += kw * tk
+                e[2] += nb * tb
+        dist = nxt
+    won = [acc for s, acc in dist.items() if _meets_threshold(s, plan.den, params.threshold)]
+    return (math.fsum(acc[0] for acc in won), math.fsum(acc[1] for acc in won),
+            sum(acc[2] for acc in won))
 
 
 def _memory_sums(
-    plan: _RoundPlan, rows, n_rounds: int, eps: float, threshold: float
+    plan: _RoundPlan, rows, sandwich, params: ProtocolParams, eps: float
 ) -> tuple[float, float, int]:
     """(mass, bracket sum, branches) of the --memory sequence tree, in batches.
 
@@ -624,9 +620,8 @@ def _memory_sums(
     are plain float ``+=`` over the success leaves in the last-in first-out
     order of a leaf-by-leaf walk, which is reverse-lexicographic over paths.
     """
-    d, g = plan.device, plan.game
+    d, g, n_rounds = plan.device, plan.game, params.n_rounds
     state = d.state_blocks
-    sandwich = matcore.block_psd_power(state, 1.0 / (2.0 + 2.0 * eps))
     n_out = len(g.output_alphabet)
     # child c's operator U_a P_a^x, as one (C, k, s, s) stack per block size
     letters = [g.input_alphabet[i] for _, i, _ in rows]
@@ -670,7 +665,7 @@ def _memory_sums(
             continue
         for _ in range(depth, n_rounds):
             pq, units, born, mats = expand(pq, units, born, mats)
-        won = _meets_threshold(units, plan.den, threshold)
+        won = _meets_threshold(units, plan.den, params.threshold)
         if not won.any():
             continue
         pq, born, mats = pq[won], born[won], [m[won] for m in mats]
@@ -697,61 +692,39 @@ def enumerate_success_state(
     """Exact success-state aggregates over all (input, output) sequences.
 
     The success set is {raw score >= chi*q*N} (equivalently the q-weighted
-    score >= chi*N).  chi = 0 makes every branch of nonnegative score a
-    success branch.  Under fresh-state semantics every sequence weight
-    factorizes over rounds and success depends only on the summed score, so
-    the one-round table of score classes is convolved N times, in
-    O(N * classes) work; the score sum is an exact integer of lattice units
-    and is compared exactly with the float chi*q*N.  The memory path expands
-    the sequence tree, since its branches depend on the evolving state.  It
-    works on batches of nodes held per orthogonal block of the device
-    (``Device.blocks``), with one stacked product per depth and one batched
-    eigh per block size for the brackets of the success leaves; a batch is a
-    subtree of at most ``MEMORY_BATCH_ENTRIES`` matrix entries, so memory does
-    not grow with N.  It adds the leaves in the order of a depth-first walk
-    that pushes children in (rows, outputs) order.
+    score >= chi*N), decided by the exact rule of ``_meets_threshold`` at
+    ``ProtocolParams.threshold``; chi = 0 makes every branch of nonnegative
+    score a success branch.  eps is checked here and N, q and chi by
+    ``ProtocolParams``.  The sandwich phi^(1/(2+2eps)) is taken once, per
+    orthogonal block of the device, and each semantics is one sums function
+    of the same arguments returning (mass, bracket sum, branches):
+    ``_fresh_sums`` convolves one round's table of score classes N times,
+    since every fresh-state sequence weight factorizes over rounds, and
+    ``_memory_sums`` expands the sequence tree in batches, since its
+    branches depend on the evolving state.
 
-    Both paths apply one zero rule at every round (``_nonzero``): a branch
-    whose Born weight is at most ``PRUNE_FLOOR`` times its parent's is
-    dropped, from the sums and from ``branches``, the number of success
-    sequences left.  On both paths the guard rejects runs of more than
-    ``branch_cap`` sequences.
+    Both apply one zero rule at every round (``_nonzero``): a branch whose
+    Born weight is at most ``PRUNE_FLOOR`` times its parent's is dropped,
+    from the sums and from ``branches``, the number of success sequences
+    left.  On both paths the guard rejects runs of more than ``branch_cap``
+    sequences.
     """
     plan = _round_plan(g, d)
     if not 0.0 < eps <= 1.0:
         raise ProtocolError(f"eps must lie in (0, 1], got {eps}")
-    if not 0.0 < q < 1.0:
-        raise ProtocolError(f"q must lie in (0, 1), got {q}")
-    _check_chi(chi)
-    if n_rounds < 1:
-        raise ProtocolError("n_rounds must be positive")
+    params = ProtocolParams(n_rounds, q, chi)
     rows = list(_supported_inputs(plan, q))
-    if (len(rows) * len(g.output_alphabet)) ** n_rounds > branch_cap:
+    # base**N against the cap in at most bit_length + 1 factors: by then a
+    # base >= 2 exceeds the cap, and every power of 1 is 1
+    base = len(rows) * len(g.output_alphabet)
+    if base ** min(n_rounds, branch_cap.bit_length() + 1) > branch_cap:
         raise GuardError(
             f"({len(rows)} inputs x {len(g.output_alphabet)} outputs)^{n_rounds} "
             f"exceeds the {branch_cap} branch cap"
         )
-    threshold = chi * q * n_rounds
-
-    if fresh_state:
-        table = _lattice_table(_round_tables(plan, q, eps), plan.tr_phi)
-        # classes: summed lattice units -> [born, bracket, branches]
-        dist = {0: [1.0, 1.0, 1]}
-        for _ in range(n_rounds):
-            nxt: dict[int, list] = {}
-            for s, (m, kw, nb) in dist.items():
-                for k, (tm, tk, tb) in table.items():
-                    e = nxt.setdefault(s + k, [0.0, 0.0, 0])
-                    e[0] += m * tm
-                    e[1] += kw * tk
-                    e[2] += nb * tb
-            dist = nxt
-        won = [acc for s, acc in dist.items() if _meets_threshold(s, plan.den, threshold)]
-        mass = math.fsum(acc[0] for acc in won)
-        ksum = math.fsum(acc[1] for acc in won)
-        branches = sum(acc[2] for acc in won)
-    else:
-        mass, ksum, branches = _memory_sums(plan, rows, n_rounds, eps, threshold)
+    sandwich = matcore.block_psd_power(d.state_blocks, 1.0 / (2.0 + 2.0 * eps))
+    sums = _fresh_sums if fresh_state else _memory_sums
+    mass, ksum, branches = sums(plan, rows, sandwich, params, eps)
 
     if ksum > 0.0:
         k_value = -(1.0 / eps) * math.log2(ksum)
@@ -826,11 +799,11 @@ def extractable_bits(
     emitted only when slack_constant is supplied; b and slack_constant must
     be finite.
     """
-    if not (0.0 < q < 1.0 and 0.0 < b < math.inf and n_rounds >= 1):
-        raise ProtocolError(f"require 0 < q < 1, finite b > 0, n_rounds >= 1; got b = {b}")
+    ProtocolParams(n_rounds, q, chi)  # the n_rounds, q and chi domains
+    if not 0.0 < b < math.inf:
+        raise ProtocolError(f"require finite b > 0, got b = {b}")
     if slack_constant is not None and not math.isfinite(slack_constant):
         raise ProtocolError(f"slack_constant must be finite, got {slack_constant}")
-    _check_chi(chi)
     delta = math.sqrt(2.0) * 2.0 ** (-b * q * n_rounds)
     log_term = 2.0 * b * q * n_rounds  # log2(2/delta^2), immune to delta underflow
     eps_star = min(1.0, math.sqrt(q * log_term / n_rounds))

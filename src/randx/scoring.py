@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import ClassVar, Iterable
 
 import numpy as np
 
 from . import matcore
 from .devicemodel import Device, Letter
 from .gamedefs import Game
-from .protocol import _round_plan, _supported_inputs
+from .protocol import _round_plan
 
 LOG2E = math.log2(math.e)
 RATIO_CLAMP = 1.0 + 1e-9
@@ -51,12 +51,12 @@ _Term = tuple[float, Letter, int, float]  # (probability, input, device output r
 
 
 def _game_terms(g: Game, d: Device) -> list[_Term]:
-    """The branches of g's supported inputs, read from the pair's round plan
-    (which checks the pair once), each scoring H(a, x)."""
+    """The branches of g's inputs of positive weight, read from the pair's
+    round plan (which checks the pair once), each scoring H(a, x)."""
     plan = _round_plan(g, d)
     return [
-        (p, g.input_alphabet[i], r, float(plan.scores[i, j]))
-        for p, i, _ in _supported_inputs(plan)
+        (p, a, r, float(plan.scores[i, j]))
+        for i, a in enumerate(g.input_alphabet) if (p := g.prob(a)) > 0.0
         for r, j in enumerate(plan.outputs[i])
     ]
 
@@ -163,30 +163,30 @@ def weighted_randomness(g: Game, d: Device, eps: float, s: float) -> float:
 
 @dataclass(frozen=True)
 class RateCurve:
-    """A nondecreasing convex randomness-rate curve with evaluable derivative."""
+    """The universal quadratic rate curve 2 log2(e) (x - w)^2 / (r - 1) above w:
+    nondecreasing and convex, with evaluable derivative."""
 
     w: float  # threshold below which the curve vanishes
     r: int  # output alphabet size used by the quadratic form
-    label: str  # "quadratic" from quadratic_rate_curve, else the caller's name
-    evaluate: Callable[[float], float]
-    derivative: Callable[[float], float]
+    label: ClassVar[str] = "quadratic"
+
+    def _scale(self) -> float:
+        return 2.0 * LOG2E / (self.r - 1)
+
+    def evaluate(self, x: float) -> float:
+        return self._scale() * (x - self.w) ** 2 if x > self.w else 0.0
+
+    def derivative(self, x: float) -> float:
+        return 2.0 * self._scale() * (x - self.w) if x > self.w else 0.0
 
 
 def quadratic_rate_curve(w: float, r: int) -> RateCurve:
-    """The universal quadratic curve 2 log2(e) (x - w)^2 / (r - 1) above w."""
+    """The quadratic curve above threshold w for an r-letter output alphabet."""
     if not 0.0 <= w < 1.0:
         raise ScoringError(f"threshold w must lie in [0, 1), got {w}")
     if r < 2:
         raise ScoringError(f"output alphabet size must be >= 2, got {r}")
-    scale = 2.0 * LOG2E / (r - 1)
-
-    def evaluate(x: float) -> float:
-        return scale * (x - w) ** 2 if x > w else 0.0
-
-    def derivative(x: float) -> float:
-        return 2.0 * scale * (x - w) if x > w else 0.0
-
-    return RateCurve(w=float(w), r=int(r), label="quadratic", evaluate=evaluate, derivative=derivative)
+    return RateCurve(w=float(w), r=int(r))
 
 
 @dataclass(frozen=True)

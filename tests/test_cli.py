@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -376,6 +377,23 @@ def test_guard_exit_two():
     proc = run_cli(["enumerate", "--n", "12", "--q", "0.3", "--chi", "0.5",
                     "--eps", "0.2", "--branch-cap", "100"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("semantics", [[], ["--memory"]], ids=["fresh", "memory"])
+def test_branch_cap_guard_at_large_n_and_at_the_boundary(semantics, capsys):
+    # (5 inputs x 4 outputs)^N: the guard decides N = 1e8 without forming 20^N
+    argv = ["enumerate", "--q", "0.3", "--chi", "0.8", "--eps", "0.1", *semantics]
+    start = time.perf_counter()
+    assert main([*argv, "--n", "100000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert main([*argv, "--n", "5", "--branch-cap", "3199999"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "guard: (5 inputs x 4 outputs)^5 exceeds the 3199999 branch cap")
+    # a cap of 20^5 = 3200000 admits N = 5; shown on the fresh path, since
+    # the guard precedes the semantics and the --memory tree has 3.2e6 leaves
+    if not semantics:
+        assert main([*argv, "--n", "5", "--branch-cap", "3200000"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 5
 
 
 def test_unknown_game_exit_one():

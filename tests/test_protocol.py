@@ -14,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 from randx import catalog, protocol
 from randx.devicemodel import components_device, make_device, validate_device
 from randx.gamedefs import GameError, nonlocal_game
-from randx.matcore import dagger, ginibre, haar_pvm, haar_unitary, random_psd
+from randx.matcore import block_psd_power, dagger, ginibre, haar_pvm, haar_unitary, random_psd
 from randx.protocol import (
     GuardError,
     ProtocolError,
     ProtocolParams,
     _branches,
+    _branch_brackets,
     _round_plan,
-    _round_tables,
     _traces,
     binomial_tail,
     entropy_lower_bound,
@@ -82,20 +82,28 @@ def toy_setup():
 def tree_reference(g, d, n, q, chi, eps):
     """Leaf-by-leaf expansion of every fresh-state sequence: (mass, ksum, branches).
 
-    A round's branch is zero, and dropped, when its born probability is at
-    most ``PRUNE_FLOOR`` times tr phi; ``branches`` counts the success leaves.
+    Each branch's Born weight is read from the round plan and its bracket
+    is taken densely.  A round's branch is zero, and dropped, when its born
+    probability is at most ``PRUNE_FLOOR`` times tr phi; ``branches`` counts
+    the success leaves.
     """
-    rows = _round_tables(_round_plan(g, d), q, eps)
+    plan = _round_plan(g, d)
+    sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
+    branches = []  # (p_i, born, bracket, score) of every branch of one round
+    for p_i, i, test in protocol._supported_inputs(plan, q):
+        projectors = d.measurements[g.input_alphabet[i]].values()
+        for j, proj in zip(plan.outputs[i], projectors, strict=True):
+            w = psd_bracket(sandwich @ proj @ sandwich, eps)
+            h = float(plan.scores[i, j]) if test else 0.0
+            branches.append((p_i, float(plan.born[i, j]), w, h))
     floor = protocol.PRUNE_FLOOR * float(np.trace(d.state).real)
     leaves = [(1.0, 1.0, 1.0, 0.0)]  # (p_q product, born product, bracket product, score)
     for _ in range(n):
-        nxt = []
-        for pq, born, w, score in leaves:
-            for p_i, _i, branches in rows:
-                for b_born, b_w, _x, b_h in branches:
-                    if b_born > floor:
-                        nxt.append((pq * p_i, born * b_born, w * b_w, score + b_h))
-        leaves = nxt
+        leaves = [
+            (pq * p_i, born * b_born, w * b_w, score + b_h)
+            for pq, born, w, score in leaves
+            for p_i, b_born, b_w, b_h in branches if b_born > floor
+        ]
     won = [leaf for leaf in leaves if leaf[3] >= chi * q * n]
     mass = sum(pq * born for pq, born, _w, _s in won)
     ksum = sum(pq * w for pq, _born, w, _s in won)
@@ -1192,31 +1200,35 @@ class TestHminClassical:
 
 
 class TestRoundTablesPerBlock:
+    """The fresh-state table's per-input brackets (``_branch_brackets``)."""
+
+    @staticmethod
+    def brackets(g, d, eps):
+        plan = _round_plan(g, d)
+        sandwich = block_psd_power(d.state_blocks, 1.0 / (2.0 + 2.0 * eps))
+        return plan, [_branch_brackets(plan, i, sandwich, eps) for i in range(len(plan.outputs))]
+
     @pytest.mark.parametrize("eps", (0.01, 0.05, 0.1, 0.2, 0.5, 1.0))
     def test_block_brackets_match_dense(self, eps):
         entry = catalog.magic_square()
         g, d = entry.game, entry.devices["combined"]
         sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
-        rows = _round_tables(_round_plan(g, d), 0.3, eps)
-        assert len(rows) == 1 + len(g.input_alphabet)  # the generation round, then every test input
-        for _p, i, branches in rows:
-            projectors = d.measurements[g.input_alphabet[i]].values()
-            for (_born, w, _units, _h), p in zip(branches, projectors, strict=True):
+        _, brackets = self.brackets(g, d, eps)
+        for a, row in zip(g.input_alphabet, brackets, strict=True):
+            for w, p in zip(row, d.measurements[a].values(), strict=True):
                 dense = psd_bracket(sandwich @ p @ sandwich, eps)
                 assert w == pytest.approx(dense, rel=1e-12, abs=0)
 
     def test_haar_rotated_device_gives_the_same_tables(self, combined_and_rotated):
         d, rotated = combined_and_rotated
         g = catalog.magic_square().game
-        rows = _round_tables(_round_plan(g, d), 0.3, 0.1)
-        rotated_rows = _round_tables(_round_plan(g, rotated), 0.3, 0.1)
-        for (p, i, branches), (rp, ri, rotated_branches) in zip(rows, rotated_rows, strict=True):
-            assert (p, i) == (rp, ri)
-            for branch, rotated_branch in zip(branches, rotated_branches, strict=True):
-                born, w, units, h = branch
-                assert rotated_branch[2:] == (units, h)
-                assert rotated_branch[0] == pytest.approx(born, rel=1e-12)
-                assert rotated_branch[1] == pytest.approx(w, rel=1e-12)
+        plan, brackets = self.brackets(g, d, 0.1)
+        rotated_plan, rotated_brackets = self.brackets(g, rotated, 0.1)
+        assert rotated_plan.outputs == plan.outputs
+        assert rotated_plan.units == plan.units
+        np.testing.assert_allclose(rotated_plan.born, plan.born, rtol=1e-12, atol=1e-12)
+        for row, rotated_row in zip(brackets, rotated_brackets, strict=True):
+            assert rotated_row == pytest.approx(row, rel=1e-12)
 
 
 def test_traces_do_not_depend_on_the_block_layout():

@@ -312,7 +312,6 @@ REPORT_EPS = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
 def test_block_kernels_never_see_a_matrix_wider_than_a_block(monkeypatch):
     entry = catalog.magic_square()
     d = entry.devices["combined"]
-    plan = protocol._round_plan(entry.game, d)
     widths = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -323,7 +322,9 @@ def test_block_kernels_never_see_a_matrix_wider_than_a_block(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
     scoring._branch_table(d, list(d.measurements), 0.1)
-    protocol._round_tables(plan, 0.3, 0.1)
+    for fresh in (True, False):
+        protocol.enumerate_success_state(entry.game, d, 2, q=0.3, chi=0.5, eps=0.1,
+                                         fresh_state=fresh)
     randomness_report(entry.game, d, 0.1)
     assert widths and max(widths) <= 4
 
