@@ -14,6 +14,13 @@ a rule as it is built (``gamedefs.GameError``) or a device that
 ``validate_device`` rejects is an error naming its violations, except under
 validate, which prints the report.
 
+Output is streamed: every subcommand hands its text to one sink, stdout or
+the --output file, in pieces as it is made (JSON in chunks of at most 2^14
+parts plus one matrix or record list, CSV in blocks of rows), so no output is
+held whole.  A payload the JSON walk cannot write, such as a matrix with a
+non-finite entry (a program bug), fails after part of its text is written:
+exit 1, with ``error:`` on stderr.
+
 The seed is --seed, else RANDX_SEED, else 0; a non-integer RANDX_SEED is a
 usage error wherever --seed applies.  Run seeds lie in [0, 2^128), and trial
 k of a multi-trial simulate is keyed by seed + k.  Identical argv and seed
@@ -23,11 +30,13 @@ produce byte-identical output apart from the versioned header.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,7 +45,7 @@ from .devicemodel import (
     Device,
     ValidationReport,
     _Records,
-    json_text,
+    json_write,
     load_device,
     save_device,
     validate_device,
@@ -68,23 +77,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(text: str, path: str | None) -> None:
+# CSV rows are joined and written this many at a time
+_CSV_BLOCK = 1 << 12
+
+
+@contextlib.contextmanager
+def _emit(path: str | None) -> Iterator[Callable[[str], Any]]:
+    """The one sink: the write method of stdout, or of the file ``path``
+    opened with ``open(path, "w")``, so /dev/stdout and FIFOs work too."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh.write
     else:
-        sys.stdout.write(text)
+        yield sys.stdout.write
 
 
 def _emit_json(obj: Any, path: str | None) -> None:
-    payload = {"version": __version__, **obj}
-    _emit(json_text(payload, 2) + "\n", path)
+    with _emit(path) as write:
+        json_write({"version": __version__, **obj}, 2, write)
+        write("\n")
 
 
-def _emit_csv(header_row: list[str], rows: list[list[str]], path: str | None) -> None:
-    lines = [HEADER, ",".join(header_row)]
-    lines.extend(",".join(r) for r in rows)
-    _emit("\n".join(lines) + "\n", path)
+def _emit_csv(header_row: list[str], rows: Iterable[list[str]], path: str | None) -> None:
+    """HEADER, the header row and each of ``rows`` on its own line, the rows
+    taken and written ``_CSV_BLOCK`` at a time."""
+    rows = iter(rows)
+    with _emit(path) as write:
+        write(HEADER + "\n" + ",".join(header_row) + "\n")
+        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+            write("\n".join(map(",".join, block)) + "\n")
 
 
 def _resolve(spec: str, from_catalog, load, validate):
@@ -211,7 +232,7 @@ def _curve_for(args) -> scoring.RateCurve:
 def _cmd_rate_curve(args) -> int:
     curve = _curve_for(args)
     xs = _parse_grid(args.grid)
-    rows = [[_fmt(x), _fmt(curve.evaluate(x)), _fmt(curve.derivative(x))] for x in xs]
+    rows = ([_fmt(x), _fmt(curve.evaluate(x)), _fmt(curve.derivative(x))] for x in xs)
     if args.out == "csv":
         _emit_csv(["x", "pi", "pi_prime"], rows, args.output)
     else:
@@ -236,21 +257,20 @@ def _cmd_simulate(args) -> int:
     fresh = not args.memory
     params = protocol.ProtocolParams(n_rounds=args.n, q=args.q, chi=args.chi, seed=args.seed)
     if args.out == "csv" and args.trials == 1:
-        rows = [
+        transcript = protocol.simulate(game, device, params, fresh_state=fresh)
+        rows = (
             [str(i), str(t), _letterstr(a), _letterstr(x), _fmt(s)]
-            for i, (t, a, x, s) in enumerate(
-                protocol.simulate(game, device, params, fresh_state=fresh).rounds()
-            )
-        ]
+            for i, (t, a, x, s) in enumerate(transcript.rounds())
+        )
         _emit_csv(["round", "t", "a", "x", "score"], rows, args.output)
         return 0
 
     outcomes = protocol.simulate_outcomes(game, device, params, args.trials, fresh_state=fresh)
     if args.out == "csv":
-        rows = [
+        rows = (
             [str(k), _fmt(c), "1" if success else "0"]
             for k, (c, success) in enumerate(outcomes)
-        ]
+        )
         _emit_csv(["trial", "c", "success"], rows, args.output)
     else:
         c, success = zip(*outcomes)
@@ -332,10 +352,10 @@ def _cmd_entropy_bound(args) -> int:
 def _cmd_verify(args) -> int:
     result = convexity.run_suite(args.suite, trials=args.trials, seed=args.seed)
     if args.out == "csv":
-        rows = [
+        rows = (
             [str(r.trial), str(r.dim), _fmt(r.eps), _fmt(r.lhs), _fmt(r.rhs), _fmt(r.margin)]
             for r in result.rows
-        ]
+        )
         _emit_csv(["trial", "dim", "eps", "lhs", "rhs", "margin"], rows, args.output)
     else:
         _emit_json(
@@ -371,14 +391,12 @@ def _cmd_magic_square_demo(args) -> int:
             args.output,
         )
     else:
-        lines = [HEADER, "magic square: superclassical but not randomness generating"]
-        for c in report.checks:
-            lines.append(
-                f"  {c.name}: computed {_fmt(c.computed)} expected {_fmt(c.expected)} "
-                f"[{'pass' if c.passed else 'FAIL'}]"
-            )
-        lines.append(f"overall: {'pass' if report.ok else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", args.output)
+        with _emit(args.output) as write:
+            write(HEADER + "\nmagic square: superclassical but not randomness generating\n")
+            for c in report.checks:
+                write(f"  {c.name}: computed {_fmt(c.computed)} expected {_fmt(c.expected)} "
+                      f"[{'pass' if c.passed else 'FAIL'}]\n")
+            write(f"overall: {'pass' if report.ok else 'FAIL'}\n")
     return 0 if report.ok else 1
 
 

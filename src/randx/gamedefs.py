@@ -27,7 +27,7 @@ from .devicemodel import (
     ValidationReport,
     _letter_from_json,
     _load,
-    json_text,
+    json_write,
 )
 
 NONLOCAL = "nonlocal"
@@ -220,7 +220,8 @@ def game_from_dict(data: Mapping) -> Game:
 
 def save_game(g: Game, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(game_to_dict(g), 1) + "\n")
+        json_write(game_to_dict(g), 1, fh.write)
+        fh.write("\n")
 
 
 def load_game(path) -> Game:

@@ -13,7 +13,8 @@ before it stacked restarts and inputs.
 The one-matrix kernels (``psd_power``, ``psd_bracket``, ``schatten``,
 ``snorm``) are the k = 1 case of the package's stacked kernels.
 ``device_to_dict`` builds a device file's data as nested lists, the
-reference for the bytes ``devicemodel.json_text`` writes in bulk.
+reference for the bytes ``devicemodel.json_write`` writes in bulk, and
+``json_text`` joins the chunks it writes into the whole text.
 ``strategy_device`` embeds a deterministic strategy as a device, an
 independent route to ``classical_value``, and ``is_classically_predictable``
 checks pinching invariance densely.  Nothing in the package imports this
@@ -34,7 +35,7 @@ from randx import catalog
 from randx.classicaloracle import SeesawResult
 from randx.devicemodel import (
     GENERAL, Device, DeviceError, Letter, _device_tree, components_device,
-    make_device,
+    json_write, make_device,
 )
 from randx.gamedefs import Game, require_compatible
 from randx.matcore import (
@@ -104,6 +105,13 @@ def _pairs(tree):
 def device_to_dict(d: Device) -> dict:
     """The data of a device file, every matrix as ``matrix_to_pairs`` lists."""
     return _pairs(_device_tree(d))
+
+
+def json_text(obj, indent: int) -> str:
+    """The whole text ``json_write`` writes for ``obj``, its chunks joined."""
+    chunks: list[str] = []
+    json_write(obj, indent, chunks.append)
+    return "".join(chunks)
 
 
 def is_classically_predictable(d: Device, a: Letter) -> tuple[bool, float]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -6,10 +7,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from randx import catalog, classicaloracle, protocol
-from randx.cli import main
+from randx import catalog, classicaloracle, devicemodel, protocol
+from randx.cli import _CSV_BLOCK, HEADER, _fmt, _letterstr, main
 from randx.devicemodel import load_device, save_device
 from randx.gamedefs import game_to_dict, load_game, nonlocal_game, save_game
 from tests.dense import device_to_dict
@@ -701,3 +703,49 @@ def test_seesaw_witness_file_keeps_its_bytes(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WITNESS_FILE_SHA256
+
+
+def csv_text(header_row, rows) -> str:
+    """The CSV text with every row joined at once: the reference for the
+    blocks the CLI writes."""
+    return "\n".join([HEADER, ",".join(header_row), *map(",".join, rows)]) + "\n"
+
+
+@pytest.mark.parametrize("count", [1, _CSV_BLOCK, _CSV_BLOCK + 1, 100_000])
+def test_csv_blocks_join_to_the_whole_text(count, capsys):
+    game, device = catalog.get_game("chsh"), catalog.get_device("chsh:optimal")
+    common = ["--q", "0.3", "--chi", "0.5", "--seed", "4", "--out", "csv"]
+    assert main(["simulate", "--n", str(count), *common]) == 0
+    params = protocol.ProtocolParams(count, 0.3, 0.5, seed=4)
+    rounds = protocol.simulate(game, device, params).rounds()
+    rows = [[str(i), str(t), _letterstr(a), _letterstr(x), _fmt(s)]
+            for i, (t, a, x, s) in enumerate(rounds)]
+    assert len(rows) == count
+    assert capsys.readouterr().out == csv_text(["round", "t", "a", "x", "score"], rows)
+    trials = max(count, 2)  # --trials 1 prints the one run's transcript
+    assert main(["simulate", "--n", "2", "--trials", str(trials), *common]) == 0
+    outcomes = protocol.simulate_outcomes(game, device, dataclasses.replace(params, n_rounds=2),
+                                          trials)
+    rows = [[str(k), _fmt(c), "1" if success else "0"] for k, (c, success) in enumerate(outcomes)]
+    assert len(rows) == trials
+    assert capsys.readouterr().out == csv_text(["trial", "c", "success"], rows)
+
+
+def test_a_payload_the_walk_cannot_write_fails_after_part_of_its_text(monkeypatch, capsys):
+    # a witness with a non-finite state, written one leaf per chunk: the
+    # text before the state's key reaches stdout, then the run exits 1
+    seesaw = classicaloracle.seesaw
+
+    def broken(*args, **kwargs):
+        result = seesaw(*args, **kwargs)
+        state = np.full_like(result.device.state, np.nan)
+        return dataclasses.replace(result, device=dataclasses.replace(result.device, state=state))
+
+    monkeypatch.setattr(classicaloracle, "seesaw", broken)
+    monkeypatch.setattr(devicemodel, "_FLUSH_PARTS", 1)
+    assert main(["seesaw", "--game", "chsh", "--restarts", "1", "--iters", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: matrix has non-finite entries\n"
+    assert captured.out.startswith('{\n  "constrained": false,\n  "device": {\n    "dims": [')
+    assert '"projectors": [' in captured.out and '"output_alphabet": [' in captured.out
+    assert '"phi"' not in captured.out

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randx import catalog, classicaloracle, matcore, protocol, scoring
+from randx import catalog, classicaloracle, devicemodel, matcore, protocol, scoring
 from randx.cli import main
 from randx.devicemodel import (
     COMPONENTS,
@@ -19,7 +21,7 @@ from randx.devicemodel import (
     components_device,
     device_from_dict,
     direct_sum,
-    json_text,
+    json_write,
     load_device,
     make_device,
     save_device,
@@ -34,10 +36,10 @@ from randx.matcore import (
 )
 from tests import dense
 from tests.dense import (
-    DimMismatchError, LengthMismatchError, device_to_dict, evolve_sequence, matrix_to_pairs,
-    state_pair,
+    DimMismatchError, LengthMismatchError, device_to_dict, evolve_sequence, json_text,
+    matrix_to_pairs, state_pair,
 )
-from tests.test_protocol import toy_setup
+from tests.test_protocol import random_dyadic_pair, toy_setup
 
 
 def random_device(seed, dim=3, n_inputs=2, n_outputs=3):
@@ -340,8 +342,17 @@ class TestJsonText:
 
     @staticmethod
     def assert_same_text(obj, expected, indents=(1, 2)):
+        # the chunks json_write hands a list sink join to the reference at
+        # any flush bound: one part (every leaf flushes), a few, and the
+        # package's own (json_text)
         for indent in indents:
-            assert json_text(obj, indent) == json.dumps(expected, sort_keys=True, indent=indent)
+            text = json.dumps(expected, sort_keys=True, indent=indent)
+            for bound in (1, 3):
+                chunks = []
+                with unittest.mock.patch.object(devicemodel, "_FLUSH_PARTS", bound):
+                    json_write(obj, indent, chunks.append)
+                assert all(chunks) and "".join(chunks) == text
+            assert json_text(obj, indent) == text
 
     @pytest.mark.parametrize("with_unitaries", [False, True])
     def test_small_devices(self, with_unitaries):
@@ -448,6 +459,77 @@ class TestJsonText:
     def test_other_objects_are_not_serializable(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             json_text({"x": object()}, 2)
+
+
+@pytest.fixture(scope="module")
+def small_ms_witness():
+    """A 4x4 Magic Square see-saw witness after one sweep: a 10 MB device file."""
+    g = catalog.get_game("magic-square")
+    return classicaloracle.seesaw(g, (4, 4), restarts=1, iters=1, seed=1).device
+
+
+def traced_peak(write) -> int:
+    """The tracemalloc peak, in bytes, of calling ``write()``."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestJsonWrite:
+    """json_write hands its sink chunks of at most ``_FLUSH_PARTS`` parts plus
+    one bulk leaf, so writing a large device holds none of its text whole."""
+
+    # no scalar or separator of the witness file's text is longer than this
+    # (its longest, a separator between projector entries, has 44 characters)
+    PART_CHARS = 48
+
+    def test_chunks_are_bounded(self, small_ms_witness):
+        d = small_ms_witness
+        chunks = []
+        json_write(d, 1, chunks.append)
+        text = "".join(chunks)
+        assert len(chunks) > 1
+        # the deepest matrices: a projector at a device file's indentation
+        matrix = json_text({"inputs": [{"projectors": [{"matrix": d.state}]}]}, 1)
+        bound = devicemodel._FLUSH_PARTS * self.PART_CHARS + len(matrix)
+        assert max(map(len, chunks)) <= bound < len(text) / 10
+
+    def test_memory_does_not_grow_with_the_text(self, small_ms_witness):
+        d = small_ms_witness
+        streamed = traced_peak(lambda: json_write(d, 1, lambda chunk: None))
+        whole = traced_peak(lambda: json_text(d, 1))
+        assert streamed < 4 * 2**20
+        assert whole > 15 * 2**20
+
+
+@given(st.integers(0, 2**32 - 1), st.tuples(st.integers(2, 3), st.integers(2, 3)),
+       st.integers(1, 3))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_block_device_file_rebuilds_every_matrix_bit_for_bit(rng_seed, inputs, parts):
+    # a direct sum of random components blocks, as TestRandomInstances builds them
+    rng = np.random.default_rng(rng_seed)
+    blocks = [random_dyadic_pair(rng, inputs)[1] for _ in range(parts)]
+    weights = rng.dirichlet(np.ones(parts)).tolist()
+    d = direct_sum(list(zip(weights, blocks)), "random-blocks")
+    text = json_text(d, 1)
+    assert text == json.dumps(device_to_dict(d), sort_keys=True, indent=1)
+    chunks = []
+    with unittest.mock.patch.object(devicemodel, "_FLUSH_PARTS", 5):
+        json_write(d, 1, chunks.append)
+    assert len(chunks) > 1 and "".join(chunks) == text
+    loaded = device_from_dict(json.loads(text))
+    assert (loaded.kind, loaded.dims, loaded.name) == (d.kind, d.dims, d.name)
+    assert (loaded.input_alphabet, loaded.output_alphabet) == (d.input_alphabet, d.output_alphabet)
+    assert_same_bits(loaded.state, d.state)
+    assert list(loaded.measurements) == list(d.measurements)
+    for a, outs in d.measurements.items():
+        assert list(loaded.measurements[a]) == list(outs)
+        for x, p in outs.items():
+            assert_same_bits(loaded.measurements[a][x], p)
+    assert not loaded.unitaries and not d.unitaries
 
 
 def test_device_dict_omitted_unitary_defaults_identity():

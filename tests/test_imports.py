@@ -322,7 +322,7 @@ def test_error_guard_flags_a_second_exception_class():
         assert uncaught_surplus({**trees, name: probe}, caught) == expected
 
 
-# the one module whose code writes JSON text: every other module writes through its json_text
+# the one module whose code writes JSON text: every other module writes through its json_write
 JSON_WRITER = "devicemodel.py"
 
 
