@@ -16,10 +16,10 @@ validate, which prints the report.
 
 Output is streamed: every subcommand hands its text to one sink, stdout or
 the --output file, in pieces as it is made (JSON in chunks of at most 2^14
-parts plus one matrix or record list, CSV in blocks of rows), so no output is
-held whole.  A payload the JSON walk cannot write, such as a matrix with a
-non-finite entry (a program bug), fails after part of its text is written:
-exit 1, with ``error:`` on stderr.
+parts plus one matrix or block of records, CSV in blocks of rows), so no
+output is held whole.  A payload the JSON walk cannot write, such as a
+matrix with a non-finite entry (a program bug), fails after part of its text
+is written: exit 1, with ``error:`` on stderr.
 
 The seed is --seed, else RANDX_SEED, else 0; a non-integer RANDX_SEED is a
 usage error wherever --seed applies.  Run seeds lie in [0, 2^128), and trial
@@ -44,6 +44,7 @@ from . import __version__, catalog, classicaloracle, convexity, protocol, scorin
 from .devicemodel import (
     Device,
     ValidationReport,
+    _RECORD_BLOCK,
     _Records,
     json_write,
     load_device,
@@ -77,10 +78,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# CSV rows are joined and written this many at a time
-_CSV_BLOCK = 1 << 12
-
-
 @contextlib.contextmanager
 def _emit(path: str | None) -> Iterator[Callable[[str], Any]]:
     """The one sink: the write method of stdout, or of the file ``path``
@@ -100,11 +97,11 @@ def _emit_json(obj: Any, path: str | None) -> None:
 
 def _emit_csv(header_row: list[str], rows: Iterable[list[str]], path: str | None) -> None:
     """HEADER, the header row and each of ``rows`` on its own line, the rows
-    taken and written ``_CSV_BLOCK`` at a time."""
+    taken and written ``_RECORD_BLOCK`` at a time."""
     rows = iter(rows)
     with _emit(path) as write:
         write(HEADER + "\n" + ",".join(header_row) + "\n")
-        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+        while block := list(itertools.islice(rows, _RECORD_BLOCK)):
             write("\n".join(map(",".join, block)) + "\n")
 
 

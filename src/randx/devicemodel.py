@@ -18,7 +18,10 @@ every device quantity the package computes, the Born table included, is read
 from those stacks.  Each input letter's projectors are stored once, in one
 read-only stack that ``measurements``, the stacks and the round operators view.
 A ``direct_sum`` holds its block stacks from construction, and its dense
-projectors are built when a ``measurements`` value is first read.
+projectors are built when a ``measurements`` value is first read.  What
+depends on a device alone, or on a (game, device) pair, is kept on the
+device the same way once computed: ``protocol``'s round plans and
+``scoring``'s eigenvalue spectra.
 
 ``json_write`` is the package's one JSON writer: every stdout payload, device
 file and game file is one walk of its object, handed to its sink in chunks of
@@ -212,6 +215,15 @@ class Device:
     def _round_plans(self) -> dict:
         """Per game, by identity, ``protocol``'s round plan of (game, device),
         stored there on first use, so a plan lives as long as its device."""
+        return {}
+
+    @functools.cached_property
+    def _spectra(self) -> dict:
+        """``scoring``'s eps-free spectra of this device, each stored there on
+        first use as read-only ``matcore.block_psd_spectra`` arrays: under
+        ("state",) the state's, under ("branches", a) letter a's branches
+        P_a^x phi P_a^x, and under ("score", g), by game identity, that of
+        sqrt(K) phi sqrt(K).  Only the power 1 + eps is taken per call."""
         return {}
 
 
@@ -544,33 +556,43 @@ class _Records:
 
     columns: Mapping[str, Sequence]
 
-    def json_parts(self, pad: str, step: str) -> list[str]:
+    def json_blocks(self, pad: str, step: str) -> Iterator[list[str]]:
         """The records as ``json.dumps(..., sort_keys=True)`` indents them by
-        ``step`` on a line indented by ``pad``, built in bulk: a list of
-        short strings (one scalar or separator each) whose join is that text.
-        Each scalar's text is the C encoder's, which the indenting encoder
-        shares, and none contains ", "."""
+        ``step`` on a line indented by ``pad``, built in bulk
+        ``_RECORD_BLOCK`` records at a time: per block, a list of short
+        strings (one scalar or separator each), the joins of all blocks in
+        turn being that text.  Each scalar's text is the C encoder's, which
+        the indenting encoder shares, and none contains ", "."""
         keys = sorted(self.columns)
         n = len(self.columns[keys[0]])
-        if not n:
-            return ["[]"]
-        texts = [json.dumps(list(self.columns[k]))[1:-1].split(", ") for k in keys]
-        if any(len(t) != n for t in texts):
+        if any(len(self.columns[k]) != n for k in keys):
             raise ValueError("record columns must be of equal length and hold scalars")
+        if not n:
+            yield ["[]"]
+            return
         record, field = "\n" + pad + step, "\n" + pad + step * 2
         names = [json.dumps(k) + ": " for k in keys]
-        # the text after each scalar: before the next key, between records,
-        # and after the last scalar
+        # the text after each scalar: before the next key, and between records
         seps = ["," + field + name for name in names[1:]]
         seps.append(record + "}," + record + "{" + field + names[0])
-        seps *= n
-        seps[-1] = record + "}\n" + pad + "]"
-        parts = [""] * (2 * len(keys) * n + 1)
-        parts[0] = "[" + record + "{" + field + names[0]
-        parts[1::2] = itertools.chain.from_iterable(zip(*texts))
-        parts[2::2] = seps
-        return parts
+        opening = "[" + record + "{" + field + names[0]
+        for start in range(0, n, _RECORD_BLOCK):
+            size = min(_RECORD_BLOCK, n - start)
+            texts = [json.dumps(list(self.columns[k][start:start + size]))[1:-1].split(", ")
+                     for k in keys]
+            if any(len(t) != size for t in texts):
+                raise ValueError("record columns must be of equal length and hold scalars")
+            parts = [""] * (2 * len(keys) * size + 1)
+            parts[0] = "" if start else opening
+            parts[1::2] = itertools.chain.from_iterable(zip(*texts))
+            parts[2::2] = seps * size
+            if start + size == n:  # after the last scalar
+                parts[-1] = record + "}\n" + pad + "]"
+            yield parts
 
+
+# the records of a _Records, and the CLI's CSV rows, are written this many at a time
+_RECORD_BLOCK = 1 << 12
 
 # the walk hands its pending parts to the sink once they number this many
 _FLUSH_PARTS = 1 << 14
@@ -582,7 +604,8 @@ def _json_parts(o: Any, pad: str, step: str, out: list[str], seen: dict[str, str
     ``json_write`` writes it; ``seen`` keeps each separator and key text once.
     Once ``out`` holds ``_FLUSH_PARTS`` parts, the join of them goes to
     ``write`` and ``out`` is cleared, so ``out`` never holds more than that
-    many parts, two per open container and one bulk leaf.  A module-level
+    many parts, two per open container and one bulk leaf: a matrix, or one
+    block of a ``_Records``, whose blocks are flushed between.  A module-level
     function, not a closure: a closure that calls itself is a reference
     cycle, which would keep ``out`` alive until the cyclic collector runs."""
     if isinstance(o, Device):
@@ -590,7 +613,11 @@ def _json_parts(o: Any, pad: str, step: str, out: list[str], seen: dict[str, str
     if isinstance(o, np.ndarray):
         out.extend(matcore.matrix_json_parts(o, pad, step))
     elif isinstance(o, _Records):
-        out.extend(o.json_parts(pad, step))
+        for k, parts in enumerate(o.json_blocks(pad, step)):
+            if k:  # between blocks
+                write("".join(out))
+                out.clear()
+            out.extend(parts)
     elif isinstance(o, (dict, list, tuple)):
         keyed = isinstance(o, dict)
         inner = pad + step
@@ -623,17 +650,19 @@ def json_write(obj: Any, indent: int, write: Callable[[str], Any]) -> None:
     read the text.
 
     One walk of ``obj`` (``_json_parts``) appends short strings to one list:
-    dicts by sorted keys, matrices and ``_Records`` in bulk
-    (``matcore.matrix_json_parts``, ``_Records.json_parts``) at the walk's
-    indentation, other scalars through ``json.dumps``.  Each separator and
-    key text is kept once, however often it is written.  Once the list holds
-    ``_FLUSH_PARTS`` (2^14) parts, their join is one chunk: the walk holds at
-    most that many parts plus one bulk leaf, a few hundred kB, however large
-    the text.  Each chunk is freed once the sink returns.  Runs that write
-    the same text spread in peak resident memory no more than when it was
-    joined whole (the medians of repeated ``suites`` benchmark invocations
-    agree within 0.02 MB), so chunks do not leave that peak depending on
-    where the C heap placed them.  An object the walk cannot write raises
+    dicts by sorted keys, matrices in bulk (``matcore.matrix_json_parts``)
+    and ``_Records`` in bulk blocks of ``_RECORD_BLOCK`` (2^12) records
+    (``_Records.json_blocks``) at the walk's indentation, other scalars
+    through ``json.dumps``.  Each separator and key text is kept once,
+    however often it is written.  Once the list holds ``_FLUSH_PARTS``
+    (2^14) parts, and between two blocks of records, their join is one
+    chunk: the walk holds at most that many parts plus one bulk leaf or
+    block, a few hundred kB, however large the text.  Each chunk is freed
+    once the sink returns.  Runs that write the same text spread in peak
+    resident memory no more than when it was joined whole (the medians of
+    repeated ``suites`` benchmark invocations agree within 0.02 MB), so
+    chunks do not leave that peak depending on where the C heap placed
+    them.  An object the walk cannot write raises
     after the chunks before it were written.
     """
     out: list[str] = []

@@ -5,11 +5,13 @@ quantities go through full eigendecompositions or SVDs: inputs are desk
 scale (dim <= ~256), so exactness beats iterative speed.  Brackets and PSD
 powers run per orthogonal block: ``support_blocks`` splits a set of
 matrices into the connected components of their joint exact nonzero
-pattern, and ``block_psd_bracket`` / ``block_psd_power`` take the blocks as
-one ``(k, s, s)`` stack per block size, with one batched decomposition per
-stack; ``block_psd_brackets`` brackets L such matrices from ``(L, k, s, s)``
-stacks in the same calls.  A dense matrix is the one-block case:
-``block_psd_power([m[None]], p)``.
+pattern, and ``block_psd_power`` takes the blocks as one ``(k, s, s)`` stack
+per block size, with one batched decomposition per stack.  A bracket
+Tr[M^(1+eps)] is split at eps: ``block_psd_spectra`` decomposes L such
+matrices from ``(L, k, s, s)`` stacks, one batched eigh per stack, and
+``spectral_brackets`` powers and sums the kept eigenvalues at each eps;
+``block_psd_brackets`` is the two in turn.  A dense matrix is the one-block
+case: ``block_psd_power([m[None]], p)``.
 Schatten norms of arbitrary matrices take the same shape: ``schatten_stack``
 runs one batched SVD per (k, d, d) stack, a single matrix being a stack of one.
 
@@ -180,32 +182,43 @@ def block_psd_power(stacks: Sequence[np.ndarray], p: float) -> list[np.ndarray]:
     return out
 
 
-def block_psd_brackets(stacks: Sequence[np.ndarray], eps: float) -> np.ndarray:
-    """bracket of each of L PSD block-diagonal matrices given as (L, k, s, s) stacks.
+def block_psd_spectra(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The eigenvalues of L PSD block-diagonal matrices given as (L, k, s, s)
+    stacks, clipped at 0: one (L, k*s) array per stack, row l holding matrix
+    l's eigenvalues of that block size, C-ordered.
 
     One batched eigh runs per stack and only its eigenvalues are read: they
     are those of ``block_psd_power``, where eigvalsh takes another LAPACK route
-    with other rounding.  Eigenvalues are clipped at 0; each
-    matrix's Tr[M^(1+eps)] sums its k*s powered eigenvalues of a stack in one
-    reduction, and the stacks are added in order.  The Hermiticity and
-    finiteness checks cover every block of every matrix.
+    with other rounding.  The Hermiticity and finiteness checks cover every
+    block of every matrix.  The spectra do not depend on eps, so a caller
+    that brackets the same matrices at several eps keeps them and powers
+    them with ``spectral_brackets``.
     """
-    total = 0.0
+    spectra = []
     for b in stacks:
         b = np.asarray(b)
         if b.ndim != 4:
             raise MatcoreError(f"expected (L, k, s, s) stacks, got shape {b.shape}")
         n, k, s, t = b.shape
         vals = np.linalg.eigh(_symmetrized(_as_stack(b.reshape(n * k, s, t))))[0]
-        powered = np.clip(vals, 0.0, None) ** (1.0 + eps)
-        total = total + np.sum(powered.reshape(n, k * s), axis=-1)
+        spectra.append(np.clip(vals, 0.0, None).reshape(n, k * s))
+    return spectra
+
+
+def spectral_brackets(spectra: Sequence[np.ndarray], eps: float) -> np.ndarray:
+    """Tr[M^(1+eps)] of each of L matrices from their ``block_psd_spectra``:
+    each (L, k*s) array is raised to the power 1 + eps and summed along its
+    rows in one reduction, and the stacks are added in order."""
+    total = 0.0
+    for vals in spectra:
+        total = total + np.sum(vals ** (1.0 + eps), axis=-1)
     return total
 
 
-def block_psd_bracket(stacks: Sequence[np.ndarray], eps: float) -> float:
-    """bracket of a PSD block-diagonal matrix given as (k, s, s) stacks:
-    ``block_psd_brackets`` with the matrix as its one slice."""
-    return float(block_psd_brackets([np.asarray(b)[None] for b in stacks], eps)[0])
+def block_psd_brackets(stacks: Sequence[np.ndarray], eps: float) -> np.ndarray:
+    """bracket of each of L PSD block-diagonal matrices given as (L, k, s, s)
+    stacks: ``spectral_brackets`` of their ``block_psd_spectra``."""
+    return spectral_brackets(block_psd_spectra(stacks), eps)
 
 
 def schatten_stack(z, eps) -> tuple[list[float], list[float]]:

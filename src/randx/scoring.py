@@ -10,16 +10,21 @@ ordinary Born-rule expected score.  The (1+eps)-randomness compares the
 bracket of the post-measurement branches P_a^x phi P_a^x with that of the
 initial state and converges to a Renyi entropy rate as eps -> 0.
 
-Each public call builds one branch table: bracket(phi, eps) and the bracket
-of every measured branch it needs, each computed once.  ``randomness_report``
-reads all of its fields from a single table.  The table is built per input
-and per orthogonal block of the device, from the stacks the device keeps
+A bracket is sum lambda^(1+eps) over a PSD matrix's eigenvalues, so eps
+enters only through the power.  The spectra are decomposed once per device
+and kept on it (``Device._spectra``): phi's, each measured letter's branches
+P_a^x phi P_a^x, and, per game, that of sqrt(K) phi sqrt(K).  Each public
+call then only powers and sums them at its eps
+(``matcore.spectral_brackets``), into one branch table: bracket(phi, eps)
+and the bracket of every measured branch it needs.  ``randomness_report``
+reads all of its fields from a single table, and an eps sweep decomposes
+nothing after its first call.  The spectra are taken per input and per
+orthogonal block of the device, from the stacks the device keeps
 (``Device.state_blocks``, ``Device.projector_blocks``): all of an input's
-branches P_b phi_b P_b are formed in one stacked product and bracketed by one
-batched eigendecomposition per block size, never as dense products.  K is
-summed per block from the same projector stacks, and sqrt(K) and
-sqrt(K) phi sqrt(K) are taken per block in the same way; no dense matrix is
-formed or split.
+branches P_b phi_b P_b are formed in one stacked product and decomposed by
+one batched eigh per block size, never as dense products.  K is summed per
+block from the same projector stacks, and sqrt(K) and sqrt(K) phi sqrt(K)
+are taken per block in the same way; no dense matrix is formed or split.
 
 A game's branches are read from the round plan of the (game, device) pair
 (``protocol._round_plan``), which checks the pair once and maps each game
@@ -30,12 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterable
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
 from . import matcore
-from .devicemodel import Device, Letter
+from .devicemodel import Device, Letter, _read_only
 from .gamedefs import Game
 from .protocol import _round_plan
 
@@ -70,22 +75,41 @@ def _letter_terms(d: Device, a: Letter) -> list[_Term]:
 
 @dataclass(frozen=True)
 class _BranchTable:
-    """The brackets one scoring call needs, each computed once."""
+    """The brackets one scoring call needs, each powered once."""
 
     eps: float
     state: float  # bracket(phi, eps)
     branches: dict[Letter, list[float]]  # a -> bracket(P_a^x phi P_a^x, eps) per device row
 
 
+def _spectra(d: Device, key: tuple, stacks: Callable[[], list]) -> tuple[np.ndarray, ...]:
+    """``matcore.block_psd_spectra(stacks())``, decomposed on the device's
+    first call with ``key`` and read from ``Device._spectra`` after."""
+    cache = d._spectra
+    if key not in cache:
+        cache[key] = _read_only(matcore.block_psd_spectra(stacks()))
+    return cache[key]
+
+
+def _state_bracket(d: Device, eps: float) -> float:
+    """bracket(phi, eps) from the state's kept spectrum."""
+    spectra = _spectra(d, ("state",), lambda: [f[None] for f in d.state_blocks])
+    return float(matcore.spectral_brackets(spectra, eps)[0])
+
+
 def _branch_table(d: Device, inputs: Iterable[Letter], eps: float) -> _BranchTable:
-    """Bracket phi and every measured branch of ``inputs`` per block of the
-    device, one batched call per input; unitaries cannot change them."""
+    """Bracket phi and every measured branch of ``inputs`` from the spectra
+    the device keeps.  A letter's branches are decomposed per block of the
+    device, one batched call per letter, on its first use; unitaries cannot
+    change them."""
     phi = d.state_blocks
-    branches = {}
-    for a in dict.fromkeys(inputs):
-        w = matcore.block_psd_brackets([p @ f @ p for p, f in zip(d.projector_blocks[a], phi)], eps)
-        branches[a] = w.tolist()
-    return _BranchTable(eps, matcore.block_psd_bracket(phi, eps), branches)
+    branches = {
+        a: matcore.spectral_brackets(_spectra(
+            d, ("branches", a), lambda: [p @ f @ p for p, f in zip(d.projector_blocks[a], phi)]
+        ), eps).tolist()
+        for a in dict.fromkeys(inputs)
+    }
+    return _BranchTable(eps, _state_bracket(d, eps), branches)
 
 
 def _k_blocks(d: Device, terms: Iterable[_Term]) -> list[np.ndarray]:
@@ -101,18 +125,23 @@ def _k_blocks(d: Device, terms: Iterable[_Term]) -> list[np.ndarray]:
     return k
 
 
-def _score_bracket(d: Device, k: list[np.ndarray], eps: float) -> float:
-    """bracket(sqrt(K) phi sqrt(K), eps) from K's block stacks, with sqrt(K)
-    and the bracket taken per block."""
-    root = matcore.block_psd_power(k, 0.5)
-    return matcore.block_psd_bracket([r @ f @ r for r, f in zip(root, d.state_blocks)], eps)
+def _score_bracket(g: Game, d: Device, eps: float) -> float:
+    """bracket(sqrt(K) phi sqrt(K), eps) from the spectrum the device keeps
+    per game.  On the pair's first call K is summed per block, and sqrt(K)
+    and the sandwich are taken per block."""
+
+    def sandwich() -> list[np.ndarray]:
+        root = matcore.block_psd_power(_k_blocks(d, _game_terms(g, d)), 0.5)
+        return [(r @ f @ r)[None] for r, f in zip(root, d.state_blocks)]
+
+    return float(matcore.spectral_brackets(_spectra(d, ("score", g), sandwich), eps)[0])
 
 
 def eps_score(g: Game, d: Device, eps: float) -> float:
     """(1+eps)-score of a device; the Born-rule expected score at eps = 0."""
     if not 0.0 <= eps <= 1.0:
         raise ScoringError(f"eps must lie in [0, 1], got {eps}")
-    return _score_bracket(d, _k_blocks(d, _game_terms(g, d)), eps) / _branch_table(d, (), eps).state
+    return _score_bracket(g, d, eps) / _state_bracket(d, eps)
 
 
 def _randomness(table: _BranchTable, terms: list[_Term], s: float) -> float:
@@ -206,7 +235,7 @@ def randomness_report(g: Game, d: Device, eps: float) -> RandomnessReport:
     table = _branch_table(d, [g.distinguished_input, *(a for _, a, _, _ in terms)], eps)
     return RandomnessReport(
         eps=eps,
-        w_eps=_score_bracket(d, _k_blocks(d, terms), eps) / table.state,
+        w_eps=_score_bracket(g, d, eps) / table.state,
         r_input=_randomness(table, letter, 0.0),
         r_game=_randomness(table, terms, 0.0),
     )

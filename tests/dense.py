@@ -39,7 +39,7 @@ from randx.devicemodel import (
 )
 from randx.gamedefs import Game, require_compatible
 from randx.matcore import (
-    HERM_TOL, as_matrix, block_psd_bracket, block_psd_power, dagger, ginibre, haar_pvm,
+    HERM_TOL, as_matrix, block_psd_brackets, block_psd_power, dagger, ginibre, haar_pvm,
     schatten_stack,
 )
 from randx.scoring import eps_score
@@ -60,9 +60,9 @@ def psd_power(m, p: float) -> np.ndarray:
 
 
 def psd_bracket(m, eps: float) -> float:
-    """bracket of a PSD matrix via its eigenvalues: ``block_psd_bracket`` with
-    the whole matrix as its one block."""
-    return block_psd_bracket([np.asarray(m)[None]], eps)
+    """bracket of a PSD matrix via its eigenvalues: ``block_psd_brackets`` with
+    the whole matrix as the one block of its one slice."""
+    return float(block_psd_brackets([np.asarray(m)[None, None]], eps)[0])
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randx import catalog, classicaloracle, devicemodel, scoring
 from randx.classicaloracle import (
@@ -165,6 +166,27 @@ class TestClassicalValue:
             ]
             d = strategy_device(g, strategy)
             assert scoring.eps_score(g, d, 0.0) <= res.best_value + 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 3), min_size=2, max_size=2),
+           st.lists(st.integers(2, 3), min_size=2, max_size=2))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_random_games_rescore_their_best_strategy(self, rng_seed, n_in, n_out):
+        # the enumeration's value against the best strategy embedded as a
+        # device and scored by the Born rule; no other strategy scores more
+        rng = np.random.default_rng(rng_seed)
+        player_inputs = [tuple(range(k)) for k in n_in]
+        player_outputs = [tuple(range(k)) for k in n_out]
+        letters = list(itertools.product(*player_inputs))
+        cells = [(a, x) for a in letters for x in itertools.product(*player_outputs)]
+        g = nonlocal_game("random", player_inputs, player_outputs,
+                          dict(zip(letters, rng.dirichlet(np.ones(len(letters))).tolist())),
+                          dict(zip(cells, rng.random(len(cells)).tolist())), letters[0])
+        res = classical_value(g)
+        assert scoring.eps_score(g, strategy_device(g, res.best_strategy), 0.0) == pytest.approx(
+            res.best_value, abs=1e-12)
+        other = [{a: outs[int(rng.integers(len(outs)))] for a in ins}
+                 for ins, outs in zip(player_inputs, player_outputs)]
+        assert scoring.eps_score(g, strategy_device(g, other), 0.0) <= res.best_value + 1e-12
 
     def test_deterministic_tie_break(self):
         a = classical_value(catalog.chsh().game)

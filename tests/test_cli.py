@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from randx import catalog, classicaloracle, devicemodel, protocol
-from randx.cli import _CSV_BLOCK, HEADER, _fmt, _letterstr, main
-from randx.devicemodel import load_device, save_device
+from randx.cli import HEADER, _fmt, _letterstr, main
+from randx.devicemodel import _RECORD_BLOCK, load_device, save_device
 from randx.gamedefs import game_to_dict, load_game, nonlocal_game, save_game
 from tests.dense import device_to_dict
 from tests.test_devicemodel import misfit_projector_device
@@ -711,7 +711,7 @@ def csv_text(header_row, rows) -> str:
     return "\n".join([HEADER, ",".join(header_row), *map(",".join, rows)]) + "\n"
 
 
-@pytest.mark.parametrize("count", [1, _CSV_BLOCK, _CSV_BLOCK + 1, 100_000])
+@pytest.mark.parametrize("count", [1, _RECORD_BLOCK, _RECORD_BLOCK + 1, 100_000])
 def test_csv_blocks_join_to_the_whole_text(count, capsys):
     game, device = catalog.get_game("chsh"), catalog.get_device("chsh:optimal")
     common = ["--q", "0.3", "--chi", "0.5", "--seed", "4", "--out", "csv"]

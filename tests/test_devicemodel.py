@@ -445,6 +445,20 @@ class TestJsonText:
                 [{"c": ck, "seed": 9 + k, "success": sk} for k, (ck, sk) in enumerate(outcomes)],
             )
 
+    @pytest.mark.parametrize("n", [1, 3, 4, 9, 10])
+    def test_records_are_written_a_block_at_a_time(self, n):
+        # blocks of 3 records: the text is the whole list's at any flush
+        # bound, and each block is handed to the sink before the next is built
+        columns = {"c": [0.5 * k for k in range(n)], "seed": range(7, 7 + n),
+                   "success": [k % 2 == 0 for k in range(n)]}
+        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        with unittest.mock.patch.object(devicemodel, "_RECORD_BLOCK", 3):
+            self.assert_same_text({"runs": _Records(columns), "x": 1}, {"runs": records, "x": 1})
+            chunks = []
+            json_write(_Records(columns), 2, chunks.append)
+        assert len(chunks) == -(-n // 3)
+        assert all(chunk.count('"seed"') <= 3 for chunk in chunks)
+
     def test_non_finite_floats_are_named_strings(self):
         numbers = [math.nan, math.inf, -math.inf, 1.5, np.float64(math.inf)]
         names = ["NaN", "Infinity", "-Infinity", 1.5, "Infinity"]

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from randx import matcore
 from randx.matcore import (
     MatcoreError,
-    block_psd_bracket,
+    block_psd_brackets,
     block_psd_power,
+    block_psd_spectra,
     ginibre,
     haar_pvm,
     haar_unitary,
@@ -20,6 +21,7 @@ from randx.matcore import (
     random_psd,
     resolution_defects,
     schatten_stack,
+    spectral_brackets,
     split_blocks,
     support_blocks,
 )
@@ -288,8 +290,30 @@ class TestBlockKernels:
     def test_psd_kernels_are_the_one_block_case(self):
         rng = np.random.default_rng(5)
         m = random_psd(5, rng)
-        assert psd_bracket(m, 0.3) == block_psd_bracket([m[None]], 0.3)
+        spectra = block_psd_spectra([m[None, None]])
+        vals = np.linalg.eigh((m + m.conj().T) / 2)[0]
+        assert [v.shape for v in spectra] == [(1, 5)]
+        assert np.array_equal(spectra[0][0], np.clip(vals, 0.0, None))
+        assert psd_bracket(m, 0.3) == float(spectral_brackets(spectra, 0.3)[0])
         assert np.array_equal(psd_power(m, -0.5), block_psd_power([m[None]], -0.5)[0][0])
+
+    def test_spectra_kept_once_bracket_every_eps(self):
+        # L = 3 matrices, each of two 1-blocks and one 2-block: their kept
+        # spectra, powered at each eps, are the one-call brackets bit for bit
+        rng = np.random.default_rng(8)
+        stacks = [np.stack([np.stack([random_psd(s, rng) for _ in range(k)]) for _ in range(3)])
+                  for k, s in ((2, 1), (1, 2))]
+        stacks[0][1, 0] = -1e-17  # a roundoff-negative eigenvalue, clipped to 0
+        spectra = block_psd_spectra(stacks)
+        assert [v.shape for v in spectra] == [(3, 2), (3, 2)]
+        assert all(v.flags.c_contiguous and v.min() >= 0.0 for v in spectra)
+        assert spectra[0][1, 0] == 0.0
+        for eps in (0.0, *EPS_GRID):
+            want = block_psd_brackets(stacks, eps)
+            assert np.array_equal(spectral_brackets(spectra, eps), want)
+            for ell in range(3):
+                dense = block_diagonal([*stacks[0][ell], *stacks[1][ell]])
+                assert want[ell] == pytest.approx(psd_bracket(dense, eps), rel=1e-12)
 
     @given(seed=seeds, eps=eps_values)
     @settings(max_examples=20, deadline=None)
@@ -300,7 +324,8 @@ class TestBlockKernels:
         m = m[np.ix_(perm, perm)]
         blocks = support_blocks([m], m.shape[0])
         stacks = split_blocks(m, blocks)
-        assert block_psd_bracket(stacks, eps) == pytest.approx(psd_bracket(m, eps), rel=1e-12)
+        blocked = float(block_psd_brackets([b[None] for b in stacks], eps)[0])
+        assert blocked == pytest.approx(psd_bracket(m, eps), rel=1e-12)
         # The dense eigh perturbs every block by about ulp * top, top being the
         # largest eigenvalue of m, and x^(-1/2) amplifies that by about
         # lam^(-3/2) at a block's least eigenvalue lam.  So the two routes may
@@ -344,8 +369,10 @@ class TestBlockKernels:
 
     def test_inputs_are_checked(self):
         with pytest.raises(MatcoreError, match="matrix has non-finite entries"):
-            block_psd_bracket([np.full((2, 1, 1), np.nan)], 0.1)
+            block_psd_spectra([np.full((1, 2, 1, 1), np.nan)])
         with pytest.raises(MatcoreError, match="matrix is not Hermitian"):
-            block_psd_bracket([np.array([[[0.0, 1.0], [0.0, 0.0]]])], 0.1)
+            block_psd_spectra([np.array([[[[0.0, 1.0], [0.0, 0.0]]]])])
+        with pytest.raises(MatcoreError, match=r"expected \(L, k, s, s\) stacks"):
+            block_psd_spectra([np.eye(2)[None]])
         with pytest.raises(MatcoreError):
             block_psd_power([np.eye(2)], 0.5)

@@ -1,11 +1,13 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randx import catalog, matcore, protocol, scoring
-from randx.devicemodel import GENERAL, make_device
+from randx.devicemodel import GENERAL, direct_sum, make_device
 from randx.gamedefs import GameError, nonlocal_game
 from randx.scoring import (
     ScoringError,
@@ -16,9 +18,12 @@ from randx.scoring import (
     weighted_randomness,
 )
 from tests import dense
+from tests.conftest import haar_rotated
 from tests.dense import game_operator
+from tests.test_protocol import random_dyadic_pair
 
 CHSH_W = 0.5 + math.sqrt(2.0) / 4.0
+REPORT_EPS = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
 
 
 def constant_score_game(value):
@@ -239,20 +244,79 @@ def test_randomness_report_fields():
 
 
 def test_randomness_report_brackets_each_branch_once(monkeypatch):
-    bracketed = []  # each call's number of matrices L
-    real_brackets = matcore.block_psd_brackets
+    decomposed = []  # each call's number of matrices L
+    real_spectra = matcore.block_psd_spectra
     monkeypatch.setattr(
-        matcore, "block_psd_brackets",
-        lambda stacks, eps: bracketed.append(len(stacks[0])) or real_brackets(stacks, eps),
+        matcore, "block_psd_spectra",
+        lambda stacks: decomposed.append(len(stacks[0])) or real_spectra(stacks),
     )
     entry = catalog.magic_square()
-    d = entry.devices["combined"]
-    randomness_report(entry.game, d, 0.1)
+    d = replace(entry.devices["combined"])  # a cold copy: it keeps no spectra yet
+    for eps in REPORT_EPS:
+        randomness_report(entry.game, d, eps)
     branches = sum(len(outs) for outs in d.measurements.values())
-    # every branch once, plus phi and the K sandwich
-    assert sum(bracketed) == branches + 2
+    # over the whole eps sweep: every branch once, plus phi and the K sandwich
+    assert sum(decomposed) == branches + 2
     # one call per input, plus phi and the K sandwich
-    assert len(bracketed) <= len(d.measurements) + 2 == 11
+    assert len(decomposed) == len(d.measurements) + 2 == 11
+    # the other entry points read the same spectra
+    for eps in REPORT_EPS:
+        eps_score(entry.game, d, eps)
+        eps_randomness(entry.game.distinguished_input, d, eps)
+        weighted_randomness(entry.game, d, eps, 1.0)
+    assert len(decomposed) == 11
+
+
+def scoring_calls(g, eps):
+    """The four scoring entry points at eps, each a function of the device;
+    a report compares field by field."""
+    return {
+        "eps_score": lambda d: eps_score(g, d, eps),
+        "eps_randomness": lambda d: eps_randomness(g.distinguished_input, d, eps),
+        "weighted_randomness": lambda d: weighted_randomness(g, d, eps, 1.0),
+        "randomness_report": lambda d: randomness_report(g, d, eps),
+    }
+
+
+def test_kept_spectra_give_the_same_bits_in_any_order():
+    # every value on a cold copy of its device, against one warm copy per
+    # device queried in a shuffled order that interleaves devices, entry
+    # points and eps
+    cases = {}
+    warm = {}
+    for entry in (catalog.chsh(), catalog.magic_square()):
+        for name, d in entry.devices.items():
+            warm[name] = replace(d)
+            for eps in REPORT_EPS:
+                for call, f in scoring_calls(entry.game, eps).items():
+                    cases[name, call, eps] = (f, f(replace(d)))
+    assert len(cases) == 13 * 4 * 6
+    order = list(cases)
+    for seed in (1, 2):
+        random.Random(seed).shuffle(order)
+        for key in order:
+            f, cold = cases[key]
+            assert f(warm[key[0]]) == cold, key
+
+
+@given(st.integers(0, 2**32 - 1), st.tuples(st.integers(2, 3), st.integers(2, 3)),
+       st.integers(1, 3), st.sampled_from(REPORT_EPS))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_block_report_matches_a_haar_rotated_dense_copy(rng_seed, inputs, parts, eps):
+    # a direct sum of random components blocks, against the same device
+    # conjugated by one Haar unitary into a single dense block
+    rng = np.random.default_rng(rng_seed)
+    pairs = [random_dyadic_pair(rng, inputs) for _ in range(parts)]
+    weights = rng.dirichlet(np.ones(parts)).tolist()
+    d = direct_sum([(w, dk) for w, (_, dk) in zip(weights, pairs)], "random-blocks")
+    rotated = haar_rotated(d, rng)
+    assert len(d.blocks[0]) >= parts and [idx.shape for idx in rotated.blocks] == [(1, d.dim)]
+    g = pairs[0][0]
+    rep, rot = randomness_report(g, d, eps), randomness_report(g, rotated, eps)
+    # -(1/eps) log2 of a ratio carries its rounding times 1/eps
+    assert rot.w_eps == pytest.approx(rep.w_eps, rel=1e-11)
+    assert rot.r_input == pytest.approx(rep.r_input, rel=1e-9, abs=1e-11 / eps)
+    assert rot.r_game == pytest.approx(rep.r_game, rel=1e-9, abs=1e-11 / eps)
 
 
 def test_each_pair_is_checked_once(monkeypatch):
@@ -306,12 +370,9 @@ def test_block_k_equals_dense_k(entry):
         assert all(np.array_equal(kb, rb) for kb, rb in zip(k, ref)), d.name
 
 
-REPORT_EPS = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
-
-
 def test_block_kernels_never_see_a_matrix_wider_than_a_block(monkeypatch):
     entry = catalog.magic_square()
-    d = entry.devices["combined"]
+    d = replace(entry.devices["combined"])  # a cold copy, whose spectra are decomposed here
     widths = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
