@@ -10,8 +10,9 @@ per block size, with one batched decomposition per stack.  A bracket
 Tr[M^(1+eps)] is split at eps: ``block_psd_spectra`` decomposes L such
 matrices from ``(L, k, s, s)`` stacks, one batched eigh per stack, and
 ``spectral_brackets`` powers and sums the kept eigenvalues at each eps;
-``block_psd_brackets`` is the two in turn.  A dense matrix is the one-block
-case: ``block_psd_power([m[None]], p)``.
+``block_psd_brackets`` is the two in turn.  ``block_rank_one`` reads the
+unit vector of each rank-1 matrix of such stacks, or finds one of higher
+rank.  A dense matrix is the one-block case: ``block_psd_power([m[None]], p)``.
 Schatten norms of arbitrary matrices take the same shape: ``schatten_stack``
 runs one batched SVD per (k, d, d) stack, a single matrix being a stack of one.
 
@@ -213,6 +214,26 @@ def spectral_brackets(spectra: Sequence[np.ndarray], eps: float) -> np.ndarray:
     for vals in spectra:
         total = total + np.sum(vals ** (1.0 + eps), axis=-1)
     return total
+
+
+def block_rank_one(stacks: Sequence[np.ndarray]) -> list[np.ndarray] | None:
+    """The unit vectors of L Hermitian block-diagonal matrices of rank at most
+    1, given as (L, k, s, s) stacks: one (L, k, s) stack per block size, row l
+    holding matrix l's eigenvector of its one eigenvalue of modulus above
+    ``RANK_TOL`` in that eigenvalue's block and zeros elsewhere (all zeros
+    for a matrix with no such eigenvalue).  None when some matrix has more
+    than one such eigenvalue over its blocks.  The cutoff is absolute, as
+    suits projectors, whose eigenvalues are 0 and 1.  One batched eigh runs
+    per stack.
+    """
+    eigs = []
+    for b in stacks:
+        n, k, s, _ = b.shape
+        vals, vecs = np.linalg.eigh(_symmetrized(_as_stack(b.reshape(n * k, s, s))))
+        eigs.append(((np.abs(vals) > RANK_TOL).reshape(n, k, s), vecs.reshape(n, k, s, s)))
+    if np.any(sum(kept.sum(axis=(1, 2)) for kept, _ in eigs) > 1):
+        return None
+    return [(vecs * kept[:, :, None, :]).sum(axis=-1) for kept, vecs in eigs]
 
 
 def block_psd_brackets(stacks: Sequence[np.ndarray], eps: float) -> np.ndarray:

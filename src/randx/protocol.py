@@ -29,10 +29,14 @@ called with the same arguments (``enumerate_success_state``).  Under
 fresh-state semantics each sequence weight is a product over rounds and
 success depends only on the summed raw score, so ``_fresh_sums`` convolves
 the one-round table of score classes N times, in O(N * classes) work.
-``_memory_sums`` expands the sequence tree in batches: each batch is a
-subtree of bounded size whose nodes are held per orthogonal block of the
-device, and one stacked product expands each of its depths.  The branch cap
-guards both.
+``_memory_sums`` takes one of two routes, chosen by the device alone.  When
+every measured projector of the round's inputs has rank at most 1, each
+branch operator is a scalar times one outer product, and ``_transfer_sums``
+carries (last child, score class) sums through N rounds, in
+O(N * classes * children^2) work.  Otherwise ``_memory_tree`` expands the
+sequence tree in batches: each batch is a subtree of bounded size whose
+nodes are held per orthogonal block of the device, and one stacked product
+expands each of its depths.  The branch cap guards every route.
 
 Randomness is drawn from a counter-based 64-bit generator (Philox) keyed by
 the run seed, a key in [0, 2^128); each round consumes three uniforms in a
@@ -64,6 +68,7 @@ as long as the device and later calls on the same pair reuse it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -209,6 +214,14 @@ class _RoundPlan:
     den: int
     abar: int  # index of the distinguished input
     outputs: tuple[tuple[int, ...], ...]  # per input, its measured outputs in device order
+
+    @functools.cached_property
+    def rank_one(self) -> tuple[list[np.ndarray] | None, ...]:
+        """Per input, ``matcore.block_rank_one`` of its projector stacks: each
+        output's unit vector, or None if a projector has rank above 1.  Built
+        on the pair's first --memory enumeration, not with the plan."""
+        projs = self.device.projector_blocks
+        return tuple(matcore.block_rank_one(projs[a]) for a in self.game.input_alphabet)
 
 
 def _cdf(weights) -> np.ndarray:
@@ -605,6 +618,87 @@ def _fresh_sums(
 def _memory_sums(
     plan: _RoundPlan, rows, sandwich, params: ProtocolParams, eps: float
 ) -> tuple[float, float, int]:
+    """(mass, bracket sum, branches) of the --memory sequences.
+
+    When every measured projector of the inputs in ``rows`` has rank at most
+    1 (``_RoundPlan.rank_one``), a branch operator is a scalar times one outer
+    product and the sums are a transfer DP over (last child, score class),
+    ``_transfer_sums``.  Otherwise ``_memory_tree`` expands every sequence.
+    """
+    vectors = plan.rank_one
+    if all(vectors[i] is not None for _, i, _ in rows):
+        return _transfer_sums(plan, rows, sandwich, params, eps)
+    return _memory_tree(plan, rows, sandwich, params, eps)
+
+
+def _transfer_sums(
+    plan: _RoundPlan, rows, sandwich, params: ProtocolParams, eps: float
+) -> tuple[float, float, int]:
+    """(mass, bracket sum, branches) of the --memory sequences of a device whose
+    measured projectors have rank at most 1, by a transfer DP.
+
+    Child c, in (rows, outputs) order, has the unit vector v_c of its
+    projector (0 for a zero projector) and w_c = U_a P_a^x v_c, so its round
+    operator is w_c v_c†, and the branch operator of children c_1 .. c_N is
+    w_N <v_N|w_N-1> ... <v_2|w_1> v_1†.  Its Born weight is <v_1|phi|v_1>
+    times the product of T[c_k-1, c_k], with T[c', c] = |<v_c|w_c'>|^2 the
+    Born weight of child c relative to its parent c', and its bracket is
+    (||r v_1||^2 times that product)^(1+eps), r the sandwich.  So each score
+    class carries, per last child, the summed p_q-weighted Born weights,
+    brackets and number of its sequences, and one round multiplies them by
+    p_c T, p_c T^(1+eps) and the kept transitions, then moves column c up by
+    child c's lattice units.  The zero rule is ``_nonzero`` on T, and on the
+    first round's Born weight against tr phi.  Counts are Python ints and
+    each sum is one ``math.fsum`` over the winning classes.  Every product is
+    taken per orthogonal block of the device.  The work is O(N * classes *
+    children^2).
+    """
+    d, n_out = plan.device, plan.scores.shape[1]
+    letters = [plan.game.input_alphabet[i] for _, i, _ in rows]
+    v = [np.concatenate(s) for s in zip(*(plan.rank_one[i] for _, i, _ in rows))]
+    w = [(np.concatenate(ops) @ x[..., None])[..., 0]
+         for ops, x in zip(zip(*(d.round_ops[a] for a in letters)), v)]
+    child_pq = np.array([p_i for p_i, i, _ in rows for _ in plan.outputs[i]])
+    columns: dict[int, list[int]] = {}  # lattice units -> the children that score them
+    units = (plan.units[i * n_out + j] if test else 0 for _, i, test in rows for j in plan.outputs[i])
+    for c, u in enumerate(units):
+        columns.setdefault(u, []).append(c)
+
+    overlap = sum(np.einsum("cki,eki->ce", y, x.conj()) for x, y in zip(v, w))  # [c', c]
+    t = overlap.real**2 + overlap.imag**2
+    kept = _nonzero(t, 1.0)
+    t = np.where(kept, t, 0.0)
+    step = [t * child_pq, t ** (1.0 + eps) * child_pq, kept.astype(object)]
+    born = sum(np.einsum("cki,kij,ckj->c", x.conj(), f, x).real for x, f in zip(v, d.state_blocks))
+    rv = sum(np.sum(np.abs(r[None] @ x[..., None]) ** 2, axis=(1, 2, 3))
+             for r, x in zip(sandwich, v))
+    first = _nonzero(born, plan.tr_phi)
+    sums = [np.where(first, child_pq * born, 0.0)[None],
+            np.where(first, child_pq * rv ** (1.0 + eps), 0.0)[None],
+            first.astype(object)[None]]
+
+    def shift(classes, sums):
+        """Each entry (class s, last child c) moved to class s + units of c."""
+        moved = sorted({s + u for s in classes for u in columns})
+        at = {s: k for k, s in enumerate(moved)}
+        out = [np.zeros((len(moved), len(child_pq)), dtype=a.dtype) for a in sums]
+        for u, cols in columns.items():
+            idx = np.ix_([at[s + u] for s in classes], cols)
+            for o, a in zip(out, sums):
+                o[idx] = a[:, cols]
+        return moved, out
+
+    classes, sums = shift([0], sums)
+    for _ in range(1, params.n_rounds):
+        classes, sums = shift(classes, [a @ m for a, m in zip(sums, step)])
+    won = [k for k, s in enumerate(classes) if _meets_threshold(s, plan.den, params.threshold)]
+    mass, ksum, count = (a[won].ravel().tolist() for a in sums)
+    return math.fsum(mass), math.fsum(ksum), sum(count)
+
+
+def _memory_tree(
+    plan: _RoundPlan, rows, sandwich, params: ProtocolParams, eps: float
+) -> tuple[float, float, int]:
     """(mass, bracket sum, branches) of the --memory sequence tree, in batches.
 
     A node is a branch operator m, a product of block-diagonal projectors and
@@ -700,8 +794,10 @@ def enumerate_success_state(
     of the same arguments returning (mass, bracket sum, branches):
     ``_fresh_sums`` convolves one round's table of score classes N times,
     since every fresh-state sequence weight factorizes over rounds, and
-    ``_memory_sums`` expands the sequence tree in batches, since its
-    branches depend on the evolving state.
+    ``_memory_sums`` runs a transfer DP over (last child, score class) on a
+    device whose measured projectors have rank at most 1, and otherwise
+    expands the sequence tree in batches, since its branches depend on the
+    evolving state.
 
     Both apply one zero rule at every round (``_nonzero``): a branch whose
     Born weight is at most ``PRUNE_FLOOR`` times its parent's is dropped,

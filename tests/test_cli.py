@@ -16,7 +16,7 @@ from randx.devicemodel import _RECORD_BLOCK, load_device, save_device
 from randx.gamedefs import game_to_dict, load_game, nonlocal_game, save_game
 from tests.dense import device_to_dict
 from tests.test_devicemodel import misfit_projector_device
-from tests.test_protocol import toy_setup
+from tests.test_protocol import memory_state_mass, toy_setup
 
 
 def run_cli(args, **kwargs):
@@ -391,11 +391,18 @@ def test_branch_cap_guard_at_large_n_and_at_the_boundary(semantics, capsys):
     assert main([*argv, "--n", "5", "--branch-cap", "3199999"]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == (
         "guard: (5 inputs x 4 outputs)^5 exceeds the 3199999 branch cap")
-    # a cap of 20^5 = 3200000 admits N = 5; shown on the fresh path, since
-    # the guard precedes the semantics and the --memory tree has 3.2e6 leaves
-    if not semantics:
-        assert main([*argv, "--n", "5", "--branch-cap", "3200000"]) == 0
-        assert json.loads(capsys.readouterr().out)["n"] == 5
+    # a cap of 20^5 = 3200000 admits N = 5 on both paths; the CHSH device's
+    # projectors have rank 1, so --memory runs the transfer DP, not 3.2e6 leaves
+    start = time.perf_counter()
+    assert main([*argv, "--n", "5", "--branch-cap", "3200000"]) == 0
+    elapsed = time.perf_counter() - start
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 5
+    if semantics:
+        assert elapsed < 1.0
+        entry = catalog.chsh()
+        assert out["mass"] == pytest.approx(
+            memory_state_mass(entry.game, entry.device, 5, 0.3, 0.8), rel=1e-12, abs=0)
 
 
 def test_unknown_game_exit_one():

@@ -11,6 +11,7 @@ from randx.matcore import (
     block_psd_brackets,
     block_psd_power,
     block_psd_spectra,
+    block_rank_one,
     ginibre,
     haar_pvm,
     haar_unitary,
@@ -366,6 +367,25 @@ class TestBlockKernels:
         psd_power(m, 0.5)
         with pytest.raises(MatcoreError, match="matrix is not PSD"):
             block_psd_power(stacks[1:], 0.5)
+
+    def test_rank_one_vectors_span_each_matrix_or_none(self):
+        # L = 4 matrices on a 1-block and a 2-block: rank 1 in either block,
+        # or 0; a fifth with rank 1 in each block has rank 2 over its blocks
+        rng = np.random.default_rng(4)
+        u = haar_unitary(2, rng)
+        one, two = np.zeros((5, 1, 1, 1), complex), np.zeros((5, 1, 2, 2), complex)
+        one[0] = one[4] = 1.0
+        two[1] = two[4] = np.outer(u[:, 0], u[:, 0].conj())
+        two[2] = np.outer(u[:, 1], u[:, 1].conj())
+        vectors = block_rank_one([one[:4], two[:4]])
+        assert [v.shape for v in vectors] == [(4, 1, 1), (4, 1, 2)]
+        for ell in range(4):
+            v = np.concatenate([vectors[0][ell, 0], vectors[1][ell, 0]])
+            dense = block_diagonal([one[ell, 0], two[ell, 0]])
+            assert np.allclose(np.outer(v, v.conj()), dense, rtol=0, atol=1e-15)
+            assert np.linalg.norm(v) == pytest.approx(float(ell < 3), abs=1e-15)
+        assert block_rank_one([one, two]) is None
+        assert block_rank_one([np.eye(2, dtype=complex)[None, None]]) is None
 
     def test_inputs_are_checked(self):
         with pytest.raises(MatcoreError, match="matrix has non-finite entries"):

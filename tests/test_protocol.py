@@ -2,10 +2,12 @@ import gc
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -246,9 +248,18 @@ def memory_transcript_reference(g, d, params):
     return x_idx, units / plan.den, protocol._meets_threshold(units, plan.den, params.threshold)
 
 
-def memory_summary(g, d, n, q, chi, eps):
-    s = enumerate_success_state(g, d, n, q=q, chi=chi, eps=eps, fresh_state=False)
+def memory_summary(g, d, n, q, chi, eps, branch_cap=protocol.BRANCH_CAP):
+    s = enumerate_success_state(g, d, n, q=q, chi=chi, eps=eps, fresh_state=False,
+                                branch_cap=branch_cap)
     return s.mass, s.renyi_randomness, s.branches
+
+
+def memory_tree_summary(g, d, n, q, chi, eps):
+    """``memory_summary`` with the batched tree as the --memory sums,
+    whatever the rank of the device's projectors."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_memory_sums", protocol._memory_tree)
+        return memory_summary(g, d, n, q, chi, eps)
 
 
 class TestParams:
@@ -544,24 +555,26 @@ class TestSharedSuccessRule:
             assert all_test_runs > 0
 
 
+MEMORY_GRID = [(0.3, 0.8, 0.1), (0.5, 0.5, 0.2), (0.2, 0.0, 1.0), (0.7, 1.0, 0.05)]
+
+
 class TestMemoryTree:
     """The batched, per-block --memory tree against the leaf-by-leaf dense tree."""
 
-    @pytest.mark.parametrize("q,chi,eps", [(0.3, 0.8, 0.1), (0.5, 0.5, 0.2), (0.2, 0.0, 1.0),
-                                           (0.7, 1.0, 0.05)])
+    @pytest.mark.parametrize("q,chi,eps", MEMORY_GRID)
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("device", ["optimal", "classical"])
     def test_chsh_equals_the_leaf_by_leaf_tree(self, device, n, q, chi, eps):
         entry = catalog.chsh()
         g, d = entry.game, entry.devices[device]
-        assert memory_summary(g, d, n, q, chi, eps) == memory_reference_summary(
+        assert memory_tree_summary(g, d, n, q, chi, eps) == memory_reference_summary(
             g, d, n, q, chi, eps)
 
     @pytest.mark.parametrize("chi", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_toy_equals_the_leaf_by_leaf_tree(self, n, chi):
         g, d = toy_setup()
-        assert memory_summary(g, d, n, 0.3, chi, 0.2) == memory_reference_summary(
+        assert memory_tree_summary(g, d, n, 0.3, chi, 0.2) == memory_reference_summary(
             g, d, n, 0.3, chi, 0.2)
 
     @pytest.mark.parametrize("chi", [0.2, 0.19])
@@ -570,7 +583,7 @@ class TestMemoryTree:
         g = replace(base, scores={
             (a, x): 0.1 for a in base.input_alphabet for x in base.output_alphabet
         })
-        assert memory_summary(g, opt, 3, 0.5, chi, 0.2) == memory_reference_summary(
+        assert memory_tree_summary(g, opt, 3, 0.5, chi, 0.2) == memory_reference_summary(
             g, opt, 3, 0.5, chi, 0.2)
 
     @pytest.mark.parametrize("device", ["optimal", "toy"])
@@ -588,7 +601,7 @@ class TestMemoryTree:
             protocol.matcore, "block_psd_brackets",
             lambda stacks, eps: batches.append(1) or real(stacks, eps),
         )
-        assert memory_summary(g, d, 3, 0.3, 0.5, 0.2) == expected
+        assert memory_tree_summary(g, d, 3, 0.3, 0.5, 0.2) == expected
         assert len(batches) >= 3
 
     def test_block_device_with_unitaries(self):
@@ -613,6 +626,149 @@ class TestMemoryTree:
         assert branches == ref_branches == 72
         assert mass == pytest.approx(ref_mass, rel=1e-12, abs=0)
         assert k == pytest.approx(ref_k, rel=1e-12, abs=0)
+
+
+def assert_close_to_tree(summary, tree):
+    """Equal ``branches``, and mass and K within 1e-12 relative.  K of a
+    deterministic device at chi 0 is 0 up to roundoff, where only an
+    absolute bound applies."""
+    (mass, k, branches), (tree_mass, tree_k, tree_branches) = summary, tree
+    assert branches == tree_branches
+    assert math.isclose(mass, tree_mass, rel_tol=1e-12)
+    assert math.isclose(k, tree_k, rel_tol=1e-12, abs_tol=1e-12)
+
+
+class TestTransferDP:
+    """The rank-1 transfer DP against the batched tree, and the one dispatch
+    between them in ``_memory_sums``."""
+
+    @pytest.mark.parametrize("q,chi,eps", MEMORY_GRID)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("device", ["optimal", "classical"])
+    def test_chsh_matches_the_tree(self, device, n, q, chi, eps):
+        entry = catalog.chsh()
+        g, d = entry.game, entry.devices[device]
+        assert_close_to_tree(memory_summary(g, d, n, q, chi, eps),
+                             memory_tree_summary(g, d, n, q, chi, eps))
+
+    @pytest.mark.parametrize("chi", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_toy_matches_the_tree(self, n, chi):
+        g, d = toy_setup()
+        assert_close_to_tree(memory_summary(g, d, n, 0.3, chi, 0.2),
+                             memory_tree_summary(g, d, n, 0.3, chi, 0.2))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("chi", [0.2, 0.19])
+    def test_exact_threshold_game_matches_the_tree(self, chi, n):
+        base, opt, _ = chsh_setup()
+        g = replace(base, scores={
+            (a, x): 0.1 for a in base.input_alphabet for x in base.output_alphabet
+        })
+        assert_close_to_tree(memory_summary(g, opt, n, 0.5, chi, 0.2),
+                             memory_tree_summary(g, opt, n, 0.5, chi, 0.2))
+
+    def test_dispatch_reads_the_rank_of_the_supported_inputs(self, monkeypatch):
+        routes = []
+        for name in ("_transfer_sums", "_memory_tree"):
+            real = getattr(protocol, name)
+            monkeypatch.setattr(protocol, name,
+                                lambda *args, real=real, name=name: routes.append(name) or real(*args))
+        ms = catalog.magic_square()
+        pair = ms.devices["pair-000-001"]
+        # the pair device's projectors have rank 1 on these four inputs only
+        rank_one = [a for a, v in zip(ms.game.input_alphabet, _round_plan(ms.game, pair).rank_one)
+                    if v is not None]
+        assert len(rank_one) == 4
+        restricted = replace(ms.game, distinguished_input=rank_one[0], distribution={
+            a: 0.25 if a in rank_one else 0.0 for a in ms.game.input_alphabet})
+        cases = [
+            (chsh_setup()[:2], "_transfer_sums"),
+            (toy_setup(), "_transfer_sums"),
+            (two_block_setup(), "_memory_tree"),  # rank 2 on the qutrit + qubit blocks
+            (magic_square_combined(), "_memory_tree"),
+            ((ms.game, pair), "_memory_tree"),
+            ((restricted, pair), "_transfer_sums"),
+        ]
+        for (g, d), route in cases:
+            routes.clear()
+            memory_summary(g, d, 1, 0.3, 0.5, 0.1)
+            assert routes == [route], d.name
+        # on the restricted game both routes give the same sums
+        assert_close_to_tree(memory_summary(restricted, pair, 2, 0.3, 0.5, 0.1),
+                             memory_tree_summary(restricted, pair, 2, 0.3, 0.5, 0.1))
+
+    def test_rank_test_is_built_on_the_first_memory_enumeration(self):
+        g, opt, _ = chsh_setup()
+        d = replace(opt)
+        plan = _round_plan(g, d)
+        params = ProtocolParams(n_rounds=3, q=0.3, chi=0.8)
+        simulate_outcomes(g, d, params, 5)
+        simulate(g, d, params, fresh_state=False)
+        enumerate_success_state(g, d, 2, q=0.3, chi=0.5, eps=0.1)
+        assert "rank_one" not in vars(plan)
+        enumerate_success_state(g, d, 2, q=0.3, chi=0.5, eps=0.1, fresh_state=False)
+        assert "rank_one" in vars(plan)
+
+    def test_fifty_rounds_with_exact_counts(self):
+        g, opt, cls = chsh_setup()
+        start = time.perf_counter()
+        mass, k, branches = memory_summary(g, opt, 50, 0.3, 0.8, 0.1, branch_cap=20**50)
+        assert time.perf_counter() - start < 1.0
+        assert mass == pytest.approx(memory_state_mass(g, opt, 50, 0.3, 0.8), rel=1e-12, abs=0)
+        assert 0.0 < k < math.inf and isinstance(branches, int) and branches > 2**63
+        # the classical device's outputs are deterministic, so at chi 0 each
+        # round keeps one output of each of its 5 inputs: 5^50 sequences
+        mass, _, branches = memory_summary(g, cls, 50, 0.3, 0.0, 0.1, branch_cap=20**50)
+        assert branches == 5**50
+        assert mass == pytest.approx(1.0, rel=1e-12)
+
+
+def round_counter_device(d, n):
+    """E_n(d), the round-counter extension of a device without unitaries: the
+    state is n copies of d's, every letter measures copy 1 with d's
+    projectors, and its unitary shifts the copies cyclically (copy j + 1 to
+    copy j), so round j of an in-place run measures a fresh copy.  Dense, of
+    dimension d.dim^n; its projectors have rank d.dim^(n-1) times d's."""
+    at = np.arange(d.dim**n).reshape((d.dim,) * n)
+    shift = np.zeros((d.dim**n, d.dim**n))
+    shift[np.moveaxis(at, -1, 0).ravel(), at.ravel()] = 1.0  # |x_1 .. x_n> -> |x_2 .. x_n x_1>
+    rest = np.eye(d.dim ** (n - 1))
+    return make_device(
+        "general", (d.dim**n,), reduce(np.kron, [d.state] * n),
+        {a: {x: np.kron(p, rest) for x, p in outs.items()} for a, outs in d.measurements.items()},
+        {a: shift for a in d.measurements},
+        input_alphabet=d.input_alphabet, output_alphabet=d.output_alphabet, name=f"E{n}",
+    )
+
+
+class TestRoundCounter:
+    """Fresh-state semantics is the --memory model of the round-counter
+    extension: --memory on E_N(d) equals the fresh run on d at N rounds, in
+    the success-state aggregates and in every transcript."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("device", ["optimal", "classical"])
+    def test_memory_on_the_extension_is_the_fresh_run(self, device, n):
+        entry = catalog.chsh()
+        g, d = entry.game, entry.devices[device]
+        ext = round_counter_device(d, n)
+        assert validate_device(ext).ok
+        # the extension's projectors have rank d.dim^(n-1): 4 on the optimal
+        # device at n = 2, whose sequences the tree expands (the classical
+        # device has dimension 1)
+        assert all((v is None) == (d.dim ** (n - 1) > 1) for v in _round_plan(g, ext).rank_one)
+        for q, chi, eps in ((0.3, 0.8, 0.1), (0.5, 0.0, 0.5)):
+            fresh = enumerate_success_state(g, d, n, q=q, chi=chi, eps=eps)
+            assert_close_to_tree(memory_summary(g, ext, n, q, chi, eps),
+                                 (fresh.mass, fresh.renyi_randomness, fresh.branches))
+        for seed in range(50):
+            params = ProtocolParams(n_rounds=n, q=0.3, chi=0.8, seed=seed)
+            want = simulate(g, d, params)
+            got = simulate(g, ext, params, fresh_state=False)
+            assert np.array_equal(got.input_indices, want.input_indices)
+            assert np.array_equal(got.output_indices, want.output_indices)
+            assert (got.c, got.success) == (want.c, want.success)
 
 
 class TestZeroRule:
@@ -976,7 +1132,65 @@ def random_dyadic_pair(rng: np.random.Generator, inputs: tuple[int, int]):
     return g, components_device((2, 2), state / np.trace(state).real, sites)
 
 
+def random_rank_one_pair(rng: np.random.Generator):
+    """A one-player game of 2 inputs, 2 to 4 outputs and scores k / 2^e in
+    [0, 1], on a device whose every projector has rank at most 1.
+
+    The device is a direct sum of 1 to 3 blocks, of total dimension from 2
+    to the output count, held densely: a random mixed state on each block,
+    weighted; per letter, a Haar basis of each block spread over randomly
+    chosen outputs, the outputs left over measuring 0; and on about half the
+    letters a block-diagonal Haar unitary.
+    """
+    m = int(rng.integers(2, 5))
+    k = int(rng.integers(1, min(3, m) + 1))
+    dim = int(rng.integers(max(k, 2), m + 1))
+    cuts = [0, *sorted(rng.choice(np.arange(1, dim), size=k - 1, replace=False).tolist()), dim]
+    spans = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+    def block_diagonal(draw):
+        out = np.zeros((dim, dim), dtype=complex)
+        for s in spans:
+            out[s, s] = draw(s.stop - s.start)
+        return out
+
+    weights = iter(rng.dirichlet(np.ones(k)))
+    state = block_diagonal(lambda s: next(weights) * (r := random_psd(s, rng)) / np.trace(r).real)
+    measurements, unitaries = {}, {}
+    for a in ((0,), (1,)):
+        basis = block_diagonal(lambda s: haar_unitary(s, rng))
+        slot = rng.permutation(m)  # output x measures basis vector slot[x], if there is one
+        measurements[a] = {
+            (x,): np.outer(basis[:, j], basis[:, j].conj()) if j < dim else np.zeros((dim, dim))
+            for x, j in enumerate(slot.tolist())
+        }
+        if rng.random() < 0.5:
+            unitaries[a] = block_diagonal(lambda s: haar_unitary(s, rng))
+    exps = rng.integers(0, 71, size=2 * m).tolist()
+    cells = [((a,), (x,)) for a in (0, 1) for x in range(m)]
+    scores = {c: math.ldexp(int(rng.integers(0, 2 ** min(e, 53) + 1)), -e)
+              for c, e in zip(cells, exps)}
+    g = nonlocal_game("dyadic", [(0, 1)], [tuple(range(m))],
+                      dict(zip([(0,), (1,)], rng.dirichlet(np.ones(2)).tolist())), scores,
+                      (int(rng.integers(2)),))
+    return g, make_device("general", (dim,), state, measurements, unitaries, name="rank-one")
+
+
 class TestRandomInstances:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_transfer_dp_matches_the_tree_and_the_state_dp(self, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        g, d = random_rank_one_pair(rng)
+        n = int(rng.integers(1, 4))
+        assert validate_device(d).ok
+        assert all(v is not None for v in _round_plan(g, d).rank_one)  # the DP's route
+        q, chi = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.0, 1.0))
+        eps = float(rng.uniform(0.05, 1.0))
+        summary = memory_summary(g, d, n, q, chi, eps)
+        assert_close_to_tree(summary, memory_reference_summary(g, d, n, q, chi, eps))
+        assert math.isclose(summary[0], memory_state_mass(g, d, n, q, chi), rel_tol=1e-12)
+
     @given(
         st.integers(0, 2**32 - 1),
         st.tuples(st.integers(2, 3), st.integers(2, 3)),
