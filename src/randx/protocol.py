@@ -25,14 +25,16 @@ Two usage semantics are supported everywhere:
       (``Device.round_ops``), the same stacks the --memory tree expands.
 
 Success-state aggregates come from one sums function per semantics, both
-called with the same arguments (``enumerate_success_state``).  Under
-fresh-state semantics each sequence weight is a product over rounds and
-success depends only on the summed raw score, so ``_fresh_sums`` convolves
-the one-round table of score classes N times, in O(N * classes) work.
+called with the same arguments (``enumerate_success_state``).  The two
+polynomial routes run one DP over (score class, carried state),
+``_lattice_sums``, the one place that forms score classes and sums the
+winning ones.  Under fresh-state semantics each sequence weight is a
+product over rounds and success depends only on the summed raw score, so
+``_fresh_sums`` runs it with one carried state, in O(N * classes) work.
 ``_memory_sums`` takes one of two routes, chosen by the device alone.  When
 every measured projector of the round's inputs has rank at most 1, each
 branch operator is a scalar times one outer product, and ``_transfer_sums``
-carries (last child, score class) sums through N rounds, in
+runs it with the last child as the carried state, in
 O(N * classes * children^2) work.  Otherwise ``_memory_tree`` expands the
 sequence tree in batches: each batch is a subtree of bounded size whose
 nodes are held per orthogonal block of the device, and one stacked product
@@ -574,17 +576,48 @@ def _branch_brackets(plan: _RoundPlan, i: int, sandwich, eps: float) -> list[flo
     return matcore.block_psd_brackets([r @ p @ r for r, p in zip(sandwich, projs)], eps).tolist()
 
 
+def _lattice_sums(first, step, moves, plan, params) -> tuple[float, float, int]:
+    """(mass, bracket sum, branches) of the winning sequences: the one DP over
+    (score class, carried state) of enumeration.
+
+    ``first`` and ``step`` are (Born, bracket, count) matrices over (state,
+    column), ``first`` with one row, the root state of round 1 at class 0,
+    and ``step`` with one row per carried state.  Column c is the move
+    ``moves[c] = (lattice units, next state)``: a round adds column c of
+    R @ M, R the row of class s, to class s + units in the next state.  Rows
+    are held in ascending class order; a class adds its terms into zeros
+    (``np.add.at``) class by class, in the order the classes were first
+    reached, then column by column.  Counts are Python ints.  The classes
+    that meet the threshold are summed, each sum in one ``math.fsum``.
+    """
+    units, nxt = [u for u, _ in moves], np.array([x for _, x in moves])
+    scan, rows = [0], [0]  # the classes in the order first reached, and their rows
+    sums = [np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1), dtype=object)]
+    for r in range(params.n_rounds):
+        reach = [s + u for s in scan for u in units]  # Python ints: exact sums
+        scan = list(dict.fromkeys(reach))
+        at = {s: k for k, s in enumerate(sorted(scan))}  # each class's row
+        dst = np.array([at[t] for t in reach]).reshape(-1, len(units))
+        out = [np.zeros((len(at), len(step[0])), dtype=a.dtype) for a in sums]
+        for o, a, m in zip(out, sums, step if r else first):
+            np.add.at(o, (dst, nxt), (a @ m)[rows])
+        sums, rows = out, np.array([at[s] for s in scan])
+    won = [k for s, k in at.items() if _meets_threshold(s, plan.den, params.threshold)]
+    mass, ksum, count = (a[won].ravel().tolist() for a in sums)
+    return math.fsum(mass), math.fsum(ksum), sum(count)
+
+
 def _fresh_sums(
     plan: _RoundPlan, rows, sandwich, params: ProtocolParams, eps: float
 ) -> tuple[float, float, int]:
-    """(mass, bracket sum, branches) of the fresh-state sequences, by convolution.
+    """(mass, bracket sum, branches) of the fresh-state sequences: the lattice
+    DP (``_lattice_sums``) with one carried state.
 
     One round's table groups the nonzero branches (``_nonzero`` against
     tr phi, the Born weight every fresh round starts from) by their score in
     lattice units, 0 on a generation round.  Entry k holds the Born weight
     sum p_i born, the bracket weight sum p_i w and the number of branches,
-    each of which convolves over rounds like a weight.  The table is
-    convolved N times, and the classes that meet the threshold are summed.
+    and is a column of every round: the move by its units, to the one state.
     """
     n_out = plan.scores.shape[1]
     brackets: dict[int, list[float]] = {}
@@ -599,20 +632,8 @@ def _fresh_sums(
                 e[0] += p_i * born
                 e[1] += p_i * w
                 e[2] += 1
-    # classes: summed lattice units -> [born, bracket, branches]
-    dist = {0: [1.0, 1.0, 1]}
-    for _ in range(params.n_rounds):
-        nxt: dict[int, list] = {}
-        for s, (m, kw, nb) in dist.items():
-            for k, (tm, tk, tb) in table.items():
-                e = nxt.setdefault(s + k, [0.0, 0.0, 0])
-                e[0] += m * tm
-                e[1] += kw * tk
-                e[2] += nb * tb
-        dist = nxt
-    won = [acc for s, acc in dist.items() if _meets_threshold(s, plan.den, params.threshold)]
-    return (math.fsum(acc[0] for acc in won), math.fsum(acc[1] for acc in won),
-            sum(acc[2] for acc in won))
+    mats = [np.array([c], dtype=t) for c, t in zip(zip(*table.values()), (float, float, object))]
+    return _lattice_sums(mats, mats, [(u, 0) for u in table], plan, params)
 
 
 def _memory_sums(
@@ -622,8 +643,8 @@ def _memory_sums(
 
     When every measured projector of the inputs in ``rows`` has rank at most
     1 (``_RoundPlan.rank_one``), a branch operator is a scalar times one outer
-    product and the sums are a transfer DP over (last child, score class),
-    ``_transfer_sums``.  Otherwise ``_memory_tree`` expands every sequence.
+    product and ``_transfer_sums`` runs the lattice DP with the last child as
+    its carried state.  Otherwise ``_memory_tree`` expands every sequence.
     """
     vectors = plan.rank_one
     if all(vectors[i] is not None for _, i, _ in rows):
@@ -635,7 +656,8 @@ def _transfer_sums(
     plan: _RoundPlan, rows, sandwich, params: ProtocolParams, eps: float
 ) -> tuple[float, float, int]:
     """(mass, bracket sum, branches) of the --memory sequences of a device whose
-    measured projectors have rank at most 1, by a transfer DP.
+    measured projectors have rank at most 1: the lattice DP
+    (``_lattice_sums``) with the last child as the carried state.
 
     Child c, in (rows, outputs) order, has the unit vector v_c of its
     projector (0 for a zero projector) and w_c = U_a P_a^x v_c, so its round
@@ -645,13 +667,12 @@ def _transfer_sums(
     Born weight of child c relative to its parent c', and its bracket is
     (||r v_1||^2 times that product)^(1+eps), r the sandwich.  So each score
     class carries, per last child, the summed p_q-weighted Born weights,
-    brackets and number of its sequences, and one round multiplies them by
-    p_c T, p_c T^(1+eps) and the kept transitions, then moves column c up by
-    child c's lattice units.  The zero rule is ``_nonzero`` on T, and on the
-    first round's Born weight against tr phi.  Counts are Python ints and
-    each sum is one ``math.fsum`` over the winning classes.  Every product is
-    taken per orthogonal block of the device.  The work is O(N * classes *
-    children^2).
+    brackets and number of its sequences: round 1 starts them at p_c <v|phi|v>,
+    p_c ||r v||^(2(1+eps)) and 1, and each later round multiplies them by
+    p_c T, p_c T^(1+eps) and the kept transitions.  Column c is child c's
+    move: its lattice units, into state c.  The zero rule is ``_nonzero`` on
+    T, and on the first round's Born weight against tr phi.  Every product is
+    taken per orthogonal block of the device.
     """
     d, n_out = plan.device, plan.scores.shape[1]
     letters = [plan.game.input_alphabet[i] for _, i, _ in rows]
@@ -659,11 +680,8 @@ def _transfer_sums(
     w = [(np.concatenate(ops) @ x[..., None])[..., 0]
          for ops, x in zip(zip(*(d.round_ops[a] for a in letters)), v)]
     child_pq = np.array([p_i for p_i, i, _ in rows for _ in plan.outputs[i]])
-    columns: dict[int, list[int]] = {}  # lattice units -> the children that score them
-    units = (plan.units[i * n_out + j] if test else 0 for _, i, test in rows for j in plan.outputs[i])
-    for c, u in enumerate(units):
-        columns.setdefault(u, []).append(c)
-
+    units = [plan.units[i * n_out + j] if test else 0
+             for _, i, test in rows for j in plan.outputs[i]]
     overlap = sum(np.einsum("cki,eki->ce", y, x.conj()) for x, y in zip(v, w))  # [c', c]
     t = overlap.real**2 + overlap.imag**2
     kept = _nonzero(t, 1.0)
@@ -672,28 +690,10 @@ def _transfer_sums(
     born = sum(np.einsum("cki,kij,ckj->c", x.conj(), f, x).real for x, f in zip(v, d.state_blocks))
     rv = sum(np.sum(np.abs(r[None] @ x[..., None]) ** 2, axis=(1, 2, 3))
              for r, x in zip(sandwich, v))
-    first = _nonzero(born, plan.tr_phi)
-    sums = [np.where(first, child_pq * born, 0.0)[None],
-            np.where(first, child_pq * rv ** (1.0 + eps), 0.0)[None],
-            first.astype(object)[None]]
-
-    def shift(classes, sums):
-        """Each entry (class s, last child c) moved to class s + units of c."""
-        moved = sorted({s + u for s in classes for u in columns})
-        at = {s: k for k, s in enumerate(moved)}
-        out = [np.zeros((len(moved), len(child_pq)), dtype=a.dtype) for a in sums]
-        for u, cols in columns.items():
-            idx = np.ix_([at[s + u] for s in classes], cols)
-            for o, a in zip(out, sums):
-                o[idx] = a[:, cols]
-        return moved, out
-
-    classes, sums = shift([0], sums)
-    for _ in range(1, params.n_rounds):
-        classes, sums = shift(classes, [a @ m for a, m in zip(sums, step)])
-    won = [k for k, s in enumerate(classes) if _meets_threshold(s, plan.den, params.threshold)]
-    mass, ksum, count = (a[won].ravel().tolist() for a in sums)
-    return math.fsum(mass), math.fsum(ksum), sum(count)
+    nonzero = _nonzero(born, plan.tr_phi)
+    first = [np.where(nonzero, child_pq * x, 0.0)[None] for x in (born, rv ** (1.0 + eps))]
+    first.append(nonzero.astype(object)[None])
+    return _lattice_sums(first, step, [(u, c) for c, u in enumerate(units)], plan, params)
 
 
 def _memory_tree(
@@ -791,13 +791,13 @@ def enumerate_success_state(
     score a success branch.  eps is checked here and N, q and chi by
     ``ProtocolParams``.  The sandwich phi^(1/(2+2eps)) is taken once, per
     orthogonal block of the device, and each semantics is one sums function
-    of the same arguments returning (mass, bracket sum, branches):
-    ``_fresh_sums`` convolves one round's table of score classes N times,
-    since every fresh-state sequence weight factorizes over rounds, and
-    ``_memory_sums`` runs a transfer DP over (last child, score class) on a
-    device whose measured projectors have rank at most 1, and otherwise
-    expands the sequence tree in batches, since its branches depend on the
-    evolving state.
+    of the same arguments returning (mass, bracket sum, branches).  Both
+    polynomial routes are the one lattice DP over (score class, carried
+    state), ``_lattice_sums``: ``_fresh_sums`` carries one state, since every
+    fresh-state sequence weight factorizes over rounds, and on a device whose
+    measured projectors have rank at most 1 ``_memory_sums`` carries the last
+    child (``_transfer_sums``).  On any other device it expands the sequence
+    tree in batches, since its branches depend on the evolving state.
 
     Both apply one zero rule at every round (``_nonzero``): a branch whose
     Born weight is at most ``PRUNE_FLOOR`` times its parent's is dropped,

@@ -652,6 +652,39 @@ def test_magic_square_steps_keep_their_bytes(argv, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MAGIC_SQUARE_STDOUT[argv]
 
 
+# SHA-256 of the stdout of enumeration on every route, recorded before fresh
+# and rank-1 --memory enumeration ran one lattice DP: the `exact` benchmark
+# workload's CHSH steps, long runs on both semantics, the toy game and device
+# written to files (three score classes), and the tree on a Magic Square device.
+ENUMERATE_STDOUT = {
+    "enumerate --n 5 --q 0.3 --chi 0.8 --eps 0.1":
+        "22566c1dc86bc82d00301fa372e9e722bc8b8ef8053625900a80939b9a055f0c",
+    "enumerate --n 3 --q 0.3 --chi 0.8 --eps 0.1 --memory":
+        "45296aee73b4814ab4048abece0c030ca8fd29f0164f1267b242de76cc3d2d48",
+    "entropy-bound --n 4 --q 0.3 --chi 0.5 --eps 0.2 --delta 0.125":
+        "9c2591f2bacdccd399d9e335e0540a458e0f8ab539d714b670a1f842f88cb907",
+    "enumerate --device chsh:classical --n 6 --q 0.05 --chi 0.84 --eps 0.1 --memory --branch-cap 64000000":
+        "7884e171e7b2a2866cbcdb3ae1725e2cc2053448ed2f400d7c520ec5137ddb53",
+    f"enumerate --n 20 --q 0.3 --chi 0.8 --eps 0.1 --branch-cap {20**20}":
+        "4e0fee14d274543e6e90c05ce0163b7f81de847860735b6cd24bf56d43c0c8a6",
+    f"enumerate --n 20 --q 0.3 --chi 0.8 --eps 0.1 --memory --branch-cap {20**20}":
+        "47c9b1cdce0d64a985300b9c37f3fc0a0f50f3310c0ac90ee224f81086f7d229",
+    "enumerate --game toy-game --device toy-device --n 4 --q 0.3 --chi 0.5 --eps 0.2":
+        "20a2404b43d258b46d5eb54b453e720b790ea6071f5603b3f5fa6db0014c3b0e",
+    "enumerate --game toy-game --device toy-device --n 4 --q 0.3 --chi 0.5 --eps 0.2 --memory":
+        "b5d1bb7d26ca4dcfb6a1973347c12190c013d028ec15e985e0bb7b9f3bd2b2d0",
+    "enumerate --game magic-square --device magic-square:combined --n 1 --q 0.3 --chi 0.5 --eps 0.1 --memory":
+        "8b2e3d2aa3495bf81fecf85d4cad626ab65f7566d25c7dd340776f889216ec88",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ENUMERATE_STDOUT))
+def test_enumeration_keeps_its_bytes(argv, tmp_path, capsys):
+    files = dict(zip(("toy-game", "toy-device"), toy_files(tmp_path)))
+    assert main([files.get(word, word) for word in argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ENUMERATE_STDOUT[argv]
+
+
 @pytest.mark.parametrize("dims", ["2,2,2", "2", "a,b", ""])
 def test_seesaw_rejects_bad_dims(dims, capsys):
     assert main(["seesaw", "--game", "chsh", "--dims", dims]) == 1

@@ -112,6 +112,37 @@ def tree_reference(g, d, n, q, chi, eps):
     return mass, ksum, len(won)
 
 
+def fresh_leaf_reference(g, d, n, q, chi, eps):
+    """Leaf-by-leaf sum over every fresh-state sequence from the dense
+    projectors alone: (mass, K, branches).
+
+    A round's branch weighs tr(P phi) and brackets psd_bracket(s P s, eps),
+    s = phi^(1/(2+2eps)), both taken densely, with its row's weight p_q; it
+    is dropped when its weight is at most ``PRUNE_FLOOR`` tr phi.  A leaf
+    wins when its exact score, a sum of Fractions, meets the float chi*q*N.
+    """
+    sandwich = psd_power(d.state, 1.0 / (2.0 + 2.0 * eps))
+    floor = protocol.PRUNE_FLOOR * float(np.trace(d.state).real)
+    rows = [(1.0 - q, g.distinguished_input, False),
+            *((q * g.prob(a), a, True) for a in g.input_alphabet)]
+    branches = []  # (p_q born, p_q bracket, score) of every branch of one round
+    for p_i, a, test in rows:
+        for x in g.output_alphabet if p_i > 0.0 else ():
+            proj = dense.projector(d, a, x)
+            born = float(np.trace(proj @ d.state).real)
+            if born > floor:
+                branches.append((p_i * born, p_i * psd_bracket(sandwich @ proj @ sandwich, eps),
+                                 Fraction(g.score(a, x) if test else 0.0)))
+    leaves = [(1.0, 1.0, Fraction(0))]
+    for _ in range(n):
+        leaves = [(m * bm, w * bw, s + bs) for m, w, s in leaves for bm, bw, bs in branches]
+    threshold = Fraction(ProtocolParams(n, q, chi).threshold)
+    won = [leaf for leaf in leaves if leaf[2] >= threshold]
+    ksum = math.fsum(w for _, w, _ in won)
+    k = -(1.0 / eps) * math.log2(ksum) if ksum > 0.0 else math.inf
+    return math.fsum(m for m, _, _ in won), k, len(won)
+
+
 def two_block_setup():
     """The toy game on a qutrit + qubit direct sum with a unitary per input.
 
@@ -670,7 +701,7 @@ class TestTransferDP:
 
     def test_dispatch_reads_the_rank_of_the_supported_inputs(self, monkeypatch):
         routes = []
-        for name in ("_transfer_sums", "_memory_tree"):
+        for name in ("_transfer_sums", "_memory_tree", "_lattice_sums"):
             real = getattr(protocol, name)
             monkeypatch.setattr(protocol, name,
                                 lambda *args, real=real, name=name: routes.append(name) or real(*args))
@@ -693,7 +724,12 @@ class TestTransferDP:
         for (g, d), route in cases:
             routes.clear()
             memory_summary(g, d, 1, 0.3, 0.5, 0.1)
-            assert routes == [route], d.name
+            # one lattice DP: one call on the rank-1 route, none in the tree
+            core = ["_lattice_sums"] if route == "_transfer_sums" else []
+            assert routes == [route, *core], d.name
+            routes.clear()
+            enumerate_success_state(g, d, 2, q=0.3, chi=0.5, eps=0.1)
+            assert routes == ["_lattice_sums"], d.name
         # on the restricted game both routes give the same sums
         assert_close_to_tree(memory_summary(restricted, pair, 2, 0.3, 0.5, 0.1),
                              memory_tree_summary(restricted, pair, 2, 0.3, 0.5, 0.1))
@@ -769,6 +805,20 @@ class TestRoundCounter:
             assert np.array_equal(got.input_indices, want.input_indices)
             assert np.array_equal(got.output_indices, want.output_indices)
             assert (got.c, got.success) == (want.c, want.success)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_random_devices(self, rng_seed):
+        # fresh enumeration on d, the one-state lattice DP, against --memory
+        # on E_n(d): the rank-1 DP at n = 1, and the tree at n = 2, where the
+        # projectors of E_2(d) have rank 4
+        rng = np.random.default_rng(rng_seed)
+        g, d = random_dyadic_pair(rng, (2, 2))
+        q, chi, eps = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.0, 1.0)), 0.5
+        for n in (1, 2):
+            fresh = enumerate_success_state(g, d, n, q=q, chi=chi, eps=eps)
+            assert_close_to_tree(memory_summary(g, round_counter_device(d, n), n, q, chi, eps),
+                                 (fresh.mass, fresh.renyi_randomness, fresh.branches))
 
 
 class TestZeroRule:
@@ -1176,7 +1226,72 @@ def random_rank_one_pair(rng: np.random.Generator):
     return g, make_device("general", (dim,), state, measurements, unitaries, name="rank-one")
 
 
+def random_higher_rank_pair(rng: np.random.Generator):
+    """A one-player game of 2 inputs, 2 or 3 outputs and scores k / 2^e in
+    [0, 1], on a dense device of dimension 3 or 4 some of whose projectors
+    have rank 2 or more.
+
+    Per letter, the vectors of a Haar basis are cut into runs, one run an
+    output, so that a projector may have any rank from 0 up; output 0 of
+    letter (0,) takes at least 2 vectors.  The state is a random mixed
+    state, and about half the letters carry a Haar unitary.
+    """
+    dim, m = int(rng.integers(3, 5)), int(rng.integers(2, 4))
+    state = random_psd(dim, rng)
+    measurements, unitaries = {}, {}
+    for a in ((0,), (1,)):
+        cuts = sorted(rng.integers(2 if a == (0,) else 0, dim + 1, size=m - 1).tolist())
+        basis = haar_unitary(dim, rng)
+        measurements[a] = {(x,): basis[:, lo:hi] @ dagger(basis[:, lo:hi])
+                           for x, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, dim]))}
+        if rng.random() < 0.5:
+            unitaries[a] = haar_unitary(dim, rng)
+    exps = rng.integers(0, 71, size=2 * m).tolist()
+    cells = [((a,), (x,)) for a in (0, 1) for x in range(m)]
+    scores = {c: math.ldexp(int(rng.integers(0, 2 ** min(e, 53) + 1)), -e)
+              for c, e in zip(cells, exps)}
+    g = nonlocal_game("dyadic", [(0, 1)], [tuple(range(m))],
+                      dict(zip([(0,), (1,)], rng.dirichlet(np.ones(2)).tolist())), scores,
+                      (int(rng.integers(2)),))
+    d = make_device("general", (dim,), state / np.trace(state).real, measurements, unitaries,
+                    name="higher-rank")
+    return g, d
+
+
 class TestRandomInstances:
+    @given(st.integers(0, 2**32 - 1), st.tuples(st.integers(2, 3), st.integers(2, 3)))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_fresh_enumeration_matches_a_dense_leaf_sum(self, rng_seed, inputs):
+        rng = np.random.default_rng(rng_seed)
+        g, d = random_dyadic_pair(rng, inputs)
+        q, chi = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.0, 1.0))
+        eps, n = float(rng.uniform(0.05, 1.0)), int(rng.integers(1, 3))
+        s = enumerate_success_state(g, d, n, q=q, chi=chi, eps=eps)
+        assert_close_to_tree((s.mass, s.renyi_randomness, s.branches),
+                             fresh_leaf_reference(g, d, n, q, chi, eps))
+
+    @pytest.mark.parametrize("rng_seed", range(5))
+    def test_fresh_enumeration_matches_a_dense_leaf_sum_at_three_rounds(self, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        g, d = random_dyadic_pair(rng, (2, 2))
+        q, chi = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.0, 1.0))
+        s = enumerate_success_state(g, d, 3, q=q, chi=chi, eps=0.3)
+        assert_close_to_tree((s.mass, s.renyi_randomness, s.branches),
+                             fresh_leaf_reference(g, d, 3, q, chi, 0.3))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_tree_on_devices_of_higher_rank(self, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        g, d = random_higher_rank_pair(rng)
+        assert validate_device(d).ok
+        assert any(v is None for v in _round_plan(g, d).rank_one)  # the tree's route
+        q, chi = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.0, 1.0))
+        eps, n = float(rng.uniform(0.05, 1.0)), int(rng.integers(1, 3))
+        summary = memory_summary(g, d, n, q, chi, eps)
+        assert summary == memory_reference_summary(g, d, n, q, chi, eps)
+        assert math.isclose(summary[0], memory_state_mass(g, d, n, q, chi), rel_tol=1e-12)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_transfer_dp_matches_the_tree_and_the_state_dp(self, rng_seed):
