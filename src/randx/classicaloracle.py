@@ -23,6 +23,7 @@ from .gamedefs import NONLOCAL, Game
 from .protocol import GuardError
 
 ENUMERATION_GUARD = 10**7
+_CLASSICAL_CHUNK = 1 << 12  # outer strategies per best-response block; bounds its memory
 
 
 class OracleError(ValueError):
@@ -39,78 +40,86 @@ class StrategyEnumeration:
 def classical_value(g: Game) -> StrategyEnumeration:
     """Exact maximum expected score over deterministic strategies.
 
-    All players but the last are enumerated outright; the last player's best
-    response decomposes per input because the objective is linear.  Ties are
-    broken toward the lexicographically first maximizing strategy (outputs
-    enumerated in declared order).  The reported count covers the full
-    product strategy space.
+    The strategies of all players but the last are enumerated by index in
+    ``itertools.product`` order (player 0 slowest; within a player, input 0's
+    output the most significant digit), at most ``_CLASSICAL_CHUNK`` at a
+    time, so memory is bounded by the chunk times the supported inputs, not
+    by the strategy count.  The last player's best response decomposes per
+    input because the objective is linear: per output, the p(a) H(a, x) terms
+    of its supported inputs a are added in alphabet order from 0.0, and a
+    later output wins only if it beats the running best by more than 1e-15.
+    A strategy's value is the exactly rounded ``math.fsum`` of its chosen
+    terms, and a later strategy wins only if it beats the best so far by more
+    than 1e-15, so ties go to the first maximizing strategy.  The reported
+    count covers the full product strategy space, at most
+    ``ENUMERATION_GUARD``.
     """
     if g.kind != NONLOCAL or g.player_inputs is None:
         raise OracleError("classical_value requires a nonlocal game with player structure")
-    s = len(g.player_inputs)
-    count = 1
-    for i in range(s):
-        count *= len(g.player_outputs[i]) ** len(g.player_inputs[i])
+    count = math.prod(len(o) ** len(i) for i, o in zip(g.player_inputs, g.player_outputs))
     if count > ENUMERATION_GUARD:
         raise GuardError(f"{count} strategies exceed the {ENUMERATION_GUARD} guard")
 
-    last_inputs = g.player_inputs[-1]
-    last_outputs = g.player_outputs[-1]
-    outer_players = range(s - 1)
-    outer_spaces = [
-        itertools.product(g.player_outputs[i], repeat=len(g.player_inputs[i]))
-        for i in outer_players
-    ]
-    # per last-player input, its supported inputs a in alphabet order, each as
-    # (positions of a's outer letters, head -> [p(a) H(a, head + (x,)) per x])
-    pairs: dict[Letter, list] = {a_last: [] for a_last in last_inputs}
+    last_inputs, last_outputs = g.player_inputs[-1], g.player_outputs[-1]
+    outer_players = range(len(g.player_inputs) - 1)
+    # an outer strategy's index has one digit per outer player and input, in
+    # order; a chunk runs through every value of the trailing digits that fit
+    radices = [len(g.player_outputs[i]) for i in outer_players for _ in g.player_inputs[i]]
+    sizes = [math.prod(radices[c:]) for c in range(len(radices) + 1)]
+    chunk = next(n for n in sizes if n <= _CLASSICAL_CHUNK)
+    strides = np.array(sizes[1:], dtype=np.int64)
+    radices = np.array(radices, dtype=np.int64)
+    heads = list(itertools.product(*g.player_outputs[:-1]))
+    # per last-player input, its supported inputs a in alphabet order, a slot
+    # each: a's (head, x) table of p(a) H(a, head + (x,)) and the head stride
+    # of each digit; an unused slot has stride 0 and a table of 0.0
+    groups: dict[Letter, list] = {a_last: [] for a_last in last_inputs}
     for a in g.input_alphabet:
-        p = g.prob(a)
-        if p == 0.0 or a[-1] not in pairs:
-            continue
-        positions = tuple(g.player_inputs[i].index(a[i]) for i in outer_players)
-        terms = {
-            head: [p * float(g.scores.get((a, head + (x,)), 0.0)) for x in last_outputs]
-            for head in itertools.product(*g.player_outputs[:-1])
-        }
-        pairs[a[-1]].append((positions, terms))
-    best_value = -math.inf
-    best = None
-    for outer in itertools.product(*outer_spaces):
-        # best response of the last player, one input at a time
-        choice = []
-        chosen_terms = []
-        for a_last in last_inputs:
-            rows = [
-                terms[tuple(outer[i][k] for i, k in enumerate(positions))]
-                for positions, terms in pairs[a_last]
-            ]
-            best_g = -math.inf
-            best_x = 0
-            for x in range(len(last_outputs)):
-                val = 0.0
-                for row in rows:
-                    val += row[x]
-                if val > best_g + 1e-15:
-                    best_g = val
-                    best_x = x
-            choice.append(best_x)
-            chosen_terms.extend(row[best_x] for row in rows)
-        # p(a) H(a, x) of every supported input a, summed exactly rounded
-        value = math.fsum(chosen_terms)
-        if value > best_value + 1e-15:
-            best_value = value
-            best = (outer, choice)
+        if g.prob(a) != 0.0:
+            groups[a[-1]].append(a)
+    shape = (len(last_inputs), max(map(len, groups.values())))
+    real = np.array([[m < len(groups[a_last]) for m in range(shape[1])] for a_last in last_inputs])
+    table = np.zeros((*shape, len(heads), len(last_outputs)))
+    weight = np.zeros((*shape, len(radices)), dtype=np.int64)
+    for k, a_last in enumerate(last_inputs):
+        for m, a in enumerate(groups[a_last]):
+            table[k, m] = [[g.prob(a) * float(g.scores.get((a, head + (x,)), 0.0))
+                            for x in last_outputs] for head in heads]
+            for i in outer_players:
+                digit = sum(map(len, g.player_inputs[:i])) + g.player_inputs[i].index(a[i])
+                weight[k, m, digit] = math.prod(map(len, g.player_outputs[i + 1:-1]))
+    weight, table = weight.reshape(math.prod(shape), -1), table.reshape(-1, len(last_outputs))
+    # each slot's table row per strategy of a chunk, less that of its first strategy
+    pattern = weight @ (np.arange(chunk)[:, None] // strides % radices).T
+    best_value, best = -math.inf, None
+    for start in range(0, sizes[0], chunk):
+        first = np.arange(len(weight)) * len(heads) + weight @ (start // strides % radices)
+        at = (pattern + first[:, None]).reshape(*shape, chunk)
+        best_g = np.full((shape[0], chunk), -math.inf)
+        choice = np.zeros(best_g.shape, dtype=np.intp)
+        for x in range(len(last_outputs)):  # one output at a time bounds memory by the slots
+            rows, val = table[at, x], np.zeros((shape[0], chunk))
+            for m in range(shape[1]):
+                val += rows[:, m]
+            win = val > best_g + 1e-15
+            best_g[win], choice[win] = val[win], x
+        # p(a) H(a, x) of every supported input a, summed exactly rounded where
+        # it may win: the terms are nonnegative, so the float sum times
+        # 1 + 2 (n + 2) u bounds the exact sum of n terms from above
+        chosen = table[at, choice[:, None]][real]
+        rough = chosen.sum(0) * (1 + (len(chosen) + 2) * 2.0**-52)
+        for k in np.flatnonzero(rough >= best_value + 1e-15).tolist():
+            if rough[k] >= best_value + 1e-15:
+                value = math.fsum(chosen[:, k].tolist())
+                if value > best_value + 1e-15:
+                    best_value, best = value, (start + k, choice[:, k].tolist())
     assert best is not None
-    outer, choice = best
-    best_strategy = tuple(dict(zip(g.player_inputs[i], outer[i])) for i in outer_players) + (
-        {a_last: last_outputs[x] for a_last, x in zip(last_inputs, choice)},
-    )
-    return StrategyEnumeration(
-        best_value=best_value,
-        best_strategy=best_strategy,
-        count=count,
-    )
+    t, choice = best
+    digits = iter((t // strides % radices).tolist())
+    best_strategy = tuple(
+        {a: g.player_outputs[i][next(digits)] for a in g.player_inputs[i]} for i in outer_players
+    ) + ({a_last: last_outputs[x] for a_last, x in zip(last_inputs, choice)},)
+    return StrategyEnumeration(best_value=best_value, best_strategy=best_strategy, count=count)
 
 
 _SEESAW_BLOCK = 16  # restarts stacked in one see-saw block; bounds its memory

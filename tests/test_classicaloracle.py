@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,18 +97,88 @@ def three_player_game(seed):
     )
 
 
+def tie_heavy_game(seed, n_in, n_out):
+    """Uniform inputs and 0/1 scores drawn from ``seed``, one player per entry
+    of ``n_in`` (input count) and ``n_out`` (output count): many strategies tie."""
+    rng = np.random.default_rng(seed)
+    player_inputs = [tuple(range(k)) for k in n_in]
+    player_outputs = [tuple(range(k)) for k in n_out]
+    letters = list(itertools.product(*player_inputs))
+    cells = [(a, x) for a in letters for x in itertools.product(*player_outputs)]
+    return nonlocal_game(f"ties-{seed}", player_inputs, player_outputs,
+                         {a: 1.0 / len(letters) for a in letters},
+                         dict(zip(cells, rng.integers(0, 2, len(cells)).astype(float).tolist())),
+                         letters[0])
+
+
+def zero_probability_game(seed):
+    """Two players with three inputs each; inputs (a, 2) are never asked, so
+    the last player's input 2 has no supported joint input."""
+    rng = np.random.default_rng(seed)
+    letters = list(itertools.product(range(3), range(3)))
+    cells = [(a, x) for a in letters for x in itertools.product(range(2), range(3))]
+    weights = rng.random(len(letters)) * [a[1] != 2 and a != (1, 0) for a in letters]
+    return nonlocal_game(f"zeros-{seed}", [range(3), range(3)], [range(2), range(3)],
+                         dict(zip(letters, (weights / weights.sum()).tolist())),
+                         dict(zip(cells, rng.random(len(cells)).tolist())), letters[0])
+
+
+def one_output_game(seed):
+    """Player 0 has one output; player 1 has two inputs and three outputs."""
+    rng = np.random.default_rng(seed)
+    letters = list(itertools.product(range(3), range(2)))
+    cells = [(a, x) for a in letters for x in itertools.product(range(1), range(3))]
+    scores = rng.integers(0, 3, len(cells)) / 2
+    return nonlocal_game(f"one-output-{seed}", [range(3), range(2)], [range(1), range(3)],
+                         dict(zip(letters, rng.dirichlet(np.ones(len(letters))).tolist())),
+                         dict(zip(cells, scores.tolist())), letters[0])
+
+
+EQUIVALENCE_GAMES = {
+    "chsh": lambda: [catalog.get_game("chsh")],
+    "magic-square": lambda: [catalog.get_game("magic-square")],
+    "random": lambda: [random_two_player_game(seed, n_in=3, n_out=3) for seed in range(6)],
+    "three": lambda: [three_player_game(seed) for seed in range(3)],
+    "ties": lambda: [tie_heavy_game(seed, n_in, n_out) for seed in range(2)
+                     for n_in in ((2, 2), (3, 3), (2, 3)) for n_out in ((2, 2), (3, 3), (4, 2))],
+    "zero-probability": lambda: [zero_probability_game(seed) for seed in range(3)],
+    "one-output": lambda: [one_output_game(seed) for seed in range(3)],
+    "single-player": lambda: [tie_heavy_game(seed, (n,), (k,)) for seed in range(2)
+                              for n, k in ((1, 2), (3, 3), (4, 2))],
+    "three-ties": lambda: [tie_heavy_game(seed, (2, 2, 2), (2, 2, 3)) for seed in range(2)],
+}
+
+
 class TestClassicalValue:
-    @pytest.mark.parametrize("game", ["chsh", "magic-square", "random", "three"])
-    def test_equals_the_per_term_loop(self, game):
-        if game == "random":
-            games = [random_two_player_game(seed, n_in=3, n_out=3) for seed in range(6)]
-        elif game == "three":
-            games = [three_player_game(seed) for seed in range(3)]
-        else:
-            games = [catalog.get_game(game)]
-        for g in games:
+    # every game at the production chunk size, then at chunks of 1 and 7
+    @pytest.mark.parametrize("game, chunk", [
+        pytest.param(game, chunk, id=game if chunk is None else f"{game}-chunk{chunk}")
+        for game in EQUIVALENCE_GAMES for chunk in (None, 1, 7)
+    ])
+    def test_equals_the_per_term_loop(self, game, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(classicaloracle, "_CLASSICAL_CHUNK", chunk)
+        for g in EQUIVALENCE_GAMES[game]():
             res = classical_value(g)
             assert (res.best_value, res.best_strategy, res.count) == classical_value_reference(g)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 4^9 = 262,144 strategies of player 0 against one input of player 1
+        rng = np.random.default_rng(0)
+        letters = [(a, 0) for a in range(9)]
+        cells = [(a, x) for a in letters for x in itertools.product(range(4), range(2))]
+        g = nonlocal_game("wide", [range(9), range(1)], [range(4), range(2)],
+                          dict(zip(letters, rng.dirichlet(np.ones(9)).tolist())),
+                          dict(zip(cells, rng.random(len(cells)).tolist())), letters[0])
+        tracemalloc.start()
+        try:
+            res = classical_value(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.count == 4**9 * 2
+        # the strategy tuples of player 0 alone would take tens of MB
+        assert peak < 8 * 2**20
 
     def test_chsh(self):
         res = classical_value(catalog.chsh().game)

@@ -15,6 +15,7 @@ from randx.cli import HEADER, _fmt, _letterstr, main
 from randx.devicemodel import _RECORD_BLOCK, load_device, save_device
 from randx.gamedefs import game_to_dict, load_game, nonlocal_game, save_game
 from tests.dense import device_to_dict
+from tests.test_classicaloracle import three_player_game, tie_heavy_game
 from tests.test_devicemodel import misfit_projector_device
 from tests.test_protocol import memory_state_mass, toy_setup
 
@@ -650,6 +651,31 @@ MAGIC_SQUARE_STDOUT = {
 def test_magic_square_steps_keep_their_bytes(argv, capsys):
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == MAGIC_SQUARE_STDOUT[argv]
+
+
+# SHA-256 of the stdout of classical values on more games, recorded before
+# the enumeration ran as array best responses: CHSH, a three-player game and
+# a tie-heavy game (3 inputs and 3 outputs a player, uniform p, 0/1 scores)
+# written to files.
+CLASSICAL_VALUE_STDOUT = {
+    "classical-value --game chsh":
+        "447ba009ed7329e2eee0e7ee1cef18669d3e03ff6cbdf9fc12d04eb5397532a4",
+    "classical-value --game three-player-game":
+        "4bbe7d843893be6cbb86a8cfc64fee6b944d7d1edc53b8167628a46852014725",
+    "classical-value --game tie-heavy-game":
+        "1b327bb413803fbcf4be398ed3921a2019539f0edcdf21104fbfe51587163384",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLASSICAL_VALUE_STDOUT))
+def test_classical_values_keep_their_bytes(argv, tmp_path, capsys):
+    files = {"three-player-game": three_player_game(0),
+             "tie-heavy-game": tie_heavy_game(0, (3, 3), (3, 3))}
+    for name, game in files.items():
+        save_game(game, tmp_path / f"{name}.json")
+    words = [str(tmp_path / f"{w}.json") if w in files else w for w in argv.split()]
+    assert main(words) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLASSICAL_VALUE_STDOUT[argv]
 
 
 # SHA-256 of the stdout of enumeration on every route, recorded before fresh
