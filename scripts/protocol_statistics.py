@@ -29,9 +29,8 @@ def predicted_success(game, device, n, q, chi):
 def run_grid(game, device, n, q, chis, trials, seed):
     rows = []
     for chi in chis:
-        runs = simulate_outcomes(game, device, ProtocolParams(n, q, chi, seed=seed), trials)
-        succ = sum(success for _, success in runs)
-        rows.append((chi, succ))
+        _, success = simulate_outcomes(game, device, ProtocolParams(n, q, chi, seed=seed), trials)
+        rows.append((chi, int(success.sum())))
     return rows
 
 

@@ -262,15 +262,14 @@ def _cmd_simulate(args) -> int:
         _emit_csv(["round", "t", "a", "x", "score"], rows, args.output)
         return 0
 
-    outcomes = protocol.simulate_outcomes(game, device, params, args.trials, fresh_state=fresh)
+    # two flat columns, 9 bytes a run, written a block of records at a time
+    c, success = protocol.simulate_outcomes(game, device, params, args.trials, fresh_state=fresh)
     if args.out == "csv":
         rows = (
-            [str(k), _fmt(c), "1" if success else "0"]
-            for k, (c, success) in enumerate(outcomes)
+            [str(k), _fmt(ck), "1" if sk else "0"] for k, (ck, sk) in enumerate(zip(c, success))
         )
         _emit_csv(["trial", "c", "success"], rows, args.output)
     else:
-        c, success = zip(*outcomes)
         _emit_json(
             {
                 "game": game.name,
@@ -282,7 +281,7 @@ def _cmd_simulate(args) -> int:
                 "trials": args.trials,
                 "fresh_state": fresh,
                 "threshold": params.threshold,
-                "successes": sum(success),
+                "successes": int(success.sum()),
                 "runs": _Records(
                     {"c": c, "seed": range(args.seed, args.seed + args.trials), "success": success}
                 ),

@@ -551,8 +551,9 @@ def _device_tree(d: Device) -> dict:
 @dataclass(frozen=True)
 class _Records:
     """A JSON list of flat records held by column: record k maps each key to
-    ``columns[key][k]``, a number, bool or None, and every column has one
-    entry per record.  ``json_write`` writes it as the list of dicts."""
+    ``columns[key][k]``, a number, bool or None, and every column (a
+    sequence or a numpy array) has one entry per record.  ``json_write``
+    writes it as the list of dicts."""
 
     columns: Mapping[str, Sequence]
 
@@ -578,8 +579,9 @@ class _Records:
         opening = "[" + record + "{" + field + names[0]
         for start in range(0, n, _RECORD_BLOCK):
             size = min(_RECORD_BLOCK, n - start)
-            texts = [json.dumps(list(self.columns[k][start:start + size]))[1:-1].split(", ")
-                     for k in keys]
+            blocks = (self.columns[k][start:start + size] for k in keys)
+            texts = [json.dumps(b.tolist() if isinstance(b, np.ndarray) else list(b))[1:-1]
+                     .split(", ") for b in blocks]
             if any(len(t) != size for t in texts):
                 raise ValueError("record columns must be of equal length and hold scalars")
             parts = [""] * (2 * len(keys) * size + 1)

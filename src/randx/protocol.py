@@ -43,19 +43,26 @@ expands each of its depths.  The branch cap guards every route.
 Randomness is drawn from a counter-based 64-bit generator (Philox) keyed by
 the run seed, a key in [0, 2^128); each round consumes three uniforms in a
 fixed order (round type, then input, then output; unused draws are still
-consumed), so transcripts are bit-reproducible.  ``simulate_outcomes`` runs
-several trials and is the one place that keys trial k by seed + k; it
-returns only c and success of each.  On a fresh state it splits its trials
+consumed), so transcripts are bit-reproducible.  That is one contract with
+two fills, chosen by the shape of the work.  Whole runs of at most
+``_ARRAY_ROUNDS`` rounds take the array fill, ``_philox_uniforms``: numpy's
+Philox4x64-10 computed in integer ufuncs for every block of every run at
+once, so its bits depend on no BLAS kernel, and such calls never import
+``numpy.random``.  Longer runs and slices of runs take numpy's C fill,
+``_keyed_uniforms``, which re-keys one generator.  ``simulate_outcomes``
+runs several trials and is the one place that keys trial k by seed + k; it
+returns only c and success of each, as two columns.  On a fresh state it splits its trials
 into pieces: as many whole trials as fit in ``_CHUNK_UNIFORMS`` uniforms and
 in a count table of as many cells, or one slice of a longer trial.  A slice
 starts at a row r that is a multiple of 4, so a generator re-keyed to
 seed + k with counter 3r/4 draws it.  A piece samples only its test rounds,
 since generation rounds add nothing to c, and returns each of its trials'
-exact score in lattice units, a Python int.  One loop runs every call's
-pieces on min(2, usable CPUs, pieces) workers, each with its own generator
-and buffer: the calling thread, and threads started and joined within the
-call.  The slices of a trial add into its one score, so each trial gets the
-c and success of ``simulate`` at seed + k, bit for bit.  A transcript draws
+exact score in lattice units.  One loop runs every call's pieces: array-fill
+pieces on the calling thread, C-fill pieces on min(2, usable CPUs, pieces)
+workers, each with its own generator and buffer: the calling thread, and
+threads started and joined within the call.  The slices of a trial add into
+its one score, so each trial gets the c and success of ``simulate`` at
+seed + k, bit for bit.  A transcript draws
 its test rounds as a piece does, and its generation rounds' outputs from the
 distinguished input's one CDF row.  Every draw follows one rule (``_draw``):
 a uniform draws the number of CDF entries at most it, by ``searchsorted`` on
@@ -97,9 +104,19 @@ _CHUNK_UNIFORMS = 2**16
 # The rows of a slice: as many as a piece holds, a multiple of 4, so that
 # every slice starts a 4-word Philox block (3 words a row).
 _SLICE_ROWS = _CHUNK_UNIFORMS // 12 * 4
+# Whole runs of at most this many rounds draw their uniforms by the array
+# fill (``_philox_uniforms``), longer runs and slices by numpy's C fill
+# (``_keyed_uniforms``).  Per run, in pieces of up to 2500 runs on a 2-vCPU
+# host, the array fill took 2.4-3.3 us at 16 rounds against 2.5-4.8 us for
+# re-keying and the C fill, and 4.4-5.4 us at 32 rounds against 2.8-4.7 us.
+_ARRAY_ROUNDS = 16
 _WORD = 2**64 - 1
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)  # a fresh Philox counter and buffer
 _ZERO_WORDS.flags.writeable = False
+# Philox4x64-10 as numpy's Philox runs it: the round multipliers, and the Weyl
+# constants that bump the key between rounds
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 class ProtocolError(ValueError):
@@ -181,11 +198,15 @@ def binomial_tail(n: int, p: float, k: int) -> float:
 def _meets_threshold(units, den: int, threshold: float):
     """The success rule: the exact score units/den is at least the float threshold.
 
-    ``units`` is a Python int, or an object array of them compared elementwise.
-    A chi*q*N that overflows to inf is the ratio 1/0, which no score meets.
+    ``units`` is a Python int, or an array of them compared elementwise (int64,
+    or object holding Python ints).  The least score meeting a threshold
+    tn/td is ceil(tn * den / td) units, formed exactly; a chi*q*N that
+    overflows to inf is met by no score.
     """
-    tn, td = threshold.as_integer_ratio() if threshold < math.inf else (1, 0)
-    return units * td >= tn * den
+    if threshold == math.inf:
+        return units >= math.inf
+    tn, td = threshold.as_integer_ratio()
+    return units >= -(-tn * den // td)
 
 
 def _nonzero(born, parent):
@@ -305,14 +326,17 @@ def _check_seeds(seed: int, trials: int) -> None:
 def _keyed_uniforms(
     gen: np.random.Generator, seed: int, out: np.ndarray, row: int = 0
 ) -> np.ndarray:
-    """Fill ``out`` with the uniforms of run ``seed`` from round ``row`` on.
+    """The C fill: fill ``out`` with the uniforms of run ``seed`` from round
+    ``row`` on.
 
     They are the uniforms of ``Generator(Philox(key=seed))``, three a round,
     less the first ``3 * row``: the generator's Philox is re-keyed through its
     public state (key words low then high, counter ``3 * row / 4``, empty
     buffer) instead of being built anew.  ``row`` must be a multiple of 4, so
     that the first uniform starts a Philox block.  For ``out.shape == (n, 3)``
-    row j holds round ``row + j``'s round type, input and output.
+    row j holds round ``row + j``'s round type, input and output.  The array
+    fill, ``_philox_uniforms``, gives the same bits for whole runs; it costs
+    less for runs of at most ``_ARRAY_ROUNDS`` rounds and needs no generator.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
@@ -326,6 +350,46 @@ def _keyed_uniforms(
         "uinteger": 0,
     }
     return gen.random(out=out)
+
+
+def _mulhilo(m: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products of the 64-bit constant
+    ``m`` and the words ``c``: the high word summed from 32-bit limbs, each
+    partial sum fitting in a word, the low word as the wrapping product."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    c_lo, c_hi = c & 0xFFFFFFFF, c >> 32
+    mid = c_hi * m_lo + (c_lo * m_lo >> 32)
+    low_mid = c_lo * m_hi + (mid & 0xFFFFFFFF)
+    return c_hi * m_hi + (mid >> 32) + (low_mid >> 32), c * np.uint64(m)
+
+
+def _philox_uniforms(seed: int, m: int, rows: int) -> np.ndarray:
+    """The array fill: the uniforms of runs seed .. seed + m - 1 over their
+    first ``rows`` rounds, as an (m, rows, 3) array whose row j is
+    ``_keyed_uniforms``' fill of run seed + j, bit for bit.
+
+    It is numpy's Philox4x64-10 run for every block of every run at once.
+    Run s has the key words (s mod 2^64, s div 2^64), split from the Python
+    int, so runs may carry across 2^64.  Its block b, from 1 (numpy bumps the
+    counter before each block), is ten rounds on the counter (b, 0, 0, 0),
+    round r keyed by the key plus r times the Weyl constants, and holds the
+    run's words 4b - 4 .. 4b - 1; word w gives the uniform (w >> 11) * 2^-53.
+    Only integer ufuncs run, so the bits do not depend on the BLAS kernel.
+    """
+    low = np.uint64(seed & _WORD)
+    k0 = np.arange(m, dtype=np.uint64) + low  # wraps past 2^64, and then carries
+    key = [k0[:, None], ((k0 < low) + np.uint64(seed >> 64))[:, None]]
+    blocks = -(-3 * rows // 4)
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    # broadcasting keeps the first rounds' words per block or per run
+    c = [np.arange(1, blocks + 1, dtype=np.uint64)[None], zero, zero, zero]
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c[0])
+        hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c[2])
+        c = [hi1 ^ c[1] ^ key[0], lo1, hi0 ^ c[3] ^ key[1], lo0]
+        key = [key[0] + _PHILOX_WEYL[0], key[1] + _PHILOX_WEYL[1]]
+    words = np.stack(c, axis=-1).reshape(m, 4 * blocks)[:, : 3 * rows]
+    return ((words >> 11) * 2.0**-53).reshape(m, rows, 3)
 
 
 def _draw(cdf: np.ndarray, u):
@@ -346,17 +410,24 @@ def _test_inputs(plan: _RoundPlan, u: np.ndarray, q: float) -> tuple[np.ndarray,
     return test, _draw(plan.input_cdf, u[test, 1])
 
 
-def _unit_scores(plan: _RoundPlan, counts: np.ndarray) -> list[int]:
+def _unit_scores(plan: _RoundPlan, counts: np.ndarray, n: int) -> np.ndarray:
     """Each run's exact score in lattice units, from its row of ``counts``:
     how often it played each flat cell ``i * n_out + j`` on a test round.
-    The scores are Python ints, since units can pass 2^63."""
-    return (counts.astype(object) @ np.array(plan.units, dtype=object)).tolist()
+    The scores are int64 where the score of any n-round run and the lattice
+    denominator fit in 53 bits, so that one float division rounds c; else
+    they are Python ints in an object array, since units can pass 2^63."""
+    wide = max(map(abs, plan.units)) * n > 2**53 or plan.den > 2**53
+    dtype = object if wide else np.int64
+    return counts.astype(dtype) @ np.array(plan.units, dtype=dtype)
 
 
-def _outcomes(plan: _RoundPlan, units: list[int], threshold: float) -> list[tuple[float, bool]]:
-    """(c, success) of runs of exact scores ``units``: c is each score rounded once."""
-    won = _meets_threshold(np.array(units, dtype=object), plan.den, threshold).tolist()
-    return [(t / plan.den, w) for t, w in zip(units, won)]
+def _outcomes(
+    plan: _RoundPlan, units: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """c and success of runs of exact scores ``units``, as a float and a bool
+    array: c is each score divided by the denominator, rounded once."""
+    c = (units / plan.den).astype(float, copy=False)
+    return c, _meets_threshold(units, plan.den, threshold)
 
 
 def _branches(mats: list[np.ndarray], state: list[np.ndarray]) -> list[np.ndarray]:
@@ -373,11 +444,15 @@ def _traces(stacks: list[np.ndarray]) -> np.ndarray:
 
 
 def _transcript(
-    plan: _RoundPlan, params: ProtocolParams, fresh_state: bool, gen: np.random.Generator
+    plan: _RoundPlan, params: ProtocolParams, fresh_state: bool, gen: np.random.Generator | None
 ) -> Transcript:
-    """One run with its per-round records, its uniforms drawn by ``gen``."""
+    """One run with its per-round records, its uniforms drawn by ``gen``, or
+    by the array fill if ``gen`` is None."""
     g, n = plan.game, params.n_rounds
-    u = _keyed_uniforms(gen, params.seed, np.empty((n, 3)))
+    if gen is None:
+        [u] = _philox_uniforms(params.seed, 1, n)
+    else:
+        u = _keyed_uniforms(gen, params.seed, np.empty((n, 3)))
     test, a = _test_inputs(plan, u, params.q)
     t = np.zeros(n, dtype=np.uint8)
     t[test] = 1
@@ -405,14 +480,14 @@ def _transcript(
 
     scores = np.where(t == 1, plan.scores[a_idx, x_idx], 0.0)
     counts = np.bincount(a * plan.scores.shape[1] + x_idx[test], minlength=len(plan.units))
-    [(c, success)] = _outcomes(plan, _unit_scores(plan, counts[None]), params.threshold)
+    c, success = _outcomes(plan, _unit_scores(plan, counts[None], n), params.threshold)
     return Transcript(
         test_flags=t,
         input_indices=a_idx,
         output_indices=x_idx,
         scores=scores,
-        c=c,
-        success=success,
+        c=float(c[0]),
+        success=bool(success[0]),
         input_alphabet=g.input_alphabet,
         output_alphabet=g.output_alphabet,
     )
@@ -428,13 +503,15 @@ def simulate(
     with no test rounds succeeds only if that threshold is <= 0.
     """
     _check_seeds(params.seed, 1)
-    return _transcript(_round_plan(g, d), params, fresh_state, _generator())
+    gen = None if params.n_rounds <= _ARRAY_ROUNDS else _generator()
+    return _transcript(_round_plan(g, d), params, fresh_state, gen)
 
 
 def simulate_outcomes(
     g: Game, d: Device, params: ProtocolParams, trials: int, fresh_state: bool = True
-) -> list[tuple[float, bool]]:
-    """(c, success) of ``trials`` runs, run k keyed by ``params.seed + k``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """c and success of ``trials`` runs, run k keyed by ``params.seed + k``,
+    as two columns: a float array and a bool array, 9 bytes a run.
 
     Run k reports the c and success of ``simulate`` at seed ``params.seed + k``,
     bit for bit.  Every seed is checked before the first run.  Fresh-state
@@ -452,15 +529,17 @@ def simulate_outcomes(
     plan = _round_plan(g, d)
     if not fresh_state:
         gen = _generator()
-        runs = (replace(params, seed=params.seed + k) for k in range(trials))
-        return [(tr.c, tr.success) for tr in (_transcript(plan, run, False, gen) for run in runs)]
+        c, success = np.empty(trials), np.empty(trials, dtype=bool)
+        for k in range(trials):
+            tr = _transcript(plan, replace(params, seed=params.seed + k), False, gen)
+            c[k], success[k] = tr.c, tr.success
+        return c, success
     pieces = _pieces(params.n_rounds, trials, len(plan.units))
-    scores: list[int] = []
-    for (first, _, row, _), piece in zip(pieces, _run_pieces(plan, params, pieces)):
-        if row:
-            scores[first] += piece[0]
-        else:
-            scores.extend(piece)
+    results = _run_pieces(plan, params, pieces)
+    scores = np.zeros(trials, dtype=results[0].dtype)
+    for (first, m, _, _), piece in zip(pieces, results):
+        scores[first:first + m] += piece
+    del results  # freed before c is formed, so the peak holds two columns of runs
     return _outcomes(plan, scores, params.threshold)
 
 
@@ -479,23 +558,28 @@ def _pieces(n: int, trials: int, cells: int) -> list[tuple[int, int, int, int]]:
 
 
 def _score_piece(
-    plan: _RoundPlan, params: ProtocolParams, gen: np.random.Generator, buf: np.ndarray, piece
-) -> list[int]:
+    plan: _RoundPlan, params: ProtocolParams, gen: np.random.Generator | None, buf, piece
+) -> np.ndarray:
     """The exact score, in lattice units, of each run of one piece over the
-    piece's rounds.  ``buf`` holds the piece's uniforms."""
+    piece's rounds (``_unit_scores``).  The array fill draws the piece's
+    uniforms if ``gen`` is None; else ``gen`` fills them into ``buf``."""
     first, m, row, rows = piece
-    u = buf[: 3 * m * rows].reshape(m, rows, 3)
-    if row:
-        _keyed_uniforms(gen, params.seed + first, u[0], row)
+    if gen is None:
+        u = _philox_uniforms(params.seed + first, m, rows)
     else:
-        for j in range(m):
-            _keyed_uniforms(gen, params.seed + first + j, u[j])
+        u = buf[: 3 * m * rows].reshape(m, rows, 3)
+        if row:
+            _keyed_uniforms(gen, params.seed + first, u[0], row)
+        else:
+            for j in range(m):
+                _keyed_uniforms(gen, params.seed + first + j, u[j])
     u = u.reshape(m * rows, 3)
     test, a = _test_inputs(plan, u, params.q)
     x = _draw(plan.output_cdfs[a], u[test, 2])
     n_cells = len(plan.units)
     cells = test // rows * n_cells + a * plan.scores.shape[1] + x
-    return _unit_scores(plan, np.bincount(cells, minlength=m * n_cells).reshape(m, n_cells))
+    counts = np.bincount(cells, minlength=m * n_cells).reshape(m, n_cells)
+    return _unit_scores(plan, counts, params.n_rounds)
 
 
 def _workers() -> int:
@@ -507,16 +591,23 @@ def _workers() -> int:
 
 def _run_pieces(
     plan: _RoundPlan, params: ProtocolParams, pieces: list[tuple[int, int, int, int]]
-) -> list[list[int]]:
-    """Each piece's run scores (``_score_piece``), on min(``_workers()``, pieces) workers.
+) -> list[np.ndarray]:
+    """Each piece's run scores (``_score_piece``), in piece order.
 
-    Worker w takes pieces w, w + workers, ... with a generator and a buffer
-    of its own, the buffer the size of the first, largest piece.  Worker 0
-    is the calling thread; each other worker is a thread started and joined
-    here.  numpy's fills and sampling release the GIL, so the workers run on
-    separate CPUs.  Each piece's scores go to its own slot, and an exception
-    raised on a worker is raised here.
+    A call's pieces all have one shape.  Pieces of whole runs of at most
+    ``_ARRAY_ROUNDS`` rounds take the array fill, on the calling thread: a
+    second thread did not pay on them (on 2 CPUs, 10^6 one-round runs took
+    0.26-0.38 s on one worker and 0.39-0.45 s on two).  Other pieces take
+    the C fill on min(``_workers()``, pieces) workers: worker w takes pieces w,
+    w + workers, ... with a generator and a buffer of its own, the buffer
+    the size of the first, largest piece.  Worker 0 is the calling thread;
+    each other worker is a thread started and joined here.  numpy's fills
+    and sampling release the GIL, so the workers run on separate CPUs.  Each
+    piece's scores go to its own slot, and an exception raised on a worker
+    is raised here.
     """
+    if params.n_rounds <= _ARRAY_ROUNDS:
+        return [_score_piece(plan, params, None, None, piece) for piece in pieces]
     # built on the calling thread: the first imports numpy.random, which on a
     # started thread raised a sim-long run's peak RSS by about 0.8 MB
     gens = [_generator() for _ in range(min(_workers(), len(pieces)))]

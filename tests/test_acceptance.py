@@ -203,14 +203,12 @@ def test_criterion_07_protocol_statistics():
     g = entry.game
     t0 = time.monotonic()
     # trial k of simulate_outcomes is simulate at seed k, bit for bit
-    successes = sum(
-        success for _, success in simulate_outcomes(
-            g, entry.devices["optimal"], ProtocolParams(n_rounds=10**5, q=0.05, chi=0.84), 100)
-    )
-    aborts = sum(
-        not success for _, success in simulate_outcomes(
-            g, entry.devices["classical"], ProtocolParams(n_rounds=10**5, q=0.05, chi=0.80), 100)
-    )
+    _, success = simulate_outcomes(
+        g, entry.devices["optimal"], ProtocolParams(n_rounds=10**5, q=0.05, chi=0.84), 100)
+    successes = int(success.sum())
+    _, success = simulate_outcomes(
+        g, entry.devices["classical"], ProtocolParams(n_rounds=10**5, q=0.05, chi=0.80), 100)
+    aborts = int((~success).sum())
     elapsed = time.monotonic() - t0
     w = scoring.eps_score(g, entry.devices["optimal"], 0.0)
     need = math.ceil(ProtocolParams(n_rounds=10**5, q=0.05, chi=0.84).threshold)
@@ -237,10 +235,8 @@ def test_criterion_08_enumeration_simulation_consistency():
     t0 = time.monotonic()
     summary = enumerate_success_state(g, opt, 3, q=0.3, chi=0.8, eps=0.1)
     trials = 100_000
-    hits = sum(
-        success for _, success in simulate_outcomes(
-            g, opt, ProtocolParams(n_rounds=3, q=0.3, chi=0.8), trials)
-    )
+    _, success = simulate_outcomes(g, opt, ProtocolParams(n_rounds=3, q=0.3, chi=0.8), trials)
+    hits = int(success.sum())
     elapsed = time.monotonic() - t0
     freq = hits / trials
     sd = math.sqrt(summary.mass * (1.0 - summary.mass) / trials)

@@ -790,9 +790,10 @@ def test_csv_blocks_join_to_the_whole_text(count, capsys):
     assert capsys.readouterr().out == csv_text(["round", "t", "a", "x", "score"], rows)
     trials = max(count, 2)  # --trials 1 prints the one run's transcript
     assert main(["simulate", "--n", "2", "--trials", str(trials), *common]) == 0
-    outcomes = protocol.simulate_outcomes(game, device, dataclasses.replace(params, n_rounds=2),
-                                          trials)
-    rows = [[str(k), _fmt(c), "1" if success else "0"] for k, (c, success) in enumerate(outcomes)]
+    c, success = protocol.simulate_outcomes(game, device, dataclasses.replace(params, n_rounds=2),
+                                            trials)
+    rows = [[str(k), _fmt(ck), "1" if sk else "0"]
+            for k, (ck, sk) in enumerate(zip(c.tolist(), success.tolist()))]
     assert len(rows) == trials
     assert capsys.readouterr().out == csv_text(["trial", "c", "success"], rows)
 

@@ -435,15 +435,18 @@ class TestJsonText:
         # fractional scores: the toy game's runs, on the fresh and memory paths
         g, d = toy_setup()
         for fresh in (True, False):
-            outcomes = protocol.simulate_outcomes(
+            c, success = protocol.simulate_outcomes(
                 g, d, protocol.ProtocolParams(30, 0.3, 0.1, seed=9), 20, fresh_state=fresh
             )
-            assert any(c % 1 for c, _ in outcomes)
-            c, success = map(list, zip(*outcomes))
-            self.assert_same_text(
-                _Records({"c": c, "seed": range(9, 29), "success": success}),
-                [{"c": ck, "seed": 9 + k, "success": sk} for k, (ck, sk) in enumerate(outcomes)],
-            )
+            assert (c % 1).any()
+            records = [{"c": ck, "seed": 9 + k, "success": sk}
+                       for k, (ck, sk) in enumerate(zip(c.tolist(), success.tolist()))]
+            # the columns as numpy arrays, as the CLI holds them, and as lists
+            for columns in ((c, success), (c.tolist(), success.tolist())):
+                self.assert_same_text(
+                    _Records({"c": columns[0], "seed": range(9, 29), "success": columns[1]}),
+                    records,
+                )
 
     @pytest.mark.parametrize("n", [1, 3, 4, 9, 10])
     def test_records_are_written_a_block_at_a_time(self, n):

@@ -21,6 +21,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "randx"
 # code outside the package that runs it: the scripts and the benchmark harness
@@ -36,6 +38,19 @@ def test_cli_import_loads_no_heavy_module():
     proc = subprocess.run([sys.executable, "-c", code, *HEAVY_MODULES],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("n, trials, loaded", [("3", "50", False), ("100000", "2", True)])
+def test_short_simulate_loads_no_numpy_random(n, trials, loaded):
+    # short runs take the array fill; a long run takes numpy's C fill and
+    # loads numpy.random, so the guard can fail
+    code = ("import sys; from randx.cli import main; main(sys.argv[1:]); "
+            "print('numpy.random' in sys.modules, file=sys.stderr)")
+    argv = ["simulate", "--n", n, "--q", "0.3", "--chi", "0.5", "--trials", trials]
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, check=True)
+    assert '"successes"' in proc.stdout
+    assert proc.stderr.split() == [str(loaded)]
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randx import catalog, protocol
 from randx.devicemodel import components_device, make_device, validate_device
@@ -315,7 +315,7 @@ class TestParams:
         g, opt, _ = chsh_setup()
         params = ProtocolParams(4, 0.5, 1e308, seed=3)
         assert params.threshold == math.inf
-        assert not any(won for _, won in simulate_outcomes(g, opt, params, 5))
+        assert not simulate_outcomes(g, opt, params, 5)[1].any()
         for fresh in (True, False):
             assert not simulate(g, opt, params, fresh_state=fresh).success
             s = enumerate_success_state(g, opt, 4, q=0.5, chi=1e308, eps=0.2, fresh_state=fresh)
@@ -325,8 +325,8 @@ class TestParams:
         # at chi 0 every run succeeds; at chi 1.5 a run needs 38 wins in 50 rounds at q 0.5
         g, opt, _ = chsh_setup()
         for chi, won in ((0.0, True), (1.5, False)):
-            outcomes = simulate_outcomes(g, opt, ProtocolParams(50, 0.5, chi, seed=3), 20)
-            assert {s for _, s in outcomes} == {won}
+            _, success = simulate_outcomes(g, opt, ProtocolParams(50, 0.5, chi, seed=3), 20)
+            assert set(success.tolist()) == {won}
 
 
 class TestSimulate:
@@ -582,7 +582,7 @@ class TestSharedSuccessRule:
                 assert tr.success == (mass > 0.0 and all_test)
                 if all_test:
                     assert tr.c == 0.1 + 0.1 + 0.1  # the exact sum, rounded once
-                assert simulate_outcomes(g, opt, params, 1, fresh) == [(tr.c, tr.success)]
+                assert pairs(simulate_outcomes(g, opt, params, 1, fresh)) == [(tr.c, tr.success)]
             assert all_test_runs > 0
 
 
@@ -885,6 +885,14 @@ class TestZeroRule:
             assert memory_tree_reference(g, d, n, 0.3, 0.0, 0.1)[2] == branches
 
 
+def pairs(columns) -> list[tuple[float, bool]]:
+    """The (c, success) pair of each run, from ``simulate_outcomes``' two
+    columns, which must be a float and a bool array of one length."""
+    c, success = columns
+    assert c.dtype == np.float64 and success.dtype == bool and c.shape == success.shape
+    return list(zip(c.tolist(), success.tolist()))
+
+
 class TestSimulateOutcomes:
     @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
     @pytest.mark.parametrize("device", ["optimal", "classical", "toy", "magic-square"])
@@ -901,7 +909,7 @@ class TestSimulateOutcomes:
         for k in range(5):
             tr = simulate(g, d, replace(params, seed=123 + k), fresh_state=fresh)
             expected.append((tr.c, tr.success))
-        assert simulate_outcomes(g, d, params, 5, fresh_state=fresh) == expected
+        assert pairs(simulate_outcomes(g, d, params, 5, fresh_state=fresh)) == expected
 
     @pytest.mark.parametrize(
         "setup, n, q, trials, seed, shape",
@@ -922,7 +930,7 @@ class TestSimulateOutcomes:
             g, d, _ = chsh_setup()
         params = ProtocolParams(n_rounds=n, q=q, chi=0.5, seed=seed)
         runs = [simulate(g, d, replace(params, seed=seed + k)) for k in range(trials)]
-        assert simulate_outcomes(g, d, params, trials) == [(tr.c, tr.success) for tr in runs]
+        assert pairs(simulate_outcomes(g, d, params, trials)) == [(tr.c, tr.success) for tr in runs]
         if shape == "chunks":  # several chunks of several runs, the last one short
             rows = protocol._CHUNK_UNIFORMS // (3 * n)
             assert 1 < rows < trials and trials % rows != 0
@@ -946,6 +954,82 @@ class TestSimulateOutcomes:
         got = protocol._keyed_uniforms(protocol._generator(), seed, np.empty((5, 3)), row)
         want = np.random.Generator(np.random.Philox(key=seed).advance(3 * row // 4)).random(15)
         assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
+
+    @example(m_seed=(3, 2**64 + 5), rows=5)  # a nonzero high key word
+    @example(m_seed=(4, 7 * 2**64 - 2), rows=3)  # keys carry across a multiple of 2^64
+    @example(m_seed=(2, 2**64 - 1), rows=1)  # 3 words: a block cut short
+    @example(m_seed=(6, 2**128 - 6), rows=7)  # the last keys below 2^128
+    @given(
+        st.integers(1, 6).flatmap(lambda m: st.tuples(
+            st.just(m),
+            st.one_of(
+                st.integers(0, 2**128 - m),
+                # just below a multiple of 2^64, so that the piece's keys carry
+                st.tuples(st.integers(1, 2**64 - 1), st.integers(1, m)).map(
+                    lambda hj: hj[0] * 2**64 - hj[1]),
+                st.just(2**128 - m),
+            ),
+        )),
+        st.integers(1, 2 * protocol._ARRAY_ROUNDS),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_array_fill_is_numpys_philox(self, m_seed, rows):
+        # run j of the piece is Generator(Philox(key=seed + j)), bit for bit,
+        # over 3 * rows words (not a multiple of 4 unless 4 divides rows)
+        m, seed = m_seed
+        got = protocol._philox_uniforms(seed, m, rows)
+        assert got.shape == (m, rows, 3)
+        for j in range(m):
+            want = np.random.Generator(np.random.Philox(key=seed + j)).random(3 * rows)
+            assert np.array_equal(got[j].ravel().view(np.uint64), want.view(np.uint64))
+
+    def test_mulhilo_is_the_128_bit_product(self):
+        words = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, *np.random.default_rng(5).integers(
+            0, 2**64, size=200, dtype=np.uint64, endpoint=False).tolist()]
+        for m in protocol._PHILOX_MUL:
+            hi, lo = protocol._mulhilo(m, np.array(words, dtype=np.uint64))
+            assert hi.tolist() == [m * w >> 64 for w in words]
+            assert lo.tolist() == [m * w & 2**64 - 1 for w in words]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("setup", ["optimal", "magic-square"])
+    def test_runs_at_the_cut_off_are_simulate_at_seed_plus_k(self, monkeypatch, setup, offset):
+        # runs just below, at and just above the array fill's cut-off, with
+        # keys that cross 2^64, against transcripts drawn by the C fill
+        g, d = magic_square_combined() if setup == "magic-square" else chsh_setup()[:2]
+        n = protocol._ARRAY_ROUNDS + offset
+        params = ProtocolParams(n, 0.3, 0.5, seed=2**64 - 3)
+        fills = []
+        for fill in ("_keyed_uniforms", "_philox_uniforms"):
+            real = getattr(protocol, fill)
+            monkeypatch.setattr(protocol, fill,
+                                lambda *a, fill=fill, real=real: fills.append(fill) or real(*a))
+        got = pairs(simulate_outcomes(g, d, params, 7))
+        assert set(fills) == {"_philox_uniforms" if offset <= 0 else "_keyed_uniforms"}
+        arrays = [simulate(g, d, replace(params, seed=params.seed + k)) for k in range(7)]
+        monkeypatch.setattr(protocol, "_ARRAY_ROUNDS", 0)
+        fills.clear()
+        runs = [simulate(g, d, replace(params, seed=params.seed + k)) for k in range(7)]
+        assert set(fills) == {"_keyed_uniforms"}
+        assert got == [(tr.c, tr.success) for tr in runs]
+        for a, b in zip(arrays, runs):
+            for field in ("test_flags", "input_indices", "output_indices", "scores"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_many_runs_are_held_as_two_columns(self):
+        # 9 bytes a run once the scores are formed; a list of (c, success)
+        # tuples took over 100 bytes a run
+        g, opt, _ = chsh_setup()
+        params = ProtocolParams(1, 0.3, 0.5, seed=3)
+        simulate_outcomes(g, opt, params, 1)  # the round plan is built outside the trace
+        tracemalloc.start()
+        try:
+            c, success = simulate_outcomes(g, opt, params, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.dtype == np.float64 and success.dtype == bool and len(c) == 200_000
+        assert peak < 20 * 200_000
 
     def test_pieces_hold_whole_runs_or_slices_at_multiples_of_four(self):
         S = protocol._SLICE_ROWS
@@ -982,7 +1066,7 @@ class TestSimulateOutcomes:
             monkeypatch.setattr(protocol, "_workers", lambda: workers)
             for trials in (1, 2, 3):
                 want = [(tr.c, tr.success) for tr in runs[:trials]]
-                assert simulate_outcomes(g, d, params, trials) == want
+                assert pairs(simulate_outcomes(g, d, params, trials)) == want
 
     def test_more_workers_than_cpus_with_fast_switching(self, monkeypatch):
         # workers share only the read-only plan and piece list; each writes its
@@ -997,7 +1081,7 @@ class TestSimulateOutcomes:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                assert simulate_outcomes(g, opt, params, 30) == want
+                assert pairs(simulate_outcomes(g, opt, params, 30)) == want
         finally:
             sys.setswitchinterval(interval)
 
@@ -1019,8 +1103,11 @@ class TestSimulateOutcomes:
             simulate_outcomes(g, opt, ProtocolParams(43691, 0.3, 0.5), 1)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("n, trials, started", [(3, 2500, 0), (5000, 30, 1), (100003, 1, 1)])
+    @pytest.mark.parametrize(
+        "n, trials, started", [(3, 2500, 0), (1, 10**5, 0), (5000, 30, 1), (100003, 1, 1)]
+    )
     def test_threads_start_and_end_within_the_call(self, monkeypatch, n, trials, started):
+        # many pieces of short runs take the array fill on the calling thread alone
         monkeypatch.setattr(protocol, "_workers", lambda: 2)
         threads = []
         real = threading.Thread
@@ -1034,6 +1121,8 @@ class TestSimulateOutcomes:
         assert threading.active_count() == before
 
     def test_one_philox_per_worker(self, monkeypatch):
+        # C-fill pieces (slices of long runs) build one generator per worker;
+        # many pieces of short runs take the array fill and build none
         built = []
         real = np.random.Philox
         monkeypatch.setattr(
@@ -1045,6 +1134,9 @@ class TestSimulateOutcomes:
             built.clear()
             simulate_outcomes(g, opt, ProtocolParams(100003, 0.05, 0.84), 2)
             assert len(built) == workers
+            built.clear()
+            simulate_outcomes(g, opt, ProtocolParams(protocol._ARRAY_ROUNDS, 0.3, 0.5), 5000)
+            assert len(built) == 0
 
     def test_a_long_run_takes_two_pieces_of_memory(self):
         g, opt, _ = chsh_setup()
@@ -1089,7 +1181,9 @@ class TestSimulateOutcomes:
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
-    def test_one_philox_per_call(self, monkeypatch, fresh):
+    def test_philox_builds_per_call(self, monkeypatch, fresh):
+        # short fresh runs take the array fill and build no generator, as
+        # does a short transcript; --memory runs re-key one per call
         built = []
         real = np.random.Philox
         monkeypatch.setattr(
@@ -1100,28 +1194,34 @@ class TestSimulateOutcomes:
         for trials in (1, 7, 300):
             built.clear()
             simulate_outcomes(g, opt, params, trials, fresh_state=fresh)
-            assert len(built) == 1
+            assert len(built) == (0 if fresh else 1)
+        built.clear()
+        simulate(g, opt, params, fresh_state=fresh)
+        assert built == []
 
     @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
     def test_trial_count_checked_before_any_run(self, monkeypatch, fresh):
+        # both fills are hooked; the calls that pass the check draw through them
         drawn = []
-        monkeypatch.setattr(protocol, "_keyed_uniforms", lambda *args: drawn.append(1))
+        for fill in ("_keyed_uniforms", "_philox_uniforms"):
+            real = getattr(protocol, fill)
+            monkeypatch.setattr(protocol, fill, lambda *a, real=real: drawn.append(1) or real(*a))
         g, opt, _ = chsh_setup()
         for trials in (0, -5):
             with pytest.raises(ProtocolError, match=f"trials must be at least 1, got {trials}"):
                 simulate_outcomes(g, opt, ProtocolParams(3, 0.3, 0.5), trials, fresh_state=fresh)
         assert drawn == []
+        for n in (3, 100):  # the array fill and the C fill
+            simulate_outcomes(g, opt, ProtocolParams(n, 0.3, 0.5), 2, fresh_state=fresh)
+            assert drawn
+            drawn.clear()
 
     @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "memory"])
     def test_seed_domain_checked_before_any_run(self, monkeypatch, fresh):
         drawn = []
-        real = protocol._keyed_uniforms
-
-        def counting(gen, seed, out):
-            drawn.append(seed)
-            return real(gen, seed, out)
-
-        monkeypatch.setattr(protocol, "_keyed_uniforms", counting)
+        for fill in ("_keyed_uniforms", "_philox_uniforms"):  # both fills are hooked
+            real = getattr(protocol, fill)
+            monkeypatch.setattr(protocol, fill, lambda *a, real=real: drawn.append(1) or real(*a))
         g, opt, _ = chsh_setup()
         top = 2**128 - 1
         for seed, trials in ((-1, 1), (-3, 5), (top, 2), (top - 2, 4)):
@@ -1135,8 +1235,10 @@ class TestSimulateOutcomes:
         # both ends of the domain are keys
         for seed, trials in ((0, 1), (top - 1, 2), (top, 1)):
             params = ProtocolParams(3, 0.3, 0.5, seed=seed)
-            assert len(simulate_outcomes(g, opt, params, trials, fresh_state=fresh)) == trials
+            c, _ = simulate_outcomes(g, opt, params, trials, fresh_state=fresh)
+            assert len(c) == trials
             simulate(g, opt, replace(params, seed=seed + trials - 1), fresh_state=fresh)
+        assert drawn  # the runs at both ends drew through the hooks
 
     def test_compatibility_checked_once_per_call(self, monkeypatch):
         calls = []
@@ -1323,7 +1425,9 @@ class TestRandomInstances:
         params = ProtocolParams(n, float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.01, 0.99)),
                                 seed=seed)
         runs = [simulate(g, d, replace(params, seed=seed + k), fresh) for k in range(trials)]
-        assert simulate_outcomes(g, d, params, trials, fresh) == [(tr.c, tr.success) for tr in runs]
+        assert pairs(simulate_outcomes(g, d, params, trials, fresh)) == [
+            (tr.c, tr.success) for tr in runs
+        ]
         plan = _round_plan(g, d)
         for k, tr in enumerate(runs):
             total = sum(map(Fraction, tr.scores.tolist()), Fraction(0))
@@ -1353,7 +1457,7 @@ class TestRandomInstances:
             mass = enumerate_success_state(g, d, n, q=q, chi=chi, eps=0.5, fresh_state=fresh).mass
             p = min(max(mass, 0.0), 1.0)  # roundoff can take mass past 1
             params = ProtocolParams(n, q, chi, seed=rng_seed)
-            won = sum(s for _, s in simulate_outcomes(g, d, params, trials, fresh))
+            won = int(simulate_outcomes(g, d, params, trials, fresh)[1].sum())
             upper = binomial_tail(trials, p, won)  # P(X >= won)
             lower = binomial_tail(trials, 1.0 - p, trials - won)  # P(X <= won)
             assert min(upper, lower) > alarm / 2, (fresh, won, mass)
